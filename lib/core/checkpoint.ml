@@ -46,7 +46,7 @@ let record_save t ~client ~light bytes =
 
 (* At-rest integrity seal over the snapshot's serialised form, taken at
    save time and re-checked on restore. *)
-let seal_of sp = Integrity.crc32 (Subproblem.to_string sp)
+let seal_of sp = Integrity.crc32_of (Integrity.hash Subproblem.emit sp)
 
 let save t ~client ~mode sp =
   match mode with

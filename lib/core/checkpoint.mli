@@ -27,6 +27,10 @@ val restore : t -> client:int -> Subproblem.t option
     the search space, while [None] sends the caller down the safe
     lineage re-derivation path. *)
 
+val seal_of : Subproblem.t -> int
+(** The at-rest seal of a snapshot: CRC-32 of its {!Subproblem.to_string}
+    form, streamed from {!Subproblem.emit} without building the text. *)
+
 val corrupt_all : t -> unit
 (** Fault injection: rot every stored snapshot at rest, so the next
     {!restore} of each discards it. *)

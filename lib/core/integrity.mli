@@ -12,15 +12,66 @@
       used for at-rest records (journal entries, checkpoint snapshots)
       where we mirror what a storage layer would do.
 
+    Records are digested by streaming their canonical bytes into a
+    {!hasher}, never by rendering them to a string first.  Each record
+    format has one byte emitter, written against a {!sink}: the same
+    emitter feeds a hasher for digests and a buffer for the text form.
+
     A digest detects corruption; it does not authenticate.  Certification
     of {e answers} (which must not trust the sender at all) is the job of
     DRUP checking and model re-evaluation, not of this module. *)
+
+(** {1 Incremental hashing} *)
+
+type hasher
+(** Running FNV-1a and CRC-32 state over the bytes added so far.  Adding
+    bytes allocates nothing.  Feeding [s1] then [s2] gives the digests of
+    [s1 ^ s2]. *)
+
+val hasher : unit -> hasher
+(** A hasher that has seen no bytes. *)
+
+val add_char : hasher -> char -> unit
+
+val add_string : hasher -> string -> unit
+
+val add_int : hasher -> int -> unit
+(** Adds the decimal text of the int, exactly the bytes of
+    [string_of_int]. *)
+
+val fnv1a_of : hasher -> int
+(** FNV-1a of the bytes added so far. *)
+
+val crc32_of : hasher -> int
+(** CRC-32 of the bytes added so far. *)
 
 val fnv1a : string -> int
 (** 64-bit FNV-1a over the bytes of the string, truncated to [int]. *)
 
 val crc32 : string -> int
 (** CRC-32 (IEEE, reflected) over the bytes of the string, in [0, 2^32). *)
+
+(** {1 Byte emitters} *)
+
+type sink
+(** Where an emitter's bytes go: into a hasher ({!hash}) or into a text
+    buffer ({!render}). *)
+
+val put_char : sink -> char -> unit
+
+val put_string : sink -> string -> unit
+
+val put_int : sink -> int -> unit
+(** The decimal text of the int, as {!add_int}. *)
+
+val render : (sink -> 'a -> unit) -> 'a -> string
+(** [render emit x] is the text [emit] writes for [x]. *)
+
+val hash : (sink -> 'a -> unit) -> 'a -> hasher
+(** [hash emit x] streams [emit]'s bytes for [x] into a fresh hasher:
+    its digests equal those of [render emit x]. *)
+
+(** {1 Fault injection} *)
 
 val corrupted : int -> int
 (** [corrupted d] is a digest guaranteed to differ from [d] — how fault

@@ -104,31 +104,75 @@ let apply st = function
       register st pid path client
   | Verdict { answer } -> st.verdict <- Some answer
 
-(* Full-fidelity rendering: every field of every entry lands in the
-   output, so the at-rest integrity seal covers the whole record. *)
-let pp_entry ppf e =
-  let lits ppf ls =
-    Format.pp_print_list
-      ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " ")
-      (fun ppf l -> Format.pp_print_int ppf (T.to_int l))
-      ppf ls
+(* Full-fidelity rendering: every field of every entry is emitted, so the
+   at-rest integrity seal covers the whole record. *)
+let emit_entry sink e =
+  let int = Integrity.put_int sink and str = Integrity.put_string sink in
+  let pid (a, b) =
+    int a;
+    str ".";
+    int b
   in
-  let pid ppf (a, b) = Format.fprintf ppf "%d.%d" a b in
+  let held_by p client =
+    pid p;
+    str " @ ";
+    int client
+  in
+  let lits ls =
+    str " [";
+    List.iteri
+      (fun k l ->
+        if k > 0 then str " ";
+        int (T.to_int l))
+      ls;
+    str "]"
+  in
   match e with
-  | Registered { client } -> Format.fprintf ppf "registered %d" client
-  | Assigned { pid = p; dst; path } -> Format.fprintf ppf "assigned %a -> %d [%a]" pid p dst lits path
-  | Started { pid = p; client } -> Format.fprintf ppf "started %a @ %d" pid p client
-  | Granted { requester; partner } -> Format.fprintf ppf "granted %d + %d" requester partner
+  | Registered { client } ->
+      str "registered ";
+      int client
+  | Assigned { pid = p; dst; path } ->
+      str "assigned ";
+      pid p;
+      str " -> ";
+      int dst;
+      lits path
+  | Started { pid = p; client } ->
+      str "started ";
+      held_by p client
+  | Granted { requester; partner } ->
+      str "granted ";
+      int requester;
+      str " + ";
+      int partner
   | Split { donor; donor_pid; donor_path; pid = p; dst; path } ->
-      Format.fprintf ppf "split %a @ %d [%a] -> %a @ %d [%a]" pid donor_pid donor lits donor_path
-        pid p dst lits path
-  | Refuted { pid = p } -> Format.fprintf ppf "refuted %a" pid p
-  | Shared { clauses } -> Format.fprintf ppf "shared %d" clauses
-  | Suspected { client } -> Format.fprintf ppf "suspected %d" client
-  | Died { client } -> Format.fprintf ppf "died %d" client
+      str "split ";
+      held_by donor_pid donor;
+      lits donor_path;
+      str " -> ";
+      held_by p dst;
+      lits path
+  | Refuted { pid = p } ->
+      str "refuted ";
+      pid p
+  | Shared { clauses } ->
+      str "shared ";
+      int clauses
+  | Suspected { client } ->
+      str "suspected ";
+      int client
+  | Died { client } ->
+      str "died ";
+      int client
   | Adopted { pid = p; client; path } ->
-      Format.fprintf ppf "adopted %a @ %d [%a]" pid p client lits path
-  | Verdict { answer } -> Format.fprintf ppf "verdict %s" answer
+      str "adopted ";
+      held_by p client;
+      lits path
+  | Verdict { answer } ->
+      str "verdict ";
+      str answer
+
+let pp_entry ppf e = Format.pp_print_string ppf (Integrity.render emit_entry e)
 
 (* Byte occupancy is an estimate (this journal models stable storage, it
    does not serialise to a real file), but a deterministic one: the same
@@ -197,7 +241,7 @@ let create ?(obs = Obs.disabled) ?(quota = 0) ~compact_every () =
     g_bytes = Obs.Metrics.gauge m "journal.bytes";
   }
 
-let seal e = Integrity.crc32 (Format.asprintf "%a" pp_entry e)
+let seal e = Integrity.crc32_of (Integrity.hash emit_entry e)
 
 (* Drop pending records whose seal no longer matches their content (torn
    or rotted at rest).  Each bad record is counted once: it disappears

@@ -138,3 +138,6 @@ val corrupt_tail : t -> n:int -> unit
     discards them. *)
 
 val pp_entry : Format.formatter -> entry -> unit
+(** One line per record, e.g. [started 0.1 @ 4] or
+    [split 0.1 @ 2 [1 -3] -> 2.1 @ 5 [1 3]]: the bytes whose CRC-32
+    seals the record at rest. *)

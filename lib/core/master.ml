@@ -144,6 +144,9 @@ type t = {
   mutable checkpoint_bytes_peak : int;
   mutable events : Events.t list;  (* newest first *)
   mutable batch_job : (Grid.Batch.t * Grid.Batch.job) option;
+  mutable timeout : Grid.Sim.event_id option;
+      (* the overall-timeout event, cancelled at termination: queued, its
+         closure would keep this whole finished run reachable *)
   mutable next_batch_id : int;
   rng : Random.State.t;
   started_at : float;
@@ -421,6 +424,7 @@ let terminate t answer why =
   if not t.finished then begin
     t.finished <- true;
     t.answer <- Some answer;
+    Option.iter (Grid.Sim.cancel t.sim) t.timeout;
     jlog t
       (Journal.Verdict
          { answer = (match answer with Sat _ -> "SAT" | Unsat -> "UNSAT" | Unknown _ -> "UNKNOWN") });
@@ -1860,6 +1864,7 @@ let create ?(obs = Obs.disabled) ?health ~sim ~net ~bus ~cfg ~testbed cnf =
       checkpoint_bytes_peak = 0;
       events = [];
       batch_job = None;
+      timeout = None;
       next_batch_id = 1000;
       rng = Random.State.make [| cfg.Config.seed; 77 |];
       started_at = Grid.Sim.now sim;
@@ -2001,9 +2006,10 @@ let create ?(obs = Obs.disabled) ?health ~sim ~net ~bus ~cfg ~testbed cnf =
         (Grid.Sim.schedule sim ~delay:time (fun () ->
              if not t.finished then add_host t th callbacks)))
     testbed.Testbed.late_hosts;
-  ignore
-    (Grid.Sim.schedule sim ~delay:cfg.Config.overall_timeout (fun () ->
-         terminate t (Unknown "timeout") "overall timeout"));
+  t.timeout <-
+    Some
+      (Grid.Sim.schedule sim ~delay:cfg.Config.overall_timeout (fun () ->
+           terminate t (Unknown "timeout") "overall timeout"));
   nws_probe t;
   monitor t;
   t

@@ -109,105 +109,182 @@ let critical = function
 
 (* ---------- integrity framing ---------- *)
 
-(* Canonical rendering for digesting: every field that matters lands in the
-   buffer, in a fixed order.  Not a wire format — just a deterministic byte
-   string two ends can agree on. *)
-let render_entry buf e =
-  let pf fmt = Printf.bprintf buf fmt in
-  let lits ls = List.iter (fun l -> pf "%d " (Sat.Types.to_int l)) ls in
-  match e with
-  | Registered { client } -> pf "jreg %d" client
-  | Assigned { pid = o, n; dst; path } ->
-      pf "jasn %d.%d %d " o n dst;
-      lits path
-  | Started { pid = o, n; client } -> pf "jsta %d.%d %d" o n client
-  | Granted { requester; partner } -> pf "jgra %d %d" requester partner
-  | Split { donor; donor_pid = a, b; donor_path; pid = o, n; dst; path } ->
-      pf "jspl %d %d.%d " donor a b;
-      lits donor_path;
-      pf "-> %d.%d %d " o n dst;
-      lits path
-  | Refuted { pid = o, n } -> pf "jref %d.%d" o n
-  | Shared { clauses } -> pf "jshr %d" clauses
-  | Suspected { client } -> pf "jsus %d" client
-  | Died { client } -> pf "jdie %d" client
-  | Adopted { pid = o, n; client; path } ->
-      pf "jado %d.%d %d " o n client;
-      lits path
-  | Verdict { answer } -> pf "jver %s" answer
+(* Canonical bytes for digesting: every field that matters is emitted, in
+   a fixed order.  Not a wire format — just a deterministic byte stream
+   two ends can agree on, streamed into the hasher.  [s] writes a literal
+   and [i] an int; the [_sp] forms add the space that follows most
+   numbers in the format. *)
+let s = Integrity.put_string
 
-let rec render buf msg =
-  let pf fmt = Printf.bprintf buf fmt in
-  let lits ls = List.iter (fun l -> pf "%d " (Sat.Types.to_int l)) ls in
-  let clauses cs =
-    List.iter
-      (fun c ->
-        Array.iter (fun l -> pf "%d " (Sat.Types.to_int l)) c;
-        Buffer.add_char buf '/')
-      cs
-  in
-  match msg with
-  | Register -> pf "register"
-  | Problem { pid = o, n; sp; sent_at } ->
-      pf "problem %d.%d %h " o n sent_at;
-      Buffer.add_string buf (Subproblem.to_string sp)
-  | Problem_received { pid = o, n; from; bytes; path } ->
-      pf "received %d.%d %d %d " o n from bytes;
-      lits path
-  | Split_request `Memory -> pf "split? mem"
-  | Split_request `Long_running -> pf "split? long"
-  | Split_partner { partner } -> pf "partner %d" partner
-  | Split_ok { pid = o, n; dst; bytes; path; donor_path } ->
-      pf "split_ok %d.%d %d %d p " o n dst bytes;
-      lits path;
-      pf "d ";
-      lits donor_path
-  | Split_failed -> pf "split_failed"
+let i = Integrity.put_int
+
+let int_sp sink n =
+  i sink n;
+  Integrity.put_char sink ' '
+
+let pid sink (o, n) =
+  i sink o;
+  Integrity.put_char sink '.';
+  i sink n
+
+let pid_sp sink p =
+  pid sink p;
+  Integrity.put_char sink ' '
+
+let lits sink ls = List.iter (fun l -> int_sp sink (Sat.Types.to_int l)) ls
+
+let emit_entry sink = function
+  | Registered { client } ->
+      s sink "jreg ";
+      i sink client
+  | Assigned { pid; dst; path } ->
+      s sink "jasn ";
+      pid_sp sink pid;
+      int_sp sink dst;
+      lits sink path
+  | Started { pid; client } ->
+      s sink "jsta ";
+      pid_sp sink pid;
+      i sink client
+  | Granted { requester; partner } ->
+      s sink "jgra ";
+      int_sp sink requester;
+      i sink partner
+  | Split { donor; donor_pid; donor_path; pid; dst; path } ->
+      s sink "jspl ";
+      int_sp sink donor;
+      pid_sp sink donor_pid;
+      lits sink donor_path;
+      s sink "-> ";
+      pid_sp sink pid;
+      int_sp sink dst;
+      lits sink path
+  | Refuted { pid = p } ->
+      s sink "jref ";
+      pid sink p
+  | Shared { clauses } ->
+      s sink "jshr ";
+      i sink clauses
+  | Suspected { client } ->
+      s sink "jsus ";
+      i sink client
+  | Died { client } ->
+      s sink "jdie ";
+      i sink client
+  | Adopted { pid; client; path } ->
+      s sink "jado ";
+      pid_sp sink pid;
+      int_sp sink client;
+      lits sink path
+  | Verdict { answer } ->
+      s sink "jver ";
+      s sink answer
+
+let clauses sink cs =
+  List.iter
+    (fun c ->
+      Array.iter (fun l -> int_sp sink (Sat.Types.to_int l)) c;
+      s sink "/")
+    cs
+
+let rec emit sink = function
+  | Register -> s sink "register"
+  | Problem { pid; sp; sent_at } ->
+      s sink "problem ";
+      pid_sp sink pid;
+      s sink (Printf.sprintf "%h " sent_at);
+      Subproblem.emit sink sp
+  | Problem_received { pid; from; bytes; path } ->
+      s sink "received ";
+      pid_sp sink pid;
+      int_sp sink from;
+      int_sp sink bytes;
+      lits sink path
+  | Split_request `Memory -> s sink "split? mem"
+  | Split_request `Long_running -> s sink "split? long"
+  | Split_partner { partner } ->
+      s sink "partner ";
+      i sink partner
+  | Split_ok { pid; dst; bytes; path; donor_path } ->
+      s sink "split_ok ";
+      pid_sp sink pid;
+      int_sp sink dst;
+      int_sp sink bytes;
+      s sink "p ";
+      lits sink path;
+      s sink "d ";
+      lits sink donor_path
+  | Split_failed -> s sink "split_failed"
   | Shares { clauses = cs } ->
-      pf "shares ";
-      clauses cs
+      s sink "shares ";
+      clauses sink cs
   | Share_relay { origin; clauses = cs } ->
-      pf "relay %d " origin;
-      clauses cs
-  | Finished_unsat { pid = o, n; proof } ->
-      pf "unsat %d.%d " o n;
-      Option.iter (Buffer.add_string buf) proof
-  | Found_model m -> List.iter (pf "%d ") (Sat.Model.true_literals m)
-  | Migrate_to { target } -> pf "migrate %d" target
-  | Cancel { pid = o, n } -> pf "cancel %d.%d" o n
-  | Orphaned { pid = o, n; sp } ->
-      pf "orphaned %d.%d " o n;
-      Buffer.add_string buf (Subproblem.to_string sp)
-  | Resync_request -> pf "resync?"
+      s sink "relay ";
+      int_sp sink origin;
+      clauses sink cs
+  | Finished_unsat { pid; proof } ->
+      s sink "unsat ";
+      pid_sp sink pid;
+      Option.iter (s sink) proof
+  | Found_model m -> List.iter (int_sp sink) (Sat.Model.true_literals m)
+  | Migrate_to { target } ->
+      s sink "migrate ";
+      i sink target
+  | Cancel { pid = p } ->
+      s sink "cancel ";
+      pid sink p
+  | Orphaned { pid; sp } ->
+      s sink "orphaned ";
+      pid_sp sink pid;
+      Subproblem.emit sink sp
+  | Resync_request -> s sink "resync?"
   | Resync { pid; path; busy_since } ->
-      (match pid with None -> pf "resync idle " | Some (o, n) -> pf "resync %d.%d " o n);
-      pf "%h " busy_since;
-      lits path
-  | Stop -> pf "stop"
-  | Heartbeat { decisions } -> pf "hb %d" decisions
+      (match pid with
+      | None -> s sink "resync idle "
+      | Some p ->
+          s sink "resync ";
+          pid_sp sink p);
+      s sink (Printf.sprintf "%h " busy_since);
+      lits sink path
+  | Stop -> s sink "stop"
+  | Heartbeat { decisions } ->
+      s sink "hb ";
+      i sink decisions
   | Ship { seq; entries; state_digest } ->
-      pf "ship %d %s " seq state_digest;
+      s sink "ship ";
+      int_sp sink seq;
+      s sink state_digest;
+      s sink " ";
       List.iter
         (fun e ->
-          render_entry buf e;
-          Buffer.add_char buf '/')
+          emit_entry sink e;
+          s sink "/")
         entries
-  | Ship_ack { seq; applied; ok } -> pf "ship_ack %d %d %b" seq applied ok
-  | Epoch_notice -> pf "epoch!"
-  | Ack { mid } -> pf "ack %d" mid
-  | Nack { mid } -> pf "nack %d" mid
+  | Ship_ack { seq; applied; ok } ->
+      s sink "ship_ack ";
+      int_sp sink seq;
+      int_sp sink applied;
+      s sink (string_of_bool ok)
+  | Epoch_notice -> s sink "epoch!"
+  | Ack { mid } ->
+      s sink "ack ";
+      i sink mid
+  | Nack { mid } ->
+      s sink "nack ";
+      i sink mid
   | Reliable { mid; payload } ->
-      pf "rel %d " mid;
-      render buf payload
+      s sink "rel ";
+      int_sp sink mid;
+      emit sink payload
   | Framed { digest; epoch; payload } ->
-      pf "frame %d @%d " digest epoch;
-      render buf payload
-  | Corrupt_payload -> pf "garbage"
+      s sink "frame ";
+      int_sp sink digest;
+      s sink "@";
+      int_sp sink epoch;
+      emit sink payload
+  | Corrupt_payload -> s sink "garbage"
 
-let digest msg =
-  let buf = Buffer.create 256 in
-  render buf msg;
-  Integrity.fnv1a (Buffer.contents buf)
+let digest msg = Integrity.fnv1a_of (Integrity.hash emit msg)
 
 (* The epoch is a header field, not part of the digested payload: like a
    reliable envelope's mid it survives in-flight corruption (it carries

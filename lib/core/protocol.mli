@@ -158,8 +158,9 @@ val critical : msg -> bool
 (** {1 Integrity framing} *)
 
 val digest : msg -> int
-(** FNV-1a digest of the message's canonical rendering (every semantic
-    field, in a fixed order).  Deterministic across runs. *)
+(** FNV-1a digest of the message's canonical bytes (every semantic field,
+    in a fixed order), streamed into an {!Integrity.hasher} without
+    building the text.  Deterministic across runs. *)
 
 val frame : ?epoch:int -> msg -> msg
 (** Seals a message for the wire:

@@ -85,23 +85,28 @@ let capture_pure ~origin solver =
      a <path as DIMACS ints> 0
      <clause> 0
      ... *)
-let to_string t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Printf.sprintf "p subproblem %d %d\n" t.nvars (List.length t.clauses));
-  let add_ints prefix lits =
-    Buffer.add_string buf prefix;
-    List.iter (fun l -> Buffer.add_string buf (string_of_int (T.to_int l) ^ " ")) lits;
-    Buffer.add_string buf "0\n"
+let emit sink t =
+  let open Integrity in
+  let lit l =
+    put_int sink (T.to_int l);
+    put_char sink ' '
   in
-  add_ints "f " t.facts;
-  add_ints "a " t.path;
+  put_string sink "p subproblem ";
+  put_int sink t.nvars;
+  put_char sink ' ';
+  put_int sink (List.length t.clauses);
+  put_string sink "\nf ";
+  List.iter lit t.facts;
+  put_string sink "0\na ";
+  List.iter lit t.path;
+  put_string sink "0\n";
   List.iter
     (fun c ->
-      Array.iter (fun l -> Buffer.add_string buf (string_of_int (T.to_int l) ^ " ")) c;
-      Buffer.add_string buf "0\n")
-    t.clauses;
-  Buffer.contents buf
+      Array.iter lit c;
+      put_string sink "0\n")
+    t.clauses
+
+let to_string t = Integrity.render emit t
 
 let of_string text =
   let lines = String.split_on_char '\n' text |> List.filter (fun l -> String.trim l <> "") in

@@ -66,6 +66,11 @@ val prune : t -> t
     root {e fact} (path literals are kept so clauses stay globally
     valid). *)
 
+val emit : Integrity.sink -> t -> unit
+(** Writes the wire format to a sink: the one definition behind both
+    {!to_string} and the digests that cover a subproblem (frame digests
+    of [Problem]/[Orphaned], checkpoint seals). *)
+
 val to_string : t -> string
 (** Compact wire format: a DIMACS-like document with [f]/[a] header lines
     for the root facts and guiding-path assumptions.  This is what a

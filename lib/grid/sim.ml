@@ -1,20 +1,21 @@
-type event_id = int
-
 module Key = struct
   type t = { time : float; seq : int }
 
   let compare a b =
-    match Float.compare a.time b.time with 0 -> compare a.seq b.seq | c -> c
+    match Float.compare a.time b.time with 0 -> Int.compare a.seq b.seq | c -> c
 end
 
 module Pq = Map.Make (Key)
+
+(* An event's id is its queue key, so cancelling removes the closure (and
+   everything it keeps reachable) at once instead of leaving it queued
+   until its time comes. *)
+type event_id = Key.t
 
 type t = {
   mutable clock : float;
   mutable queue : (unit -> unit) Pq.t;
   mutable next_seq : int;
-  queued : (int, unit) Hashtbl.t;  (* seqs currently in the queue *)
-  cancelled : (int, unit) Hashtbl.t;
   mutable fired : int;
   obs_on : bool;
   c_events : Obs.Metrics.counter;
@@ -26,8 +27,6 @@ let create ?(obs = Obs.disabled) () =
     clock = 0.;
     queue = Pq.empty;
     next_seq = 0;
-    queued = Hashtbl.create 64;
-    cancelled = Hashtbl.create 64;
     fired = 0;
     obs_on = Obs.enabled obs;
     c_events = Obs.Metrics.counter (Obs.metrics obs) "sim.events";
@@ -40,38 +39,31 @@ let schedule_at t ~time f =
   let time = Float.max time t.clock in
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  t.queue <- Pq.add { Key.time; seq } f t.queue;
-  Hashtbl.replace t.queued seq ();
+  let key = { Key.time; seq } in
+  t.queue <- Pq.add key f t.queue;
   if t.obs_on then Obs.Metrics.gauge_max t.g_pending (float_of_int (Pq.cardinal t.queue));
-  seq
+  key
 
 let schedule t ~delay f = schedule_at t ~time:(t.clock +. Float.max 0. delay) f
 
-(* Only ids still in the queue are recorded: cancelling an already-fired or
-   unknown id must stay a no-op, or [pending] undercounts forever. *)
-let cancel t id = if Hashtbl.mem t.queued id then Hashtbl.replace t.cancelled id ()
+(* Removing a key that already fired (or was already cancelled) leaves the
+   queue unchanged, so a late or repeated cancel is a no-op. *)
+let cancel t id = t.queue <- Pq.remove id t.queue
 
-let pending t = Pq.cardinal t.queue - Hashtbl.length t.cancelled
+let pending t = Pq.cardinal t.queue
 
 let events_fired t = t.fired
 
-let rec step t =
+let step t =
   match Pq.min_binding_opt t.queue with
   | None -> false
   | Some (key, f) ->
       t.queue <- Pq.remove key t.queue;
-      Hashtbl.remove t.queued key.Key.seq;
-      if Hashtbl.mem t.cancelled key.Key.seq then begin
-        Hashtbl.remove t.cancelled key.Key.seq;
-        step t
-      end
-      else begin
-        t.clock <- key.Key.time;
-        t.fired <- t.fired + 1;
-        if t.obs_on then Obs.Metrics.incr t.c_events;
-        f ();
-        true
-      end
+      t.clock <- key.Key.time;
+      t.fired <- t.fired + 1;
+      if t.obs_on then Obs.Metrics.incr t.c_events;
+      f ();
+      true
 
 let run ?(max_events = max_int) t ~until =
   let fired = ref 0 in

@@ -24,7 +24,8 @@ val schedule_at : t -> time:float -> (unit -> unit) -> event_id
 (** Fires at an absolute time (clamped to [now]). *)
 
 val cancel : t -> event_id -> unit
-(** Cancelling an already-fired or unknown event is a no-op. *)
+(** Removes the event from the queue, releasing its closure at once.
+    Cancelling an already-fired or already-cancelled event is a no-op. *)
 
 val step : t -> bool
 (** Processes the next event.  Returns [false] when no events remain. *)
@@ -35,6 +36,7 @@ val run : ?max_events:int -> t -> until:float -> unit
     default unlimited).  The clock is left at the last fired event. *)
 
 val pending : t -> int
-(** Number of scheduled (uncancelled) events. *)
+(** Number of events still queued: scheduled, not yet fired, not
+    cancelled. *)
 
 val events_fired : t -> int

@@ -11,32 +11,47 @@ type t = {
 
 let create () = { table = Hashtbl.create 16; hits = 0; stores = 0 }
 
-(* Canonical rendering: each clause as its sorted DIMACS literals (Cnf
+(* Lexicographic order on sorted clauses, a proper prefix first: the order
+   the key has always been defined by, so existing keys stay valid. *)
+let compare_clauses (a : int array) (b : int array) =
+  let la = Array.length a and lb = Array.length b in
+  let rec from k =
+    if k = la || k = lb then Int.compare la lb
+    else match Int.compare a.(k) b.(k) with 0 -> from (k + 1) | c -> c
+  in
+  from 0
+
+(* Canonical form: each clause as its sorted DIMACS literals (Cnf
    normalisation already removed duplicate literals), the clause list
    itself sorted and deduplicated.  The formula's identity is exactly
-   this set-of-sets plus the variable count. *)
-let canonical cnf =
-  let clause arr =
-    Array.to_list arr |> List.map Sat.Types.to_int |> List.sort compare
-  in
-  let clauses = List.map clause (Sat.Cnf.clauses cnf) in
-  let clauses = List.sort_uniq compare clauses in
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "p %d;" (Sat.Cnf.nvars cnf));
-  List.iter
-    (fun c ->
-      List.iter
-        (fun l ->
-          Buffer.add_string buf (string_of_int l);
-          Buffer.add_char buf ' ')
-        c;
-      Buffer.add_char buf ';')
-    clauses;
-  Buffer.contents buf
-
+   this set-of-sets plus the variable count, streamed as
+   "p <nvars>;" then "<lit> <lit> ... ;" per clause.  Merge sort only
+   because it compares less than heap sort; any sort gives the same key. *)
 let digest cnf =
-  let s = canonical cnf in
-  Printf.sprintf "%x-%x" (Integrity.fnv1a s) (Integrity.crc32 s)
+  let clauses =
+    Array.of_list (Sat.Cnf.clauses cnf)
+    |> Array.map (fun c ->
+           let ints = Array.map Sat.Types.to_int c in
+           Array.stable_sort Int.compare ints;
+           ints)
+  in
+  Array.stable_sort compare_clauses clauses;
+  let h = Integrity.hasher () in
+  Integrity.add_string h "p ";
+  Integrity.add_int h (Sat.Cnf.nvars cnf);
+  Integrity.add_char h ';';
+  Array.iteri
+    (fun k c ->
+      if k = 0 || compare_clauses clauses.(k - 1) c <> 0 then begin
+        Array.iter
+          (fun l ->
+            Integrity.add_int h l;
+            Integrity.add_char h ' ')
+          c;
+        Integrity.add_char h ';'
+      end)
+    clauses;
+  Printf.sprintf "%x-%x" (Integrity.fnv1a_of h) (Integrity.crc32_of h)
 
 let find t ~digest ~cnf =
   match Hashtbl.find_opt t.table digest with

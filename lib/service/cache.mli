@@ -22,8 +22,9 @@ val create : unit -> t
 val digest : Sat.Cnf.t -> string
 (** Canonical digest: clauses are normalised (sorted literals, sorted
     clause list, duplicates removed) before hashing, and the key pairs
-    two independent hashes (FNV-1a and CRC-32) of the rendering to make
-    accidental collisions negligible. *)
+    two independent hashes (FNV-1a and CRC-32) of the canonical bytes to
+    make accidental collisions negligible.  The bytes are streamed into
+    the hasher, never built as a string. *)
 
 val find : t -> digest:string -> cnf:Sat.Cnf.t -> Gridsat_core.Master.answer option
 (** A verified verdict for this formula, if one is stored.  SAT hits are

@@ -27,18 +27,50 @@ type state = {
 }
 
 (* Full-fidelity rendering: the at-rest seal covers every field. *)
-let pp_entry ppf = function
+let emit_entry sink e =
+  let int = Integrity.put_int sink and str = Integrity.put_string sink in
+  let record name id =
+    str name;
+    str " ";
+    int id;
+    str " "
+  in
+  let seconds x = str (Printf.sprintf "%.3f" x) in
+  match e with
   | Submitted { id; tenant; priority; digest; deadline } ->
-      Format.fprintf ppf "submitted %d %s %s %s %s" id tenant priority digest
-        (match deadline with None -> "-" | Some d -> Printf.sprintf "%.3f" d)
-  | Admitted { id } -> Format.fprintf ppf "admitted %d" id
-  | Shed { id; retry_after } -> Format.fprintf ppf "shed %d %.3f" id retry_after
-  | Cache_hit { id; answer } -> Format.fprintf ppf "cache-hit %d %s" id answer
+      record "submitted" id;
+      List.iter
+        (fun w ->
+          str w;
+          str " ")
+        [ tenant; priority; digest ];
+      (match deadline with None -> str "-" | Some d -> seconds d)
+  | Admitted { id } ->
+      str "admitted ";
+      int id
+  | Shed { id; retry_after } ->
+      record "shed" id;
+      seconds retry_after
+  | Cache_hit { id; answer } ->
+      record "cache-hit" id;
+      str answer
   | Started { id; hosts } ->
-      Format.fprintf ppf "started %d [%s]" id
-        (String.concat " " (List.map string_of_int hosts))
-  | Requeued { id; reason } -> Format.fprintf ppf "requeued %d %s" id reason
-  | Finished { id; terminal } -> Format.fprintf ppf "finished %d %s" id terminal
+      record "started" id;
+      str "[";
+      List.iteri
+        (fun k h ->
+          if k > 0 then str " ";
+          int h)
+        hosts;
+      str "]"
+  | Requeued { id; reason } ->
+      record "requeued" id;
+      str reason
+  | Finished { id; terminal } ->
+      record "finished" id;
+      str terminal
+
+let pp_entry ppf e = Format.pp_print_string ppf (Integrity.render emit_entry e)
 
 (* Deterministic per-record byte estimate (the joblog models an
    append-only file; same records, same cost, so quota crossings replay
@@ -91,7 +123,7 @@ let create ?(obs = Obs.disabled) ?(quota = 0) () =
     g_bytes = Obs.Metrics.gauge m "service.joblog.bytes";
   }
 
-let seal e = Integrity.crc32 (Format.asprintf "%a" pp_entry e)
+let seal e = Integrity.crc32_of (Integrity.hash emit_entry e)
 
 (* Compact structured view for the flight recorder. *)
 let flight_view e : string * (string * Obs.Json.t) list =

@@ -338,6 +338,31 @@ let test_cancel_mid_run () =
   check int "cancellation counted" 1 s.Svc.cancelled;
   check int "hosts all back" s.Svc.hosts_total s.Svc.hosts_free
 
+(* A finished run must leave nothing behind in the simulator: a queued
+   event (the run's overall timeout, 100,000 virtual seconds out) would
+   keep the whole master reachable long after its verdict. *)
+let test_finished_runs_released () =
+  let svc = Svc.create ~cfg:svc_config ~testbed:(testbed 4) () in
+  let sim = Svc.sim svc in
+  List.iter
+    (fun seed -> ignore (Svc.submit svc ~tenant:"acme" ~priority:Job.Normal (planted seed)))
+    [ 1; 2; 3 ];
+  let seen = Weak.create 1 in
+  ignore
+    (Grid.Sim.schedule_at sim ~time:0. (fun () ->
+         match Svc.running_masters svc with
+         | (_, m) :: _ -> Weak.set seen 0 (Some m)
+         | [] -> Alcotest.fail "expected a running master"));
+  Svc.run svc;
+  check bool "every job terminal" true (List.for_all Job.is_terminal (Svc.jobs svc));
+  (* when the last verdict lands, the runs' tails are still queued: Stop
+     deliveries and the final tick of each periodic loop, which sees the
+     run finished and stops.  They settle within a loop period. *)
+  Grid.Sim.run sim ~until:(Grid.Sim.now sim +. (10. *. run_config.Cfg.heartbeat_period));
+  check int "no event left queued" 0 (Grid.Sim.pending sim);
+  Gc.full_major ();
+  check bool "finished master collected" false (Weak.check seen 0)
+
 (* ---------- the chaos matrix scenario ---------- *)
 
 (* >= 8 concurrent jobs with mixed priorities and deadlines, under
@@ -762,6 +787,7 @@ let () =
           Alcotest.test_case "preemption requeues victim" `Quick test_preemption_requeues_victim;
           Alcotest.test_case "deadline races failover" `Quick test_deadline_races_master_failover;
           Alcotest.test_case "cancel mid-run" `Quick test_cancel_mid_run;
+          Alcotest.test_case "finished runs released" `Quick test_finished_runs_released;
         ] );
       ( "brownout",
         [
