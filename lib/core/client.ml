@@ -429,7 +429,10 @@ let handle_migrate t target =
   | Idle -> ()
   | Solving s ->
       let sp =
-        if t.cfg.certify then Subproblem.capture_pure ~origin:s.origin s.solver
+        (* a solver refuted while installing its clauses stopped half way:
+           its clause set is partial, so ship the subproblem as received *)
+        if not (Solver.is_ok s.solver) then s.origin
+        else if t.cfg.certify then Subproblem.capture_pure ~origin:s.origin s.solver
         else Subproblem.capture s.solver
       in
       send t ~dst:target (Protocol.Problem { pid = s.pid; sp; sent_at = now t });

@@ -23,6 +23,7 @@ let to_solver ~config ?obs ?obs_tid t =
   Sat.Solver.create_with_roots ~config ?obs ?obs_tid ~facts:t.facts cnf t.path
 
 let capture solver =
+  if not (Sat.Solver.is_ok solver) then invalid_arg "Subproblem.capture: refuted solver";
   {
     nvars = Sat.Solver.nvars solver;
     facts = Sat.Solver.root_facts solver;

@@ -31,7 +31,10 @@ val to_solver : config:Sat.Solver.config -> ?obs:Obs.t -> ?obs_tid:int -> t -> S
 
 val capture : Sat.Solver.t -> t
 (** Snapshot of a solver's current problem (for migration or
-    checkpointing): its root assignment and active clauses. *)
+    checkpointing): its root assignment and active clauses.  Raises
+    [Invalid_argument] if the solver is refuted: it may have stopped
+    installing its clauses at the first root conflict, so its clause set
+    can be partial and, shipped, could produce a false model. *)
 
 val of_lineage : Sat.Cnf.t -> Sat.Types.lit list -> t
 (** Re-derives a subproblem from the original formula and its guiding-path

@@ -1,8 +1,7 @@
-let last = ref 0.0
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
-let now () =
-  let t = Sys.time () in
-  if t > !last then last := t;
-  !last
+let origin = now_ns ()
 
-let elapsed_since t0 = Float.max 0.0 (now () -. t0)
+let seconds ns = float_of_int ns *. 1e-9
+
+let now () = seconds (now_ns () - origin)

@@ -1,13 +1,16 @@
-(** Monotonic process clock.
+(** Monotonic wall clock.
 
-    [Sys.time] can stall or (across some runtimes) regress slightly; every
-    timing site in the tree reads this helper instead so solver timing,
-    span timestamps and bench snapshots share one non-decreasing time
-    base. *)
+    Reads the system's monotonic clock (via [bechamel.monotonic_clock]),
+    which never steps backwards and costs one unboxed, allocation-free
+    call.  Every timing site in the libraries reads this module, so
+    solver timing and default span timestamps share one time base. *)
+
+val now_ns : unit -> int
+(** Nanoseconds on the monotonic clock; only differences are meaningful.
+    Allocates nothing. *)
+
+val seconds : int -> float
+(** [seconds ns] converts a nanosecond count to seconds. *)
 
 val now : unit -> float
-(** Seconds of CPU time since process start, clamped to be
-    non-decreasing across calls. *)
-
-val elapsed_since : float -> float
-(** [elapsed_since t0] is [max 0. (now () -. t0)]. *)
+(** Seconds since this module was initialised (program start). *)

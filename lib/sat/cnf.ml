@@ -6,15 +6,24 @@ type t = {
   has_empty : bool;
 }
 
-(* Normalise a sorted literal list: drop duplicates, detect tautology. *)
+(* A sorted copy of the clause without duplicate literals, or [None] if it
+   is a tautology (a literal and its negation end up adjacent). *)
 let normalise lits =
-  let sorted = List.sort_uniq compare lits in
-  let rec tautological = function
-    | a :: (b :: _ as rest) ->
-        (a lxor b) = 1 || tautological rest
-    | _ -> false
-  in
-  if tautological sorted then None else Some (Array.of_list sorted)
+  let a = Array.copy lits in
+  (* merge sort with an insertion-sort cutoff: on short clauses faster
+     than the heap sort of [Array.sort] *)
+  Array.stable_sort Int.compare a;
+  (* compact in place: the first [n] slots hold the distinct literals seen *)
+  let n = ref 0 and tautological = ref false in
+  for i = 0 to Array.length a - 1 do
+    let l = a.(i) in
+    if !n = 0 || a.(!n - 1) <> l then begin
+      if !n > 0 && a.(!n - 1) lxor l = 1 then tautological := true;
+      a.(!n) <- l;
+      incr n
+    end
+  done;
+  if !tautological then None else Some (if !n = Array.length a then a else Array.sub a 0 !n)
 
 let check_lit ~nvars l =
   let v = Types.var l in
@@ -27,7 +36,7 @@ let of_lit_arrays ~nvars arrays =
   let clauses = ref [] and nliterals = ref 0 and dropped = ref 0 and has_empty = ref false in
   let add_clause arr =
     Array.iter (check_lit ~nvars) arr;
-    match normalise (Array.to_list arr) with
+    match normalise arr with
     | None -> incr dropped
     | Some c ->
         if Array.length c = 0 then has_empty := true;

@@ -2,17 +2,20 @@ type t = {
   mutable heap : int array;
   mutable sz : int;
   pos : int array; (* variable -> index in [heap], or -1 when absent *)
-  gt : int -> int -> bool;
+  key : float array; (* variable -> priority, owned by the caller *)
 }
 
-let create ~nvars ~gt =
-  { heap = Array.make (max 16 (nvars + 1)) 0; sz = 0; pos = Array.make (nvars + 1) (-1); gt }
+let create ~nvars ~key =
+  { heap = Array.make (max 16 (nvars + 1)) 0; sz = 0; pos = Array.make (nvars + 1) (-1); key }
 
 let mem t v = t.pos.(v) >= 0
 
 let is_empty t = t.sz = 0
 
 let size t = t.sz
+
+(* [key] is a [float array], so this compiles to an unboxed float compare *)
+let gt t a b = t.key.(a) > t.key.(b)
 
 let swap t i j =
   let a = t.heap.(i) and b = t.heap.(j) in
@@ -24,7 +27,7 @@ let swap t i j =
 let rec sift_up t i =
   if i > 0 then begin
     let parent = (i - 1) / 2 in
-    if t.gt t.heap.(i) t.heap.(parent) then begin
+    if gt t t.heap.(i) t.heap.(parent) then begin
       swap t i parent;
       sift_up t parent
     end
@@ -33,8 +36,8 @@ let rec sift_up t i =
 let rec sift_down t i =
   let l = (2 * i) + 1 and r = (2 * i) + 2 in
   let best = ref i in
-  if l < t.sz && t.gt t.heap.(l) t.heap.(!best) then best := l;
-  if r < t.sz && t.gt t.heap.(r) t.heap.(!best) then best := r;
+  if l < t.sz && gt t t.heap.(l) t.heap.(!best) then best := l;
+  if r < t.sz && gt t t.heap.(r) t.heap.(!best) then best := r;
   if !best <> i then begin
     swap t i !best;
     sift_down t !best

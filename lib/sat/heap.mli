@@ -1,16 +1,18 @@
 (** Indexed binary max-heap over variables, used for VSIDS decision order.
 
-    The heap stores variable indices and orders them with a caller-supplied
-    comparison (normally "has a higher activity score").  Because scores
+    The heap stores variable indices and orders them by a caller-owned
+    float key per variable (normally the VSIDS activity).  Because keys
     change while a variable sits in the heap, the owner must call {!update}
-    after every score change. *)
+    after every key change. *)
 
 type t
 
-val create : nvars:int -> gt:(int -> int -> bool) -> t
-(** [create ~nvars ~gt] makes an empty heap able to hold variables
-    [1 .. nvars].  [gt a b] must return [true] iff variable [a] should be
-    popped before variable [b]. *)
+val create : nvars:int -> key:float array -> t
+(** [create ~nvars ~key] makes an empty heap able to hold variables
+    [1 .. nvars], popping the variable with the largest [key.(v)] first.
+    The heap reads [key] in place and never writes it.  Ties keep no
+    particular order, but the same operations on the same keys always
+    pop the same sequence. *)
 
 val insert : t -> int -> unit
 (** Inserts a variable; no-op if already present. *)

@@ -3,7 +3,7 @@ module T = Types
 type clause = {
   mutable lits : T.lit array; (* lits.(0) and lits.(1) are the watched literals *)
   learned : bool;
-  mutable activity : float;
+  activity : float array; (* one slot: a flat float, so bumping allocates nothing *)
   mutable deleted : bool;
 }
 
@@ -59,23 +59,33 @@ type conflict_info = {
   backjump_level : int;
 }
 
-let dummy_clause = { lits = [||]; learned = false; activity = 0.; deleted = true }
+(* The "no clause" value: the reason of decisions and root units, and the
+   filler of unused watch slots.  It is marked deleted, so code that
+   skips deleted clauses skips it too. *)
+let dummy_clause = { lits = [||]; learned = false; activity = [| 0. |]; deleted = true }
 
-(* A watch-list entry: the clause plus a "blocker" literal (some other
-   literal of the clause, usually the other watch).  If the blocker is
-   true the clause is satisfied and need not be dereferenced at all —
-   the classic mem-traffic optimisation for two-watched-literal BCP. *)
-type watcher = { c : clause; blocker : T.lit }
+(* The clauses watching one literal, as two parallel arrays: entry [i] is
+   clause [cls.(i)] with "blocker" [blk.(i)], some other literal of the
+   clause (usually the other watch).  If the blocker is true the clause
+   is satisfied and need not be dereferenced at all — the classic
+   mem-traffic optimisation for two-watched-literal BCP.  Both arrays
+   start empty and grow on the first push. *)
+type watches = { mutable cls : clause array; mutable blk : T.lit array; mutable n : int }
 
-let dummy_watcher = { c = dummy_clause; blocker = 0 }
+(* Literal values, one byte per literal in [t.vals]. *)
+let v_unknown = '\000'
+
+let v_true = '\001'
+
+let v_false = '\002'
 
 type t = {
   cfg : config;
   nvars : int;
   cnf : Cnf.t; (* the original formula, kept for model building *)
-  assigns : T.value array; (* var -> value *)
+  vals : Bytes.t; (* literal -> [v_unknown], [v_true] or [v_false] *)
   levels : int array; (* var -> decision level (valid when assigned) *)
-  reasons : clause option array; (* var -> antecedent *)
+  reasons : clause array; (* var -> antecedent, [dummy_clause] if none *)
   tainted : bool array;
       (* var -> the root-level assignment of this variable depends on a
          guiding-path assumption (so it is NOT implied by the global
@@ -83,7 +93,8 @@ type t = {
          learned clauses, which keeps every clause in the database — and
          hence every shared clause — valid for the global problem. *)
   score : float array; (* literal -> VSIDS counter *)
-  watches : watcher Vec.t array; (* literal -> clauses watching that literal *)
+  var_activity : float array; (* var -> the larger of its two literal scores: the heap key *)
+  watches : watches array; (* literal -> clauses watching that literal *)
   order : Heap.t;
   trail : T.lit Vec.t;
   trail_lim : int Vec.t; (* trail index where each decision level starts *)
@@ -103,10 +114,15 @@ type t = {
   mutable db_lits : int; (* total literal slots across active clauses *)
   pending_foreign : T.lit array Queue.t;
   fresh_shares : T.lit array Queue.t;
-  mutable last_learned : (T.lit array * int) option;
   mutable last_simplify_trail : int; (* root trail size at last simplification *)
   mutable proof_rev : Drup.step list; (* DRUP proof, newest step first *)
   rng : Random.State.t;
+  learnt_buf : T.lit Vec.t; (* [analyze] scratch: the clause being learned *)
+  to_clear : int Vec.t; (* [analyze] scratch: variables marked [seen] *)
+  mutable root_unknown : int; (* [count_root] results *)
+  mutable root_kept : int;
+  mutable bcp_ns : int; (* monotonic nanoseconds inside [propagate] *)
+  mutable run_ns : int; (* ... and inside [run] *)
   (* telemetry: [obs_on] is the single hot-path guard; the instrument
      handles are resolved once at construction so recording is a mutable
      store, never a registry lookup *)
@@ -114,7 +130,6 @@ type t = {
   obs_on : bool;
   obs_tid : int;
   mutable obs_parent : Obs.Span.id; (* span to parent solver phases under *)
-  h_bcp : Obs.Metrics.histogram;
   c_decisions : Obs.Metrics.counter;
   c_conflicts : Obs.Metrics.counter;
   c_learned : Obs.Metrics.counter;
@@ -136,35 +151,40 @@ let set_obs_parent t sid = t.obs_parent <- sid
 (* Accounting: 48 bytes of per-clause overhead + 8 per literal slot. *)
 let db_bytes t = (48 * t.n_active_clauses) + (8 * t.db_lits)
 
-let value_of_var t v = t.assigns.(v)
+(* Hot-path truth tests: one byte load and a constant compare. *)
+let lit_true t l = Bytes.unsafe_get t.vals l = v_true
 
-let value_of_lit t l = T.lit_value t.assigns.(T.var l) l
+let lit_false t l = Bytes.unsafe_get t.vals l = v_false
 
-(* Hot-path truth tests: pattern matches compile to constant-tag checks,
-   unlike [=] which would call the polymorphic comparison. *)
-let lit_true t l = match value_of_lit t l with T.True -> true | T.False | T.Unknown -> false
+let lit_unknown t l = Bytes.unsafe_get t.vals l = v_unknown
 
-let lit_false t l = match value_of_lit t l with T.False -> true | T.True | T.Unknown -> false
+let var_unknown t v = lit_unknown t (T.pos v)
 
-let lit_unknown t l = match value_of_lit t l with T.Unknown -> true | T.True | T.False -> false
+let value_of_lit t l =
+  let b = Bytes.get t.vals l in
+  if b = v_true then T.True else if b = v_false then T.False else T.Unknown
 
-let var_unknown t v = match t.assigns.(v) with T.Unknown -> true | T.True | T.False -> false
+let value_of_var t v = value_of_lit t (T.pos v)
 
 let level_of_var t v =
-  match t.assigns.(v) with
-  | T.Unknown -> invalid_arg "Solver.level_of_var: unassigned variable"
-  | T.True | T.False -> t.levels.(v)
+  if var_unknown t v then invalid_arg "Solver.level_of_var: unassigned variable" else t.levels.(v)
 
 let antecedent_of_var t v =
-  match t.reasons.(v) with
-  | Some c when not c.deleted -> Some (Array.copy c.lits)
-  | Some _ | None -> None
+  let c = t.reasons.(v) in
+  if c.deleted then None else Some (Array.copy c.lits)
 
 let trail_literals t = Vec.to_list t.trail
 
-let last_learned t = t.last_learned
+(* Proof steps are built only while a proof is recorded.  A step copies
+   its clause: the solver permutes and strengthens clause arrays in
+   place. *)
+let proof_add t lits =
+  if t.cfg.emit_proof then t.proof_rev <- Drup.Add (Array.copy lits) :: t.proof_rev
 
-let log_proof t step = if t.cfg.emit_proof then t.proof_rev <- step :: t.proof_rev
+let proof_unit t l = if t.cfg.emit_proof then t.proof_rev <- Drup.Add [| l |] :: t.proof_rev
+
+let proof_delete t lits =
+  if t.cfg.emit_proof then t.proof_rev <- Drup.Delete (Array.copy lits) :: t.proof_rev
 
 let proof t = List.rev t.proof_rev
 
@@ -179,55 +199,70 @@ let root_path t = List.filter (fun l -> t.tainted.(T.var l)) (root_lits t)
 
 (* ---------- VSIDS ---------- *)
 
-let var_score score v = Float.max score.(T.pos v) score.(T.neg v)
-
 let rescale_scores t =
   for l = 0 to Array.length t.score - 1 do
     t.score.(l) <- t.score.(l) *. 1e-100
   done;
+  for v = 1 to t.nvars do
+    t.var_activity.(v) <- Float.max t.score.(T.pos v) t.score.(T.neg v)
+  done;
   t.var_inc <- t.var_inc *. 1e-100;
   Heap.rebuild t.order
 
+(* Scores only grow between rescales, so a variable's activity is the
+   larger of its old activity and the bumped score. *)
 let bump_lit t l =
-  t.score.(l) <- t.score.(l) +. t.var_inc;
-  if t.score.(l) > 1e100 then rescale_scores t;
-  Heap.update t.order (T.var l)
+  let s = t.score.(l) +. t.var_inc in
+  t.score.(l) <- s;
+  let v = T.var l in
+  if s > t.var_activity.(v) then t.var_activity.(v) <- s;
+  if s > 1e100 then rescale_scores t;
+  Heap.update t.order v
+
+let bump_lits t lits =
+  for k = 0 to Array.length lits - 1 do
+    bump_lit t lits.(k)
+  done
 
 let decay_scores t = t.var_inc <- t.var_inc /. t.cfg.decay_factor
 
 let bump_clause_activity t (c : clause) =
   if c.learned then begin
-    c.activity <- c.activity +. t.cla_inc;
-    if c.activity > 1e100 then begin
-      Vec.iter (fun cl -> cl.activity <- cl.activity *. 1e-100) t.learnts;
+    let a = c.activity.(0) +. t.cla_inc in
+    c.activity.(0) <- a;
+    if a > 1e100 then begin
+      Vec.iter (fun cl -> cl.activity.(0) <- cl.activity.(0) *. 1e-100) t.learnts;
       t.cla_inc <- t.cla_inc *. 1e-100
     end
   end
 
 (* ---------- assignment primitives ---------- *)
 
+(* Whether some literal of [lits] from index [k] on, on a variable other
+   than [v], is tainted. *)
+let rec other_tainted t lits v k =
+  k < Array.length lits
+  && ((T.var lits.(k) <> v && t.tainted.(T.var lits.(k))) || other_tainted t lits v (k + 1))
+
 (* [taint] is only consulted for root-level assignments without an
    antecedent clause; with an antecedent the taint is inherited from the
    clause's other literals. *)
 let enqueue ?(taint = false) t l reason =
   let v = T.var l in
-  t.assigns.(v) <- (if T.is_pos l then T.True else T.False);
+  Bytes.unsafe_set t.vals l v_true;
+  Bytes.unsafe_set t.vals (T.negate l) v_false;
   t.levels.(v) <- decision_level t;
   t.reasons.(v) <- reason;
   if decision_level t = 0 then begin
-    t.tainted.(v) <-
-      (match reason with
-      | Some c -> Array.exists (fun q -> T.var q <> v && t.tainted.(T.var q)) c.lits
-      | None -> taint);
+    t.tainted.(v) <- (if reason == dummy_clause then taint else other_tainted t reason.lits v 0);
     (* Root assignments are permanent, but their antecedents are not:
        [simplify_db] forgets them and [reduce_db] may then delete the
        clause, after which a proof checker's unit propagation could no
        longer re-derive the literal.  Persist each root literal as a unit
        proof step while its derivation is still in the database (it is RUP
        here: assumptions seed the guiding-path literals, propagation the
-       rest).  The [emit_proof] guard is repeated to keep the step
-       allocation off the hot path. *)
-    if t.cfg.emit_proof then log_proof t (Drup.Add [| l |])
+       rest). *)
+    proof_unit t l
   end
   else t.tainted.(v) <- false;
   Vec.push t.trail l
@@ -236,13 +271,12 @@ let backtrack t level =
   if decision_level t > level then begin
     let keep = Vec.get t.trail_lim level in
     for i = Vec.size t.trail - 1 downto keep do
-      let v = T.var (Vec.get t.trail i) in
-      (match t.assigns.(v) with
-      | T.True -> t.phase.(v) <- true
-      | T.False -> t.phase.(v) <- false
-      | T.Unknown -> ());
-      t.assigns.(v) <- T.Unknown;
-      t.reasons.(v) <- None;
+      let l = Vec.get t.trail i in
+      let v = T.var l in
+      t.phase.(v) <- T.is_pos l;
+      Bytes.unsafe_set t.vals l v_unknown;
+      Bytes.unsafe_set t.vals (T.negate l) v_unknown;
+      t.reasons.(v) <- dummy_clause;
       Heap.insert t.order v
     done;
     Vec.shrink t.trail keep;
@@ -252,75 +286,104 @@ let backtrack t level =
 
 (* ---------- propagation ---------- *)
 
+let add_watch t l c blocker =
+  let ws = t.watches.(l) in
+  let n = ws.n in
+  if n = Array.length ws.cls then begin
+    let cap = max 4 (2 * n) in
+    let cls = Array.make cap dummy_clause and blk = Array.make cap 0 in
+    Array.blit ws.cls 0 cls 0 n;
+    Array.blit ws.blk 0 blk 0 n;
+    ws.cls <- cls;
+    ws.blk <- blk
+  end;
+  ws.cls.(n) <- c;
+  ws.blk.(n) <- blocker;
+  ws.n <- n + 1
+
+(* Live watch entries keep their relative order; entries of deleted
+   clauses are dropped when met, unless a true blocker keeps the clause
+   from being looked at.  On a conflict the rest of the list is kept as
+   it is. *)
 let propagate t =
-  let start = Obs.Clock.now () in
-  let confl = ref None in
-  let conflicted = ref false in
-  while (not !conflicted) && t.qhead < Vec.size t.trail do
+  let start = Obs.Clock.now_ns () in
+  let confl = ref dummy_clause in
+  while !confl == dummy_clause && t.qhead < Vec.size t.trail do
     let p = Vec.get t.trail t.qhead in
     t.qhead <- t.qhead + 1;
     t.stats.propagations <- t.stats.propagations + 1;
     let false_lit = T.negate p in
     let ws = t.watches.(false_lit) in
-    let n = Vec.size ws in
-    let j = ref 0 in
-    let i = ref 0 in
+    let cls = ws.cls and blk = ws.blk and n = ws.n in
+    (* the library is built with -unsafe: one check covers the loop *)
+    if n > Array.length cls || n > Array.length blk then invalid_arg "Solver.propagate: watch list";
+    let i = ref 0 and j = ref 0 in
     while !i < n do
-      let w = Vec.get ws !i in
+      let c = cls.(!i) and b = blk.(!i) in
       incr i;
-      let c = w.c in
-      if c.deleted then () (* lazily dropped from the watch list *)
-      else if !conflicted || lit_true t w.blocker then begin
-        Vec.set ws !j w;
+      if lit_true t b then begin
+        cls.(!j) <- c;
+        blk.(!j) <- b;
         incr j
       end
-      else begin
-        if c.lits.(0) = false_lit then begin
-          c.lits.(0) <- c.lits.(1);
-          c.lits.(1) <- false_lit
+      else if not c.deleted then begin
+        let lits = c.lits in
+        if lits.(0) = false_lit then begin
+          lits.(0) <- lits.(1);
+          lits.(1) <- false_lit
         end;
-        let first = c.lits.(0) in
+        let first = lits.(0) in
         if lit_true t first then begin
-          Vec.set ws !j { c; blocker = first };
+          cls.(!j) <- c;
+          blk.(!j) <- first;
           incr j
         end
         else begin
-          let len = Array.length c.lits in
+          let len = Array.length lits in
           let k = ref 2 in
-          while !k < len && lit_false t c.lits.(!k) do
+          while !k < len && lit_false t lits.(!k) do
             incr k
           done;
           if !k < len then begin
             (* found a replacement watch; move the clause to its list *)
-            c.lits.(1) <- c.lits.(!k);
-            c.lits.(!k) <- false_lit;
-            Vec.push t.watches.(c.lits.(1)) { c; blocker = first }
+            let w = lits.(!k) in
+            lits.(1) <- w;
+            lits.(!k) <- false_lit;
+            add_watch t w c first
           end
           else begin
-            Vec.set ws !j w;
+            cls.(!j) <- c;
+            blk.(!j) <- b;
             incr j;
             if lit_false t first then begin
-              confl := Some c;
-              conflicted := true
+              confl := c;
+              while !i < n do
+                cls.(!j) <- cls.(!i);
+                blk.(!j) <- blk.(!i);
+                incr i;
+                incr j
+              done
             end
-            else enqueue t first (Some c)
+            else enqueue t first c
           end
         end
       end
     done;
-    Vec.shrink ws !j
+    if !j < n then begin
+      Array.fill cls !j (n - !j) dummy_clause;
+      ws.n <- !j
+    end
   done;
-  let dt = Obs.Clock.now () -. start in
-  t.stats.bcp_seconds <- t.stats.bcp_seconds +. dt;
-  if t.obs_on then Obs.Metrics.observe t.h_bcp dt;
-  !confl
+  t.bcp_ns <- t.bcp_ns + (Obs.Clock.now_ns () - start);
+  if !confl == dummy_clause then None else Some !confl
 
 (* ---------- conflict analysis (FirstUIP) ---------- *)
 
 let analyze t confl =
-  let learnt = Vec.create 0 in
+  let learnt = t.learnt_buf and to_clear = t.to_clear in
+  Vec.clear learnt;
+  Vec.clear to_clear;
   Vec.push learnt 0 (* placeholder for the asserting literal *);
-  let to_clear = Vec.create 0 in
   let counter = ref 0 in
   let p = ref (-1) in
   let reason_clause = ref confl in
@@ -357,11 +420,10 @@ let analyze t confl =
     t.seen.(T.var !p) <- false;
     decr counter;
     if !counter = 0 then finished := true
-    else
-      reason_clause :=
-        (match t.reasons.(T.var !p) with
-        | Some c -> c
-        | None -> assert false (* only the UIP can lack an antecedent *))
+    else begin
+      reason_clause := t.reasons.(T.var !p);
+      assert (!reason_clause != dummy_clause) (* only the UIP can lack an antecedent *)
+    end
   done;
   Vec.set learnt 0 (T.negate !p);
   (* Optional local clause minimization (an extension beyond zChaff-2001):
@@ -369,31 +431,39 @@ let analyze t confl =
      antecedent is already in the learned clause (seen) or is an untainted
      root fact.  Removing it is a self-subsuming resolution step, so the
      clause stays globally valid. *)
-  let lits =
-    if not t.cfg.minimize_learned then Array.init (Vec.size learnt) (Vec.get learnt)
-    else begin
-      let redundant q =
-        let v = T.var q in
-        t.levels.(v) > 0
-        &&
-        match t.reasons.(v) with
-        | None -> false
-        | Some c ->
-            Array.for_all
-              (fun r ->
-                let rv = T.var r in
-                rv = v || t.seen.(rv) || (t.levels.(rv) = 0 && not t.tainted.(rv)))
-              c.lits
-      in
-      let kept = ref [ Vec.get learnt 0 ] in
-      for k = Vec.size learnt - 1 downto 1 do
-        let q = Vec.get learnt k in
-        if not (redundant q) then kept := !kept @ [ q ]
-      done;
-      Array.of_list !kept
-    end
-  in
-  Vec.iter (fun v -> t.seen.(v) <- false) to_clear;
+  if t.cfg.minimize_learned then begin
+    let redundant q =
+      let v = T.var q in
+      let c = t.reasons.(v) in
+      t.levels.(v) > 0
+      && c != dummy_clause
+      && Array.for_all
+           (fun r ->
+             let rv = T.var r in
+             rv = v || t.seen.(rv) || (t.levels.(rv) = 0 && not t.tainted.(rv)))
+           c.lits
+    in
+    (* the kept literals follow the asserting one from last to first *)
+    let n = Vec.size learnt in
+    for k = 1 to (n - 1) / 2 do
+      let q = Vec.get learnt k in
+      Vec.set learnt k (Vec.get learnt (n - k));
+      Vec.set learnt (n - k) q
+    done;
+    let kept = ref 1 in
+    for k = 1 to n - 1 do
+      let q = Vec.get learnt k in
+      if not (redundant q) then begin
+        Vec.set learnt !kept q;
+        incr kept
+      end
+    done;
+    Vec.shrink learnt !kept
+  end;
+  let lits = Array.init (Vec.size learnt) (Vec.get learnt) in
+  for k = 0 to Vec.size to_clear - 1 do
+    t.seen.(Vec.get to_clear k) <- false
+  done;
   (* Backjump level: the highest level among the non-asserting literals;
      put that literal in slot 1 so it can be watched. *)
   let blevel = ref 0 in
@@ -414,15 +484,18 @@ let analyze t confl =
 
 (* ---------- clause construction ---------- *)
 
+let watch_clause t c =
+  add_watch t c.lits.(0) c c.lits.(1);
+  add_watch t c.lits.(1) c c.lits.(0)
+
 let attach_clause t c =
-  Vec.push t.watches.(c.lits.(0)) { c; blocker = c.lits.(1) };
-  Vec.push t.watches.(c.lits.(1)) { c; blocker = c.lits.(0) };
+  watch_clause t c;
   t.n_active_clauses <- t.n_active_clauses + 1;
   t.db_lits <- t.db_lits + Array.length c.lits
 
 let delete_clause t c =
   if not c.deleted then begin
-    log_proof t (Drup.Delete (Array.copy c.lits));
+    proof_delete t c.lits;
     c.deleted <- true;
     t.n_active_clauses <- t.n_active_clauses - 1;
     t.db_lits <- t.db_lits - Array.length c.lits
@@ -437,64 +510,117 @@ let record_share t lits =
 (* Record a learned clause (already backjumped to its assertion level) and
    enqueue its asserting literal. *)
 let record_learned t lits =
-  log_proof t (Drup.Add (Array.copy lits));
+  proof_add t lits;
   t.stats.learned <- t.stats.learned + 1;
   if t.obs_on then Obs.Metrics.incr t.c_learned;
   t.stats.learned_literals <- t.stats.learned_literals + Array.length lits;
   record_share t lits;
-  Array.iter (bump_lit t) lits;
-  if Array.length lits = 1 then enqueue t lits.(0) None
+  bump_lits t lits;
+  if Array.length lits = 1 then enqueue t lits.(0) dummy_clause
   else begin
-    let c = { lits; learned = true; activity = t.cla_inc; deleted = false } in
+    let c = { lits; learned = true; activity = [| t.cla_inc |]; deleted = false } in
     attach_clause t c;
     Vec.push t.learnts c;
-    enqueue t lits.(0) (Some c)
-  end;
-  t.last_learned <- Some (Array.copy lits, decision_level t)
+    enqueue t lits.(0) c
+  end
 
-(* Add an original (or foreign) clause while at decision level 0, after
-   simplifying it against the root assignment.  Returns false if the clause
-   is already satisfied at the root (and was therefore discarded). *)
 (* A false root literal may only be stripped when it is untainted (its
    negation is implied by the global formula); tainted literals stay so the
    clause remains globally valid. *)
 let strippable t l = lit_false t l && not t.tainted.(T.var l)
 
+(* One pass over a clause at decision level 0.  Returns false if one of
+   its literals is true.  Otherwise sets [root_unknown] to the number of
+   unknown literals and [root_kept] to the number that survive stripping:
+   the unknown ones and the tainted false ones. *)
+let count_root t lits =
+  let len = Array.length lits in
+  let unknown = ref 0 and kept = ref 0 and k = ref 0 in
+  while !k < len && not (lit_true t lits.(!k)) do
+    let l = lits.(!k) in
+    if lit_unknown t l then begin
+      incr unknown;
+      incr kept
+    end
+    else if not (strippable t l) then incr kept;
+    incr k
+  done;
+  t.root_unknown <- !unknown;
+  t.root_kept <- !kept;
+  !k = len
+
+let rec first_unknown t lits k = if lit_unknown t lits.(k) then lits.(k) else first_unknown t lits (k + 1)
+
+(* The [root_kept] surviving literals of a clause counted by [count_root]:
+   the unknown ones first, then the kept false ones, each group in its
+   original order. *)
+let root_stripped t lits =
+  let arr = Array.make t.root_kept 0 in
+  let u = ref 0 and f = ref t.root_unknown in
+  for k = 0 to Array.length lits - 1 do
+    let l = lits.(k) in
+    if lit_unknown t l then begin
+      arr.(!u) <- l;
+      incr u
+    end
+    else if not (strippable t l) then begin
+      arr.(!f) <- l;
+      incr f
+    end
+  done;
+  arr
+
+(* A clause counted by [count_root] with at most one unknown literal:
+   with none, the subproblem is refuted; with one, it is implied at the
+   root, tainted if a kept false literal is. *)
+let root_unit_or_conflict t lits =
+  if t.root_unknown = 0 then begin
+    proof_add t [||];
+    t.ok <- false
+  end
+  else begin
+    let l = first_unknown t lits 0 in
+    proof_unit t l;
+    enqueue ~taint:(t.root_kept > 1) t l dummy_clause
+  end
+
 (* Install a clause while at decision level 0: discard if satisfied, strip
    untainted false literals, then either record the conflict, enqueue the
-   root implication (taint inherited from the surviving false literals), or
-   store the clause with its unknown literals in the watched slots. *)
+   root implication, or store a fresh array of the surviving literals,
+   unknown ones in the watched slots.  [lits] itself is never stored. *)
 let install_clause_root t ~learned ~activity lits =
   assert (decision_level t = 0);
-  if Array.exists (fun l -> lit_true t l) lits then `Satisfied
-  else begin
-    let kept = List.filter (fun l -> not (strippable t l)) (Array.to_list lits) in
-    let unknowns, falses = List.partition (fun l -> lit_unknown t l) kept in
-    match unknowns with
-    | [] ->
-        log_proof t (Drup.Add [||]);
-        t.ok <- false;
-        `Conflict
-    | [ l ] ->
-        let taint = List.exists (fun q -> t.tainted.(T.var q)) falses in
-        log_proof t (Drup.Add [| l |]);
-        enqueue ~taint t l None;
-        `Implication
-    | _ ->
-        let arr = Array.of_list (unknowns @ falses) in
-        (* an original clause installed verbatim is already in the checker's
-           database; logging it would only bloat transferred proof
-           fragments.  A proof step is owed only when the stored clause
-           differs from the formula: learned/foreign, or strengthened by
-           root-level stripping. *)
-        if learned || List.length kept < Array.length lits then
-          log_proof t (Drup.Add (Array.copy arr));
-        let c = { lits = arr; learned; activity; deleted = false } in
-        attach_clause t c;
-        if learned then Vec.push t.learnts c else Vec.push t.clauses c;
-        Array.iter (bump_lit t) arr;
-        `Added
+  if not (count_root t lits) then `Satisfied
+  else if t.root_unknown <= 1 then begin
+    root_unit_or_conflict t lits;
+    if t.root_unknown = 0 then `Conflict else `Implication
   end
+  else begin
+    let arr = root_stripped t lits in
+    (* an original clause installed verbatim is already in the checker's
+       database; logging it would only bloat transferred proof
+       fragments.  A proof step is owed only when the stored clause
+       differs from the formula: learned/foreign, or strengthened by
+       root-level stripping. *)
+    if learned || Array.length arr < Array.length lits then proof_add t arr;
+    let c = { lits = arr; learned; activity = [| activity |]; deleted = false } in
+    attach_clause t c;
+    if learned then Vec.push t.learnts c else Vec.push t.clauses c;
+    bump_lits t arr;
+    `Added
+  end
+
+(* Drops deleted clauses, keeping the order of the others. *)
+let compact_clause_vec vec =
+  let j = ref 0 in
+  for i = 0 to Vec.size vec - 1 do
+    let c = Vec.get vec i in
+    if not c.deleted then begin
+      Vec.set vec !j c;
+      incr j
+    end
+  done;
+  Vec.shrink vec !j
 
 (* ---------- learned-DB reduction ---------- *)
 
@@ -502,8 +628,7 @@ let clause_locked t c =
   Array.length c.lits > 0
   &&
   let v = T.var c.lits.(0) in
-  (match t.reasons.(v) with Some r -> r == c | None -> false)
-  && not (var_unknown t v)
+  t.reasons.(v) == c && not (var_unknown t v)
 
 let reduce_db t =
   let sp =
@@ -513,10 +638,12 @@ let reduce_db t =
         "reduce_db"
     else Obs.Span.none
   in
-  let live = Vec.fold (fun acc c -> if c.deleted then acc else c :: acc) [] t.learnts in
-  let arr = Array.of_list live in
-  Array.sort (fun a b -> Float.compare a.activity b.activity) arr;
-  let target = Array.length arr / 2 in
+  compact_clause_vec t.learnts;
+  (* newest first: the order this (unstable) sort has always been given *)
+  let n = Vec.size t.learnts in
+  let arr = Array.init n (fun i -> Vec.get t.learnts (n - 1 - i)) in
+  Array.sort (fun a b -> Float.compare a.activity.(0) b.activity.(0)) arr;
+  let target = n / 2 in
   let removed = ref 0 in
   Array.iter
     (fun c ->
@@ -526,58 +653,39 @@ let reduce_db t =
       end)
     arr;
   t.stats.deleted <- t.stats.deleted + !removed;
-  (* compact the learnts vector *)
-  let keep = List.rev (Vec.fold (fun acc c -> if c.deleted then acc else c :: acc) [] t.learnts) in
-  Vec.clear t.learnts;
-  List.iter (Vec.push t.learnts) keep;
+  compact_clause_vec t.learnts;
   if t.obs_on then
     Obs.Span.exit (Obs.spans t.obs) sp ~args:[ ("deleted", Obs.Json.Int !removed) ]
 
 (* ---------- root-level simplification (the paper's pruning pass) ---------- *)
 
 let rebuild_watches t =
-  Array.iter Vec.clear t.watches;
-  let rewatch c =
-    if not c.deleted then begin
-      Vec.push t.watches.(c.lits.(0)) { c; blocker = c.lits.(1) };
-      Vec.push t.watches.(c.lits.(1)) { c; blocker = c.lits.(0) }
-    end
-  in
+  Array.iter
+    (fun ws ->
+      Array.fill ws.cls 0 ws.n dummy_clause;
+      ws.n <- 0)
+    t.watches;
+  let rewatch c = if not c.deleted then watch_clause t c in
   Vec.iter rewatch t.clauses;
   Vec.iter rewatch t.learnts
 
+(* A clause with nothing to strip is left as it is, literal order
+   included. *)
 let simplify_clause_root t c =
   if not c.deleted then begin
-    if Array.exists (fun l -> lit_true t l) c.lits then delete_clause t c
-    else begin
-      let kept = List.filter (fun l -> not (strippable t l)) (Array.to_list c.lits) in
-      let unknowns, falses = List.partition (fun l -> lit_unknown t l) kept in
-      match unknowns with
-      | [] ->
-          log_proof t (Drup.Add [||]);
-          t.ok <- false;
-          delete_clause t c
-      | [ l ] ->
-          let taint = List.exists (fun q -> t.tainted.(T.var q)) falses in
-          log_proof t (Drup.Add [| l |]);
-          enqueue ~taint t l None;
-          delete_clause t c
-      | _ ->
-          let n = List.length kept in
-          if n < Array.length c.lits then begin
-            let strengthened = Array.of_list (unknowns @ falses) in
-            log_proof t (Drup.Add (Array.copy strengthened));
-            log_proof t (Drup.Delete (Array.copy c.lits));
-            t.db_lits <- t.db_lits - (Array.length c.lits - n);
-            c.lits <- strengthened
-          end
+    if not (count_root t c.lits) then delete_clause t c
+    else if t.root_unknown <= 1 then begin
+      root_unit_or_conflict t c.lits;
+      delete_clause t c
+    end
+    else if t.root_kept < Array.length c.lits then begin
+      let strengthened = root_stripped t c.lits in
+      proof_add t strengthened;
+      proof_delete t c.lits;
+      t.db_lits <- t.db_lits - (Array.length c.lits - t.root_kept);
+      c.lits <- strengthened
     end
   end
-
-let compact_clause_vec vec =
-  let keep = List.rev (Vec.fold (fun acc c -> if c.deleted then acc else c :: acc) [] vec) in
-  Vec.clear vec;
-  List.iter (Vec.push vec) keep
 
 let simplify_db t =
   assert (decision_level t = 0);
@@ -590,7 +698,7 @@ let simplify_db t =
   in
   (* Root-assigned variables never participate in conflict analysis, so
      their antecedents may be forgotten before clauses are deleted. *)
-  Vec.iter (fun l -> t.reasons.(T.var l) <- None) t.trail;
+  Vec.iter (fun l -> t.reasons.(T.var l) <- dummy_clause) t.trail;
   Vec.iter (simplify_clause_root t) t.clauses;
   Vec.iter (simplify_clause_root t) t.learnts;
   compact_clause_vec t.clauses;
@@ -641,40 +749,38 @@ let drain_shares t ~max_len =
 
 (* ---------- decisions ---------- *)
 
-let random_unassigned t =
-  let rec attempt k =
-    if k = 0 then None
-    else
-      let v = 1 + Random.State.int t.rng t.nvars in
-      if var_unknown t v then Some v else attempt (k - 1)
-  in
-  attempt 8
+(* Decision variables are never 0, so 0 stands for "none". *)
+let rec random_unassigned t attempts =
+  if attempts = 0 then 0
+  else
+    let v = 1 + Random.State.int t.rng t.nvars in
+    if var_unknown t v then v else random_unassigned t (attempts - 1)
+
+let rec heap_unassigned t =
+  if Heap.is_empty t.order then 0
+  else
+    let v = Heap.remove_max t.order in
+    if var_unknown t v then v else heap_unassigned t
 
 let pick_branch_var t =
-  let from_heap () =
-    let rec pop () =
-      if Heap.is_empty t.order then None
-      else
-        let v = Heap.remove_max t.order in
-        if var_unknown t v then Some v else pop ()
-    in
-    pop ()
+  let v =
+    if t.cfg.random_decision_freq > 0. && Random.State.float t.rng 1.0 < t.cfg.random_decision_freq
+    then random_unassigned t 8
+    else 0
   in
-  if t.cfg.random_decision_freq > 0. && Random.State.float t.rng 1.0 < t.cfg.random_decision_freq
-  then (match random_unassigned t with Some v -> Some v | None -> from_heap ())
-  else from_heap ()
+  if v = 0 then heap_unassigned t else v
 
 let decide t =
   match pick_branch_var t with
-  | None -> false
-  | Some v ->
+  | 0 -> false
+  | v ->
       let l =
         if t.cfg.phase_saving then if t.phase.(v) then T.pos v else T.neg v
         else if t.score.(T.pos v) >= t.score.(T.neg v) then T.pos v
         else T.neg v
       in
       Vec.push t.trail_lim (Vec.size t.trail);
-      enqueue t l None;
+      enqueue t l dummy_clause;
       t.stats.decisions <- t.stats.decisions + 1;
       if t.obs_on then Obs.Metrics.incr t.c_decisions;
       if decision_level t > t.stats.max_decision_level then
@@ -712,8 +818,8 @@ let restart t =
 
 let create_internal cfg cnf ~obs ~obs_tid ~facts ~assumptions =
   let nvars = Cnf.nvars cnf in
-  let score = Array.make (2 * (nvars + 1)) 0. in
-  let order = Heap.create ~nvars ~gt:(fun a b -> var_score score a > var_score score b) in
+  let var_activity = Array.make (nvars + 1) 0. in
+  let order = Heap.create ~nvars ~key:var_activity in
   let m = Obs.metrics obs in
   let labels = [ ("client", string_of_int obs_tid) ] in
   let t =
@@ -721,12 +827,13 @@ let create_internal cfg cnf ~obs ~obs_tid ~facts ~assumptions =
       cfg;
       nvars;
       cnf;
-      assigns = Array.make (nvars + 1) T.Unknown;
+      vals = Bytes.make (2 * (nvars + 1)) v_unknown;
       tainted = Array.make (nvars + 1) false;
       levels = Array.make (nvars + 1) 0;
-      reasons = Array.make (nvars + 1) None;
-      score;
-      watches = Array.init (2 * (nvars + 1)) (fun _ -> Vec.create ~capacity:4 dummy_watcher);
+      reasons = Array.make (nvars + 1) dummy_clause;
+      score = Array.make (2 * (nvars + 1)) 0.;
+      var_activity;
+      watches = Array.init (2 * (nvars + 1)) (fun _ -> { cls = [||]; blk = [||]; n = 0 });
       order;
       trail = Vec.create 0;
       trail_lim = Vec.create 0;
@@ -746,15 +853,19 @@ let create_internal cfg cnf ~obs ~obs_tid ~facts ~assumptions =
       db_lits = 0;
       pending_foreign = Queue.create ();
       fresh_shares = Queue.create ();
-      last_learned = None;
       last_simplify_trail = 0;
       proof_rev = [];
       rng = Random.State.make [| cfg.seed; nvars; Cnf.nclauses cnf |];
+      learnt_buf = Vec.create 0;
+      to_clear = Vec.create 0;
+      root_unknown = 0;
+      root_kept = 0;
+      bcp_ns = 0;
+      run_ns = 0;
       obs;
       obs_on = Obs.enabled obs;
       obs_tid;
       obs_parent = Obs.Span.none;
-      h_bcp = Obs.Metrics.histogram m ~labels "solver.bcp.seconds";
       c_decisions = Obs.Metrics.counter m ~labels "solver.decisions";
       c_conflicts = Obs.Metrics.counter m ~labels "solver.conflicts";
       c_learned = Obs.Metrics.counter m ~labels "solver.learned";
@@ -766,7 +877,7 @@ let create_internal cfg cnf ~obs ~obs_tid ~facts ~assumptions =
   done;
   let assert_root taint l =
     match value_of_lit t l with
-    | T.Unknown -> enqueue ~taint t l None
+    | T.Unknown -> enqueue ~taint t l dummy_clause
     | T.True -> ()
     | T.False -> t.ok <- false
   in
@@ -774,8 +885,7 @@ let create_internal cfg cnf ~obs ~obs_tid ~facts ~assumptions =
   List.iter (assert_root true) assumptions;
   if t.ok then
     Cnf.iter
-      (fun lits ->
-        if t.ok then ignore (install_clause_root t ~learned:false ~activity:0. (Array.copy lits)))
+      (fun lits -> if t.ok then ignore (install_clause_root t ~learned:false ~activity:0. lits))
       cnf;
   if t.ok then (match propagate t with Some _ -> t.ok <- false | None -> ());
   t
@@ -792,7 +902,7 @@ let create_with_roots ?(config = default_config) ?(obs = Obs.disabled)
 let extract_model t =
   let a = Array.make (t.nvars + 1) false in
   for v = 1 to t.nvars do
-    a.(v) <- (match t.assigns.(v) with T.True -> true | T.False | T.Unknown -> false)
+    a.(v) <- lit_true t (T.pos v)
   done;
   Model.of_array a
 
@@ -811,31 +921,30 @@ let learned_cap t =
   int_of_float (t.cfg.learned_cap_factor *. float_of_int (Vec.size t.clauses))
   + t.cfg.learned_cap_min
 
+(* A conflict at the root refutes the subproblem ([ok] turns false). *)
 let handle_conflict t confl =
   t.stats.conflicts <- t.stats.conflicts + 1;
   if t.obs_on then Obs.Metrics.incr t.c_conflicts;
   t.conflicts_since_restart <- t.conflicts_since_restart + 1;
   if decision_level t = 0 then begin
-    log_proof t (Drup.Add [||]);
-    t.ok <- false;
-    None
+    proof_add t [||];
+    t.ok <- false
   end
   else begin
     let lits, blevel = analyze t confl in
     backtrack t blevel;
     record_learned t lits;
     if t.stats.conflicts mod t.cfg.decay_interval = 0 then decay_scores t;
-    t.cla_inc <- t.cla_inc /. 0.999;
-    Some (lits, blevel)
+    t.cla_inc <- t.cla_inc /. 0.999
   end
 
 let over_mem_limit t = db_bytes t > t.cfg.mem_limit_bytes
 
 let run t ~budget =
-  let start = Obs.Clock.now () in
+  let start = Obs.Clock.now_ns () in
   let start_props = t.stats.propagations in
   let result = ref None in
-  while !result = None do
+  while Option.is_none !result do
     if not t.ok then result := Some Unsat
     else begin
       if decision_level t = 0 then begin
@@ -846,15 +955,16 @@ let run t ~budget =
       if not t.ok then result := Some Unsat
       else
         match propagate t with
-        | Some confl -> (
-            match handle_conflict t confl with
-            | None -> result := Some Unsat
-            | Some _ ->
-                if t.cfg.reduce_db_enabled && Vec.size t.learnts > learned_cap t then reduce_db t;
-                if over_mem_limit t then begin
-                  if t.cfg.reduce_db_enabled then reduce_db t;
-                  if over_mem_limit t then result := Some Mem_pressure
-                end)
+        | Some confl ->
+            handle_conflict t confl;
+            if not t.ok then result := Some Unsat
+            else begin
+              if t.cfg.reduce_db_enabled && Vec.size t.learnts > learned_cap t then reduce_db t;
+              if over_mem_limit t then begin
+                if t.cfg.reduce_db_enabled then reduce_db t;
+                if over_mem_limit t then result := Some Mem_pressure
+              end
+            end
         | None ->
             if t.stats.propagations - start_props >= budget then result := Some Budget_exhausted
             else if
@@ -867,7 +977,9 @@ let run t ~budget =
             else if not (decide t) then result := Some (Sat (extract_model t))
     end
   done;
-  t.stats.total_seconds <- t.stats.total_seconds +. (Obs.Clock.now () -. start);
+  t.run_ns <- t.run_ns + (Obs.Clock.now_ns () - start);
+  t.stats.bcp_seconds <- Obs.Clock.seconds t.bcp_ns;
+  t.stats.total_seconds <- Obs.Clock.seconds t.run_ns;
   match !result with Some r -> r | None -> assert false
 
 let solve ?(budget = max_int) t = run t ~budget
@@ -897,7 +1009,7 @@ let split t =
     List.iter
       (fun l ->
         match value_of_lit t l with
-        | T.Unknown -> enqueue ~taint:true t l None
+        | T.Unknown -> enqueue ~taint:true t l dummy_clause
         | T.True -> ()
         | T.False -> t.ok <- false)
       !level1;
@@ -906,24 +1018,37 @@ let split t =
 
 (* ---------- transfer helpers ---------- *)
 
-let visible_clause t c =
-  if c.deleted then None
-  else if Array.exists (fun l -> lit_true t l && t.levels.(T.var l) = 0) c.lits
-  then None
-  else
-    Some
-      (Array.of_list
-         (List.filter
-            (fun l ->
-              not (lit_false t l && t.levels.(T.var l) = 0 && not t.tainted.(T.var l)))
-            (Array.to_list c.lits)))
+(* Root-level truth tests: a literal assigned at decision level 0. *)
+let root_true t l = lit_true t l && t.levels.(T.var l) = 0
+
+let root_strippable t l = lit_false t l && t.levels.(T.var l) = 0 && not t.tainted.(T.var l)
+
+(* The clause as it travels, consed onto [acc]: none if deleted or
+   satisfied at the root, else a copy without its strippable root-false
+   literals, in order. *)
+let cons_visible t acc c =
+  let lits = c.lits in
+  let len = Array.length lits in
+  let k = ref 0 and hidden = ref 0 in
+  while !k < len && not (root_true t lits.(!k)) do
+    if root_strippable t lits.(!k) then incr hidden;
+    incr k
+  done;
+  if c.deleted || !k < len then acc
+  else if !hidden = 0 then Array.copy lits :: acc
+  else begin
+    let out = Array.make (len - !hidden) 0 and j = ref 0 in
+    for k = 0 to len - 1 do
+      if not (root_strippable t lits.(k)) then begin
+        out.(!j) <- lits.(k);
+        incr j
+      end
+    done;
+    out :: acc
+  end
 
 let active_clauses t =
-  let collect acc vec =
-    Vec.fold
-      (fun acc c -> match visible_clause t c with Some lits -> lits :: acc | None -> acc)
-      acc vec
-  in
+  let collect acc vec = Vec.fold (cons_visible t) acc vec in
   List.rev (collect (collect [] t.clauses) t.learnts)
 
 let transfer_bytes t =
@@ -937,7 +1062,7 @@ let decide_manual t l =
     invalid_arg "Solver.decide_manual: propagation pending";
   if not (lit_unknown t l) then invalid_arg "Solver.decide_manual: variable assigned";
   Vec.push t.trail_lim (Vec.size t.trail);
-  enqueue t l None;
+  enqueue t l dummy_clause;
   t.stats.decisions <- t.stats.decisions + 1
 
 let propagate_manual t =

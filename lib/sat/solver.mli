@@ -188,9 +188,6 @@ val propagate_manual : t -> [ `Ok | `Conflict of conflict_info ]
     {!conflict_info} (the implication graph is always captured on this
     path regardless of [capture_conflicts]). *)
 
-val last_learned : t -> (Types.lit array * int) option
-(** The most recent learned clause and its backjump level. *)
-
 val proof : t -> Drup.t
 (** The DRUP proof logged so far (empty unless [emit_proof] is set).
     After an {!outcome} of [Unsat], [Drup.check] on the original formula

@@ -1,9 +1,10 @@
 (** Growable arrays used throughout the solver's hot paths.
 
     A deliberately small imperative vector: amortised O(1) push, O(1)
-    random access, and in-place compaction helpers used by the watch
-    lists.  A [dummy] element fills unused capacity so the implementation
-    never needs [Obj.magic]. *)
+    random access, and in-place compaction helpers used by the trail,
+    the clause lists and the conflict-analysis buffers.  A [dummy]
+    element fills unused capacity so the implementation never needs
+    [Obj.magic]. *)
 
 type 'a t
 

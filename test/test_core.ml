@@ -123,6 +123,16 @@ let test_subproblem_capture () =
   (* both clauses are satisfied at the root: nothing left to transfer *)
   check int "clauses pruned" 0 (Sub.nclauses sp)
 
+(* A solver refuted while installing its clauses stops at the first root
+   conflict, so its clause set is partial: capturing it must fail rather
+   than ship a subproblem that could yield a false model. *)
+let test_subproblem_capture_refuted () =
+  let cnf = Cnf.make ~nvars:3 [ [ 1; 2 ]; [ 2; 3 ]; [ -3; 1 ] ] in
+  let solver = Solver.create_with_roots cnf [ T.neg 1; T.neg 2 ] in
+  check bool "refuted during set-up" false (Solver.is_ok solver);
+  Alcotest.check_raises "capture raises" (Invalid_argument "Subproblem.capture: refuted solver")
+    (fun () -> ignore (Sub.capture solver))
+
 let prop_subproblem_wire_roundtrip =
   QCheck.Test.make ~name:"subproblem wire format roundtrips" ~count:100
     (QCheck.make (random_cnf_gen ~max_vars:10 ~max_clauses:30 ~max_len:4))
@@ -473,6 +483,23 @@ let test_gridsat_migration_preserves_subproblem () =
   check bool "destination resumed and finished the migrated branch" true (finished > migrated);
   let curve = C.Timeline.busy_curve r.C.Master.events in
   check (Alcotest.int) "the branch is never double-counted" 1 (C.Timeline.peak curve)
+
+(* Regression: on 6pipe.cnf at this seed a client is refuted while
+   setting up its subproblem, and the master migrates it before its first
+   slice.  Shipping the half-installed solver's clauses used to let the
+   receiver find a "model" that fails verification (Unknown). *)
+let test_gridsat_migrate_refuted_client () =
+  let cnf = (Option.get (Workloads.Registry.find "6pipe.cnf")).Workloads.Registry.gen () in
+  let base = Bench_lib.Scale.t1_config ~timeout:Bench_lib.Scale.gridsat_timeout_solvable in
+  let config =
+    {
+      base with
+      Cfg.seed = 56;
+      solver_config = { base.Cfg.solver_config with Solver.seed = 56000 };
+    }
+  in
+  let r = C.Gridsat.solve ~config ~testbed:(Bench_lib.Scale.grads ()) cnf in
+  check bool "unsat" true (is_unsat (answer_of_result r))
 
 let test_gridsat_migration_disabled () =
   let config = { eager_config with Cfg.migration_enabled = false } in
@@ -1076,6 +1103,7 @@ let () =
           Alcotest.test_case "prune" `Quick test_subproblem_prune;
           Alcotest.test_case "split roundtrip" `Quick test_subproblem_split_roundtrip;
           Alcotest.test_case "capture" `Quick test_subproblem_capture;
+          Alcotest.test_case "capture of a refuted solver" `Quick test_subproblem_capture_refuted;
         ] );
       ( "scheduler",
         [
@@ -1109,6 +1137,8 @@ let () =
           Alcotest.test_case "migration preserves subproblem" `Slow
             test_gridsat_migration_preserves_subproblem;
           Alcotest.test_case "migration disabled" `Slow test_gridsat_migration_disabled;
+          Alcotest.test_case "refuted client migrates as received" `Slow
+            test_gridsat_migrate_refuted_client;
           Alcotest.test_case "late host joins" `Slow test_late_host_joins;
         ] );
       ( "batch",

@@ -574,7 +574,7 @@ let prop_heap_random_updates =
   QCheck.Test.make ~name:"heap under random updates" ~count:50 gen (fun ops ->
       let n = 40 in
       let score = Array.make (n + 1) 0. in
-      let h = Sat.Heap.create ~nvars:n ~gt:(fun a b -> score.(a) > score.(b)) in
+      let h = Sat.Heap.create ~nvars:n ~key:score in
       let next = ref 1 in
       let ok = ref true in
       List.iteri

@@ -531,26 +531,38 @@ let test_report_build_validate () =
 
 (* ---------- determinism across whole runs ---------- *)
 
-let test_grid_trace_deterministic () =
+(* One seeded, fully instrumented grid run: its Chrome trace, run report
+   and Prometheus exposition. *)
+let seeded_grid_run () =
   let module C = Gridsat_core in
-  let run () =
-    let obs = Obs.create () in
-    let testbed = C.Testbed.uniform ~n:4 ~speed:2000. () in
-    let config =
-      {
-        C.Config.default with
-        C.Config.split_timeout = 0.5;
-        slice = 0.5;
-        overall_timeout = 10_000.;
-        seed = 7;
-      }
-    in
-    let cnf = Workloads.Php.instance ~pigeons:6 ~holes:5 in
-    let r = C.Gridsat.solve ~config ~obs ~testbed cnf in
-    (Obs.Chrome.export_string (Obs.spans obs), C.Run_report.build ~meta:[ ("seed", J.Int 7) ] ~obs r)
+  let obs = Obs.create () in
+  let testbed = C.Testbed.uniform ~n:4 ~speed:2000. () in
+  let config =
+    {
+      C.Config.default with
+      C.Config.split_timeout = 0.5;
+      slice = 0.5;
+      overall_timeout = 10_000.;
+      seed = 7;
+    }
   in
-  let trace1, doc = run () in
-  let trace2, _ = run () in
+  let cnf = Workloads.Php.instance ~pigeons:6 ~holes:5 in
+  let r = C.Gridsat.solve ~config ~obs ~testbed cnf in
+  ( Obs.Chrome.export_string (Obs.spans obs),
+    C.Run_report.build ~meta:[ ("seed", J.Int 7) ] ~obs r,
+    Obs.Expo.render (Obs.metrics obs) )
+
+(* The registry holds no wall-clock series, so the exposition of a seeded
+   run repeats byte for byte. *)
+let test_grid_exposition_deterministic () =
+  let _, _, expo1 = seeded_grid_run () in
+  let _, _, expo2 = seeded_grid_run () in
+  check bool "exposition is not empty" true (String.length expo1 > 0);
+  check string "seeded exposition is byte-stable" expo1 expo2
+
+let test_grid_trace_deterministic () =
+  let trace1, doc, _ = seeded_grid_run () in
+  let trace2, _, _ = seeded_grid_run () in
   check string "seeded trace is byte-stable" trace1 trace2;
   (match Obs.Chrome.validate (match J.of_string trace1 with Ok d -> d | Error e -> fail e) with
   | Ok () -> ()
@@ -617,5 +629,8 @@ let () =
       ( "report",
         [ test_case "build/validate/summary" `Quick test_report_build_validate ] );
       ( "end-to-end",
-        [ test_case "seeded trace deterministic" `Slow test_grid_trace_deterministic ] );
+        [
+          test_case "seeded trace deterministic" `Slow test_grid_trace_deterministic;
+          test_case "seeded exposition deterministic" `Slow test_grid_exposition_deterministic;
+        ] );
     ]

@@ -108,7 +108,7 @@ let prop_vec_to_of_list =
 
 let test_heap_pop_order () =
   let score = [| 0.; 5.; 1.; 9.; 3.; 7. |] in
-  let h = Heap.create ~nvars:5 ~gt:(fun a b -> score.(a) > score.(b)) in
+  let h = Heap.create ~nvars:5 ~key:score in
   List.iter (Heap.insert h) [ 1; 2; 3; 4; 5 ];
   let order = List.init 5 (fun _ -> Heap.remove_max h) in
   check bool "pops by descending score" true (order = [ 3; 5; 1; 4; 2 ]);
@@ -116,14 +116,14 @@ let test_heap_pop_order () =
 
 let test_heap_update () =
   let score = Array.make 6 0. in
-  let h = Heap.create ~nvars:5 ~gt:(fun a b -> score.(a) > score.(b)) in
+  let h = Heap.create ~nvars:5 ~key:score in
   List.iter (Heap.insert h) [ 1; 2; 3; 4; 5 ];
   score.(2) <- 100.;
   Heap.update h 2;
   check int "updated var first" 2 (Heap.remove_max h)
 
 let test_heap_duplicate_insert () =
-  let h = Heap.create ~nvars:3 ~gt:(fun a b -> a > b) in
+  let h = Heap.create ~nvars:3 ~key:[| 0.; 1.; 2.; 3. |] in
   Heap.insert h 2;
   Heap.insert h 2;
   check int "no duplicate" 1 (Heap.size h)
@@ -134,7 +134,7 @@ let prop_heap_sorts =
       let n = List.length scores in
       QCheck.assume (n > 0);
       let score = Array.of_list (0. :: scores) in
-      let h = Heap.create ~nvars:n ~gt:(fun a b -> score.(a) > score.(b)) in
+      let h = Heap.create ~nvars:n ~key:score in
       for v = 1 to n do
         Heap.insert h v
       done;
@@ -888,6 +888,136 @@ let prop_drup_random_unsat_proofs_check =
       | None -> false
       | Some proof -> Drup.check cnf proof = Ok ())
 
+(* ---------- pinned search ---------- *)
+
+(* The exact course of the search, recorded once and pinned: any change to
+   the order of watches, heap ties, installed literals or learned clauses
+   moves at least one of these numbers.  Each case runs a fixed budget,
+   captures the solver and splits it part-way through, continues the
+   donor, and runs the split-off branch as a fresh solver.  Counters are
+   decisions, propagations, conflicts, learned, learned literals, deleted,
+   restarts and root simplifications; digests are MD5s of
+   [Subproblem.to_string]. *)
+
+module Sp = Gridsat_core.Subproblem
+
+let tight_db = { Solver.default_config with Solver.learned_cap_factor = 0.05; learned_cap_min = 60 }
+
+let pin_formulas =
+  [
+    ("php-8-7", lazy (Workloads.Php.instance ~pigeons:8 ~holes:7));
+    ("mitre5", lazy (Workloads.Equiv.multiplier_mitre ~bits:5 ~bug:false));
+    ("planted3-60", lazy (Workloads.Random_sat.planted ~nvars:60 ~ratio:4.26 ~seed:7 ()));
+    ("planted4-60", lazy (Workloads.Random_sat.planted ~k:4 ~nvars:60 ~ratio:9.9 ~seed:7 ()));
+    ("tseitin-20", lazy (Workloads.Tseitin.instance ~nvertices:20 ~degree:3 ~charge:`Odd ~seed:3));
+  ]
+
+(* (formula, config, seed, after the budget, capture, split branch, donor
+   after a second budget, branch after one budget) *)
+let pinned =
+  [
+    ("php-8-7", Solver.default_config, 1,
+     [ 298; 3006; 205; 205; 3396; 0; 1; 0 ],
+     "624190f074396b35ad4ae722c40d5b9f",
+     "ad04a28d65333509cd9dbdf29537c836",
+     [ 521; 6006; 418; 418; 6423; 0; 2; 1 ],
+     [ 240; 3007; 226; 226; 3662; 0; 1; 1 ] );
+    ("php-8-7", tight_db, 2,
+     [ 264; 3001; 195; 195; 3069; 140; 1; 0 ],
+     "f3899cb44e6bd0db9f038b0e7f1c9aa4",
+     "2b347e6a49de0b9bcbd4879486b6e57b",
+     [ 489; 6006; 403; 403; 5924; 346; 2; 1 ],
+     [ 246; 3011; 237; 237; 3858; 180; 1; 1 ] );
+    ("mitre5", Solver.default_config, 1,
+     [ 25; 3158; 18; 18; 677; 0; 0; 1 ],
+     "4c3d9b89a352759ac6026828a9feeef0",
+     "0f238e1b0f502db7d70a45242ab16f58",
+     [ 93; 6257; 64; 64; 1713; 0; 0; 1 ],
+     [ 32; 3116; 23; 23; 691; 0; 0; 1 ] );
+    ("mitre5", tight_db, 2,
+     [ 25; 3158; 18; 18; 677; 0; 0; 1 ],
+     "4c3d9b89a352759ac6026828a9feeef0",
+     "0f238e1b0f502db7d70a45242ab16f58",
+     [ 74; 6183; 57; 57; 1852; 0; 0; 1 ],
+     [ 26; 3131; 22; 22; 814; 0; 0; 1 ] );
+    ("planted3-60", Solver.default_config, 1,
+     [ 29; 60; 0; 0; 0; 0; 0; 0 ],
+     "7a6a91e5b3eb73e69f8cc137fe5c8a54",
+     "113e76899eab8809b2b24aeb8754f670",
+     [ 54; 120; 0; 0; 0; 0; 0; 0 ],
+     [ 19; 138; 5; 5; 24; 0; 0; 1 ] );
+    ("planted3-60", tight_db, 2,
+     [ 29; 60; 0; 0; 0; 0; 0; 0 ],
+     "7a6a91e5b3eb73e69f8cc137fe5c8a54",
+     "113e76899eab8809b2b24aeb8754f670",
+     [ 55; 120; 0; 0; 0; 0; 0; 0 ],
+     [ 19; 133; 5; 5; 25; 0; 0; 1 ] );
+    ("planted4-60", Solver.default_config, 1,
+     [ 146; 1156; 84; 84; 1087; 0; 0; 0 ],
+     "b8d145409eafe3483a018db0d8685d1a",
+     "d0a80fd6ae9dcd120a0073d6ba8026dc",
+     [ 431; 4178; 299; 299; 3607; 0; 2; 1 ],
+     [ 264; 3005; 233; 233; 2739; 0; 1; 1 ] );
+    ("planted4-60", tight_db, 2,
+     [ 139; 1078; 75; 75; 975; 0; 0; 0 ],
+     "8722e97d7dcd955caf28b54fdc0fe39a",
+     "09fd20cec254112956fb962b13ab0517",
+     [ 412; 4119; 289; 289; 3589; 221; 2; 1 ],
+     [ 291; 3017; 235; 235; 2735; 184; 1; 1 ] );
+    ("tseitin-20", Solver.default_config, 1,
+     [ 279; 3009; 251; 251; 2170; 0; 1; 0 ],
+     "1a7d8e3ec2e8f310298a28d9b49c8fca",
+     "a2ab00c6a2a78b57491af6eb179a8ff4",
+     [ 483; 5154; 437; 436; 3778; 0; 2; 1 ],
+     [ 196; 2037; 174; 173; 1389; 0; 1; 1 ] );
+    ("tseitin-20", tight_db, 2,
+     [ 309; 3005; 260; 260; 2222; 224; 2; 0 ],
+     "e4ec5b30551accf315b2b351803822b0",
+     "f12f71355e1db4e0accdd4802b2ebeca",
+     [ 608; 6008; 517; 517; 4424; 480; 3; 1 ],
+     [ 303; 3008; 257; 257; 2268; 224; 2; 2 ] );
+  ]
+
+let search_counters s =
+  let st = Solver.stats s in
+  Sat.Stats.
+    [
+      st.decisions; st.propagations; st.conflicts; st.learned; st.learned_literals; st.deleted;
+      st.restarts; st.root_simplifications;
+    ]
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+let test_pinned_search () =
+  let ints = Alcotest.(list int) in
+  let budget = 3000 in
+  List.iter
+    (fun (name, base, seed, after, capture, branch, donor, receiver) ->
+      let config = { base with Solver.seed } in
+      let label what = Printf.sprintf "%s seed %d: %s" name seed what in
+      let s = Solver.create ~config (Lazy.force (List.assoc name pin_formulas)) in
+      ignore (Solver.run s ~budget);
+      check ints (label "after the budget") after (search_counters s);
+      check Alcotest.string (label "capture") capture (md5 (Sp.to_string (Sp.capture s)));
+      let sp = Option.get (Sp.split_from s) in
+      check Alcotest.string (label "split branch") branch (md5 (Sp.to_string sp));
+      ignore (Solver.run s ~budget);
+      check ints (label "donor after the split") donor (search_counters s);
+      let r = Sp.to_solver ~config sp in
+      ignore (Solver.run r ~budget);
+      check ints (label "branch solver") receiver (search_counters r))
+    pinned
+
+let test_pinned_proof () =
+  let config =
+    { Solver.default_config with Solver.emit_proof = true; minimize_learned = true; seed = 3 }
+  in
+  let s = Solver.create ~config (Workloads.Php.instance ~pigeons:6 ~holes:5) in
+  check bool "unsat" true (is_unsat (Solver.solve s));
+  check Alcotest.(list int) "counters" [ 125; 1484; 123; 122; 811; 0; 0; 0 ] (search_counters s);
+  check Alcotest.string "proof text" "2d724f8c1e4d623603d23e280829ac34"
+    (md5 (Drup.to_string (Solver.proof s)))
+
 (* ---------- suite ---------- *)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
@@ -1016,5 +1146,10 @@ let () =
           Alcotest.test_case "active clauses pruned" `Quick test_active_clauses_pruned;
           Alcotest.test_case "transfer bytes" `Quick test_transfer_bytes_positive;
           Alcotest.test_case "db bytes track learning" `Quick test_db_bytes_tracks_learning;
+        ] );
+      ( "pinned",
+        [
+          Alcotest.test_case "search, captures and splits" `Quick test_pinned_search;
+          Alcotest.test_case "minimized proof" `Quick test_pinned_proof;
         ] );
     ]
