@@ -49,10 +49,10 @@ type t = {
   mutable master_down : bool;  (* retry exhaustion toward the master flipped this *)
   outbox : Protocol.msg Flow.queue;  (* master-bound traffic parked during the outage *)
   mutable probing : bool;  (* the outage probe loop is armed *)
-  seen_shares : (string, unit) Hashtbl.t;
-      (* canonical keys of every foreign clause already enqueued into a
-         solver here: a clause relayed twice (duplicate delivery, or two
-         masters' relays racing across a failover) is suppressed *)
+  seen_shares : (Sat.Types.lit array, unit) Hashtbl.t;
+      (* every foreign clause already enqueued into a solver here, as its
+         sorted literals: a clause relayed twice (duplicate delivery, or
+         two masters' relays racing across a failover) is suppressed *)
   mutable dup_suppressed : int;
   stats_acc : Sat.Stats.t;
   obs : Obs.t;
@@ -453,18 +453,14 @@ let handle_payload t ~src msg =
       | Solving s ->
           (* duplicate suppression: a clause relayed twice (duplicate
              delivery, overlapping relays across a failover) is counted,
-             not re-enqueued.  The key is the sorted literal set, so the
-             same clause arriving in any literal order still matches. *)
+             not re-enqueued.  The key is a sorted copy of the literals,
+             so the same clause arriving in any literal order still
+             matches. *)
           let fresh =
             List.filter
               (fun c ->
-                let key =
-                  Array.to_list c
-                  |> List.map Sat.Types.to_int
-                  |> List.sort compare
-                  |> List.map string_of_int
-                  |> String.concat ","
-                in
+                let key = Array.copy c in
+                Sat.Types.sort_lits key;
                 if Hashtbl.mem t.seen_shares key then begin
                   t.dup_suppressed <- t.dup_suppressed + 1;
                   t.callbacks.note_dup 1;

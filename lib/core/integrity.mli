@@ -71,6 +71,10 @@ val hash : (sink -> 'a -> unit) -> 'a -> hasher
 (** [hash emit x] streams [emit]'s bytes for [x] into a fresh hasher:
     its digests equal those of [render emit x]. *)
 
+val hash_fnv1a : (sink -> 'a -> unit) -> 'a -> int
+(** [fnv1a_of (hash emit x)] without advancing CRC-32 on every byte: the
+    digest of the records that need only FNV-1a (wire frames). *)
+
 (** {1 Fault injection} *)
 
 val corrupted : int -> int

@@ -284,7 +284,7 @@ let rec emit sink = function
       emit sink payload
   | Corrupt_payload -> s sink "garbage"
 
-let digest msg = Integrity.fnv1a_of (Integrity.hash emit msg)
+let digest msg = Integrity.hash_fnv1a emit msg
 
 (* The epoch is a header field, not part of the digested payload: like a
    reliable envelope's mid it survives in-flight corruption (it carries

@@ -159,7 +159,7 @@ val critical : msg -> bool
 
 val digest : msg -> int
 (** FNV-1a digest of the message's canonical bytes (every semantic field,
-    in a fixed order), streamed into an {!Integrity.hasher} without
+    in a fixed order), streamed through {!Integrity.hash_fnv1a} without
     building the text.  Deterministic across runs. *)
 
 val frame : ?epoch:int -> msg -> msg

@@ -18,9 +18,12 @@ let bytes t =
   let clause_bytes = List.fold_left (fun acc c -> acc + 48 + (8 * Array.length c)) 0 t.clauses in
   clause_bytes + (8 * (List.length t.facts + List.length t.path)) + 64
 
+(* The clause arrays stay the subproblem's: the solver copies each as it
+   normalises it, and other holders of this value (the master's in-flight
+   table, the receiver's origin, heavy checkpoints) see them unchanged. *)
 let to_solver ~config ?obs ?obs_tid t =
-  let cnf = Sat.Cnf.of_lit_arrays ~nvars:t.nvars t.clauses in
-  Sat.Solver.create_with_roots ~config ?obs ?obs_tid ~facts:t.facts cnf t.path
+  Sat.Solver.create_with_roots ~config ?obs ?obs_tid ~facts:t.facts ~nvars:t.nvars t.clauses
+    t.path
 
 let capture solver =
   if not (Sat.Solver.is_ok solver) then invalid_arg "Subproblem.capture: refuted solver";
@@ -52,11 +55,16 @@ let prune t =
 let of_lineage cnf path =
   prune { nvars = Sat.Cnf.nvars cnf; facts = []; path; clauses = Sat.Cnf.clauses cnf }
 
+(* No [prune]: the donor's active clauses are already pruned against its
+   own root, which the new branch's root extends by one literal, and
+   [split_clauses] drops the clauses that literal satisfies. *)
 let split_from solver =
-  let clauses = Sat.Solver.active_clauses solver in
-  match Sat.Solver.split solver with
-  | None -> None
-  | Some (facts, path) -> Some (prune { nvars = Sat.Solver.nvars solver; facts; path; clauses })
+  if Sat.Solver.decision_level solver = 0 then None
+  else
+    let clauses = Sat.Solver.split_clauses solver in
+    Option.map
+      (fun (facts, path) -> { nvars = Sat.Solver.nvars solver; facts; path; clauses })
+      (Sat.Solver.split solver)
 
 (* Certified transfers must stay lineage-pure: the travelling clause set is
    the clause set this client itself received (inductively, a subset of the

@@ -27,7 +27,8 @@ val depth : t -> int
 (** Length of the guiding path (number of splits on this branch). *)
 
 val to_solver : config:Sat.Solver.config -> ?obs:Obs.t -> ?obs_tid:int -> t -> Sat.Solver.t
-(** Instantiates a solver for the subproblem. *)
+(** Instantiates a solver for the subproblem.  The subproblem's clause
+    arrays are only read: the solver keeps normalised copies. *)
 
 val capture : Sat.Solver.t -> t
 (** Snapshot of a solver's current problem (for migration or

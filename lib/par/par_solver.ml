@@ -13,9 +13,9 @@ type stats = {
 
 (* All cross-domain state lives behind one mutex: a work queue of
    subproblems, a grow-only clause pool with per-worker read cursors, the
-   outstanding-problem count for termination detection, and the result
-   cell.  Contention is negligible because workers only take the lock
-   between compute slices. *)
+   outstanding-problem count for termination detection and splitting, and
+   the result cell.  Contention is negligible because workers only take
+   the lock between compute slices. *)
 type shared = {
   mutex : Mutex.t;
   cond : Condition.t;
@@ -23,7 +23,7 @@ type shared = {
   pool : (int * Sat.Types.lit array) list ref; (* (origin, clause), newest first *)
   mutable pool_len : int;
   mutable outstanding : int; (* queued + being-solved subproblems *)
-  mutable hungry : int; (* workers blocked waiting for work *)
+  domains : int;
   mutable result : outcome option;
   mutable splits : int;
   mutable shared_clauses : int;
@@ -60,9 +60,7 @@ let next_work sh =
                   None
                 end
                 else begin
-                  sh.hungry <- sh.hungry + 1;
                   Condition.wait sh.cond sh.mutex;
-                  sh.hungry <- sh.hungry - 1;
                   wait ()
                 end)
       in
@@ -117,7 +115,10 @@ let consume_budget sh amount =
         Condition.broadcast sh.cond
       end)
 
-let hungry_peers sh = with_lock sh (fun () -> sh.hungry + Queue.length sh.queue)
+(* Domains that neither solve nor have a queued problem waiting for them:
+   waiting ones and ones not started yet alike, so whether a split happens
+   does not depend on how fast the OS starts the domains. *)
+let idle_domains sh = with_lock sh (fun () -> sh.domains - sh.outstanding)
 
 let worker sh ~id ~cnf ~share_max_len ~slice_budget ~seed () =
   let cursor = ref 0 in
@@ -151,7 +152,7 @@ let worker sh ~id ~cnf ~share_max_len ~slice_budget ~seed () =
           let fresh, c = pull_shares sh ~origin:id ~cursor:!cursor in
           cursor := c;
           if fresh <> [] then Solver.queue_foreign_clauses solver fresh;
-          if hungry_peers sh > 0 && Solver.decision_level solver > 0 then begin
+          if idle_domains sh > 0 && Solver.decision_level solver > 0 then begin
             match Sub.split_from solver with
             | Some sp -> push_work sh sp
             | None -> ()
@@ -195,7 +196,7 @@ let portfolio_worker sh ~id ~cnf ~share_max_len ~slice_budget ~seed () =
   in
   slice_loop ()
 
-let make_shared total_budget =
+let make_shared ~domains total_budget =
   {
     mutex = Mutex.create ();
     cond = Condition.create ();
@@ -203,7 +204,7 @@ let make_shared total_budget =
     pool = ref [];
     pool_len = 0;
     outstanding = 1;
-    hungry = 0;
+    domains;
     result = None;
     splits = 0;
     shared_clauses = 0;
@@ -212,11 +213,11 @@ let make_shared total_budget =
     budget_left = total_budget;
   }
 
-let finish sh domains =
+let finish sh =
   let outcome = match sh.result with Some r -> r | None -> Unsat in
   ( outcome,
     {
-      domains;
+      domains = sh.domains;
       splits = sh.splits;
       shared_clauses = sh.shared_clauses;
       subproblems_solved = sh.subproblems_solved;
@@ -230,11 +231,11 @@ let portfolio ?num_domains ?(share_max_len = 10) ?(slice_budget = 20_000)
     | Some n -> max 1 n
     | None -> max 1 (Domain.recommended_domain_count ())
   in
-  let sh = make_shared total_budget in
+  let sh = make_shared ~domains total_budget in
   let spawn id = Domain.spawn (portfolio_worker sh ~id ~cnf ~share_max_len ~slice_budget ~seed) in
   let workers = List.init domains spawn in
   List.iter Domain.join workers;
-  finish sh domains
+  finish sh
 
 let solve ?num_domains ?(share_max_len = 10) ?(slice_budget = 20_000) ?(total_budget = max_int)
     ?(seed = 0) cnf =
@@ -243,9 +244,9 @@ let solve ?num_domains ?(share_max_len = 10) ?(slice_budget = 20_000) ?(total_bu
     | Some n -> max 1 n
     | None -> max 1 (Domain.recommended_domain_count ())
   in
-  let sh = make_shared total_budget in
+  let sh = make_shared ~domains total_budget in
   Queue.push (Sub.initial cnf) sh.queue;
   let spawn id = Domain.spawn (worker sh ~id ~cnf ~share_max_len ~slice_budget ~seed) in
   let workers = List.init domains spawn in
   List.iter Domain.join workers;
-  finish sh domains
+  finish sh

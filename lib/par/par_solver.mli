@@ -5,7 +5,8 @@
     clauses — but with real threads instead of simulated grid hosts: a
     lock-protected work queue of {!Gridsat_core.Subproblem.t}s, a global
     clause pool, and one solver per domain.  Workers split their problem
-    whenever a peer is hungry, so parallelism again follows demand.
+    whenever a domain has no problem to solve, so parallelism again
+    follows demand.
 
     The answer is deterministic (it is the problem's satisfiability);
     running times and statistics are not, since domains race. *)

@@ -6,37 +6,49 @@ type t = {
   has_empty : bool;
 }
 
-(* A sorted copy of the clause without duplicate literals, or [None] if it
-   is a tautology (a literal and its negation end up adjacent). *)
-let normalise lits =
+let out_of_range ~nvars l =
+  let v = Types.var l in
+  v < 1 || v > nvars
+
+let check_lit ~nvars l =
+  if out_of_range ~nvars l then
+    invalid_arg
+      (Printf.sprintf "Cnf: literal %d out of range (nvars = %d)" (Types.to_int l) nvars)
+
+(* In a sorted clause of [n] distinct literals a literal and its negation
+   are adjacent. *)
+let rec tautological (a : Types.lit array) n k =
+  k < n && (a.(k - 1) lxor a.(k) = 1 || tautological a n (k + 1))
+
+(* Literals sort by variable, so only the two ends of the sorted copy [a]
+   can be out of range (a negative int has a huge [var]).  The error names
+   the first bad literal of the input, as a literal-by-literal check
+   would. *)
+let check_range ~nvars lits a n =
+  if n > 0 && (out_of_range ~nvars a.(0) || out_of_range ~nvars a.(n - 1)) then
+    Array.iter (check_lit ~nvars) lits
+
+let normalise ~nvars lits =
   let a = Array.copy lits in
-  (* merge sort with an insertion-sort cutoff: on short clauses faster
-     than the heap sort of [Array.sort] *)
-  Array.stable_sort Int.compare a;
+  let len = Array.length a in
+  Types.sort_lits a;
   (* compact in place: the first [n] slots hold the distinct literals seen *)
-  let n = ref 0 and tautological = ref false in
-  for i = 0 to Array.length a - 1 do
-    let l = a.(i) in
-    if !n = 0 || a.(!n - 1) <> l then begin
-      if !n > 0 && a.(!n - 1) lxor l = 1 then tautological := true;
-      a.(!n) <- l;
+  let n = ref (min len 1) in
+  for i = 1 to len - 1 do
+    if a.(i) <> a.(!n - 1) then begin
+      a.(!n) <- a.(i);
       incr n
     end
   done;
-  if !tautological then None else Some (if !n = Array.length a then a else Array.sub a 0 !n)
-
-let check_lit ~nvars l =
-  let v = Types.var l in
-  if v < 1 || v > nvars then
-    invalid_arg
-      (Printf.sprintf "Cnf: literal %d out of range (nvars = %d)" (Types.to_int l) nvars)
+  let n = !n in
+  check_range ~nvars lits a n;
+  if tautological a n 1 then None else Some (if n = len then a else Array.sub a 0 n)
 
 let of_lit_arrays ~nvars arrays =
   if nvars < 0 then invalid_arg "Cnf: negative nvars";
   let clauses = ref [] and nliterals = ref 0 and dropped = ref 0 and has_empty = ref false in
   let add_clause arr =
-    Array.iter (check_lit ~nvars) arr;
-    match normalise arr with
+    match normalise ~nvars arr with
     | None -> incr dropped
     | Some c ->
         if Array.length c = 0 then has_empty := true;

@@ -17,12 +17,20 @@ val of_lit_arrays : nvars:int -> Types.lit array list -> t
 (** Builds a formula from already-encoded literal arrays (normalised the
     same way as {!make}). *)
 
+val normalise : nvars:int -> Types.lit array -> Types.lit array option
+(** [normalise ~nvars lits] is one clause as every constructor here
+    stores it: a fresh array of its distinct literals in strictly
+    increasing order, or [None] if it is a tautology.  [lits] itself is
+    only read.  Raises [Invalid_argument] like {!make} on a literal
+    outside [1 .. nvars]. *)
+
 val nvars : t -> int
 
 val nclauses : t -> int
 
 val clauses : t -> Types.lit array list
-(** The normalised clauses.  The returned arrays must not be mutated. *)
+(** The normalised clauses, each strictly increasing (see {!normalise}).
+    The returned arrays must not be mutated. *)
 
 val iter : (Types.lit array -> unit) -> t -> unit
 

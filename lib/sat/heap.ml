@@ -69,12 +69,9 @@ let remove_max t =
   end;
   top
 
-let update t v =
+let increase t v =
   let i = t.pos.(v) in
-  if i >= 0 then begin
-    sift_up t i;
-    sift_down t t.pos.(v)
-  end
+  if i >= 0 then sift_up t i
 
 let rebuild t =
   for i = (t.sz / 2) - 1 downto 0 do

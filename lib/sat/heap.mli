@@ -2,8 +2,8 @@
 
     The heap stores variable indices and orders them by a caller-owned
     float key per variable (normally the VSIDS activity).  Because keys
-    change while a variable sits in the heap, the owner must call {!update}
-    after every key change. *)
+    change while a variable sits in the heap, the owner must call
+    {!increase} after every key rise and {!rebuild} after lowering keys. *)
 
 type t
 
@@ -26,9 +26,10 @@ val size : t -> int
 val remove_max : t -> int
 (** Pops the greatest variable.  Raises [Not_found] when empty. *)
 
-val update : t -> int -> unit
-(** Restores heap order after the score of a member variable changed;
-    no-op if the variable is not in the heap. *)
+val increase : t -> int -> unit
+(** Restores heap order after the key of a member variable rose (or
+    stayed put) by sifting it up; no-op if the variable is not in the
+    heap.  A key that fell needs {!rebuild}. *)
 
 val rebuild : t -> unit
 (** Re-heapifies the whole structure (after a global score rescale). *)

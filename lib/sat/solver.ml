@@ -82,7 +82,6 @@ let v_false = '\002'
 type t = {
   cfg : config;
   nvars : int;
-  cnf : Cnf.t; (* the original formula, kept for model building *)
   vals : Bytes.t; (* literal -> [v_unknown], [v_true] or [v_false] *)
   levels : int array; (* var -> decision level (valid when assigned) *)
   reasons : clause array; (* var -> antecedent, [dummy_clause] if none *)
@@ -210,14 +209,15 @@ let rescale_scores t =
   Heap.rebuild t.order
 
 (* Scores only grow between rescales, so a variable's activity is the
-   larger of its old activity and the bumped score. *)
+   larger of its old activity and the bumped score, and its heap key never
+   falls. *)
 let bump_lit t l =
   let s = t.score.(l) +. t.var_inc in
   t.score.(l) <- s;
   let v = T.var l in
   if s > t.var_activity.(v) then t.var_activity.(v) <- s;
   if s > 1e100 then rescale_scores t;
-  Heap.update t.order v
+  Heap.increase t.order v
 
 let bump_lits t lits =
   for k = 0 to Array.length lits - 1 do
@@ -584,11 +584,20 @@ let root_unit_or_conflict t lits =
     enqueue ~taint:(t.root_kept > 1) t l dummy_clause
   end
 
+let rec unknown_upto t lits k n = k = n || (lit_unknown t lits.(k) && unknown_upto t lits (k + 1) n)
+
+(* Whether [root_stripped] would return a copy of the clause counted by
+   [count_root] as it is: nothing stripped, no kept false literal ahead
+   of an unknown one. *)
+let root_unchanged t lits =
+  t.root_kept = Array.length lits && unknown_upto t lits 0 t.root_unknown
+
 (* Install a clause while at decision level 0: discard if satisfied, strip
    untainted false literals, then either record the conflict, enqueue the
-   root implication, or store a fresh array of the surviving literals,
-   unknown ones in the watched slots.  [lits] itself is never stored. *)
-let install_clause_root t ~learned ~activity lits =
+   root implication, or store the surviving literals, unknown ones in the
+   watched slots.  An [owned] array (one nobody else holds) is stored
+   itself when stripping would not change it; any other is copied. *)
+let install_clause_root t ~learned ~activity ~owned lits =
   assert (decision_level t = 0);
   if not (count_root t lits) then `Satisfied
   else if t.root_unknown <= 1 then begin
@@ -596,7 +605,7 @@ let install_clause_root t ~learned ~activity lits =
     if t.root_unknown = 0 then `Conflict else `Implication
   end
   else begin
-    let arr = root_stripped t lits in
+    let arr = if owned && root_unchanged t lits then lits else root_stripped t lits in
     (* an original clause installed verbatim is already in the checker's
        database; logging it would only bloat transferred proof
        fragments.  A proof step is owed only when the stored clause
@@ -727,7 +736,7 @@ let merge_foreign t =
   let merged0 = t.stats.foreign_merged in
   while t.ok && not (Queue.is_empty t.pending_foreign) do
     let lits = Queue.pop t.pending_foreign in
-    match install_clause_root t ~learned:true ~activity:t.cla_inc lits with
+    match install_clause_root t ~learned:true ~activity:t.cla_inc ~owned:false lits with
     | `Satisfied -> t.stats.foreign_discarded <- t.stats.foreign_discarded + 1
     | `Conflict -> () (* all literals false: the subproblem is unsatisfiable *)
     | `Implication -> t.stats.foreign_implications <- t.stats.foreign_implications + 1
@@ -816,8 +825,22 @@ let restart t =
 
 (* ---------- construction ---------- *)
 
-let create_internal cfg cnf ~obs ~obs_tid ~facts ~assumptions =
-  let nvars = Cnf.nvars cnf in
+(* Each clause is normalised once, into the array the solver then owns
+   and usually stores as it is.  All are normalised before the solver is
+   built: the RNG is seeded with the number that survive. *)
+let create_internal cfg ~nvars ~obs ~obs_tid ~facts ~assumptions clauses =
+  if nvars < 0 then invalid_arg "Cnf: negative nvars";
+  let owned = Array.make (List.length clauses) [||] in
+  let n = ref 0 and has_empty = ref false in
+  List.iter
+    (fun lits ->
+      match Cnf.normalise ~nvars lits with
+      | None -> ()
+      | Some c ->
+          if Array.length c = 0 then has_empty := true;
+          owned.(!n) <- c;
+          incr n)
+    clauses;
   let var_activity = Array.make (nvars + 1) 0. in
   let order = Heap.create ~nvars ~key:var_activity in
   let m = Obs.metrics obs in
@@ -826,7 +849,6 @@ let create_internal cfg cnf ~obs ~obs_tid ~facts ~assumptions =
     {
       cfg;
       nvars;
-      cnf;
       vals = Bytes.make (2 * (nvars + 1)) v_unknown;
       tainted = Array.make (nvars + 1) false;
       levels = Array.make (nvars + 1) 0;
@@ -840,7 +862,7 @@ let create_internal cfg cnf ~obs ~obs_tid ~facts ~assumptions =
       qhead = 0;
       clauses = Vec.create dummy_clause;
       learnts = Vec.create dummy_clause;
-      ok = not (Cnf.has_empty_clause cnf);
+      ok = not !has_empty;
       seen = Array.make (nvars + 1) false;
       phase = Array.make (nvars + 1) false;
       var_inc = 1.0;
@@ -855,7 +877,7 @@ let create_internal cfg cnf ~obs ~obs_tid ~facts ~assumptions =
       fresh_shares = Queue.create ();
       last_simplify_trail = 0;
       proof_rev = [];
-      rng = Random.State.make [| cfg.seed; nvars; Cnf.nclauses cnf |];
+      rng = Random.State.make [| cfg.seed; nvars; !n |];
       learnt_buf = Vec.create 0;
       to_clear = Vec.create 0;
       root_unknown = 0;
@@ -883,19 +905,21 @@ let create_internal cfg cnf ~obs ~obs_tid ~facts ~assumptions =
   in
   List.iter (assert_root false) facts;
   List.iter (assert_root true) assumptions;
-  if t.ok then
-    Cnf.iter
-      (fun lits -> if t.ok then ignore (install_clause_root t ~learned:false ~activity:0. lits))
-      cnf;
+  let k = ref 0 in
+  while t.ok && !k < !n do
+    ignore (install_clause_root t ~learned:false ~activity:0. ~owned:true owned.(!k));
+    incr k
+  done;
   if t.ok then (match propagate t with Some _ -> t.ok <- false | None -> ());
   t
 
 let create ?(config = default_config) ?(obs = Obs.disabled) ?(obs_tid = Obs.Span.run_tid) cnf =
-  create_internal config cnf ~obs ~obs_tid ~facts:[] ~assumptions:[]
+  create_internal config ~nvars:(Cnf.nvars cnf) ~obs ~obs_tid ~facts:[] ~assumptions:[]
+    (Cnf.clauses cnf)
 
 let create_with_roots ?(config = default_config) ?(obs = Obs.disabled)
-    ?(obs_tid = Obs.Span.run_tid) ?(facts = []) cnf assumptions =
-  create_internal config cnf ~obs ~obs_tid ~facts ~assumptions
+    ?(obs_tid = Obs.Span.run_tid) ?(facts = []) ~nvars clauses assumptions =
+  create_internal config ~nvars ~obs ~obs_tid ~facts ~assumptions clauses
 
 (* ---------- model extraction ---------- *)
 
@@ -1023,14 +1047,14 @@ let root_true t l = lit_true t l && t.levels.(T.var l) = 0
 
 let root_strippable t l = lit_false t l && t.levels.(T.var l) = 0 && not t.tainted.(T.var l)
 
-(* The clause as it travels, consed onto [acc]: none if deleted or
-   satisfied at the root, else a copy without its strippable root-false
-   literals, in order. *)
-let cons_visible t acc c =
+(* The clause as it travels, consed onto [acc]: none if deleted,
+   satisfied at the root or containing [drop], else a copy without its
+   strippable root-false literals, in order. *)
+let cons_visible t ~drop acc c =
   let lits = c.lits in
   let len = Array.length lits in
   let k = ref 0 and hidden = ref 0 in
-  while !k < len && not (root_true t lits.(!k)) do
+  while !k < len && lits.(!k) <> drop && not (root_true t lits.(!k)) do
     if root_strippable t lits.(!k) then incr hidden;
     incr k
   done;
@@ -1047,9 +1071,19 @@ let cons_visible t acc c =
     out :: acc
   end
 
-let active_clauses t =
-  let collect acc vec = Vec.fold (cons_visible t) acc vec in
+let visible_clauses t ~drop =
+  let collect acc vec = Vec.fold (cons_visible t ~drop) acc vec in
   List.rev (collect (collect [] t.clauses) t.learnts)
+
+(* [-1] is no literal. *)
+let active_clauses t = visible_clauses t ~drop:(-1)
+
+(* The new branch's root adds only the complement of the first decision
+   to the donor's root, so pruning the donor's active clauses against it
+   can only drop the clauses that complement satisfies. *)
+let split_clauses t =
+  if decision_level t = 0 then invalid_arg "Solver.split_clauses: no decision";
+  visible_clauses t ~drop:(T.negate (Vec.get t.trail (Vec.get t.trail_lim 0)))
 
 let transfer_bytes t =
   let roots = List.length (root_lits t) in

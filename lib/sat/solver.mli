@@ -69,10 +69,22 @@ val create : ?config:config -> ?obs:Obs.t -> ?obs_tid:int -> Cnf.t -> t
     is the telemetry track — the owning client's id in grid runs. *)
 
 val create_with_roots :
-  ?config:config -> ?obs:Obs.t -> ?obs_tid:int -> ?facts:Types.lit list -> Cnf.t -> Types.lit list -> t
-(** [create_with_roots ~facts cnf path] asserts two kinds of literals at
-    decision level 0 — this is how a client instantiates a received
-    subproblem (root assignments + clause set):
+  ?config:config ->
+  ?obs:Obs.t ->
+  ?obs_tid:int ->
+  ?facts:Types.lit list ->
+  nvars:int ->
+  Types.lit array list ->
+  Types.lit list ->
+  t
+(** [create_with_roots ~facts ~nvars clauses path] builds a solver over
+    the formula [Cnf.of_lit_arrays ~nvars clauses] without building it:
+    each clause is normalised once ({!Cnf.normalise}) into an array the
+    solver keeps.  The arrays of [clauses] are only read, never kept or
+    mutated, so they may be shared (a received subproblem's clauses are).
+    It asserts two kinds of literals at decision level 0 — this is how a
+    client instantiates a received subproblem (root assignments + clause
+    set):
     - [facts] are implied by the global formula (original unit clauses,
       root consequences): they may be freely simplified away;
     - [path] are {e guiding-path assumptions} created by splits: they are
@@ -144,6 +156,12 @@ val split : t -> (Types.lit list * Types.lit list) option
 val active_clauses : t -> Types.lit array list
 (** All live clauses (original + learned), as currently simplified.  Used
     to serialise a subproblem for transfer. *)
+
+val split_clauses : t -> Types.lit array list
+(** The clause set a {!split} hands over, to be taken just before it:
+    {!active_clauses} without the clauses the complement of the first
+    decision satisfies — what pruning them against the new branch's root
+    would leave.  Raises [Invalid_argument] at decision level 0. *)
 
 val transfer_bytes : t -> int
 (** Size estimate of a subproblem transfer message (root literals + active

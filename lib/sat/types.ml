@@ -47,3 +47,46 @@ let pp_clause ppf lits =
       pp_lit ppf l)
     lits;
   Format.pp_print_char ppf ')'
+
+(* ---------- sorting literal arrays ---------- *)
+
+(* Clauses are mostly short: insertion sort below the cutoff, heap sort
+   above it.  Both compare unboxed ints in place and allocate nothing. *)
+let insertion_sort (a : lit array) n =
+  for i = 1 to n - 1 do
+    let x = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && a.(!j) > x do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
+  done
+
+(* Restores max-heap order in [a.(0 .. n - 1)] below slot [i]. *)
+let rec sift (a : lit array) n i =
+  let l = (2 * i) + 1 in
+  if l < n then begin
+    let c = if l + 1 < n && a.(l + 1) > a.(l) then l + 1 else l in
+    if a.(c) > a.(i) then begin
+      let x = a.(i) in
+      a.(i) <- a.(c);
+      a.(c) <- x;
+      sift a n c
+    end
+  end
+
+let sort_lits (a : lit array) =
+  let n = Array.length a in
+  if n <= 16 then insertion_sort a n
+  else begin
+    for i = (n / 2) - 1 downto 0 do
+      sift a n i
+    done;
+    for last = n - 1 downto 1 do
+      let x = a.(0) in
+      a.(0) <- a.(last);
+      a.(last) <- x;
+      sift a last 0
+    done
+  end

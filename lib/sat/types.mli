@@ -47,3 +47,7 @@ val pp_value : Format.formatter -> value -> unit
 
 val pp_clause : Format.formatter -> lit array -> unit
 (** Prints a clause as a disjunction of DIMACS literals, e.g. [(1 | -3 | 4)]. *)
+
+val sort_lits : lit array -> unit
+(** Sorts the array in place into ascending order, allocating nothing.
+    Duplicates are kept. *)

@@ -11,46 +11,68 @@ type t = {
 
 let create () = { table = Hashtbl.create 16; hits = 0; stores = 0 }
 
-(* Lexicographic order on sorted clauses, a proper prefix first: the order
-   the key has always been defined by, so existing keys stay valid. *)
-let compare_clauses (a : int array) (b : int array) =
-  let la = Array.length a and lb = Array.length b in
-  let rec from k =
-    if k = la || k = lb then Int.compare la lb
-    else match Int.compare a.(k) b.(k) with 0 -> from (k + 1) | c -> c
-  in
-  from 0
+(* Writes clause [c] at [flat.(at)] as its DIMACS literals in ascending
+   order.  A Cnf clause is strictly increasing in the internal encoding,
+   where variable [v] is [2v] and [-v] is [2v + 1]: the DIMACS order is its
+   negative literals by descending variable, then its positive ones by
+   ascending variable. *)
+let put_dimacs flat at (c : Sat.Types.lit array) =
+  let j = ref at in
+  for k = Array.length c - 1 downto 0 do
+    if not (Sat.Types.is_pos c.(k)) then begin
+      flat.(!j) <- Sat.Types.to_int c.(k);
+      incr j
+    end
+  done;
+  for k = 0 to Array.length c - 1 do
+    if Sat.Types.is_pos c.(k) then begin
+      flat.(!j) <- Sat.Types.to_int c.(k);
+      incr j
+    end
+  done
+
+(* Lexicographic order on the clauses [flat.(i .. ei - 1)] and
+   [flat.(j .. ej - 1)], a proper prefix first: the order the key has
+   always been defined by, so existing keys stay valid. *)
+let rec compare_from (flat : int array) i ei j ej =
+  if i = ei || j = ej then Int.compare (ei - i) (ej - j)
+  else if flat.(i) < flat.(j) then -1
+  else if flat.(i) > flat.(j) then 1
+  else compare_from flat (i + 1) ei (j + 1) ej
+
+let compare_clauses flat off a b = compare_from flat off.(a) off.(a + 1) off.(b) off.(b + 1)
 
 (* Canonical form: each clause as its sorted DIMACS literals (Cnf
    normalisation already removed duplicate literals), the clause list
    itself sorted and deduplicated.  The formula's identity is exactly
    this set-of-sets plus the variable count, streamed as
-   "p <nvars>;" then "<lit> <lit> ... ;" per clause.  Merge sort only
-   because it compares less than heap sort; any sort gives the same key. *)
+   "p <nvars>;" then "<lit> <lit> ... ;" per clause.  The clauses sit in
+   one flat array, clause [k] at [off.(k) .. off.(k + 1) - 1], and only
+   their indices are sorted.  Merge sort only because it compares less
+   than heap sort; any sort gives the same key. *)
 let digest cnf =
-  let clauses =
-    Array.of_list (Sat.Cnf.clauses cnf)
-    |> Array.map (fun c ->
-           let ints = Array.map Sat.Types.to_int c in
-           Array.stable_sort Int.compare ints;
-           ints)
-  in
-  Array.stable_sort compare_clauses clauses;
+  let clauses = Sat.Cnf.clauses cnf in
+  let n = List.length clauses in
+  let off = Array.make (n + 1) 0 in
+  List.iteri (fun k c -> off.(k + 1) <- off.(k) + Array.length c) clauses;
+  let flat = Array.make off.(n) 0 in
+  List.iteri (fun k c -> put_dimacs flat off.(k) c) clauses;
+  let order = Array.init n Fun.id in
+  Array.stable_sort (compare_clauses flat off) order;
   let h = Integrity.hasher () in
   Integrity.add_string h "p ";
   Integrity.add_int h (Sat.Cnf.nvars cnf);
   Integrity.add_char h ';';
-  Array.iteri
-    (fun k c ->
-      if k = 0 || compare_clauses clauses.(k - 1) c <> 0 then begin
-        Array.iter
-          (fun l ->
-            Integrity.add_int h l;
-            Integrity.add_char h ' ')
-          c;
-        Integrity.add_char h ';'
-      end)
-    clauses;
+  for k = 0 to n - 1 do
+    let c = order.(k) in
+    if k = 0 || compare_clauses flat off order.(k - 1) c <> 0 then begin
+      for p = off.(c) to off.(c + 1) - 1 do
+        Integrity.add_int h flat.(p);
+        Integrity.add_char h ' '
+      done;
+      Integrity.add_char h ';'
+    end
+  done;
   Printf.sprintf "%x-%x" (Integrity.fnv1a_of h) (Integrity.crc32_of h)
 
 let find t ~digest ~cnf =

@@ -128,7 +128,7 @@ let test_subproblem_capture () =
    than ship a subproblem that could yield a false model. *)
 let test_subproblem_capture_refuted () =
   let cnf = Cnf.make ~nvars:3 [ [ 1; 2 ]; [ 2; 3 ]; [ -3; 1 ] ] in
-  let solver = Solver.create_with_roots cnf [ T.neg 1; T.neg 2 ] in
+  let solver = Solver.create_with_roots ~nvars:3 (Cnf.clauses cnf) [ T.neg 1; T.neg 2 ] in
   check bool "refuted during set-up" false (Solver.is_ok solver);
   Alcotest.check_raises "capture raises" (Invalid_argument "Subproblem.capture: refuted solver")
     (fun () -> ignore (Sub.capture solver))
@@ -186,6 +186,129 @@ let prop_prune_never_grows =
       let sp = Sub.initial cnf in
       let sp = { sp with Sub.facts = (if Cnf.nvars cnf >= 1 then [ T.neg 1 ] else []) } in
       Sub.bytes (Sub.prune sp) <= Sub.bytes sp)
+
+(* ---------- subproblem hand-off ---------- *)
+
+(* A formula with some search in it — random 3-SAT at the threshold,
+   planted 4-SAT or a Tseitin parity formula — a propagation budget and a
+   seed; odd seeds run with a tight learned-clause cap, so that the
+   donor's database also holds deleted and strengthened clauses. *)
+let handoff_gen =
+  let open QCheck.Gen in
+  int_bound 1000 >>= fun seed ->
+  oneof
+    [
+      map (fun nvars -> Workloads.Random_sat.instance ~nvars ~ratio:4.26 ~seed ()) (int_range 50 90);
+      map
+        (fun nvars -> Workloads.Random_sat.planted ~k:4 ~nvars ~ratio:9.9 ~seed ())
+        (int_range 40 70);
+      map
+        (fun half -> Workloads.Tseitin.instance ~nvertices:(2 * half) ~degree:3 ~charge:`Odd ~seed)
+        (int_range 6 10);
+    ]
+  >>= fun cnf -> int_range 20 3000 >|= fun budget -> (cnf, budget, seed)
+
+let handoff_print (cnf, budget, seed) =
+  Printf.sprintf "budget %d seed %d\n%s" budget seed (Sat.Dimacs.to_string cnf)
+
+let handoff_config seed =
+  let base = { Solver.default_config with Solver.seed } in
+  if seed mod 2 = 0 then base else { base with Solver.learned_cap_factor = 0.05; learned_cap_min = 20 }
+
+(* The solver after the budget, if it left the search open at a decision
+   level above the root. *)
+let mid_search (cnf, budget, seed) =
+  let s = Solver.create ~config:(handoff_config seed) cnf in
+  match Solver.run s ~budget with
+  | Solver.Budget_exhausted when Solver.decision_level s > 0 -> Some s
+  | _ -> None
+
+let same_subproblem (a : Sub.t) (b : Sub.t) =
+  a.Sub.nvars = b.Sub.nvars
+  && a.Sub.facts = b.Sub.facts
+  && a.Sub.path = b.Sub.path
+  && List.map Array.to_list a.Sub.clauses = List.map Array.to_list b.Sub.clauses
+  && Sub.to_string a = Sub.to_string b
+
+let prop_split_from_is_pruned_split =
+  QCheck.Test.make ~name:"split_from equals prune of the pre-split active clauses" ~count:150
+    (QCheck.make ~print:handoff_print handoff_gen) (fun case ->
+      match (mid_search case, mid_search case) with
+      | Some reference, Some s ->
+          let clauses = Solver.active_clauses reference in
+          let expected =
+            Option.map
+              (fun (facts, path) ->
+                Sub.prune { Sub.nvars = Solver.nvars reference; facts; path; clauses })
+              (Solver.split reference)
+          in
+          let got = Sub.split_from s in
+          Solver.root_lits reference = Solver.root_lits s
+          &&
+          (match (expected, got) with
+          | Some e, Some g -> same_subproblem e g
+          | None, None -> true
+          | _ -> false)
+      | None, None -> true
+      | _ -> false)
+
+(* The solver a subproblem used to be installed through: a formula built
+   from its clauses, whose normalised clauses then go to the solver. *)
+let cnf_path_solver ~config (sp : Sub.t) =
+  Solver.create_with_roots ~config ~facts:sp.Sub.facts ~nvars:sp.Sub.nvars
+    (Cnf.clauses (Cnf.of_lit_arrays ~nvars:sp.Sub.nvars sp.Sub.clauses))
+    sp.Sub.path
+
+let counters s = { (Solver.stats s) with Sat.Stats.bcp_seconds = 0.; total_seconds = 0. }
+
+(* Literals reversed, the first one repeated, and a tautology added:
+   normalisation must sort, drop duplicates and drop a clause that the RNG
+   seed must not count. *)
+let scrambled (sp : Sub.t) =
+  let scramble c =
+    let r = Array.of_list (List.rev (Array.to_list c)) in
+    if Array.length r = 0 then r else Array.append r [| r.(0) |]
+  in
+  let tautology = if sp.Sub.nvars >= 1 then [ [| T.pos 1; T.neg 1 |] ] else [] in
+  { sp with Sub.clauses = tautology @ List.map scramble sp.Sub.clauses }
+
+let prop_to_solver_matches_cnf_path =
+  QCheck.Test.make ~name:"to_solver runs like a solver built from a formula" ~count:150
+    (QCheck.make ~print:handoff_print handoff_gen) (fun ((_, budget, seed) as case) ->
+      match mid_search case with
+      | None -> true
+      | Some s ->
+          let config = handoff_config seed in
+          let captured = Sub.capture s in
+          let branch = Option.get (Sub.split_from s) in
+          List.for_all
+            (fun sp ->
+              let a = Sub.to_solver ~config sp and b = cnf_path_solver ~config sp in
+              let oa = Solver.run a ~budget and ob = Solver.run b ~budget in
+              let kind = function Solver.Sat _ -> 0 | Unsat -> 1 | Budget_exhausted -> 2 | Mem_pressure -> 3 in
+              kind oa = kind ob
+              && counters a = counters b
+              && Solver.root_lits a = Solver.root_lits b
+              && ((not (Solver.is_ok a)) || same_subproblem (Sub.capture a) (Sub.capture b)))
+            [ captured; branch; scrambled captured; scrambled branch ])
+
+(* A received subproblem's arrays are also the master's in-flight copy,
+   the receiver's origin and maybe a heavy checkpoint: installing and
+   searching must leave them as they arrived. *)
+let test_to_solver_leaves_clauses_alone () =
+  let cnf = php ~pigeons:6 ~holes:5 in
+  let donor = Solver.create cnf in
+  ignore (Solver.run donor ~budget:500);
+  let branch = Option.get (Sub.split_from donor) in
+  List.iter
+    (fun (what, (sp : Sub.t)) ->
+      let before = List.map Array.to_list sp.Sub.clauses in
+      let s = Sub.to_solver ~config:Solver.default_config sp in
+      ignore (Solver.run s ~budget:20_000);
+      check bool (what ^ ": search ran") true ((Solver.stats s).Sat.Stats.conflicts > 0);
+      check bool (what ^ ": clause arrays unchanged") true
+        (List.map Array.to_list sp.Sub.clauses = before))
+    [ ("initial", Sub.initial cnf); ("split branch", branch) ]
 
 (* ---------- Scheduler ---------- *)
 
@@ -1104,6 +1227,8 @@ let () =
           Alcotest.test_case "split roundtrip" `Quick test_subproblem_split_roundtrip;
           Alcotest.test_case "capture" `Quick test_subproblem_capture;
           Alcotest.test_case "capture of a refuted solver" `Quick test_subproblem_capture_refuted;
+          Alcotest.test_case "to_solver leaves clauses alone" `Quick
+            test_to_solver_leaves_clauses_alone;
         ] );
       ( "scheduler",
         [
@@ -1190,5 +1315,6 @@ let () =
               prop_prune_never_grows;
               prop_subproblem_wire_roundtrip;
             ] );
+      ("hand-off", qsuite [ prop_split_from_is_pruned_split; prop_to_solver_matches_cnf_path ]);
       ("baseline", [ Alcotest.test_case "outcomes" `Slow test_baseline_outcomes ]);
     ]

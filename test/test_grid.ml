@@ -589,7 +589,7 @@ let prop_heap_random_updates =
               if !next > 1 then begin
                 let v = 1 + (i mod (!next - 1)) in
                 score.(v) <- score.(v) +. float_of_int (i + 1);
-                Sat.Heap.update h v
+                Sat.Heap.increase h v
               end
           | _ ->
               if not (Sat.Heap.is_empty h) then begin

@@ -173,6 +173,42 @@ module Ref = struct
       clauses;
     let s = Buffer.contents buf in
     Printf.sprintf "%x-%x" (fnv1a s) (crc32 s)
+
+  (* The streamed key as first written: every clause copied, converted to
+     DIMACS and sorted, the clause arrays then sorted themselves. *)
+  let compare_clauses (a : int array) (b : int array) =
+    let la = Array.length a and lb = Array.length b in
+    let rec from k =
+      if k = la || k = lb then Int.compare la lb
+      else match Int.compare a.(k) b.(k) with 0 -> from (k + 1) | c -> c
+    in
+    from 0
+
+  let cache_digest_streamed cnf =
+    let clauses =
+      Array.of_list (Sat.Cnf.clauses cnf)
+      |> Array.map (fun c ->
+             let ints = Array.map Sat.Types.to_int c in
+             Array.stable_sort Int.compare ints;
+             ints)
+    in
+    Array.stable_sort compare_clauses clauses;
+    let h = I.hasher () in
+    I.add_string h "p ";
+    I.add_int h (Sat.Cnf.nvars cnf);
+    I.add_char h ';';
+    Array.iteri
+      (fun k c ->
+        if k = 0 || compare_clauses clauses.(k - 1) c <> 0 then begin
+          Array.iter
+            (fun l ->
+              I.add_int h l;
+              I.add_char h ' ')
+            c;
+          I.add_char h ';'
+        end)
+      clauses;
+    Printf.sprintf "%x-%x" (I.fnv1a_of h) (I.crc32_of h)
 end
 
 (* ---------- known answers ---------- *)
@@ -366,6 +402,21 @@ let prop_cache_digest =
     (QCheck.make gen_cache_cnf)
     (fun cnf -> Gridsat_service.Cache.digest cnf = Ref.cache_digest cnf)
 
+(* Bigger formulas too: long clauses (heap-sorted by Cnf), wide
+   variable ranges (multi-digit DIMACS ints), and many clauses sharing
+   prefixes. *)
+let gen_cache_cnf_wide =
+  let open QCheck.Gen in
+  int_range 1 400 >>= fun nv ->
+  let lit = map2 (fun v s -> if s then v else -v) (int_range 1 nv) bool in
+  list_size (int_bound 60) (list_size (int_range 1 30) lit) >|= fun clauses ->
+  Cnf.make ~nvars:nv clauses
+
+let prop_cache_digest_streamed =
+  QCheck.Test.make ~name:"Cache.digest equals the sort-every-clause key" ~count:500
+    (QCheck.make (QCheck.Gen.oneof [ gen_cache_cnf; gen_cache_cnf_wide ]))
+    (fun cnf -> Gridsat_service.Cache.digest cnf = Ref.cache_digest_streamed cnf)
+
 (* ---------- journal record text ---------- *)
 
 let test_journal_entry_text () =
@@ -412,6 +463,12 @@ let () =
         ]
         @ qsuite [ prop_hasher_streams_concatenation ] );
       ( "streamed digests",
-        qsuite [ prop_protocol_digest; prop_subproblem_text_and_seal; prop_cache_digest ] );
+        qsuite
+          [
+            prop_protocol_digest;
+            prop_subproblem_text_and_seal;
+            prop_cache_digest;
+            prop_cache_digest_streamed;
+          ] );
       ("journal", [ Alcotest.test_case "record text" `Quick test_journal_entry_text ]);
     ]

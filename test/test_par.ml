@@ -23,6 +23,9 @@ let php ~pigeons ~holes =
   in
   Cnf.make ~nvars:(pigeons * holes) (at_least @ at_most)
 
+(* A worker splits while fewer problems are outstanding than there are
+   domains, whether or not the other domains have started yet, so the
+   first worker's first open slice always splits. *)
 let test_par_unsat () =
   let outcome, stats = Par.solve ~num_domains:3 ~slice_budget:2_000 (php ~pigeons:7 ~holes:6) in
   check bool "unsat" true (outcome = Par.Unsat);

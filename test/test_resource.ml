@@ -217,33 +217,48 @@ let test_joblog_quota_degraded_cycle () =
 (* Inject the same (sound: it comes from the original CNF) clause twice
    from a busy client.  The master relays both batches; every receiving
    client must enqueue the clause once and suppress the copy. *)
+let dup_cnf = Workloads.Php.instance ~pigeons:7 ~holes:6
+
+let dup_clause =
+  List.fold_left
+    (fun best c -> if Array.length c < Array.length best then c else best)
+    (List.hd (Sat.Cnf.clauses dup_cnf))
+    (Sat.Cnf.clauses dup_cnf)
+
+let solve_injecting first second =
+  solve
+    ~on_master:(fun m ->
+      (* wait until at least two clients are busy, so the relays have a
+         recipient that is actually solving *)
+      let rec arm () =
+        C.Master.schedule m ~delay:2. (fun () ->
+            match C.Master.busy_client_ids m with
+            | c :: _ :: _ ->
+                C.Master.inject m ~src:c (C.Protocol.Shares { clauses = [ first ] });
+                C.Master.inject m ~src:c (C.Protocol.Shares { clauses = [ second ] })
+            | _ -> arm ())
+      in
+      arm ())
+    dup_cnf
+
 let test_share_dup_suppressed () =
-  let cnf = Workloads.Php.instance ~pigeons:7 ~holes:6 in
-  let clause =
-    List.fold_left
-      (fun best c -> if Array.length c < Array.length best then c else best)
-      (List.hd (Sat.Cnf.clauses cnf))
-      (Sat.Cnf.clauses cnf)
-  in
-  let r =
-    solve
-      ~on_master:(fun m ->
-        (* wait until at least two clients are busy, so the relays have a
-           recipient that is actually solving *)
-        let rec arm () =
-          C.Master.schedule m ~delay:2. (fun () ->
-              match C.Master.busy_client_ids m with
-              | c :: _ :: _ ->
-                  C.Master.inject m ~src:c (C.Protocol.Shares { clauses = [ clause ] });
-                  C.Master.inject m ~src:c (C.Protocol.Shares { clauses = [ clause ] })
-              | _ -> arm ())
-        in
-        arm ())
-      cnf
-  in
+  let r = solve_injecting dup_clause dup_clause in
   check Alcotest.string "verdict unharmed by duplicate shares" "UNSAT"
     (answer_kind r.C.Master.answer);
   check bool "duplicates suppressed at ingestion" true (r.C.Master.dup_suppressed > 0)
+
+(* The copy arrives with its literals in another order.  Suppressed, it
+   leaves every solver as the exact copy does, so the whole run — and its
+   suppression count — is the exact-copy run. *)
+let test_share_dup_permuted_suppressed () =
+  let permuted = Array.of_list (List.rev (Array.to_list dup_clause)) in
+  check bool "a real permutation" true (permuted <> dup_clause);
+  let exact = solve_injecting dup_clause dup_clause in
+  let r = solve_injecting dup_clause permuted in
+  check Alcotest.string "verdict" "UNSAT" (answer_kind r.C.Master.answer);
+  check int "suppressed as the exact copy is" exact.C.Master.dup_suppressed
+    r.C.Master.dup_suppressed;
+  check bool "something suppressed" true (r.C.Master.dup_suppressed > 0)
 
 (* ---------- per-link share budgets ---------- *)
 
@@ -386,6 +401,8 @@ let () =
       ( "sharing",
         [
           Alcotest.test_case "duplicate shares suppressed" `Slow test_share_dup_suppressed;
+          Alcotest.test_case "permuted duplicate suppressed" `Slow
+            test_share_dup_permuted_suppressed;
           Alcotest.test_case "budget bounds link bytes" `Slow test_share_budget_bounds_link_bytes;
         ] );
       ( "outbox",

@@ -119,7 +119,7 @@ let test_heap_update () =
   let h = Heap.create ~nvars:5 ~key:score in
   List.iter (Heap.insert h) [ 1; 2; 3; 4; 5 ];
   score.(2) <- 100.;
-  Heap.update h 2;
+  Heap.increase h 2;
   check int "updated var first" 2 (Heap.remove_max h)
 
 let test_heap_duplicate_insert () =
@@ -208,6 +208,46 @@ let test_cnf_normalisation () =
   check int "tautology dropped" 1 (Cnf.dropped_tautologies cnf);
   check int "clauses kept" 2 (Cnf.nclauses cnf);
   check int "duplicate literal removed" 3 (Cnf.nliterals cnf)
+
+let prop_sort_lits =
+  QCheck.Test.make ~name:"sort_lits sorts in place" ~count:300
+    QCheck.(array_of_size (Gen.int_bound 60) (int_range 2 80))
+    (fun a ->
+      let sorted = Array.copy a in
+      T.sort_lits sorted;
+      Array.to_list sorted = List.sort compare (Array.to_list a))
+
+(* The definition [normalise] must meet: the sorted distinct literals,
+   none for a tautology.  Half the inputs arrive already sorted, as
+   formula and subproblem clauses do. *)
+let prop_normalise =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 30 >>= fun nv ->
+      list_size (int_bound 40) (map2 (fun v s -> if s then T.pos v else T.neg v) (int_range 1 nv) bool)
+      >>= fun lits ->
+      bool >|= fun presorted ->
+      (nv, Array.of_list (if presorted then List.sort_uniq compare lits else lits)))
+  in
+  QCheck.Test.make ~name:"Cnf.normalise sorts, dedupes, drops tautologies" ~count:500
+    (QCheck.make gen) (fun (nvars, lits) ->
+      let input = Array.copy lits in
+      let distinct = List.sort_uniq compare (Array.to_list lits) in
+      let expected =
+        if List.exists (fun l -> List.mem (T.negate l) distinct) distinct then None
+        else Some distinct
+      in
+      Option.map Array.to_list (Cnf.normalise ~nvars lits) = expected
+      && lits = input
+      && match Cnf.normalise ~nvars lits with Some c -> lits = [||] || c != lits | None -> true)
+
+let test_normalise_out_of_range () =
+  List.iter
+    (fun (ints, bad) ->
+      Alcotest.check_raises "first bad literal of the input named"
+        (Invalid_argument (Printf.sprintf "Cnf: literal %d out of range (nvars = 3)" bad))
+        (fun () -> ignore (Cnf.normalise ~nvars:3 (Array.of_list (List.map T.lit_of_int ints)))))
+    [ ([ 1; 5; 2 ], 5); ([ 7; -9 ], 7); ([ -9; 7 ], -9); ([ 2; 1; -4 ], -4); ([ 4; 4 ], 4) ]
 
 let test_cnf_empty_clause () =
   let cnf = Cnf.make ~nvars:2 [ []; [ 1 ] ] in
@@ -378,14 +418,14 @@ let test_solver_mem_pressure () =
 
 let test_solver_roots () =
   let cnf = Cnf.make ~nvars:3 [ [ 1; 2 ]; [ -1; 3 ] ] in
-  let s = Solver.create_with_roots cnf [ T.neg 2 ] in
+  let s = Solver.create_with_roots ~nvars:3 (Cnf.clauses cnf) [ T.neg 2 ] in
   (match Solver.solve s with
   | Solver.Sat m ->
       check bool "root respected" false (Model.value m 2);
       check bool "v1 forced" true (Model.value m 1);
       check bool "v3 forced" true (Model.value m 3)
   | _ -> Alcotest.fail "expected sat");
-  let s2 = Solver.create_with_roots cnf [ T.neg 2; T.neg 1 ] in
+  let s2 = Solver.create_with_roots ~nvars:3 (Cnf.clauses cnf) [ T.neg 2; T.neg 1 ] in
   check bool "contradictory roots unsat" true (is_unsat (Solver.solve s2))
 
 let test_solver_restarts_happen () =
@@ -473,9 +513,7 @@ let prop_split_preserves_satisfiability =
       | Some (clauses, facts, path) ->
           (* side A: the mutated original solver; side B: fresh solver on the
              transferred clauses + new roots *)
-          let b =
-            Solver.create_with_roots ~facts (Cnf.of_lit_arrays ~nvars:(Cnf.nvars cnf) clauses) path
-          in
+          let b = Solver.create_with_roots ~facts ~nvars:(Cnf.nvars cnf) clauses path in
           let sat_a = is_sat (Solver.solve s) in
           let sat_b = is_sat (Solver.solve b) in
           (sat_a || sat_b) = expected)
@@ -560,7 +598,7 @@ let prop_shares_from_assumed_solver_globally_valid =
     (fun (cnf, seed) ->
       let path = random_assumptions (Cnf.nvars cnf) seed in
       let config = { Solver.default_config with share_export_max = 100 } in
-      let s = Solver.create_with_roots ~config cnf path in
+      let s = Solver.create_with_roots ~config ~nvars:(Cnf.nvars cnf) (Cnf.clauses cnf) path in
       ignore (Solver.solve s);
       let shares = Solver.drain_shares s ~max_len:100 in
       List.for_all
@@ -587,9 +625,7 @@ let prop_cross_subproblem_sharing_sound =
           let b =
             Solver.create_with_roots
               ~config:{ Solver.default_config with share_export_max = 100 }
-              ~facts
-              (Cnf.of_lit_arrays ~nvars:(Cnf.nvars cnf) clauses)
-              path
+              ~facts ~nvars:(Cnf.nvars cnf) clauses path
           in
           (* run A a bit more so it learns under its committed assumptions,
              then inject its shares into B, and vice versa *)
@@ -1061,8 +1097,9 @@ let () =
           Alcotest.test_case "empty clause" `Quick test_cnf_empty_clause;
           Alcotest.test_case "range check" `Quick test_cnf_out_of_range;
           Alcotest.test_case "eval" `Quick test_cnf_eval;
+          Alcotest.test_case "normalise range check" `Quick test_normalise_out_of_range;
         ]
-        @ qsuite [ prop_cnf_eval_total ] );
+        @ qsuite [ prop_cnf_eval_total; prop_sort_lits; prop_normalise ] );
       ( "dimacs",
         [
           Alcotest.test_case "parse" `Quick test_dimacs_parse;
