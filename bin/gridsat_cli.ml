@@ -390,7 +390,7 @@ let solve_cmd =
       & info [ "standby" ]
           ~doc:
             "grid mode: arm a hot-standby master — journal records ship to a shadow replica that \
-             continuously checks its replay digest against the primary's; if the primary falls \
+             continuously checks its log digest against the primary's; if the primary falls \
              silent past the standby lease, the replica bumps the master epoch and takes the run \
              over without restarting the clients")
   in

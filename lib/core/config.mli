@@ -77,7 +77,7 @@ type t = {
   standby : bool;
       (** hot-standby master replication: the master ships its journal
           records to a shadow replica that continuously verifies its
-          replay digest against the primary's; when the standby's lease
+          log digest against the primary's; when the standby's lease
           on the primary expires it bumps the master epoch and promotes
           itself, reconciling through the normal resync path — clients
           are redirected, not restarted *)

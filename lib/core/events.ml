@@ -139,7 +139,7 @@ let pp_kind ppf = function
       Format.fprintf ppf "standby applied batch #%d (%d entries total, digest %s)" seq applied
         (if ok then "ok" else "MISMATCH")
   | Replication_diverged { seq } ->
-      Format.fprintf ppf "standby replay digest DIVERGED from the primary's at batch #%d" seq
+      Format.fprintf ppf "standby log digest DIVERGED from the primary's at batch #%d" seq
   | Standby_promoted { epoch } ->
       Format.fprintf ppf "standby promoted to primary (epoch %d); resyncing clients" epoch
   | Stale_epoch_rejected { receiver; src; epoch; current } ->

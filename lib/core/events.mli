@@ -78,10 +78,10 @@ type kind =
       (** the primary flushed a journal batch to the hot standby *)
   | Ship_applied of { seq : int; applied : int; ok : bool }
       (** the standby applied batch [seq]; [ok] is the continuous
-          consistency check — its shadow replay digest matched the
+          consistency check — its shadow log digest matched the
           primary's *)
   | Replication_diverged of { seq : int }
-      (** the standby's shadow replay digest did not match the primary's
+      (** the standby's shadow log digest did not match the primary's
           at batch [seq] — replication is unsound (should never happen) *)
   | Standby_promoted of { epoch : int }
       (** the standby's lease on the primary expired: it bumped the master

@@ -203,6 +203,10 @@ type t = {
   mutable forced_compactions : int;
   mutable degraded : bool;
   mutable degraded_entries : int;
+  mutable log_fnv : int;
+  mutable log_crc : int;
+      (* two lanes of the rolling log digest, chained over every entry
+         ever appended: see [chain] *)
   obs : Obs.t;
   obs_on : bool;
   c_appends : Obs.Metrics.counter;
@@ -231,6 +235,8 @@ let create ?(obs = Obs.disabled) ?(quota = 0) ~compact_every () =
     forced_compactions = 0;
     degraded = false;
     degraded_entries = 0;
+    log_fnv = 0;
+    log_crc = 0;
     obs;
     obs_on = Obs.enabled obs;
     c_appends = Obs.Metrics.counter m "journal.appends";
@@ -242,6 +248,15 @@ let create ?(obs = Obs.disabled) ?(quota = 0) ~compact_every () =
   }
 
 let seal e = Integrity.crc32_of (Integrity.hash emit_entry e)
+
+(* One step of the rolling log digest: fold a word into a lane with an
+   FNV-style multiply and an xorshift, so every lane bit depends on the
+   word and on everything chained before it. *)
+let mix lane w =
+  let h = (lane lxor w) * 0x100000001b3 in
+  h lxor (h lsr 29)
+
+let chain lane ~pos d = mix (mix lane pos) d
 
 (* Drop pending records whose seal no longer matches their content (torn
    or rotted at rest).  Each bad record is counted once: it disappears
@@ -298,11 +313,18 @@ let enforce_quota t =
   end
   else if t.degraded && not (over_quota t) then t.degraded <- false
 
+(* The hash pass that seals the record also advances the log digest: its
+   FNV-1a and CRC-32 are each chained, with the entry's position, into
+   one lane. *)
 let append t e =
-  t.pending <- (e, seal e) :: t.pending;
+  let h = Integrity.hash emit_entry e in
+  let crc = Integrity.crc32_of h in
+  t.pending <- (e, crc) :: t.pending;
   t.pending_n <- t.pending_n + 1;
   t.pending_bytes <- t.pending_bytes + Protocol.entry_bytes e;
   t.appended <- t.appended + 1;
+  t.log_fnv <- chain t.log_fnv ~pos:t.appended (Integrity.fnv1a_of h);
+  t.log_crc <- chain t.log_crc ~pos:t.appended crc;
   if t.obs_on then Obs.Metrics.incr t.c_appends;
   let occ = occupancy t in
   if occ > t.bytes_peak then t.bytes_peak <- occ;
@@ -349,6 +371,8 @@ let compactions t = t.compactions
 let records_dropped t = t.records_dropped
 
 let entries_since_snapshot t = t.pending_n
+
+let log_digest t = Printf.sprintf "%016x%016x" t.log_fnv t.log_crc
 
 (* Canonical serialisation: every table is rendered in sorted key order so
    two replays of the same journal digest identically regardless of

@@ -15,7 +15,12 @@
 
     Replay is deterministic: {!digest} renders the replayed state in
     canonical (sorted) order, so two replays of the same journal always
-    produce identical digests. *)
+    produce identical digests.
+
+    Beside the state, the journal keeps a rolling {!log_digest} of the
+    log itself: each {!append} chains the entry's position and the two
+    digests of its sealing pass into it, at O(1) cost.  Journal
+    shipping compares log digests, never replayed state. *)
 
 (** Re-export of {!Protocol.journal_entry}: the constructors are defined
     on the protocol side so a {!Protocol.Ship} message can carry entries
@@ -90,6 +95,16 @@ val digest : state -> string
 
 val appended : t -> int
 (** Total entries ever appended. *)
+
+val log_digest : t -> string
+(** Rolling digest of every entry ever appended, in order: 32 hex
+    characters, O(1) to read.  Two journals fed the same entries in the
+    same order have equal log digests; dropping, reordering or altering
+    an entry changes it.  Entries that leave the replayed state
+    unchanged ([Granted], [Suspected]) count too.  It is taken at append
+    time, so at-rest rot of the records ({!corrupt_tail}) does not move
+    it: that surfaces where the log is read, in {!replay} or a
+    compaction. *)
 
 val set_quota : t -> quota:int -> unit
 (** Change the disk quota (0 lifts it).  Tightening below the current

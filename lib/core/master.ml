@@ -256,11 +256,11 @@ let send t ~dst msg =
   if Protocol.critical msg then Reliable.send (reliable t) ~dst msg else send_raw t ~dst msg
 
 (* Flush the pending journal entries to the standby.  The shipped digest
-   is the primary's replay digest *after* this batch: every flush drains
-   the whole buffer, so the standby's shadow journal — the shipped prefix
-   — must render to exactly this digest once it applies the batch.  An
-   empty flush still goes out: the shipment stream is the standby's
-   liveness signal, so an idle primary must keep ticking it. *)
+   is the primary's log digest *after* this batch: every flush drains the
+   whole buffer, so the standby's shadow journal — the shipped prefix —
+   must reach exactly this digest once it applies the batch.  An empty
+   flush still goes out: the shipment stream is the standby's liveness
+   signal, so an idle primary must keep ticking it. *)
 let ship_flush t =
   match t.replica with
   | Some _ when (not t.down) && (not t.promoted) && not t.finished ->
@@ -268,10 +268,10 @@ let ship_flush t =
       t.ship_buffer <- [];
       let seq = t.shipped_seq in
       t.shipped_seq <- seq + List.length entries;
-      let state_digest = Journal.digest (Journal.replay t.journal) in
+      let log_digest = Journal.log_digest t.journal in
       log t (Events.Journal_shipped { seq; entries = List.length entries });
       if t.obs_on then Obs.Metrics.incr t.c_ships;
-      send t ~dst:Replica.standby_id (Protocol.Ship { seq; entries; state_digest })
+      send t ~dst:Replica.standby_id (Protocol.Ship { seq; entries; log_digest })
   | _ -> ()
 
 let rec ship_loop t =
@@ -1592,7 +1592,7 @@ let spawn_ghost t ~epoch =
          standby.  The promoted master's stale-epoch rejection of that
          batch is the observable proof of succession, and the
          [Epoch_notice] it answers with is what fences the ghost. *)
-      ghost_send ~dst:Replica.standby_id (Protocol.Ship { seq = 0; entries = []; state_digest = "" });
+      ghost_send ~dst:Replica.standby_id (Protocol.Ship { seq = 0; entries = []; log_digest = "" });
       ignore (Grid.Sim.schedule t.sim ~delay:t.cfg.Config.heartbeat_period haunt)
     end
   in

@@ -78,8 +78,8 @@ type result = {
           the highest one the receiver had seen — a superseded primary's
           traffic after a partition heal or zombie restart *)
   replication_divergences : int;
-      (** standby shadow-replay digests that failed to match the
-          primary's shipped digest — must be 0 in any sound run *)
+      (** standby shadow-log digests that failed to match the primary's
+          shipped log digest — must be 0 in any sound run *)
   shares_shed : int;
       (** clause relays refused because a recipient link's share-budget
           window was exhausted (0 without a budget) *)
@@ -236,7 +236,7 @@ val promoted : t -> bool
 
 val replica : t -> Replica.t option
 (** The hot-standby replica, when the config enables [standby] (for
-    tests: applied counts, divergences, shadow digests). *)
+    tests: applied counts, divergences, the shadow journal). *)
 
 val events_so_far : t -> Events.t list
 

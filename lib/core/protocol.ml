@@ -49,7 +49,7 @@ type msg =
   | Resync of { pid : pid option; path : Sat.Types.lit list; busy_since : float }
   | Stop
   | Heartbeat of { decisions : int }
-  | Ship of { seq : int; entries : journal_entry list; state_digest : string }
+  | Ship of { seq : int; entries : journal_entry list; log_digest : string }
   | Ship_ack of { seq : int; applied : int; ok : bool }
   | Epoch_notice
   | Ack of { mid : int }
@@ -85,9 +85,9 @@ let rec size = function
       control_bytes + (8 * (List.length path + List.length donor_path))
   | Finished_unsat { proof; _ } ->
       control_bytes + (match proof with None -> 0 | Some p -> String.length p)
-  | Ship { entries; state_digest; _ } ->
+  | Ship { entries; log_digest; _ } ->
       control_bytes
-      + String.length state_digest
+      + String.length log_digest
       + List.fold_left (fun acc e -> acc + entry_bytes e) 0 entries
   | Register | Split_request _ | Split_partner _ | Split_failed | Migrate_to _ | Cancel _
   | Resync_request | Stop | Heartbeat _ | Ship_ack _ | Epoch_notice | Ack _ | Nack _
@@ -250,10 +250,10 @@ let rec emit sink = function
   | Heartbeat { decisions } ->
       s sink "hb ";
       i sink decisions
-  | Ship { seq; entries; state_digest } ->
+  | Ship { seq; entries; log_digest } ->
       s sink "ship ";
       int_sp sink seq;
-      s sink state_digest;
+      s sink log_digest;
       s sink " ";
       List.iter
         (fun e ->

@@ -99,19 +99,19 @@ type msg =
           client's cumulative solver decision count so the master's health
           model can derive a progress rate: a straggler that heartbeats on
           time but decides slowly is visible here and nowhere else. *)
-  | Ship of { seq : int; entries : journal_entry list; state_digest : string }
+  | Ship of { seq : int; entries : journal_entry list; log_digest : string }
       (** primary master -> hot standby: journal records appended since the
           last shipment, numbered by the batch's first entry index [seq],
-          plus the primary's deterministic replay digest after the batch —
-          the standby applies the entries to its shadow journal and checks
-          its own replay digest against [state_digest] (continuous
+          plus the primary's rolling {!Journal.log_digest} after the batch
+          — the standby applies the entries to its shadow journal and
+          checks its own log digest against [log_digest] (continuous
           consistency verification).  Critical: rides the reliable
           channel. *)
   | Ship_ack of { seq : int; applied : int; ok : bool }
       (** standby -> primary: batch [seq] applied; [applied] is the
           standby's total applied-entry count (the primary derives the
           replication-lag gauge from it) and [ok] reports whether the
-          shadow replay digest matched *)
+          shadow log digest matched *)
   | Epoch_notice
       (** receiver -> stale sender: your frame carried an epoch below
           mine.  Tells a fenced zombie primary that it has been superseded

@@ -1,7 +1,7 @@
 (* Hot-standby master replica: consumes the primary's journal shipments,
-   maintains a shadow journal whose replay digest must match the
-   primary's, and promotes itself (via a callback into Master) when its
-   lease on the primary expires. *)
+   maintains a shadow journal whose log digest must match the primary's,
+   and promotes itself (via a callback into Master) when its lease on the
+   primary expires. *)
 
 let standby_id = -1
 
@@ -41,8 +41,6 @@ let epoch t = t.epoch
 
 let promoted t = t.promoted
 
-let digest t = Journal.digest (Journal.replay t.journal)
-
 let mark_promoted t = t.promoted <- true
 
 let stop t = t.stopped <- true
@@ -62,18 +60,18 @@ let send_ack t ~dst ~seq ~ok =
    touching the shadow journal.  Batches starting above it are buffered
    until the gap fills — the shadow journal must stay a strict prefix of
    the primary's or the digests are meaningless. *)
-let rec apply_batch t ~src ~seq ~entries ~state_digest =
+let rec apply_batch t ~src ~seq ~entries ~log_digest =
   if seq < t.applied_entries then send_ack t ~dst:src ~seq ~ok:true
   else if seq > t.applied_entries then
-    Hashtbl.replace t.pending seq (entries, state_digest)
+    Hashtbl.replace t.pending seq (entries, log_digest)
   else begin
     List.iter (Journal.append t.journal) entries;
     t.applied_entries <- t.applied_entries + List.length entries;
     t.batches <- t.batches + 1;
     if t.obs_on then Obs.Metrics.incr t.c_ships;
-    (* the continuous consistency check: our shadow replay must render to
-       the exact digest the primary computed when it flushed this batch *)
-    let ok = String.equal (digest t) state_digest in
+    (* the continuous consistency check: our shadow log must chain to the
+       exact digest the primary's log had when it flushed this batch *)
+    let ok = String.equal (Journal.log_digest t.journal) log_digest in
     if not ok then begin
       t.divergences <- t.divergences + 1;
       if t.obs_on then Obs.Metrics.incr t.c_divergences;
@@ -82,10 +80,10 @@ let rec apply_batch t ~src ~seq ~entries ~state_digest =
     t.log (Events.Ship_applied { seq; applied = t.applied_entries; ok });
     send_ack t ~dst:src ~seq ~ok;
     match Hashtbl.find_opt t.pending t.applied_entries with
-    | Some (entries, state_digest) ->
+    | Some (entries, log_digest) ->
         let seq = t.applied_entries in
         Hashtbl.remove t.pending seq;
-        apply_batch t ~src ~seq ~entries ~state_digest
+        apply_batch t ~src ~seq ~entries ~log_digest
     | None -> ()
   end
 
@@ -98,7 +96,7 @@ let admit t ~src ~mid =
 
 let handle_payload t ~src msg =
   match msg with
-  | Protocol.Ship { seq; entries; state_digest } -> apply_batch t ~src ~seq ~entries ~state_digest
+  | Protocol.Ship { seq; entries; log_digest } -> apply_batch t ~src ~seq ~entries ~log_digest
   | _ ->
       (* the primary only ever ships; anything else is noise (e.g. a
          client probing a stale address) and carries no standby meaning *)

@@ -5,10 +5,14 @@
     out-of-order arrivals (network reordering, retransmissions racing a
     late original) are buffered and drained once the gap fills, so the
     shadow journal is always a prefix of the primary's.  After every
-    applied batch the standby replays its shadow journal and compares the
-    digest against the [state_digest] the primary computed at flush time:
-    a mismatch is a {!Events.Replication_diverged} — replication is
-    unsound and the run's tests treat it as fatal.
+    applied batch the standby compares its shadow journal's
+    {!Journal.log_digest} against the [log_digest] the primary read at
+    flush time, an O(1) check however long the run.  A match proves the
+    shadow holds exactly the entries the primary wrote, in order.  A
+    mismatch is a {!Events.Replication_diverged}: replication is unsound
+    and the run's tests treat it as fatal.  At-rest rot of the primary's
+    own journal is not a divergence (the standby still holds the lost
+    records); it surfaces where the primary reads its storage.
 
     The shipment stream doubles as the standby's liveness signal: the
     primary flushes on [ship_interval] even when the batch is empty.
@@ -61,9 +65,6 @@ val batches : t -> int
 
 val divergences : t -> int
 (** Digest mismatches observed — must be zero in any sound run. *)
-
-val digest : t -> string
-(** Replay digest of the shadow journal right now. *)
 
 val epoch : t -> int
 (** Highest master epoch this replica has seen. *)

@@ -119,7 +119,7 @@ let to_string t = Integrity.render emit t
 
 let of_string text =
   let lines = String.split_on_char '\n' text |> List.filter (fun l -> String.trim l <> "") in
-  let parse_ints body =
+  let parse_ints nvars body =
     let ints =
       String.split_on_char ' ' body
       |> List.filter (fun s -> s <> "")
@@ -129,7 +129,14 @@ let of_string text =
              | None -> failwith ("Subproblem.of_string: not an integer: " ^ s))
     in
     match List.rev ints with
-    | 0 :: rev -> List.rev_map T.lit_of_int rev
+    | 0 :: rev ->
+        List.rev_map
+          (fun i ->
+            if i = 0 then failwith "Subproblem.of_string: 0 inside a line";
+            if i > nvars || i < -nvars then
+              failwith (Printf.sprintf "Subproblem.of_string: literal %d out of range" i);
+            T.lit_of_int i)
+          rev
     | _ -> failwith "Subproblem.of_string: line not terminated by 0"
   in
   match lines with
@@ -141,6 +148,7 @@ let of_string text =
             | Some n when n >= 0 -> n
             | _ -> failwith "Subproblem.of_string: bad variable count"
           in
+          let parse_ints = parse_ints nvars in
           let facts = ref [] and path = ref [] and clauses = ref [] in
           List.iter
             (fun line ->

@@ -47,8 +47,8 @@ let clauses_of_tokens nvars tokens =
       current := []
     end
     else begin
-      let v = abs i in
-      if v > nvars then fail "literal %d exceeds declared variable count %d" i nvars;
+      (* not [abs i > nvars]: [abs min_int] is negative *)
+      if i > nvars || i < -nvars then fail "literal %d exceeds declared variable count %d" i nvars;
       current := i :: !current
     end
   in

@@ -807,9 +807,171 @@ let test_failover_empty_shadow () =
         (has_event (function C.Events.Master_restarted -> true | _ -> false) r))
     [ ("crash before first assignment", 0.5); ("crash right after first assignment", 1.4) ]
 
+(* At-rest rot of the primary's journal is not a replication divergence:
+   the standby still holds the rotted records, and the log digest both
+   sides compare was taken at append time.  The rot surfaces where the
+   primary reads its own storage, here its next compaction. *)
+let test_failover_storage_rot_no_divergence () =
+  let config = { standby_config with Cfg.journal_compact_every = 8 } in
+  let cnf = Workloads.Php.instance ~pigeons:7 ~holes:6 in
+  let baseline = solve ~config cnf in
+  let plan =
+    [
+      F.Corrupt_storage
+        { at = crash_time baseline.C.Master.time; journal_records = 2; checkpoints = false };
+    ]
+  in
+  let r = solve ~config ~fault_plan:plan cnf in
+  check Alcotest.string "verdict survives journal rot under a standby" "UNSAT"
+    (answer_kind r.C.Master.answer);
+  check bool "storage corruption logged" true
+    (has_event (function C.Events.Storage_corrupted _ -> true | _ -> false) r);
+  check bool "batches shipped" true (r.C.Master.ships > 0);
+  check Alcotest.int "replication never diverged" 0 r.C.Master.replication_divergences;
+  check Alcotest.int "both rotten records dropped at the primary's compaction" 2
+    r.C.Master.journal_records_dropped
+
+(* ---------- replication check, driven directly ---------- *)
+
+(* A bare replication link: a [Replica] on its own simulator and bus, and
+   a stub primary at id 0 that records every [Ship_ack]. *)
+type link = {
+  sim : Grid.Sim.t;
+  bus : C.Protocol.msg Grid.Everyware.t;
+  replica : C.Replica.t;
+  acks : (int * int * bool) list ref;  (* (seq, applied, ok), newest first *)
+  logged : C.Events.kind list ref;  (* newest first *)
+}
+
+let replication_link () =
+  let sim = Grid.Sim.create () in
+  let bus = Grid.Everyware.create sim (Grid.Network.create ()) in
+  let acks = ref [] and logged = ref [] in
+  Grid.Everyware.register bus ~id:0 ~site:"east" ~handler:(fun ~src:_ msg ->
+      match C.Protocol.verify msg with
+      | `Ok (C.Protocol.Ship_ack { seq; applied; ok }) -> acks := (seq, applied, ok) :: !acks
+      | _ -> ());
+  let replica =
+    C.Replica.create ~sim ~bus
+      ~cfg:{ Cfg.default with Cfg.standby_lease = 1e6 }
+      ~log:(fun k -> logged := k :: !logged)
+      ~on_lease_expired:(fun () -> Alcotest.fail "the lease must not expire")
+      ()
+  in
+  { sim; bus; replica; acks; logged }
+
+(* Deliver one batch and let the link settle. *)
+let ship link ~seq ~entries ~log_digest =
+  let msg = C.Protocol.Ship { seq; entries; log_digest } in
+  Grid.Everyware.send link.bus ~src:0 ~dst:C.Replica.standby_id ~bytes:(C.Protocol.size msg) msg;
+  Grid.Sim.run link.sim ~until:(Grid.Sim.now link.sim +. 5.)
+
+(* [Granted] and [Suspected] leave the replayed state unchanged: only a
+   check over the log itself notices them missing. *)
+let shipped_entries =
+  let open C.Journal in
+  [
+    Registered { client = 1 };
+    Assigned { pid = (0, 0); dst = 1; path = [] };
+    Granted { requester = 1; partner = 2 };
+    Split
+      {
+        donor = 1;
+        donor_pid = (0, 0);
+        donor_path = [ Sat.Types.neg 3 ];
+        pid = (1, 1);
+        dst = 2;
+        path = [ Sat.Types.pos 3 ];
+      };
+    Suspected { client = 2 };
+    Refuted { pid = (1, 1) };
+  ]
+
+let log_digest_of entries =
+  let j = C.Journal.create ~compact_every:4 () in
+  List.iter (C.Journal.append j) entries;
+  C.Journal.log_digest j
+
+let count_logged link p = List.length (List.filter p !(link.logged))
+
+let diverged = function C.Events.Replication_diverged _ -> true | _ -> false
+
+let applied_event = function C.Events.Ship_applied _ -> true | _ -> false
+
+let test_replica_matching_batch () =
+  let link = replication_link () in
+  let n = List.length shipped_entries in
+  ship link ~seq:0 ~entries:shipped_entries ~log_digest:(log_digest_of shipped_entries);
+  check (Alcotest.list (Alcotest.triple Alcotest.int Alcotest.int bool)) "acked ok"
+    [ (0, n, true) ] !(link.acks);
+  check Alcotest.int "applied" n (C.Replica.applied link.replica);
+  check Alcotest.int "no divergence" 0 (C.Replica.divergences link.replica);
+  check Alcotest.int "applied event" 1
+    (count_logged link (function C.Events.Ship_applied { ok = true; _ } -> true | _ -> false))
+
+(* The primary wrote [shipped_entries]; the batch the standby receives
+   lost one entry, swapped two or altered a field.  Each must count
+   exactly one divergence, log it and ack [ok = false]. *)
+let test_replica_divergent_batches () =
+  let open C.Journal in
+  let swap = function a :: b :: rest -> b :: a :: rest | l -> l in
+  let alter =
+    List.map (function Granted g -> Granted { g with partner = g.partner + 1 } | e -> e)
+  in
+  let without_grant = List.filter (function Granted _ -> false | _ -> true) shipped_entries in
+  let state_digest_of entries =
+    let j = create ~compact_every:64 () in
+    List.iter (append j) entries;
+    digest (replay j)
+  in
+  check Alcotest.string "dropping the grant leaves the replayed state equal"
+    (state_digest_of shipped_entries) (state_digest_of without_grant);
+  List.iter
+    (fun (label, entries) ->
+      let link = replication_link () in
+      ship link ~seq:0 ~entries ~log_digest:(log_digest_of shipped_entries);
+      check Alcotest.int (label ^ ": one divergence") 1 (C.Replica.divergences link.replica);
+      check Alcotest.int (label ^ ": divergence logged") 1 (count_logged link diverged);
+      check bool (label ^ ": acked not ok") true
+        (match !(link.acks) with [ (0, _, false) ] -> true | _ -> false))
+    [
+      ("dropped", without_grant);
+      ("swapped", swap shipped_entries);
+      ("altered", alter shipped_entries);
+    ]
+
+(* A batch starting below the applied count is a re-delivery: re-acked,
+   never re-applied or re-checked. *)
+let test_replica_redelivery () =
+  let link = replication_link () in
+  let first = List.filteri (fun i _ -> i < 3) shipped_entries in
+  let digest = log_digest_of first in
+  ship link ~seq:0 ~entries:first ~log_digest:digest;
+  ship link ~seq:0 ~entries:first ~log_digest:digest;
+  check Alcotest.int "two acks" 2 (List.length !(link.acks));
+  check bool "both ok" true (List.for_all (fun (_, _, ok) -> ok) !(link.acks));
+  check Alcotest.int "applied once" 3 (C.Replica.applied link.replica);
+  check Alcotest.int "one batch" 1 (C.Replica.batches link.replica);
+  check Alcotest.int "checked once" 1 (count_logged link applied_event)
+
+(* A batch past a gap waits; once the gap fills both apply in order and
+   the later one's digest matches. *)
+let test_replica_out_of_order () =
+  let link = replication_link () in
+  let first = List.filteri (fun i _ -> i < 3) shipped_entries
+  and rest = List.filteri (fun i _ -> i >= 3) shipped_entries in
+  ship link ~seq:3 ~entries:rest ~log_digest:(log_digest_of shipped_entries);
+  check Alcotest.int "buffered: nothing applied" 0 (C.Replica.applied link.replica);
+  check Alcotest.int "buffered: no ack" 0 (List.length !(link.acks));
+  ship link ~seq:0 ~entries:first ~log_digest:(log_digest_of first);
+  check (Alcotest.list (Alcotest.triple Alcotest.int Alcotest.int bool)) "both acked ok, in order"
+    [ (3, 6, true); (0, 3, true) ] !(link.acks);
+  check Alcotest.int "all applied" 6 (C.Replica.applied link.replica);
+  check Alcotest.int "no divergence" 0 (C.Replica.divergences link.replica)
+
 (* Property (satellite): the continuous consistency check never trips.
-   Every acknowledged ship batch compares the standby's shadow replay
-   digest against the primary's journal digest at flush time; under
+   Every acknowledged ship batch compares the standby's shadow log
+   digest against the primary's log digest at flush time; under
    arbitrary seeded loss/duplication plans — the reliable channel's
    retries and receiver-side dedup absorbing the noise — and in either
    shipping mode, the digests must match at every ack. *)
@@ -893,5 +1055,13 @@ let () =
           Alcotest.test_case "dueling masters never double-grant" `Slow
             test_failover_dueling_never_double_grants;
           QCheck_alcotest.to_alcotest prop_shadow_digest_matches;
+          Alcotest.test_case "journal rot is not a divergence" `Slow
+            test_failover_storage_rot_no_divergence;
+          Alcotest.test_case "replica acks a matching batch" `Quick test_replica_matching_batch;
+          Alcotest.test_case "replica flags divergent batches" `Quick
+            test_replica_divergent_batches;
+          Alcotest.test_case "replica re-acks a re-delivery" `Quick test_replica_redelivery;
+          Alcotest.test_case "replica buffers an out-of-order batch" `Quick
+            test_replica_out_of_order;
         ] );
     ]

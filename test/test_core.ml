@@ -162,6 +162,22 @@ let test_subproblem_wire_errors () =
   expect_fail "p wrong 3 1\nf 0\na 0\n1 0\n";
   expect_fail "p subproblem 3 1\nf 0\na 0\n1 2\n"
 
+(* Literals are checked where they are parsed: a 0 inside a line and a
+   variable above the header's count both fail in [of_string], with
+   [Failure], not later in [Types.lit_of_int] or [to_solver]. *)
+let test_subproblem_wire_literal_errors () =
+  let expect_failure text =
+    match Sub.of_string text with
+    | exception Failure _ -> ()
+    | exception e -> Alcotest.failf "expected Failure, got %s" (Printexc.to_string e)
+    | _ -> Alcotest.fail "expected Failure"
+  in
+  expect_failure "p subproblem 3 1\nf 0\na 0\n1 0 2 0\n";
+  expect_failure "p subproblem 3 1\nf 1 0 0\na 0\n1 0\n";
+  expect_failure "p subproblem 3 1\nf 0\na 0\n1 -4 0\n";
+  expect_failure "p subproblem 3 1\nf 0\na 4 0\n1 0\n";
+  expect_failure (Printf.sprintf "p subproblem 3 1\nf 0\na 0\n%d 0\n" min_int)
+
 let prop_prune_idempotent =
   QCheck.Test.make ~name:"subproblem pruning is idempotent" ~count:100
     (QCheck.make (random_cnf_gen ~max_vars:10 ~max_clauses:40 ~max_len:4))
@@ -1307,7 +1323,11 @@ let () =
           Alcotest.test_case "chart renders" `Quick test_timeline_chart_renders;
         ] );
       ( "correctness",
-        [ Alcotest.test_case "wire format errors" `Quick test_subproblem_wire_errors ]
+        [
+          Alcotest.test_case "wire format errors" `Quick test_subproblem_wire_errors;
+          Alcotest.test_case "wire format literal errors" `Quick
+            test_subproblem_wire_literal_errors;
+        ]
         @ qsuite
             [
               prop_gridsat_matches_brute;

@@ -133,8 +133,8 @@ module Ref = struct
         lits path
     | Stop -> pf "stop"
     | Heartbeat { decisions } -> pf "hb %d" decisions
-    | Ship { seq; entries; state_digest } ->
-        pf "ship %d %s " seq state_digest;
+    | Ship { seq; entries; log_digest } ->
+        pf "ship %d %s " seq log_digest;
         List.iter
           (fun e ->
             render_entry buf e;
@@ -344,7 +344,7 @@ let rec gen_msg depth : P.msg QCheck.Gen.t =
       return P.Stop;
       map (fun decisions -> P.Heartbeat { decisions }) gen_int;
       map3
-        (fun seq entries state_digest -> P.Ship { seq; entries; state_digest })
+        (fun seq entries log_digest -> P.Ship { seq; entries; log_digest })
         gen_int (list_size (int_bound 5) gen_entry) gen_text;
       map3 (fun seq applied ok -> P.Ship_ack { seq; applied; ok }) gen_int gen_int bool;
       return P.Epoch_notice;
@@ -451,6 +451,80 @@ let test_journal_entry_text () =
   let s = text (J.Adopted { pid = (0, 1); client = 2; path = long }) in
   check bool "no line break in a long record" false (String.contains s '\n')
 
+(* ---------- journal log digest ---------- *)
+
+(* One field of the entry changed. *)
+let alter_entry : P.journal_entry -> P.journal_entry = function
+  | Registered { client } -> Registered { client = client + 1 }
+  | Assigned a -> Assigned { a with dst = a.dst + 1 }
+  | Started s -> Started { s with client = s.client + 1 }
+  | Granted g -> Granted { g with partner = g.partner + 1 }
+  | Split s -> Split { s with dst = s.dst + 1 }
+  | Refuted { pid = a, b } -> Refuted { pid = (a, b + 1) }
+  | Shared { clauses } -> Shared { clauses = clauses + 1 }
+  | Suspected { client } -> Suspected { client = client + 1 }
+  | Died { client } -> Died { client = client + 1 }
+  | Adopted a -> Adopted { a with client = a.client + 1 }
+  | Verdict { answer } -> Verdict { answer = answer ^ "!" }
+
+let log_digest_of entries =
+  let j = J.create ~compact_every:1000 () in
+  List.iter (J.append j) entries;
+  J.log_digest j
+
+(* A primary appends one entry at a time and compacts often; a shadow is
+   fed the same entries in random batches and never compacts.  After
+   every batch their log digests agree, and at the end so do their
+   replayed states.  Dropping an entry, swapping two distinct entries or
+   altering one field moves the log digest. *)
+let prop_log_digest =
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 1 30) gen_entry >>= fun es ->
+      let n = List.length es in
+      quad (return es)
+        (list_size (int_bound 8) (int_range 1 6))
+        (int_range 1 8)
+        (triple (int_bound (n - 1)) (int_bound (n - 1)) (int_bound (n - 1))))
+  in
+  let print (es, batches, every, (k, i, j)) =
+    Printf.sprintf "entries [%s], batches [%s], compact_every %d, k %d, swap %d %d"
+      (String.concat "; " (List.map (Format.asprintf "%a" J.pp_entry) es))
+      (String.concat " " (List.map string_of_int batches))
+      every k i j
+  in
+  QCheck.Test.make ~name:"journal log digest tracks the exact log" ~count:300
+    (QCheck.make ~print gen) (fun (es, batches, every, (k, i, j)) ->
+      let arr = Array.of_list es in
+      let n = Array.length arr in
+      let primary = J.create ~compact_every:every () and shadow = J.create ~compact_every:1000 () in
+      let rec feed start batches =
+        start >= n
+        ||
+        let size, rest =
+          match batches with b :: rest -> (min b (n - start), rest) | [] -> (n - start, [])
+        in
+        for x = start to start + size - 1 do
+          J.append primary arr.(x)
+        done;
+        let shipped = J.log_digest primary in
+        for x = start to start + size - 1 do
+          J.append shadow arr.(x)
+        done;
+        String.equal shipped (J.log_digest shadow) && feed (start + size) rest
+      in
+      feed 0 batches
+      && J.digest (J.replay primary) = J.digest (J.replay shadow)
+      &&
+      let full = J.log_digest primary in
+      String.length full = 32
+      && log_digest_of (List.filteri (fun x _ -> x <> k) es) <> full
+      && log_digest_of (List.mapi (fun x e -> if x = k then alter_entry e else e) es) <> full
+      && (arr.(i) = arr.(j)
+         || log_digest_of
+              (List.mapi (fun x e -> if x = i then arr.(j) else if x = j then arr.(i) else e) es)
+            <> full))
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -470,5 +544,7 @@ let () =
             prop_cache_digest;
             prop_cache_digest_streamed;
           ] );
-      ("journal", [ Alcotest.test_case "record text" `Quick test_journal_entry_text ]);
+      ( "journal",
+        [ Alcotest.test_case "record text" `Quick test_journal_entry_text ]
+        @ qsuite [ prop_log_digest ] );
     ]

@@ -296,6 +296,14 @@ let test_dimacs_errors () =
   expect_fail "p cnf 2 1\n3 0\n";
   expect_fail "p cnf 2 1\np cnf 2 1\n1 0\n"
 
+(* [abs min_int] is negative, so a range check through [abs] let this
+   literal reach [Cnf.make], which raised [Invalid_argument]. *)
+let test_dimacs_min_int_literal () =
+  let doc = Printf.sprintf "p cnf 3 1\n%d 0\n" min_int in
+  match Dimacs.parse_string doc with
+  | exception Dimacs.Parse_error _ -> ()
+  | _ -> Alcotest.fail "expected Parse_error"
+
 let prop_dimacs_roundtrip =
   QCheck.Test.make ~name:"dimacs print/parse roundtrip" ~count:100 arbitrary_cnf (fun cnf ->
       let cnf' = Dimacs.parse_string (Dimacs.to_string cnf) in
@@ -1105,6 +1113,7 @@ let () =
           Alcotest.test_case "parse" `Quick test_dimacs_parse;
           Alcotest.test_case "multiline clause" `Quick test_dimacs_multiline_clause;
           Alcotest.test_case "errors" `Quick test_dimacs_errors;
+          Alcotest.test_case "min_int literal rejected" `Quick test_dimacs_min_int_literal;
         ]
         @ qsuite [ prop_dimacs_roundtrip ] );
       ( "brute",
