@@ -73,9 +73,6 @@ type t = {
   mutable backlog : (int * float) list;  (* requester, busy-since at request time *)
   mutable pending_partner : (int * int) list;  (* requester -> reserved partner *)
   mutable migrating : (int * int) list;  (* source -> reserved target *)
-  live_problems : (Protocol.pid, unit) Hashtbl.t;
-      (* every subproblem not yet refuted; UNSAT iff it drains empty.
-         Keyed by pid so duplicated or re-homed copies count once. *)
   in_flight : (int, Protocol.pid * Subproblem.t) Hashtbl.t;
       (* problems the master itself sent that are not yet acknowledged by a
          Problem_received; recoverable without a checkpoint *)
@@ -85,13 +82,15 @@ type t = {
          the head, and a mass failure can park hundreds of subproblems —
          list-append accumulation made that quadratic. *)
   pending_cert : (Protocol.pid, int * string option) Hashtbl.t;
-      (* certify mode: UNSAT claims that overtook the registration
-         recording their branch's guiding path (client, proof); settled
-         when the lineage arrives *)
+      (* certify mode: UNSAT claims (client, proof) that cannot be checked
+         yet — they overtook the registration recording their branch's
+         guiding path, or their reporter's own split is still pending and
+         may be about to narrow that path *)
   mutable journal : Journal.t;
-      (* write-ahead log on stable storage: survives a master crash.
-         Mutable because promotion swaps in the standby's shadow journal:
-         the shipped prefix becomes the authoritative log of the run *)
+      (* write-ahead log on stable storage: survives a master crash.  Its
+         state is the split tree (see [tree]).  Mutable because promotion
+         swaps in the standby's shadow journal: the shipped prefix becomes
+         the authoritative log of the run *)
   mutable replica : Replica.t option;  (* hot standby (cfg.standby) *)
   mutable epoch : int;
       (* master epoch: stamped into every outgoing integrity frame and
@@ -108,15 +107,6 @@ type t = {
   mutable outage_started : float option;
       (* when the current master outage began (crash or usurpation) —
          closed into the failover histogram at reconciliation *)
-  lineage : (Protocol.pid, Sat.Types.lit list) Hashtbl.t;
-      (* guiding-path lineage of every live subproblem — enough to
-         re-derive any of them from the original CNF *)
-  last_holder : (Protocol.pid, int) Hashtbl.t;
-  refuted_pids : (Protocol.pid, unit) Hashtbl.t;
-      (* tombstones: pids are never reused, so a registration arriving
-         after the pid's refutation (a Split_ok or Problem_received
-         reordered behind the holder's own Finished_unsat) must be
-         absorbed, not resurrected as live work *)
   hedged : (Protocol.pid, unit) Hashtbl.t;
       (* pids currently solved by two hosts at once (straggler hedging).
          A hedged pid must keep a stable identity until one copy wins:
@@ -125,13 +115,10 @@ type t = {
          optimisation — pid-keyed accounting stays exactly-once *)
   mutable down : bool;  (* the master process is crashed right now *)
   mutable resyncing : bool;  (* restarted; waiting out the resync grace *)
-  mutable problem_assigned : bool;
   mutable finished : bool;
   mutable answer : answer option;
   mutable max_clients : int;
   mutable splits : int;
-  mutable share_batches : int;
-  mutable shared_clauses : int;
   share_budget : Flow.budget option;
       (* per-recipient-link byte budget per virtual-time window
          ([cfg.share_budget] > 0); [None] keeps unconditional broadcast *)
@@ -246,6 +233,12 @@ let send_raw t ~dst msg =
 
 let journal t = t.journal
 
+(* The split tree — every unrefuted pid with its guiding-path lineage and
+   last holder, the tombstones, whether the root was ever assigned — is
+   the journal's applied state: the master changes it only by appending
+   an entry. *)
+let tree t = Journal.current t.journal
+
 let epoch t = t.epoch
 
 let promoted t = t.promoted
@@ -289,7 +282,7 @@ let watch_journal t f =
   let fc_before = Journal.forced_compactions t.journal in
   let deg_before = Journal.degraded t.journal in
   f ();
-  let occupancy = Journal.occupancy t.journal and quota = Journal.quota t.journal in
+  let occupancy = Journal.bytes t.journal and quota = Journal.quota t.journal in
   if Journal.forced_compactions t.journal > fc_before then
     log t (Events.Forced_compaction { occupancy; quota });
   if Journal.degraded t.journal && not deg_before then
@@ -355,8 +348,8 @@ let result t =
         time = Grid.Sim.now t.sim -. t.started_at;
         max_clients = t.max_clients;
         splits = t.splits;
-        share_batches = t.share_batches;
-        shared_clauses = t.shared_clauses;
+        share_batches = (tree t).share_batches;
+        shared_clauses = (tree t).shared_clauses;
         messages = Grid.Everyware.messages_sent t.bus;
         bytes = Grid.Everyware.bytes_sent t.bus;
         dropped_messages = Grid.Everyware.messages_dropped t.bus;
@@ -511,8 +504,6 @@ let send_problem t ~dst pid sp =
   (match health t with Some hm -> Health.note_assigned hm ~host:dst | None -> ());
   (host t dst).rstate <- Reserved;
   Hashtbl.replace t.in_flight dst (pid, sp);
-  Hashtbl.replace t.lineage pid sp.Subproblem.path;
-  Hashtbl.replace t.last_holder pid dst;
   jlog t (Journal.Assigned { pid; dst; path = sp.Subproblem.path });
   minstant t ~cat:"master"
     ~args:
@@ -525,9 +516,9 @@ let send_problem t ~dst pid sp =
   send t ~dst (Protocol.Problem { pid; sp; sent_at = Grid.Sim.now t.sim })
 
 (* Re-home a subproblem that lost its host (checkpoint recovery or a
-   returned orphan).  The pid is already in [live_problems]; if no idle
-   host is available the work parks in [pending_recovery] — never lost,
-   so the run cannot answer UNSAT while it waits. *)
+   returned orphan).  If no idle host is available the work parks in
+   [pending_recovery] — never lost, so the run cannot answer UNSAT while
+   it waits. *)
 let assign_recovered t ~failed ~from_checkpoint pid sp =
   match Scheduler.pick t.cfg.scheduler ~rng:t.rng (idle_candidates t) with
   | Some cand ->
@@ -559,9 +550,10 @@ let rec serve_recovery t =
 (* The last line of defence: a subproblem whose holder and checkpoint are
    both gone is reconstructed from the original CNF and its journaled
    guiding-path lineage (Figure 2: the lineage fully determines the
-   branch), then requeued.  No component loss ends the run [Unknown]. *)
+   branch), then requeued.  No component loss ends the run [Unknown]; a
+   pid another copy already refuted has nothing left to recover. *)
 let rederive_lost t ~holder pid =
-  match Hashtbl.find_opt t.lineage pid with
+  match Hashtbl.find_opt (tree t).live pid with
   | Some path ->
       let sp = Subproblem.of_lineage t.cnf path in
       log t (Events.Rederived_from_lineage { holder; depth = List.length path });
@@ -573,9 +565,9 @@ let rederive_lost t ~holder pid =
             ("depth", Obs.Json.Int (List.length path));
           ]
         "rederive";
-      Hashtbl.replace t.live_problems pid ();
       let failed = match holder with Some h -> h | None -> master_id in
       assign_recovered t ~failed ~from_checkpoint:false pid sp
+  | None when Hashtbl.mem (tree t).refuted pid -> ()
   | None ->
       (* unreachable by construction: every assignment, split and adoption
          journals its lineage before any message leaves the master *)
@@ -655,13 +647,7 @@ let dispatch t =
    crash may exist only on the partner, whose Resync is the sole record of
    it. *)
 let refute_pid t pid =
-  if not (Hashtbl.mem t.refuted_pids pid) then begin
-    Hashtbl.replace t.refuted_pids pid ();
-    jlog t (Journal.Refuted { pid })
-  end;
-  Hashtbl.remove t.live_problems pid;
-  Hashtbl.remove t.lineage pid;
-  Hashtbl.remove t.last_holder pid;
+  if not (Hashtbl.mem (tree t).refuted pid) then jlog t (Journal.Refuted { pid });
   (* a certification claim parked for this pid is moot now; its reporter
      has been sitting idle since it sent the claim *)
   (match Hashtbl.find_opt t.pending_cert pid with
@@ -698,11 +684,11 @@ let refute_pid t pid =
       stale
   end;
   if
-    Hashtbl.length t.live_problems = 0
+    Hashtbl.length (tree t).live = 0
     && Queue.is_empty t.pending_recovery
     && t.pending_partner = []
     && Hashtbl.length t.pending_cert = 0
-    && (not t.resyncing) && t.problem_assigned
+    && (not t.resyncing) && (tree t).problem_assigned
   then terminate t Unsat "all subproblems refuted: unsatisfiable"
   else dispatch t
 
@@ -710,7 +696,7 @@ let refute_pid t pid =
    refutation was journaled first): undo the registration we just recorded
    and free the reporting host instead of believing it busy forever. *)
 let absorb_if_refuted t ~holder pid =
-  if Hashtbl.mem t.refuted_pids pid then begin
+  if Hashtbl.mem (tree t).refuted pid then begin
     (match Pool.find_opt t.pool holder with
     | Some h when h.pid = Some pid ->
         if h.rstate = Busy then h.rstate <- Idle;
@@ -854,7 +840,7 @@ let quarantine t ~client ~pid ~reason =
   (* [kill_client] re-homed whatever the master believed [client] held;
      if the disputed pid was not that (the claim raced ahead of its
      registration), re-home it explicitly *)
-  if (not t.finished) && Hashtbl.mem t.live_problems pid && not (pid_homed t pid) then
+  if (not t.finished) && Hashtbl.mem (tree t).live pid && not (pid_homed t pid) then
     rederive_lost t ~holder:(Some client) pid
 
 let settle_certification t ~src pid ~path proof =
@@ -873,32 +859,45 @@ let settle_certification t ~src pid ~path proof =
       refute_pid t pid
   | Error reason -> quarantine t ~client:src ~pid ~reason
 
-(* A registration just recorded the lineage of [pid]; settle any UNSAT
-   claim that was parked waiting for it. *)
+(* Settle the UNSAT claim parked for [pid] once it can be checked: its
+   lineage is recorded and its reporter has no split pending. *)
 let settle_pending_cert t pid =
-  if t.cfg.Config.certify then
-    match Hashtbl.find_opt t.pending_cert pid with
-    | None -> ()
-    | Some (client, proof) -> (
-        Hashtbl.remove t.pending_cert pid;
-        match Hashtbl.find_opt t.lineage pid with
-        | Some path -> settle_certification t ~src:client pid ~path proof
-        | None -> ())
+  match Hashtbl.find_opt t.pending_cert pid with
+  | Some (client, proof) when not (List.mem_assoc client t.pending_partner) -> (
+      match Hashtbl.find_opt (tree t).live pid with
+      | Some path ->
+          Hashtbl.remove t.pending_cert pid;
+          settle_certification t ~src:client pid ~path proof
+      | None -> ())
+  | _ -> ()
+
+(* [requester]'s split was resolved: settle the claims it parked. *)
+let settle_parked t requester =
+  Hashtbl.fold (fun pid (c, _) acc -> if c = requester then pid :: acc else acc) t.pending_cert []
+  |> List.sort compare
+  |> List.iter (settle_pending_cert t)
 
 (* ---------- message handling ---------- *)
 
 let assign_initial_problem t dst =
   let sp = Subproblem.initial t.cnf in
-  t.problem_assigned <- true;
-  Hashtbl.replace t.live_problems initial_pid ();
   send_problem t ~dst initial_pid sp
+
+(* The lineage to journal for a client's report of holding [pid].  In
+   certify mode a lineage the master already recorded is authoritative: a
+   client report never overwrites the path its fragment will be checked
+   under. *)
+let adopted_path t pid path =
+  match Hashtbl.find_opt (tree t).live pid with
+  | Some recorded when t.cfg.Config.certify -> recorded
+  | _ -> path
 
 let on_register t src =
   let h = host t src in
   h.rstate <- Idle;
   jlog t (Journal.Registered { client = src });
   log t (Events.Client_started src);
-  if not t.problem_assigned then assign_initial_problem t src else dispatch t
+  if not (tree t).problem_assigned then assign_initial_problem t src else dispatch t
 
 let on_problem_received t src ~pid ~from ~bytes ~path =
   let h = host t src in
@@ -914,18 +913,11 @@ let on_problem_received t src ~pid ~from ~bytes ~path =
       end;
       log t (Events.Migration { src = s; dst = src; bytes })
   | None -> ());
-  Hashtbl.replace t.live_problems pid ();
   (* the receiver reports its lineage, closing the gap where a split's
      [Split_ok] has not arrived yet: the branch is re-derivable from the
-     journal the moment anyone confirms holding it.  In certify mode a
-     lineage the master already recorded is authoritative — a client
-     report never overwrites the path its fragment will be checked
-     under. *)
-  if (not t.cfg.Config.certify) || not (Hashtbl.mem t.lineage pid) then
-    Hashtbl.replace t.lineage pid path;
-  Hashtbl.replace t.last_holder pid src;
+     journal the moment anyone confirms holding it. *)
   jlog t (Journal.Started { pid; client = src });
-  jlog t (Journal.Adopted { pid; client = src; path });
+  jlog t (Journal.Adopted { pid; client = src; path = adopted_path t pid path });
   h.rstate <- Busy;
   h.pid <- Some pid;
   h.busy_since <- Grid.Sim.now t.sim;
@@ -965,6 +957,24 @@ let split_covers ~donor_path ~path =
       List.mem (Sat.Types.negate last) donor_path
       && List.for_all (fun l -> List.mem l donor_path) rev_pre
 
+(* The branch [src] just split.  In certify mode a Split_ok can overtake
+   the donor's own Problem_received, so the pool may not know it yet; the
+   split tree does: the live pid [src] holds whose lineage is the child's
+   path minus its last literal. *)
+let split_donor t src ~path =
+  match (host t src).pid with
+  | Some _ as p -> p
+  | None when (not t.cfg.Config.certify) || path = [] -> None
+  | None ->
+      let n = List.length path - 1 and st = tree t in
+      let pre = List.filteri (fun i _ -> i < n) path in
+      Hashtbl.fold
+        (fun p lineage acc ->
+          if lineage = pre && Hashtbl.find_opt st.holder p = Some src && (acc = None || Some p < acc)
+          then Some p
+          else acc)
+        st.live None
+
 let on_split_ok t src ~pid ~dst ~bytes ~path ~donor_path =
   t.splits <- t.splits + 1;
   if t.obs_on then Obs.Metrics.incr t.c_splits_completed;
@@ -976,7 +986,7 @@ let on_split_ok t src ~pid ~dst ~bytes ~path ~donor_path =
       ("bytes", Obs.Json.Int bytes);
     ];
   t.pending_partner <- List.remove_assoc src t.pending_partner;
-  let donor_pid = (host t src).pid in
+  let donor_pid = split_donor t src ~path in
   let verdict =
     if not t.cfg.Config.certify then `Accept donor_path
     else
@@ -998,14 +1008,10 @@ let on_split_ok t src ~pid ~dst ~bytes ~path ~donor_path =
   in
   match verdict with
   | `Accept donor_lineage ->
-      Hashtbl.replace t.live_problems pid ();
-      Hashtbl.replace t.lineage pid path;
-      Hashtbl.replace t.last_holder pid dst;
       (* the donor committed its first decision level into its own root, so
          its lineage grew too: journal both sides of the split *)
       (match donor_pid with
       | Some donor_pid ->
-          Hashtbl.replace t.lineage donor_pid donor_lineage;
           jlog t (Journal.Split { donor = src; donor_pid; donor_path = donor_lineage; pid; dst; path })
       | None ->
           (* reordered delivery: the donor's own branch already concluded;
@@ -1013,10 +1019,12 @@ let on_split_ok t src ~pid ~dst ~bytes ~path ~donor_path =
           jlog t (Journal.Assigned { pid; dst; path }));
       log t (Events.Split_completed { src; dst; bytes });
       settle_pending_cert t pid;
-      absorb_if_refuted t ~holder:dst pid
+      absorb_if_refuted t ~holder:dst pid;
+      settle_parked t src
   | `Covered ->
       log t (Events.Split_completed { src; dst; bytes });
-      refute_pid t pid
+      refute_pid t pid;
+      settle_parked t src
   | `Reject ->
       (* the two sides do not cover the branch being split: accepting
          them could certify UNSAT while search space silently vanishes.
@@ -1033,11 +1041,10 @@ let on_split_failed t src =
   (match release_partner t src with
   | Some partner -> unreserve t partner
   | None -> ());
+  settle_parked t src;
   dispatch t
 
 let on_shares t src clauses =
-  t.share_batches <- t.share_batches + 1;
-  t.shared_clauses <- t.shared_clauses + List.length clauses;
   (if t.anomaly_on then
      (* rough wire size: one word per literal plus a header per clause *)
      let bytes = List.fold_left (fun a c -> a + 8 + (8 * Array.length c)) 0 clauses in
@@ -1126,18 +1133,20 @@ let on_finished_unsat t src pid proof =
        registration harmless across a master crash too *)
     refute_pid t pid
   end
-  else if Hashtbl.mem t.refuted_pids pid then begin
+  else if Hashtbl.mem (tree t).refuted pid then begin
     (* a duplicate of a claim that was already settled *)
     free_finisher t src;
     refute_pid t pid
   end
   else
-    match Hashtbl.find_opt t.lineage pid with
-    | Some path -> settle_certification t ~src pid ~path proof
-    | None ->
+    match Hashtbl.find_opt (tree t).live pid with
+    | Some path when not (List.mem_assoc src t.pending_partner) ->
+        settle_certification t ~src pid ~path proof
+    | _ ->
         (* the claim overtook the registration that records this branch's
-           guiding path; park it (the reporter stays marked busy) until
-           the lineage arrives and the fragment can be checked *)
+           guiding path, or the reporter's own Split_ok (which narrows it)
+           is still pending; park it (the reporter stays marked busy) until
+           the fragment can be checked under the final path *)
         Hashtbl.replace t.pending_cert pid (src, proof)
 
 let on_found_model t src model =
@@ -1177,13 +1186,8 @@ let on_orphaned t src pid sp =
     if h.rstate = Busy then h.rstate <- Idle;
     h.pid <- None
   end;
-  if Hashtbl.mem t.refuted_pids pid then dispatch t  (* already refuted elsewhere *)
-  else begin
-    Hashtbl.replace t.live_problems pid ();
-    if (not t.cfg.Config.certify) || not (Hashtbl.mem t.lineage pid) then
-      Hashtbl.replace t.lineage pid sp.Subproblem.path;
-    assign_recovered t ~failed:src ~from_checkpoint:false pid sp
-  end
+  if Hashtbl.mem (tree t).refuted pid then dispatch t  (* already refuted elsewhere *)
+  else assign_recovered t ~failed:src ~from_checkpoint:false pid sp
 
 (* Reconciliation after a master restart: each surviving client reports
    what it is doing.  Busy reports are adopted (journaled, so the next
@@ -1192,13 +1196,8 @@ let on_orphaned t src pid sp =
 let on_resync t src ~pid ~path ~busy_since =
   let h = host t src in
   log t (Events.Client_resynced { client = src; busy = pid <> None });
-  (* any busy client proves the search started, even when this master's
-     journal (a standby's shadow is only the shipped prefix) never saw
-     the Assigned record — without this the final refutation could never
-     satisfy the problem_assigned guard on the UNSAT verdict *)
-  if pid <> None then t.problem_assigned <- true;
   (match pid with
-  | Some p when Hashtbl.mem t.refuted_pids p ->
+  | Some p when Hashtbl.mem (tree t).refuted p ->
       (* the client is still solving a branch another copy of which was
          already refuted — harmless duplicate work; its own finish will
          free it, but the dead pid must not be re-adopted *)
@@ -1210,13 +1209,10 @@ let on_resync t src ~pid ~path ~busy_since =
       h.rstate <- Busy;
       h.pid <- Some p;
       h.busy_since <- busy_since;
-      Hashtbl.replace t.live_problems p ();
-      (* certify mode: the replayed journal's lineage (what the fragment
-         will be checked under) outranks the client's own report *)
-      if (not t.cfg.Config.certify) || not (Hashtbl.mem t.lineage p) then
-        Hashtbl.replace t.lineage p path;
-      Hashtbl.replace t.last_holder p src;
-      jlog t (Journal.Adopted { pid = p; client = src; path = Hashtbl.find t.lineage p });
+      (* adoption also proves the search started, even when this master's
+         journal (a standby's shadow is only the shipped prefix) never saw
+         the Assigned record *)
+      jlog t (Journal.Adopted { pid = p; client = src; path = adopted_path t p path });
       update_max t;
       settle_pending_cert t p
   | None ->
@@ -1434,10 +1430,6 @@ let inject t ~src msg = handle_payload t ~src msg
    retry exhaustion and keep solving autonomously. *)
 let drop_volatile t =
   Hashtbl.reset t.in_flight;
-  Hashtbl.reset t.live_problems;
-  Hashtbl.reset t.lineage;
-  Hashtbl.reset t.last_holder;
-  Hashtbl.reset t.refuted_pids;
   Hashtbl.reset t.hedged;
   t.pending_partner <- [];
   t.migrating <- [];
@@ -1485,13 +1477,13 @@ let reconcile t =
       t.pool;
     Hashtbl.iter (fun _ (p, _) -> Hashtbl.replace held p ()) t.in_flight;
     let orphans =
-      Hashtbl.fold (fun p () acc -> if Hashtbl.mem held p then acc else p :: acc) t.live_problems []
+      Hashtbl.fold (fun p _ acc -> if Hashtbl.mem held p then acc else p :: acc) (tree t).live []
       |> List.sort compare
     in
     List.iter
       (fun p ->
         if not t.finished then
-          match Hashtbl.find_opt t.last_holder p with
+          match Hashtbl.find_opt (tree t).holder p with
           | Some holder
             when (not t.cfg.Config.certify)
                  && Checkpoint.restore t.checkpoints ~client:holder <> None -> (
@@ -1511,7 +1503,7 @@ let reconcile t =
        journal record, no busy resync — proves the search ever started,
        start it from the root now: clients already registered with the
        old primary will never send another Register to trigger it *)
-    if (not t.finished) && not t.problem_assigned then (
+    if (not t.finished) && not (tree t).problem_assigned then (
       match Scheduler.pick t.cfg.scheduler ~rng:t.rng (idle_candidates t) with
       | Some cand -> assign_initial_problem t cand.Scheduler.resource.R.id
       | None -> ());
@@ -1519,35 +1511,26 @@ let reconcile t =
        that arrived while UNSAT was deferred could have drained the pool *)
     if
       (not t.finished)
-      && Hashtbl.length t.live_problems = 0
+      && Hashtbl.length (tree t).live = 0
       && Queue.is_empty t.pending_recovery
       && t.pending_partner = []
       && Hashtbl.length t.pending_cert = 0
-      && t.problem_assigned
+      && (tree t).problem_assigned
     then terminate t Unsat "all subproblems refuted: unsatisfiable"
     else dispatch t
   end
 
 (* The shared recovery routine of a replacement master — whether it is
    the old process restarted from stable storage or the hot standby
-   promoted onto its shadow journal.  Replays [t.journal] into the
-   volatile tables, resets the failure detector's leases (the old
+   promoted onto its shadow journal.  Adopts the journal's replayed state
+   as the split tree, resets the failure detector's leases (the old
    [last_heard] anchors died with the old process), and asks every
    not-known-dead client to resync.  Assignment stays gated until the
    resync grace elapses and [reconcile] runs. *)
 let recover_from_journal t =
-  let st = Journal.replay t.journal in
-  Hashtbl.iter
-    (fun pid path ->
-      Hashtbl.replace t.live_problems pid ();
-      Hashtbl.replace t.lineage pid path)
-    st.Journal.live;
-  Hashtbl.iter (fun pid h -> Hashtbl.replace t.last_holder pid h) st.Journal.holder;
-  Hashtbl.iter (fun pid () -> Hashtbl.replace t.refuted_pids pid ()) st.Journal.refuted;
-  t.problem_assigned <- st.Journal.problem_assigned;
+  Journal.recover t.journal;
+  let st = tree t in
   t.splits <- st.Journal.splits;
-  t.share_batches <- st.Journal.share_batches;
-  t.shared_clauses <- st.Journal.shared_clauses;
   let now = Grid.Sim.now t.sim in
   Pool.iter
     (fun id h ->
@@ -1699,7 +1682,7 @@ let consider_hedge t ~now =
                   | Some pid
                     when h.rstate = Busy && Client.is_alive h.client
                          && (not (Hashtbl.mem t.hedged pid))
-                         && Hashtbl.mem t.live_problems pid
+                         && Hashtbl.mem (tree t).live pid
                          && (not (Hashtbl.mem t.pending_cert pid))
                          && (not (List.mem_assoc id t.pending_partner))
                          && (not (List.mem_assoc id t.migrating))
@@ -1713,7 +1696,7 @@ let consider_hedge t ~now =
             match stragglers with
             | [] -> ()
             | (_, primary, pid) :: _ -> (
-                match Hashtbl.find_opt t.lineage pid with
+                match Hashtbl.find_opt (tree t).live pid with
                 | None -> ()
                 | Some path -> (
                     match Scheduler.pick t.cfg.scheduler ~rng:t.rng (idle_candidates t) with
@@ -1821,7 +1804,6 @@ let create ?(obs = Obs.disabled) ?health ~sim ~net ~bus ~cfg ~testbed cnf =
       backlog = [];
       pending_partner = [];
       migrating = [];
-      live_problems = Hashtbl.create 64;
       in_flight = Hashtbl.create 16;
       pending_recovery = Queue.create ();
       pending_cert = Hashtbl.create 8;
@@ -1836,19 +1818,13 @@ let create ?(obs = Obs.disabled) ?health ~sim ~net ~bus ~cfg ~testbed cnf =
       shipped_seq = 0;
       standby_applied = 0;
       outage_started = None;
-      lineage = Hashtbl.create 64;
-      last_holder = Hashtbl.create 64;
-      refuted_pids = Hashtbl.create 64;
       hedged = Hashtbl.create 8;
       down = false;
       resyncing = false;
-      problem_assigned = false;
       finished = false;
       answer = None;
       max_clients = 0;
       splits = 0;
-      share_batches = 0;
-      shared_clauses = 0;
       share_budget =
         (if cfg.Config.share_budget > 0 then
            Some
@@ -1936,12 +1912,12 @@ let create ?(obs = Obs.disabled) ?health ~sim ~net ~bus ~cfg ~testbed cnf =
                      unreserve t dst;
                      assign_recovered t ~failed:dst ~from_checkpoint:false pid sp
                  | _ -> ())
-             | Protocol.Split_partner { partner } ->
+             | Protocol.Split_partner { partner = _ } ->
                  (* the requester never learned about its partner *)
                  (match release_partner t dst with
-                 | Some p when p = partner -> unreserve t p
                  | Some p -> unreserve t p
                  | None -> ());
+                 settle_parked t dst;
                  dispatch t
              | Protocol.Migrate_to { target } -> (
                  match List.assoc_opt dst t.migrating with

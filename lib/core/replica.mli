@@ -53,7 +53,8 @@ val create :
 
 val journal : t -> Journal.t
 (** The shadow journal — handed to the promoting master as its
-    authoritative write-ahead log. *)
+    authoritative write-ahead log.  Every applied entry is also applied
+    to its state, so it holds a live copy of the primary's split tree. *)
 
 val applied : t -> int
 (** Journal entries applied so far (the primary subtracts this, as

@@ -6,8 +6,11 @@
     replay the log and recover which jobs were in flight, which had
     already reached a terminal state, and what that state was — run-level
     recovery (split trees, checkpoints) stays the per-run journal's
-    business.  Records whose seal no longer matches are scrubbed and
-    counted, never folded into replayed state. *)
+    business.  Sealing, scrubbing, the quota and degraded mode are
+    {!Gridsat_core.Sealed_log}'s, under the metric name
+    [service.joblog].  The joblog keeps no snapshot: its empty state
+    costs 0 bytes, nothing compacts it, and degraded mode exits on quota
+    relief or when a scrub drops it back under quota. *)
 
 type entry =
   | Submitted of {
@@ -39,43 +42,17 @@ type state = {
 type t
 
 val create : ?obs:Obs.t -> ?quota:int -> unit -> t
-(** [quota] (estimated bytes, default 0 = unlimited) is the disk quota of
-    the joblog's backing store. *)
 
 val append : t -> entry -> unit
+(** Also notes the record in the flight recorder. *)
 
 val set_quota : t -> quota:int -> unit
-(** Change the disk quota (0 lifts it); the degraded flag re-evaluates
-    immediately. *)
 
-val quota : t -> int
-
-val bytes : t -> int
-(** Deterministic estimate of the log's on-disk size. *)
-
-val bytes_peak : t -> int
-
-val degraded : t -> bool
-(** True while the estimated size exceeds a non-zero quota.  The joblog
-    is append-only (nothing to compact), so degraded mode only exits on
-    quota relief; appends continue but are counted. *)
-
-val degraded_entries : t -> int
-(** Records appended while over quota. *)
-
-val replay : t -> state
-(** Scrubs, then folds the surviving records in order. *)
+include Gridsat_core.Sealed_log.READ with type t := t and type state := state
 
 val entries : t -> entry list
 (** Surviving records, oldest first (test hook: lets the property test
     count terminal records per job without replaying). *)
-
-val appended : t -> int
-
-val records_dropped : t -> int
-
-val corrupt_tail : t -> n:int -> unit
-(** Fault injection: rot the seals of the newest [n] records. *)
 
 val digest : state -> string
 (** Canonical digest of a replayed state (sorted job ids), for

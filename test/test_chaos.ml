@@ -424,6 +424,110 @@ let test_refutation_tombstone_survives_reorder () =
   check bool "tombstone survives compaction" false (Hashtbl.mem st2.live pid);
   check Alcotest.string "reordered replays agree" (digest st) (digest (replay j))
 
+(* Properties of the single writer: the journal's applied state, kept on
+   every append, is what a replay of the log computes — whatever the
+   compaction period and quota, across registrations after a refutation
+   and deaths of holders — and a recovery after at-rest rot adopts
+   exactly the replayed state. *)
+let gen_journal_entries =
+  let open QCheck.Gen in
+  let pid = pair (int_bound 2) (int_bound 3) and client = int_range 1 4 in
+  let path = list_size (int_bound 3) (map (fun v -> Sat.Types.pos (v + 1)) (int_bound 5)) in
+  let entry =
+    oneof
+      [
+        map (fun client -> C.Journal.Registered { client }) client;
+        map3 (fun pid dst path -> C.Journal.Assigned { pid; dst; path }) pid client path;
+        map2 (fun pid client -> C.Journal.Started { pid; client }) pid client;
+        map2 (fun requester partner -> C.Journal.Granted { requester; partner }) client client;
+        map3
+          (fun (donor, donor_pid, donor_path) (pid, dst) path ->
+            C.Journal.Split { donor; donor_pid; donor_path; pid; dst; path })
+          (triple client pid path) (pair pid client) path;
+        map (fun pid -> C.Journal.Refuted { pid }) pid;
+        map (fun clauses -> C.Journal.Shared { clauses }) (int_bound 9);
+        map (fun client -> C.Journal.Suspected { client }) client;
+        map (fun client -> C.Journal.Died { client }) client;
+        map3 (fun pid client path -> C.Journal.Adopted { pid; client; path }) pid client path;
+        map (fun answer -> C.Journal.Verdict { answer }) (oneofl [ "UNSAT"; "UNKNOWN" ]);
+      ]
+  in
+  quad (int_range 1 8) (oneof [ return 0; int_range 64 600 ]) (list_size (int_range 1 60) entry)
+    (pair (int_bound 6) (list_size (int_bound 20) entry))
+
+let print_journal_case (every, quota, entries, (rot, after)) =
+  Printf.sprintf "compact_every=%d quota=%d rot=%d\n%s\n-- recover --\n%s" every quota rot
+    (String.concat "\n" (List.map (Format.asprintf "%a" C.Journal.pp_entry) entries))
+    (String.concat "\n" (List.map (Format.asprintf "%a" C.Journal.pp_entry) after))
+
+let agrees j = C.Journal.(digest (current j) = digest (replay j))
+
+let prop_journal_current_is_replay =
+  QCheck.Test.make ~count:300 ~name:"journal state equals its replay after every append"
+    (QCheck.make ~print:print_journal_case gen_journal_entries)
+    (fun (compact_every, quota, entries, _) ->
+      let j = C.Journal.create ~quota ~compact_every () in
+      List.for_all
+        (fun e ->
+          C.Journal.append j e;
+          agrees j)
+        entries)
+
+let prop_journal_recover_after_rot =
+  QCheck.Test.make ~count:300 ~name:"journal recovery after rot adopts the replay"
+    (QCheck.make ~print:print_journal_case gen_journal_entries)
+    (fun (compact_every, quota, entries, (rot, after)) ->
+      let j = C.Journal.create ~quota ~compact_every () in
+      List.iter (C.Journal.append j) entries;
+      C.Journal.corrupt_tail j ~n:rot;
+      C.Journal.recover j;
+      agrees j
+      && List.for_all
+           (fun e ->
+             C.Journal.append j e;
+             agrees j)
+           after)
+
+(* The shared log under the joblog: degraded exactly while over a
+   non-zero quota, after every append and every scrub, and its bytes are
+   those of the surviving records alone. *)
+let prop_joblog_quota_tracks_bytes =
+  let module L = Gridsat_service.Joblog in
+  let gen =
+    let open QCheck.Gen in
+    let id = int_bound 5 in
+    let entry =
+      oneof
+        [
+          map
+            (fun id -> L.Submitted { id; tenant = "t"; priority = "high"; digest = "d"; deadline = None })
+            id;
+          map (fun id -> L.Admitted { id }) id;
+          map (fun id -> L.Shed { id; retry_after = 1. }) id;
+          map (fun id -> L.Cache_hit { id; answer = "UNSAT" }) id;
+          map2 (fun id n -> L.Started { id; hosts = List.init n Fun.id }) id (int_bound 3);
+          map (fun id -> L.Requeued { id; reason = "preempted" }) id;
+          map (fun id -> L.Finished { id; terminal = "verdict:UNSAT" }) id;
+        ]
+    in
+    triple (oneof [ return 0; int_range 16 400 ]) (list_size (int_range 1 40) entry) (int_bound 8)
+  in
+  QCheck.Test.make ~count:300 ~name:"joblog degraded iff over quota; bytes are the survivors'"
+    (QCheck.make gen) (fun (quota, entries, rot) ->
+      let l = L.create ~quota () in
+      let invariant () = L.degraded l = (quota > 0 && L.bytes l > quota) in
+      List.for_all
+        (fun e ->
+          L.append l e;
+          invariant ())
+        entries
+      &&
+      (L.corrupt_tail l ~n:rot;
+       ignore (L.replay l);
+       let survivors = L.create () in
+       List.iter (L.append survivors) (L.entries l);
+       invariant () && L.bytes l = L.bytes survivors))
+
 (* ---------- integrity and certification ---------- *)
 
 (* The acceptance bar for certified runs: a multi-client UNSAT under 5%
@@ -474,6 +578,82 @@ let test_forged_refutation_quarantined () =
   check bool "forger quarantined" true
     (has_event (function C.Events.Client_quarantined _ -> true | _ -> false) r);
   check bool "quarantine surfaced in the result" true (r.C.Master.quarantines > 0)
+
+(* Certify mode under message loss, with the CLI's --chaos --certify
+   settings and none of its canned faults: no honest client may be
+   quarantined.  In these cells a donor's Finished_unsat overtakes its own
+   Split_ok (its fragment refutes the narrowed branch, not the pre-split
+   one), or a Split_ok overtakes the donor's Problem_received (the pool
+   does not know the branch being split yet). *)
+let test_certify_loss_no_quarantine () =
+  let cnf = Workloads.Php.instance ~pigeons:7 ~holes:6 in
+  let config seed =
+    {
+      Cfg.default with
+      Cfg.overall_timeout = 100_000.;
+      split_timeout = 1.;
+      checkpoint = Cfg.Light;
+      checkpoint_period = 2.;
+      heartbeat_period = 2.;
+      suspect_timeout = 8.;
+      slice = 0.5;
+      certify = true;
+      integrity_checks = true;
+      share_max_len = 0;
+      seed;
+    }
+  in
+  let drop =
+    F.Drop_messages { src_site = None; dst_site = None; p = 0.1; from_t = 0.; until_t = infinity }
+  and dup = F.Duplicate_messages { p = 0.05; extra = 0.5; from_t = 0.; until_t = infinity } in
+  List.iter
+    (fun (name, fault_plan, seeds) ->
+      List.iter
+        (fun seed ->
+          let r =
+            C.Gridsat.solve ~config:(config seed) ~fault_plan
+              ~testbed:(C.Testbed.uniform ~n:6 ~speed:2000. ())
+              cnf
+          in
+          let cell = Printf.sprintf "%s seed %d" name seed in
+          check Alcotest.string (cell ^ ": verdict") "UNSAT" (answer_kind r.C.Master.answer);
+          check Alcotest.int (cell ^ ": quarantines") 0 r.C.Master.quarantines)
+        seeds)
+    [ ("drop+dup", [ drop; dup ], [ 3; 4; 5; 8 ]); ("drop", [ drop ], [ 3; 9 ]) ]
+
+(* Certify mode: a client's report of holding a registered branch never
+   rewrites the journaled lineage its fragment will be checked under — a
+   recovered or promoted master must not check against a path the client
+   supplied. *)
+let test_certify_journal_keeps_master_path () =
+  let cnf = Workloads.Php.instance ~pigeons:7 ~holes:6 in
+  let probed = ref None in
+  ignore
+    (solve ~config:certify_config
+       ~on_master:(fun m ->
+         C.Master.schedule m ~delay:3. (fun () ->
+             let j = C.Master.journal m in
+             let st = C.Journal.current j in
+             match
+               Hashtbl.fold (fun p path acc -> (p, path) :: acc) st.C.Journal.live []
+               |> List.sort compare
+             with
+             | [] -> ()
+             | (pid, path) :: _ ->
+                 let holder =
+                   Option.value ~default:1 (Hashtbl.find_opt st.C.Journal.holder pid)
+                 in
+                 let forged = Sat.Types.neg 1 :: Sat.Types.pos 2 :: path in
+                 C.Master.inject m ~src:holder
+                   (C.Protocol.Problem_received { pid; from = 0; bytes = 0; path = forged });
+                 probed :=
+                   Some (path, Hashtbl.find_opt (C.Journal.replay j).C.Journal.live pid)))
+       cnf);
+  match !probed with
+  | None -> Alcotest.fail "no live branch to probe"
+  | Some (path, replayed) ->
+      check bool "replayed lineage is the master's, not the forged report" true
+        (replayed = Some path)
 
 (* Checkpoint rot: every snapshot's at-rest seal is flipped just before
    the holder of the initial problem crashes.  The recovery path must
@@ -1025,6 +1205,9 @@ let () =
             test_client_dies_during_outage_no_checkpoint;
           Alcotest.test_case "refutation tombstone survives reorder" `Quick
             test_refutation_tombstone_survives_reorder;
+          QCheck_alcotest.to_alcotest prop_journal_current_is_replay;
+          QCheck_alcotest.to_alcotest prop_journal_recover_after_rot;
+          QCheck_alcotest.to_alcotest prop_joblog_quota_tracks_bytes;
         ] );
       ( "integrity",
         [
@@ -1032,6 +1215,10 @@ let () =
             test_certified_unsat_under_corruption;
           Alcotest.test_case "forged refutation quarantined" `Slow
             test_forged_refutation_quarantined;
+          Alcotest.test_case "certified UNSAT under loss, no quarantine" `Slow
+            test_certify_loss_no_quarantine;
+          Alcotest.test_case "certify journals the master's lineage" `Slow
+            test_certify_journal_keeps_master_path;
           Alcotest.test_case "checkpoint rot falls back to lineage" `Slow
             test_checkpoint_rot_falls_back_to_lineage;
           Alcotest.test_case "journal corrupt tail scrubbed" `Quick

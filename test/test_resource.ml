@@ -180,7 +180,7 @@ let test_journal_quota_degraded_cycle () =
   for i = 1 to 50 do
     append j (Registered { client = i })
   done;
-  check bool "the journal occupies real bytes" true (occupancy j > 0);
+  check bool "the journal occupies real bytes" true (bytes j > 0);
   check bool "no quota: never degraded" false (degraded j);
   (* a 1-byte quota no compaction can satisfy: emergency compaction
      first, then explicit degraded mode *)
@@ -191,7 +191,7 @@ let test_journal_quota_degraded_cycle () =
   append j (Registered { client = 99 });
   check bool "appends continue while degraded, counted" true (degraded_entries j > before);
   check bool "degraded appends still replay" true (Hashtbl.mem (replay j).clients 99);
-  check bool "occupancy peak tracked" true (bytes_peak j >= occupancy j);
+  check bool "occupancy peak tracked" true (bytes_peak j >= bytes j);
   set_quota j ~quota:0;
   check bool "quota relief exits degraded mode" false (degraded j)
 
