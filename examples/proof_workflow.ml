@@ -36,9 +36,10 @@ let () =
 
   (* 4. and the preprocessor's own steps are certifiable too: the original
      formula implies every simplified clause *)
+  let simplified = Sat.Cnf.clauses pre.Sat.Preprocess.cnf in
   let spot_check =
     List.for_all
       (fun clause -> Sat.Drup.check_clause_rup cnf [] clause)
-      (List.filteri (fun i _ -> i < 20) (Sat.Cnf.clauses pre.Sat.Preprocess.cnf))
+      (List.init (min 20 (Sat.Arena.nclauses simplified)) (Sat.Arena.clause simplified))
   in
   Format.printf "preprocessed clauses RUP-check against the original: %b@." spot_check

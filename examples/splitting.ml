@@ -28,7 +28,7 @@ let () =
   Format.printf "  learned clauses so far: %d@." (Solver.n_learned solver);
   Format.printf "  clause-database size: %d bytes@.@." (Solver.db_bytes solver);
 
-  let before = List.length (Solver.active_clauses solver) in
+  let before = Sat.Arena.nclauses (Solver.active_clauses solver) in
   match Sub.split_from solver with
   | None -> failwith "no decision to split on"
   | Some sp ->

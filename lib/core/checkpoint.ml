@@ -54,7 +54,7 @@ let save t ~client ~mode sp =
   | Config.Light ->
       (* only the root assignment is persisted; clauses come back from the
          problem file on restore *)
-      let stripped = { sp with Subproblem.clauses = [] } in
+      let stripped = { sp with Subproblem.clauses = Sat.Arena.empty } in
       let bytes = Subproblem.bytes stripped in
       Hashtbl.replace t.store client
         { sp = stripped; bytes; light = true; seal = seal_of stripped };

@@ -4,23 +4,25 @@ type t = {
   nvars : int;
   facts : T.lit list;
   path : T.lit list;
-  clauses : T.lit array list;
+  clauses : Sat.Arena.t;
 }
 
-let initial cnf =
-  { nvars = Sat.Cnf.nvars cnf; facts = []; path = []; clauses = Sat.Cnf.clauses cnf }
+let initial cnf = { nvars = Sat.Cnf.nvars cnf; facts = []; path = []; clauses = Sat.Cnf.clauses cnf }
 
-let nclauses t = List.length t.clauses
+let nclauses t = Sat.Arena.nclauses t.clauses
 
 let depth t = List.length t.path
 
+(* The size the model has always charged: 48 bytes a clause, 8 a literal
+   or root literal, 64 for the message. *)
 let bytes t =
-  let clause_bytes = List.fold_left (fun acc c -> acc + 48 + (8 * Array.length c)) 0 t.clauses in
-  clause_bytes + (8 * (List.length t.facts + List.length t.path)) + 64
+  (48 * nclauses t) + (8 * Sat.Arena.nlits t.clauses)
+  + (8 * (List.length t.facts + List.length t.path))
+  + 64
 
-(* The clause arrays stay the subproblem's: the solver copies each as it
+(* The arena stays the subproblem's: the solver copies each clause as it
    normalises it, and other holders of this value (the master's in-flight
-   table, the receiver's origin, heavy checkpoints) see them unchanged. *)
+   table, the receiver's origin, heavy checkpoints) see it unchanged. *)
 let to_solver ~config ?obs ?obs_tid t =
   Sat.Solver.create_with_roots ~config ?obs ?obs_tid ~facts:t.facts ~nvars:t.nvars t.clauses
     t.path
@@ -34,26 +36,35 @@ let capture solver =
     clauses = Sat.Solver.active_clauses solver;
   }
 
+(* Marks indexed by literal: [1] for a root literal, [2] for a literal
+   whose variable a fact assigns. *)
 let prune t =
-  let root = Hashtbl.create 64 in
-  List.iter (fun l -> Hashtbl.replace root l ()) t.facts;
-  List.iter (fun l -> Hashtbl.replace root l ()) t.path;
-  let fact_vars = Hashtbl.create 64 in
-  List.iter (fun l -> Hashtbl.replace fact_vars (T.var l) ()) t.facts;
-  let satisfied c = Array.exists (fun l -> Hashtbl.mem root l) c in
-  let strippable l = Hashtbl.mem root (T.negate l) && Hashtbl.mem fact_vars (T.var l) in
-  let simplify c =
-    if satisfied c then None
-    else Some (Array.of_list (List.filter (fun l -> not (strippable l)) (Array.to_list c)))
-  in
-  { t with clauses = List.filter_map simplify t.clauses }
+  let mark = Bytes.make (2 * (t.nvars + 1)) '\000' in
+  let set bit l = Bytes.set mark l (Char.chr (Char.code (Bytes.get mark l) lor bit)) in
+  List.iter (set 1) t.facts;
+  List.iter (set 1) t.path;
+  List.iter (fun l -> set 2 l; set 2 (T.negate l)) t.facts;
+  let has bit l = Char.code (Bytes.get mark l) land bit <> 0 in
+  let { Sat.Arena.lits; starts } = t.clauses in
+  let b = Sat.Arena.buffer ~clauses:(nclauses t) ~lits:(Sat.Arena.nlits t.clauses) in
+  let rec satisfied p e = p < e && (has 1 lits.(p) || satisfied (p + 1) e) in
+  for k = 0 to nclauses t - 1 do
+    if not (satisfied starts.(k) starts.(k + 1)) then begin
+      for p = starts.(k) to starts.(k + 1) - 1 do
+        let l = lits.(p) in
+        (* stripped: false by a fact, never by a path literal *)
+        if not (has 1 (T.negate l) && has 2 l) then Sat.Arena.push b l
+      done;
+      Sat.Arena.close b
+    end
+  done;
+  { t with clauses = Sat.Arena.contents b }
 
 (* A subproblem is fully determined by the original formula and its
    guiding path (the paper's Figure 2 invariant): root facts are globally
    implied (the solver re-derives them by propagation) and learned clauses
    are only accelerants.  So the lineage alone reconstructs the branch. *)
-let of_lineage cnf path =
-  prune { nvars = Sat.Cnf.nvars cnf; facts = []; path; clauses = Sat.Cnf.clauses cnf }
+let of_lineage cnf path = prune { (initial cnf) with path }
 
 (* No [prune]: the donor's active clauses are already pruned against its
    own root, which the new branch's root extends by one literal, and
@@ -74,19 +85,9 @@ let split_from solver =
    the receiver's eventual DRUP fragment against the original CNF under
    the journaled path alone. *)
 let split_pure ~origin solver =
-  match Sat.Solver.split solver with
-  | None -> None
-  | Some (_facts, path) ->
-      Some (prune { nvars = origin.nvars; facts = []; path; clauses = origin.clauses })
+  Option.map (fun (_facts, path) -> prune { origin with facts = []; path }) (Sat.Solver.split solver)
 
-let capture_pure ~origin solver =
-  prune
-    {
-      nvars = origin.nvars;
-      facts = [];
-      path = Sat.Solver.root_path solver;
-      clauses = origin.clauses;
-    }
+let capture_pure ~origin solver = prune { origin with facts = []; path = Sat.Solver.root_path solver }
 
 (* Wire format:
      p subproblem <nvars> <nclauses>
@@ -100,67 +101,49 @@ let emit sink t =
     put_int sink (T.to_int l);
     put_char sink ' '
   in
+  let { Sat.Arena.lits; starts } = t.clauses in
   put_string sink "p subproblem ";
   put_int sink t.nvars;
   put_char sink ' ';
-  put_int sink (List.length t.clauses);
+  put_int sink (nclauses t);
   put_string sink "\nf ";
   List.iter lit t.facts;
   put_string sink "0\na ";
   List.iter lit t.path;
   put_string sink "0\n";
-  List.iter
-    (fun c ->
-      Array.iter lit c;
-      put_string sink "0\n")
-    t.clauses
+  for k = 0 to nclauses t - 1 do
+    for p = starts.(k) to starts.(k + 1) - 1 do
+      lit lits.(p)
+    done;
+    put_string sink "0\n"
+  done
 
 let to_string t = Integrity.render emit t
 
+(* Each line after the header is the facts ([f ...]), the path ([a ...])
+   or one clause. *)
 let of_string text =
-  let lines = String.split_on_char '\n' text |> List.filter (fun l -> String.trim l <> "") in
-  let parse_ints nvars body =
-    let ints =
-      String.split_on_char ' ' body
-      |> List.filter (fun s -> s <> "")
-      |> List.map (fun s ->
-             match int_of_string_opt s with
-             | Some i -> i
-             | None -> failwith ("Subproblem.of_string: not an integer: " ^ s))
-    in
-    match List.rev ints with
-    | 0 :: rev ->
-        List.rev_map
-          (fun i ->
-            if i = 0 then failwith "Subproblem.of_string: 0 inside a line";
-            if i > nvars || i < -nvars then
-              failwith (Printf.sprintf "Subproblem.of_string: literal %d out of range" i);
-            T.lit_of_int i)
-          rev
-    | _ -> failwith "Subproblem.of_string: line not terminated by 0"
+  let module S = Sat.Dimacs.Scan in
+  let sc = S.create ~fail:(fun m -> Failure ("Subproblem.of_string: " ^ m)) text in
+  if not (S.more sc) then S.error sc "empty document";
+  let nvars, nclauses = S.header sc "subproblem" in
+  let lit i = if i > nvars || i < -nvars then S.error sc "literal %d out of range" i else T.lit_of_int i in
+  let lits () =
+    let acc = ref [] in
+    S.line sc (fun i -> acc := lit i :: !acc);
+    List.rev !acc
   in
-  match lines with
-  | header :: rest -> (
-      match String.split_on_char ' ' header |> List.filter (fun s -> s <> "") with
-      | [ "p"; "subproblem"; nv; _nc ] ->
-          let nvars =
-            match int_of_string_opt nv with
-            | Some n when n >= 0 -> n
-            | _ -> failwith "Subproblem.of_string: bad variable count"
-          in
-          let parse_ints = parse_ints nvars in
-          let facts = ref [] and path = ref [] and clauses = ref [] in
-          List.iter
-            (fun line ->
-              if String.length line >= 2 && line.[0] = 'f' && line.[1] = ' ' then
-                facts := parse_ints (String.sub line 2 (String.length line - 2))
-              else if String.length line >= 2 && line.[0] = 'a' && line.[1] = ' ' then
-                path := parse_ints (String.sub line 2 (String.length line - 2))
-              else clauses := Array.of_list (parse_ints line) :: !clauses)
-            rest;
-          { nvars; facts = !facts; path = !path; clauses = List.rev !clauses }
-      | _ -> failwith "Subproblem.of_string: missing header")
-  | [] -> failwith "Subproblem.of_string: empty document"
+  let b = Sat.Arena.buffer ~clauses:(min nclauses (String.length text / 2)) ~lits:(String.length text / 3) in
+  let push i = Sat.Arena.push b (lit i) and facts = ref [] and path = ref [] in
+  while S.more sc do
+    if S.word sc "f" then facts := lits ()
+    else if S.word sc "a" then path := lits ()
+    else begin
+      S.line sc push;
+      Sat.Arena.close b
+    end
+  done;
+  { nvars; facts = !facts; path = !path; clauses = Sat.Arena.contents b }
 
 let pp ppf t =
   Format.fprintf ppf "subproblem: %d vars, %d clauses, %d facts, path depth %d (%d bytes)"

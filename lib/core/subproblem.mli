@@ -6,20 +6,28 @@
     (original clauses and surviving learned clauses, already simplified
     against the root).  The paper reports these messages ranging from
     10 KB to 500 MB; {!bytes} provides the size the network model
-    charges for. *)
+    charges for.
+
+    The clause set is one {!Sat.Arena.t}, shared and never mutated: the
+    clauses in order, each as it was captured or received — not
+    necessarily sorted or duplicate-free.  {!initial} shares the formula's
+    own arena; {!capture}, the splits and {!prune} each fill one fresh
+    arena; {!to_solver} only reads it. *)
 
 type t = {
   nvars : int;
   facts : Sat.Types.lit list;  (** root literals implied by the global formula *)
   path : Sat.Types.lit list;  (** guiding-path assumptions accumulated by splits *)
-  clauses : Sat.Types.lit array list;
+  clauses : Sat.Arena.t;
 }
 
 val initial : Sat.Cnf.t -> t
-(** The whole problem, as handed to the first client. *)
+(** The whole problem, as handed to the first client.  Copies nothing. *)
 
 val bytes : t -> int
-(** Serialised size estimate (what a transfer costs on the network). *)
+(** Serialised size estimate (what a transfer costs on the network):
+    [48 * nclauses + 8 * literals + 8 * (facts + path) + 64].  O(1) in the
+    clause set. *)
 
 val nclauses : t -> int
 
@@ -27,8 +35,8 @@ val depth : t -> int
 (** Length of the guiding path (number of splits on this branch). *)
 
 val to_solver : config:Sat.Solver.config -> ?obs:Obs.t -> ?obs_tid:int -> t -> Sat.Solver.t
-(** Instantiates a solver for the subproblem.  The subproblem's clause
-    arrays are only read: the solver keeps normalised copies. *)
+(** Instantiates a solver for the subproblem.  The subproblem's arena is
+    only read: the solver normalises each clause into an array it keeps. *)
 
 val capture : Sat.Solver.t -> t
 (** Snapshot of a solver's current problem (for migration or
@@ -81,6 +89,12 @@ val to_string : t -> string
     non-simulated deployment would put on the socket. *)
 
 val of_string : string -> t
-(** Parses {!to_string}'s format.  Raises [Failure] on malformed input. *)
+(** Parses {!to_string}'s format with {!Sat.Dimacs.Scan}: the header line,
+    then one line each for facts ([f]), path ([a]) and every clause, in
+    order, as they were written (no normalisation).  Every line ends with a
+    single [0]; literals must lie within the header's variable count.
+    Whitespace and integers follow {!Sat.Dimacs}: tabs and CRs count as
+    blanks, and a line's tag may follow leading blanks.  Raises [Failure],
+    and nothing else, on malformed input. *)
 
 val pp : Format.formatter -> t -> unit

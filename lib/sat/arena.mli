@@ -1,0 +1,53 @@
+(** Clause sets as one flat array: the one clause representation.
+
+    Formulas, subproblems in transit and a solver's active clauses are all
+    arenas: every clause's literals back to back in [lits], clause [k] at
+    [lits.(starts.(k) .. starts.(k + 1) - 1)], with [starts.(0) = 0] and
+    [Array.length starts = nclauses + 1].  Arenas are shared and never
+    mutated: a reader that keeps or changes a clause copies it. *)
+
+type t = { lits : Types.lit array; starts : int array }
+
+val empty : t
+
+val nclauses : t -> int
+
+val nlits : t -> int
+
+val clause : t -> int -> Types.lit array
+(** A fresh copy of clause [k]. *)
+
+val normalise : nvars:int -> Types.lit array -> int -> int -> Types.lit array option
+(** [normalise ~nvars a pos len] is the clause [a.(pos .. pos + len - 1)]
+    as formulas store it: a fresh array of its distinct literals in
+    strictly increasing order, or [None] for a tautology.  Raises
+    [Invalid_argument] naming the first literal outside [1 .. nvars]. *)
+
+(** {1 Building} *)
+
+type buf
+(** An arena being filled: literals are pushed, and each close ends a
+    clause. *)
+
+val buffer : clauses:int -> lits:int -> buf
+(** An empty buffer with room for this many clauses and literals; it
+    grows past them.  Up to 2{^20} literals it is this domain's one
+    reused buffer whenever no unfinished build holds it, so a build
+    allocates little more than the two arrays {!contents} copies out. *)
+
+val push : buf -> Types.lit -> unit
+
+val push_slice : buf -> Types.lit array -> int -> int -> unit
+(** [push_slice b a pos n] pushes [a.(pos .. pos + n - 1)]. *)
+
+val close : buf -> unit
+(** Ends the clause of the literals pushed since the previous close. *)
+
+val close_normalised : nvars:int -> buf -> unit
+(** {!close} after normalising the clause in place, as {!normalise} does;
+    a tautology is discarded and counted in {!dropped}. *)
+
+val dropped : buf -> int
+
+val contents : buf -> t
+(** The closed clauses, copied out.  The buffer must not be used again. *)

@@ -1,23 +1,58 @@
 (** DIMACS CNF reader and writer.
 
-    Accepts the usual format: optional [c ...] comment lines, one
-    [p cnf <vars> <clauses>] header, then whitespace-separated signed
-    integers with [0] terminating each clause.  The declared clause count
-    is checked loosely (a mismatch is tolerated, as many archive files get
-    it wrong), but literals must respect the declared variable count. *)
+    The grammar, over bytes.  Space, tab, CR and LF are whitespace, and LF
+    also ends a line.  An integer is an optional sign and decimal digits,
+    delimited by whitespace; anything else ([0x2], [1_0], [2a]) is an
+    error, as is a value beyond the range of [int].  Line by line, after
+    any leading blanks:
+    - an empty line, or one starting with [c] (a comment), is skipped;
+    - a line starting with [%] ends the data (the SATLIB trailer);
+    - a line starting with [p] is the one header, [p cnf <vars> <clauses>]
+      with [<vars> >= 0]; the clause count is not checked (archive files
+      often get it wrong);
+    - any other line, after the header, holds integers: [0] ends a clause,
+      any other must lie in [-vars .. vars].  A clause may span lines, and
+      a last clause without its [0] is kept.
+    The formula keeps the clauses in input order, normalised ({!Cnf}). *)
 
 exception Parse_error of string
 
 val parse_string : string -> Cnf.t
-(** Parses a DIMACS document from a string.  Raises {!Parse_error}. *)
-
-val parse_channel : in_channel -> Cnf.t
+(** Raises {!Parse_error}, and nothing else, on text outside the grammar. *)
 
 val parse_file : string -> Cnf.t
 
 val to_string : Cnf.t -> string
-(** Serialises a formula back to DIMACS. *)
-
-val write_channel : out_channel -> Cnf.t -> unit
 
 val write_file : string -> Cnf.t -> unit
+
+(** The byte scanner behind every line-structured integer format: DIMACS,
+    the subproblem wire format and DRUP text.  It reads the text in place
+    with this grammar's whitespace and integers; errors raise the exception
+    its [fail] makes of a message. *)
+module Scan : sig
+  type t
+
+  val create : fail:(string -> exn) -> string -> t
+
+  val error : t -> ('a, unit, string, 'b) format4 -> 'a
+
+  val peek : t -> char
+  (** Skips blanks, then the byte at the cursor; ['\n'] at the end. *)
+
+  val more : t -> bool
+  (** Skips empty lines: whether any text is left. *)
+
+  val word : t -> string -> bool
+  (** Whether the next token is the word; if so, moves past it. *)
+
+  val int : t -> int
+
+  val header : t -> string -> int * int
+  (** Reads the line [p <kind> <vars> <clauses>] with [<vars> >= 0], and
+      returns [(<vars>, <clauses>)]. *)
+
+  val line : t -> (int -> unit) -> unit
+  (** Passes each integer of the rest of the line to the function; the
+      line must end with its only [0]. *)
+end

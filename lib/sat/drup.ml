@@ -8,9 +8,14 @@ type t = step list
    Deliberately independent of the CDCL solver: it shares no code with it,
    so a checked proof does not trust the solver's propagation. *)
 module Engine = struct
+  (* Clause [idx] is [src.(idx).(off.(idx) .. off.(idx) + len.(idx) - 1)]:
+     the formula's clauses are read in place from its arena, and a proof
+     step's clause is its own array. *)
   type engine = {
     nvars : int;
-    mutable clauses : T.lit array array;
+    mutable src : T.lit array array;
+    mutable off : int array;
+    mutable len : int array;
     mutable nclauses : int;
     mutable deleted : bool array;
     occ : int list array; (* literal -> indices of clauses containing it *)
@@ -19,25 +24,43 @@ module Engine = struct
   let create nvars =
     {
       nvars;
-      clauses = Array.make 16 [||];
+      src = Array.make 16 [||];
+      off = Array.make 16 0;
+      len = Array.make 16 0;
       nclauses = 0;
       deleted = Array.make 16 false;
       occ = Array.make (2 * (nvars + 1)) [];
     }
 
-  let add e lits =
-    if e.nclauses = Array.length e.clauses then begin
-      let clauses = Array.make (2 * e.nclauses) [||] in
-      Array.blit e.clauses 0 clauses 0 e.nclauses;
-      e.clauses <- clauses;
-      let deleted = Array.make (2 * e.nclauses) false in
-      Array.blit e.deleted 0 deleted 0 e.nclauses;
-      e.deleted <- deleted
+  let add_slice e lits pos n =
+    if e.nclauses = Array.length e.src then begin
+      let grow a fill =
+        let b = Array.make (2 * e.nclauses) fill in
+        Array.blit a 0 b 0 e.nclauses;
+        b
+      in
+      e.src <- grow e.src [||];
+      e.off <- grow e.off 0;
+      e.len <- grow e.len 0;
+      e.deleted <- grow e.deleted false
     end;
     let idx = e.nclauses in
-    e.clauses.(idx) <- lits;
+    e.src.(idx) <- lits;
+    e.off.(idx) <- pos;
+    e.len.(idx) <- n;
     e.nclauses <- idx + 1;
-    Array.iter (fun l -> e.occ.(l) <- idx :: e.occ.(l)) lits
+    for p = pos to pos + n - 1 do
+      e.occ.(lits.(p)) <- idx :: e.occ.(lits.(p))
+    done
+
+  let add e lits = add_slice e lits 0 (Array.length lits)
+
+  let of_cnf cnf =
+    let e = create (Cnf.nvars cnf) and { Arena.lits; starts } = Cnf.clauses cnf in
+    for k = 0 to Cnf.nclauses cnf - 1 do
+      add_slice e lits starts.(k) (starts.(k + 1) - starts.(k))
+    done;
+    e
 
   (* Lenient deletion (standard for DRUP): remove one clause with exactly
      these literals as a set; ignore if absent. *)
@@ -45,7 +68,7 @@ module Engine = struct
     let target = List.sort_uniq compare (Array.to_list lits) in
     let matches idx =
       (not e.deleted.(idx))
-      && List.sort_uniq compare (Array.to_list e.clauses.(idx)) = target
+      && List.sort_uniq compare (Array.to_list (Array.sub e.src.(idx) e.off.(idx) e.len.(idx))) = target
     in
     match lits with
     | [||] -> ()
@@ -74,8 +97,7 @@ module Engine = struct
     List.iter assign assumptions;
     (* also propagate pre-existing unit clauses *)
     for idx = 0 to e.nclauses - 1 do
-      if (not e.deleted.(idx)) && Array.length e.clauses.(idx) = 1 then
-        assign e.clauses.(idx).(0)
+      if (not e.deleted.(idx)) && e.len.(idx) = 1 then assign e.src.(idx).(e.off.(idx))
     done;
     while (not !conflict) && not (Queue.is_empty queue) do
       let l = Queue.pop queue in
@@ -83,16 +105,15 @@ module Engine = struct
       List.iter
         (fun idx ->
           if (not !conflict) && not e.deleted.(idx) then begin
-            let lits = e.clauses.(idx) in
+            let lits = e.src.(idx) in
             let satisfied = ref false in
             let unassigned = ref [] in
-            Array.iter
-              (fun q ->
-                match lit_value q with
-                | T.True -> satisfied := true
-                | T.Unknown -> unassigned := q :: !unassigned
-                | T.False -> ())
-              lits;
+            for p = e.off.(idx) to e.off.(idx) + e.len.(idx) - 1 do
+              match lit_value lits.(p) with
+              | T.True -> satisfied := true
+              | T.Unknown -> unassigned := lits.(p) :: !unassigned
+              | T.False -> ()
+            done;
             if not !satisfied then
               match !unassigned with
               | [] -> conflict := true
@@ -105,8 +126,7 @@ module Engine = struct
 end
 
 let check_clause_rup cnf earlier clause =
-  let e = Engine.create (Cnf.nvars cnf) in
-  Cnf.iter (Engine.add e) cnf;
+  let e = Engine.of_cnf cnf in
   List.iter (Engine.add e) earlier;
   Engine.propagates_to_conflict e (List.map T.negate (Array.to_list clause))
 
@@ -120,8 +140,7 @@ let check_under cnf ~assumptions proof =
     v >= 1 && v <= nvars
   in
   let bad_lits lits = List.find_opt (fun l -> not (in_bounds l)) (Array.to_list lits) in
-  let e = Engine.create nvars in
-  Cnf.iter (Engine.add e) cnf;
+  let e = Engine.of_cnf cnf in
   let rec replay i = function
     | [] ->
         (* implicit final empty clause: the accumulated database must be
@@ -168,27 +187,12 @@ let to_string proof =
   Buffer.contents buf
 
 let of_string text =
-  let parse_line line =
-    let line = String.trim line in
-    if line = "" then None
-    else begin
-      let is_delete = String.length line >= 2 && line.[0] = 'd' && line.[1] = ' ' in
-      let body = if is_delete then String.sub line 2 (String.length line - 2) else line in
-      let ints =
-        String.split_on_char ' ' body
-        |> List.filter (fun s -> s <> "")
-        |> List.map (fun s ->
-               match int_of_string_opt s with
-               | Some i -> i
-               | None -> failwith ("Drup.of_string: not an integer: " ^ s))
-      in
-      match List.rev ints with
-      | 0 :: rev_lits ->
-          if List.mem 0 rev_lits then
-            failwith "Drup.of_string: 0 inside a clause (truncated or merged lines?)";
-          let lits = Array.of_list (List.rev_map T.lit_of_int rev_lits) in
-          Some (if is_delete then Delete lits else Add lits)
-      | _ -> failwith "Drup.of_string: line not terminated by 0"
-    end
-  in
-  String.split_on_char '\n' text |> List.filter_map parse_line
+  let sc = Dimacs.Scan.create ~fail:(fun m -> Failure ("Drup.of_string: " ^ m)) text in
+  let steps = ref [] in
+  while Dimacs.Scan.more sc do
+    let delete = Dimacs.Scan.word sc "d" and lits = ref [] in
+    Dimacs.Scan.line sc (fun i -> lits := T.lit_of_int i :: !lits);
+    let lits = Array.of_list (List.rev !lits) in
+    steps := (if delete then Delete lits else Add lits) :: !steps
+  done;
+  List.rev !steps

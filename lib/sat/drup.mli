@@ -48,4 +48,6 @@ val to_string : t -> string
 (** Standard DRUP text ("d" lines for deletions, "0"-terminated). *)
 
 val of_string : string -> t
-(** Parses DRUP text.  Raises [Failure] on malformed input. *)
+(** Parses DRUP text with {!Dimacs.Scan}: a step a line, [d] first for a
+    deletion, its integers ended by the line's only [0].  Raises [Failure]
+    on malformed input. *)

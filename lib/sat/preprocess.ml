@@ -12,7 +12,7 @@ type result = {
   elims : elimination list; (* most recent first *)
 }
 
-(* Working state: clauses as sorted literal arrays, None when removed. *)
+(* Working state: clauses as normalised literal arrays, None when removed. *)
 type state = {
   nvars : int;
   mutable clauses : T.lit array option array;
@@ -22,26 +22,14 @@ type state = {
   mutable elims : elimination list;
 }
 
-let sorted lits =
-  let l = List.sort_uniq compare (Array.to_list lits) in
-  Array.of_list l
-
-let tautology lits =
-  let rec loop i =
-    i + 1 < Array.length lits && ((lits.(i) lxor lits.(i + 1)) = 1 || loop (i + 1))
-  in
-  loop 0
-
 let add_clause st lits =
-  if not (tautology lits) then begin
-    if st.n = Array.length st.clauses then begin
-      let a = Array.make (max 16 (2 * st.n)) None in
-      Array.blit st.clauses 0 a 0 st.n;
-      st.clauses <- a
-    end;
-    st.clauses.(st.n) <- Some lits;
-    st.n <- st.n + 1
-  end
+  if st.n = Array.length st.clauses then begin
+    let a = Array.make (max 16 (2 * st.n)) None in
+    Array.blit st.clauses 0 a 0 st.n;
+    st.clauses <- a
+  end;
+  st.clauses.(st.n) <- Some lits;
+  st.n <- st.n + 1
 
 let occurrences st =
   let occ = Array.make (2 * (st.nvars + 1)) [] in
@@ -132,14 +120,11 @@ let elimination_round st ~growth =
     if npos + nneg > 0 && npos * nneg <= npos + nneg + growth && npos + nneg <= 20 then begin
       let clause j = match st.clauses.(j) with Some c -> c | None -> assert false in
       let resolve cp cn =
-        let lits =
-          List.filter (fun l -> T.var l <> v) (Array.to_list cp @ Array.to_list cn)
-        in
-        sorted (Array.of_list lits)
+        let c = Array.of_list (List.filter (fun l -> T.var l <> v) (Array.to_list cp @ Array.to_list cn)) in
+        Arena.normalise ~nvars:st.nvars c 0 (Array.length c)
       in
       let resolvents =
-        List.concat_map (fun jp -> List.map (fun jn -> resolve (clause jp) (clause jn)) neg) pos
-        |> List.filter (fun r -> not (tautology r))
+        List.concat_map (fun jp -> List.filter_map (fun jn -> resolve (clause jp) (clause jn)) neg) pos
       in
       (* record the positive side for model extension, then rewrite *)
       st.elims <- { var = v; pos_clauses = List.map clause pos } :: st.elims;
@@ -162,7 +147,9 @@ let run ?(max_rounds = 3) ?(elim_growth = 0) cnf =
       elims = [];
     }
   in
-  Cnf.iter (fun c -> add_clause st (sorted c)) cnf;
+  for k = 0 to Cnf.nclauses cnf - 1 do
+    add_clause st (Arena.clause (Cnf.clauses cnf) k)
+  done;
   let before = st.n in
   let rec rounds k =
     if k > 0 then begin
@@ -172,9 +159,7 @@ let run ?(max_rounds = 3) ?(elim_growth = 0) cnf =
     end
   in
   rounds max_rounds;
-  let survivors =
-    Array.to_list st.clauses |> List.filter_map (fun c -> c) |> List.map Array.copy
-  in
+  let survivors = List.filter_map Fun.id (Array.to_list st.clauses) in
   {
     cnf = Cnf.of_lit_arrays ~nvars:st.nvars survivors;
     clauses_before = before;

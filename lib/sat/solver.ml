@@ -825,22 +825,11 @@ let restart t =
 
 (* ---------- construction ---------- *)
 
-(* Each clause is normalised once, into the array the solver then owns
-   and usually stores as it is.  All are normalised before the solver is
-   built: the RNG is seeded with the number that survive. *)
-let create_internal cfg ~nvars ~obs ~obs_tid ~facts ~assumptions clauses =
-  if nvars < 0 then invalid_arg "Cnf: negative nvars";
-  let owned = Array.make (List.length clauses) [||] in
-  let n = ref 0 and has_empty = ref false in
-  List.iter
-    (fun lits ->
-      match Cnf.normalise ~nvars lits with
-      | None -> ()
-      | Some c ->
-          if Array.length c = 0 then has_empty := true;
-          owned.(!n) <- c;
-          incr n)
-    clauses;
+(* [owned.(0 .. n - 1)] are the normalised clauses, each an array the
+   solver then owns and usually stores as it is.  The RNG is seeded with
+   their number. *)
+let create_internal cfg ~nvars ~obs ~obs_tid ~facts ~assumptions owned n =
+  let rec has_empty k = k < n && (Array.length owned.(k) = 0 || has_empty (k + 1)) in
   let var_activity = Array.make (nvars + 1) 0. in
   let order = Heap.create ~nvars ~key:var_activity in
   let m = Obs.metrics obs in
@@ -862,7 +851,7 @@ let create_internal cfg ~nvars ~obs ~obs_tid ~facts ~assumptions clauses =
       qhead = 0;
       clauses = Vec.create dummy_clause;
       learnts = Vec.create dummy_clause;
-      ok = not !has_empty;
+      ok = not (has_empty 0);
       seen = Array.make (nvars + 1) false;
       phase = Array.make (nvars + 1) false;
       var_inc = 1.0;
@@ -877,7 +866,7 @@ let create_internal cfg ~nvars ~obs ~obs_tid ~facts ~assumptions clauses =
       fresh_shares = Queue.create ();
       last_simplify_trail = 0;
       proof_rev = [];
-      rng = Random.State.make [| cfg.seed; nvars; !n |];
+      rng = Random.State.make [| cfg.seed; nvars; n |];
       learnt_buf = Vec.create 0;
       to_clear = Vec.create 0;
       root_unknown = 0;
@@ -906,20 +895,33 @@ let create_internal cfg ~nvars ~obs ~obs_tid ~facts ~assumptions clauses =
   List.iter (assert_root false) facts;
   List.iter (assert_root true) assumptions;
   let k = ref 0 in
-  while t.ok && !k < !n do
+  while t.ok && !k < n do
     ignore (install_clause_root t ~learned:false ~activity:0. ~owned:true owned.(!k));
     incr k
   done;
   if t.ok then (match propagate t with Some _ -> t.ok <- false | None -> ());
   t
 
+(* A formula's clauses are normalised already: each is only copied. *)
 let create ?(config = default_config) ?(obs = Obs.disabled) ?(obs_tid = Obs.Span.run_tid) cnf =
+  let clauses = Cnf.clauses cnf in
+  let n = Arena.nclauses clauses in
   create_internal config ~nvars:(Cnf.nvars cnf) ~obs ~obs_tid ~facts:[] ~assumptions:[]
-    (Cnf.clauses cnf)
+    (Array.init n (Arena.clause clauses)) n
 
 let create_with_roots ?(config = default_config) ?(obs = Obs.disabled)
-    ?(obs_tid = Obs.Span.run_tid) ?(facts = []) ~nvars clauses assumptions =
-  create_internal config ~nvars ~obs ~obs_tid ~facts ~assumptions clauses
+    ?(obs_tid = Obs.Span.run_tid) ?(facts = []) ~nvars (clauses : Arena.t) assumptions =
+  if nvars < 0 then invalid_arg "Cnf: negative nvars";
+  let owned = Array.make (Arena.nclauses clauses) [||] and n = ref 0 in
+  for k = 0 to Arena.nclauses clauses - 1 do
+    let s = clauses.starts.(k) in
+    match Arena.normalise ~nvars clauses.lits s (clauses.starts.(k + 1) - s) with
+    | None -> ()
+    | Some c ->
+        owned.(!n) <- c;
+        incr n
+  done;
+  create_internal config ~nvars ~obs ~obs_tid ~facts ~assumptions owned !n
 
 (* ---------- model extraction ---------- *)
 
@@ -1047,10 +1049,10 @@ let root_true t l = lit_true t l && t.levels.(T.var l) = 0
 
 let root_strippable t l = lit_false t l && t.levels.(T.var l) = 0 && not t.tainted.(T.var l)
 
-(* The clause as it travels, consed onto [acc]: none if deleted,
-   satisfied at the root or containing [drop], else a copy without its
-   strippable root-false literals, in order. *)
-let cons_visible t ~drop acc c =
+(* Appends the clause as it travels: none if deleted, satisfied at the
+   root or containing [drop], else its literals in order without the
+   strippable root-false ones. *)
+let push_visible t ~drop b c =
   let lits = c.lits in
   let len = Array.length lits in
   let k = ref 0 and hidden = ref 0 in
@@ -1058,22 +1060,26 @@ let cons_visible t ~drop acc c =
     if root_strippable t lits.(!k) then incr hidden;
     incr k
   done;
-  if c.deleted || !k < len then acc
-  else if !hidden = 0 then Array.copy lits :: acc
-  else begin
-    let out = Array.make (len - !hidden) 0 and j = ref 0 in
-    for k = 0 to len - 1 do
-      if not (root_strippable t lits.(k)) then begin
-        out.(!j) <- lits.(k);
-        incr j
-      end
-    done;
-    out :: acc
+  if not (c.deleted || !k < len) then begin
+    if !hidden = 0 then Arena.push_slice b lits 0 len
+    else
+      for k = 0 to len - 1 do
+        if not (root_strippable t lits.(k)) then Arena.push b lits.(k)
+      done;
+    Arena.close b
   end
 
+(* Room for every clause, which only shrinks on the way. *)
 let visible_clauses t ~drop =
-  let collect acc vec = Vec.fold (cons_visible t ~drop) acc vec in
-  List.rev (collect (collect [] t.clauses) t.learnts)
+  let lits n c = n + Array.length c.lits in
+  let b =
+    Arena.buffer
+      ~clauses:(Vec.size t.clauses + Vec.size t.learnts)
+      ~lits:(Vec.fold lits (Vec.fold lits 0 t.clauses) t.learnts)
+  in
+  Vec.iter (push_visible t ~drop b) t.clauses;
+  Vec.iter (push_visible t ~drop b) t.learnts;
+  Arena.contents b
 
 (* [-1] is no literal. *)
 let active_clauses t = visible_clauses t ~drop:(-1)

@@ -66,7 +66,8 @@ val create : ?config:config -> ?obs:Obs.t -> ?obs_tid:int -> Cnf.t -> t
 (** Builds a solver over the formula.  Unit clauses are asserted at the
     root level and propagated immediately.  [obs] (default
     [Obs.disabled]) receives per-solver metrics and phase spans; [obs_tid]
-    is the telemetry track — the owning client's id in grid runs. *)
+    is the telemetry track — the owning client's id in grid runs.  The
+    formula's clauses are normalised already, so each is only copied. *)
 
 val create_with_roots :
   ?config:config ->
@@ -74,14 +75,14 @@ val create_with_roots :
   ?obs_tid:int ->
   ?facts:Types.lit list ->
   nvars:int ->
-  Types.lit array list ->
+  Arena.t ->
   Types.lit list ->
   t
 (** [create_with_roots ~facts ~nvars clauses path] builds a solver over
-    the formula [Cnf.of_lit_arrays ~nvars clauses] without building it:
-    each clause is normalised once ({!Cnf.normalise}) into an array the
-    solver keeps.  The arrays of [clauses] are only read, never kept or
-    mutated, so they may be shared (a received subproblem's clauses are).
+    the formula of [clauses] without building it: each clause is
+    normalised once ({!Arena.normalise}) into an array the solver
+    keeps.  The arena is only read, so it may be shared (a received
+    subproblem's is).
     It asserts two kinds of literals at decision level 0 — this is how a
     client instantiates a received subproblem (root assignments + clause
     set):
@@ -153,11 +154,11 @@ val split : t -> (Types.lit list * Types.lit list) option
     level into its own root (as new guiding-path assumptions).  Returns
     [None] when there is no decision to split on. *)
 
-val active_clauses : t -> Types.lit array list
-(** All live clauses (original + learned), as currently simplified.  Used
-    to serialise a subproblem for transfer. *)
+val active_clauses : t -> Arena.t
+(** All live clauses (original + learned), as currently simplified, in
+    one fresh arena.  Used to serialise a subproblem for transfer. *)
 
-val split_clauses : t -> Types.lit array list
+val split_clauses : t -> Arena.t
 (** The clause set a {!split} hands over, to be taken just before it:
     {!active_clauses} without the clauses the complement of the first
     decision satisfies — what pruning them against the new branch's root

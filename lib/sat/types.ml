@@ -52,41 +52,43 @@ let pp_clause ppf lits =
 
 (* Clauses are mostly short: insertion sort below the cutoff, heap sort
    above it.  Both compare unboxed ints in place and allocate nothing. *)
-let insertion_sort (a : lit array) n =
-  for i = 1 to n - 1 do
+let insertion_sort (a : lit array) s e =
+  for i = s + 1 to e - 1 do
     let x = a.(i) in
     let j = ref (i - 1) in
-    while !j >= 0 && a.(!j) > x do
+    while !j >= s && a.(!j) > x do
       a.(!j + 1) <- a.(!j);
       decr j
     done;
     a.(!j + 1) <- x
   done
 
-(* Restores max-heap order in [a.(0 .. n - 1)] below slot [i]. *)
-let rec sift (a : lit array) n i =
+(* Restores max-heap order in the heap [a.(s .. s + n - 1)] below its
+   slot [i]. *)
+let rec sift (a : lit array) s n i =
   let l = (2 * i) + 1 in
   if l < n then begin
-    let c = if l + 1 < n && a.(l + 1) > a.(l) then l + 1 else l in
-    if a.(c) > a.(i) then begin
-      let x = a.(i) in
-      a.(i) <- a.(c);
-      a.(c) <- x;
-      sift a n c
+    let c = if l + 1 < n && a.(s + l + 1) > a.(s + l) then l + 1 else l in
+    if a.(s + c) > a.(s + i) then begin
+      let x = a.(s + i) in
+      a.(s + i) <- a.(s + c);
+      a.(s + c) <- x;
+      sift a s n c
     end
   end
 
-let sort_lits (a : lit array) =
-  let n = Array.length a in
-  if n <= 16 then insertion_sort a n
+let sort_sub (a : lit array) s n =
+  if n <= 16 then insertion_sort a s (s + n)
   else begin
     for i = (n / 2) - 1 downto 0 do
-      sift a n i
+      sift a s n i
     done;
     for last = n - 1 downto 1 do
-      let x = a.(0) in
-      a.(0) <- a.(last);
-      a.(last) <- x;
-      sift a last 0
+      let x = a.(s) in
+      a.(s) <- a.(s + last);
+      a.(s + last) <- x;
+      sift a s last 0
     done
   end
+
+let sort_lits a = sort_sub a 0 (Array.length a)

@@ -51,3 +51,6 @@ val pp_clause : Format.formatter -> lit array -> unit
 val sort_lits : lit array -> unit
 (** Sorts the array in place into ascending order, allocating nothing.
     Duplicates are kept. *)
+
+val sort_sub : lit array -> int -> int -> unit
+(** [sort_sub a pos len] is {!sort_lits} on [a.(pos .. pos + len - 1)]. *)

@@ -11,22 +11,22 @@ type t = {
 
 let create () = { table = Hashtbl.create 16; hits = 0; stores = 0 }
 
-(* Writes clause [c] at [flat.(at)] as its DIMACS literals in ascending
-   order.  A Cnf clause is strictly increasing in the internal encoding,
-   where variable [v] is [2v] and [-v] is [2v + 1]: the DIMACS order is its
-   negative literals by descending variable, then its positive ones by
-   ascending variable. *)
-let put_dimacs flat at (c : Sat.Types.lit array) =
-  let j = ref at in
-  for k = Array.length c - 1 downto 0 do
-    if not (Sat.Types.is_pos c.(k)) then begin
-      flat.(!j) <- Sat.Types.to_int c.(k);
+(* Writes the clause [lits.(s .. e - 1)] at [flat.(s)] as its DIMACS
+   literals in ascending order.  A Cnf clause is strictly increasing in the
+   internal encoding, where variable [v] is [2v] and [-v] is [2v + 1]: the
+   DIMACS order is its negative literals by descending variable, then its
+   positive ones by ascending variable. *)
+let put_dimacs flat (lits : Sat.Types.lit array) s e =
+  let j = ref s in
+  for k = e - 1 downto s do
+    if not (Sat.Types.is_pos lits.(k)) then begin
+      flat.(!j) <- Sat.Types.to_int lits.(k);
       incr j
     end
   done;
-  for k = 0 to Array.length c - 1 do
-    if Sat.Types.is_pos c.(k) then begin
-      flat.(!j) <- Sat.Types.to_int c.(k);
+  for k = s to e - 1 do
+    if Sat.Types.is_pos lits.(k) then begin
+      flat.(!j) <- Sat.Types.to_int lits.(k);
       incr j
     end
   done
@@ -46,17 +46,18 @@ let compare_clauses flat off a b = compare_from flat off.(a) off.(a + 1) off.(b)
    normalisation already removed duplicate literals), the clause list
    itself sorted and deduplicated.  The formula's identity is exactly
    this set-of-sets plus the variable count, streamed as
-   "p <nvars>;" then "<lit> <lit> ... ;" per clause.  The clauses sit in
-   one flat array, clause [k] at [off.(k) .. off.(k + 1) - 1], and only
-   their indices are sorted.  Merge sort only because it compares less
-   than heap sort; any sort gives the same key. *)
+   "p <nvars>;" then "<lit> <lit> ... ;" per clause.  The DIMACS literals
+   sit in one flat array laid out as the formula's arena, clause [k] at
+   [off.(k) .. off.(k + 1) - 1], and only their indices are sorted.  Merge
+   sort only because it compares less than heap sort; any sort gives the
+   same key. *)
 let digest cnf =
-  let clauses = Sat.Cnf.clauses cnf in
-  let n = List.length clauses in
-  let off = Array.make (n + 1) 0 in
-  List.iteri (fun k c -> off.(k + 1) <- off.(k) + Array.length c) clauses;
-  let flat = Array.make off.(n) 0 in
-  List.iteri (fun k c -> put_dimacs flat off.(k) c) clauses;
+  let { Sat.Arena.lits; starts = off } = Sat.Cnf.clauses cnf in
+  let n = Sat.Arena.nclauses (Sat.Cnf.clauses cnf) in
+  let flat = Array.make (Array.length lits) 0 in
+  for k = 0 to n - 1 do
+    put_dimacs flat lits off.(k) off.(k + 1)
+  done;
   let order = Array.init n Fun.id in
   Array.stable_sort (compare_clauses flat off) order;
   let h = Integrity.hasher () in

@@ -1,0 +1,197 @@
+(* The decoders and the cache key as they were before formulas became
+   one flat clause arena, kept as the reference the differential tests
+   compare the arena code with.  Each body is the old code verbatim,
+   except where the types changed:
+   - [Dimacs.parse_raw] is the old [parse_string] up to its final
+     [Cnf.make], so its clause lists can be compared before normalisation;
+   - [Subproblem.of_string] returns [(nvars, facts, path, clauses)]
+     instead of the old list-of-arrays record;
+   - [Cache.digest] reads the formula's clauses through [Clause_lists.to_list]. *)
+
+module Dimacs = struct
+  module Cnf = Sat.Cnf
+
+  exception Parse_error of string
+
+  let fail fmt = Printf.ksprintf (fun s -> raise (Parse_error s)) fmt
+
+  (* Tokenise into int tokens, skipping comments and the header; returns
+     (nvars, tokens in order). *)
+  let parse_tokens lines =
+    let nvars = ref (-1) in
+    let tokens = ref [] in
+    let handle_line line =
+      let line = String.trim line in
+      if line = "" then ()
+      else if line.[0] = 'c' then ()
+      else if line.[0] = 'p' then begin
+        if !nvars >= 0 then fail "duplicate problem header";
+        match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
+        | [ "p"; "cnf"; nv; _nc ] -> (
+            match int_of_string_opt nv with
+            | Some n when n >= 0 -> nvars := n
+            | _ -> fail "bad variable count in header: %s" nv)
+        | _ -> fail "malformed problem line: %S" line
+      end
+      else begin
+        if !nvars < 0 then fail "clause data before 'p cnf' header";
+        let words =
+          String.split_on_char ' ' line
+          |> List.concat_map (String.split_on_char '\t')
+          |> List.filter (fun s -> s <> "")
+        in
+        let parse_word w =
+          match int_of_string_opt w with
+          | Some i -> tokens := i :: !tokens
+          | None -> fail "not an integer: %S" w
+        in
+        List.iter parse_word words
+      end
+    in
+    List.iter handle_line lines;
+    if !nvars < 0 then fail "missing 'p cnf' header";
+    (!nvars, List.rev !tokens)
+
+  let clauses_of_tokens nvars tokens =
+    let clauses = ref [] and current = ref [] in
+    let add_token i =
+      if i = 0 then begin
+        clauses := List.rev !current :: !clauses;
+        current := []
+      end
+      else begin
+        (* not [abs i > nvars]: [abs min_int] is negative *)
+        if i > nvars || i < -nvars then fail "literal %d exceeds declared variable count %d" i nvars;
+        current := i :: !current
+      end
+    in
+    List.iter add_token tokens;
+    if !current <> [] then clauses := List.rev !current :: !clauses;
+    List.rev !clauses
+
+  let parse_raw s =
+    let lines = String.split_on_char '\n' s in
+    let nvars, tokens = parse_tokens lines in
+    (nvars, clauses_of_tokens nvars tokens)
+
+  let parse_string s =
+    let nvars, clauses = parse_raw s in
+    Cnf.make ~nvars clauses
+end
+
+module Subproblem = struct
+  module T = Sat.Types
+
+  let of_string text =
+    let lines = String.split_on_char '\n' text |> List.filter (fun l -> String.trim l <> "") in
+    let parse_ints nvars body =
+      let ints =
+        String.split_on_char ' ' body
+        |> List.filter (fun s -> s <> "")
+        |> List.map (fun s ->
+               match int_of_string_opt s with
+               | Some i -> i
+               | None -> failwith ("Subproblem.of_string: not an integer: " ^ s))
+      in
+      match List.rev ints with
+      | 0 :: rev ->
+          List.rev_map
+            (fun i ->
+              if i = 0 then failwith "Subproblem.of_string: 0 inside a line";
+              if i > nvars || i < -nvars then
+                failwith (Printf.sprintf "Subproblem.of_string: literal %d out of range" i);
+              T.lit_of_int i)
+            rev
+      | _ -> failwith "Subproblem.of_string: line not terminated by 0"
+    in
+    match lines with
+    | header :: rest -> (
+        match String.split_on_char ' ' header |> List.filter (fun s -> s <> "") with
+        | [ "p"; "subproblem"; nv; _nc ] ->
+            let nvars =
+              match int_of_string_opt nv with
+              | Some n when n >= 0 -> n
+              | _ -> failwith "Subproblem.of_string: bad variable count"
+            in
+            let parse_ints = parse_ints nvars in
+            let facts = ref [] and path = ref [] and clauses = ref [] in
+            List.iter
+              (fun line ->
+                if String.length line >= 2 && line.[0] = 'f' && line.[1] = ' ' then
+                  facts := parse_ints (String.sub line 2 (String.length line - 2))
+                else if String.length line >= 2 && line.[0] = 'a' && line.[1] = ' ' then
+                  path := parse_ints (String.sub line 2 (String.length line - 2))
+                else clauses := Array.of_list (parse_ints line) :: !clauses)
+              rest;
+            (nvars, !facts, !path, List.rev !clauses)
+        | _ -> failwith "Subproblem.of_string: missing header")
+    | [] -> failwith "Subproblem.of_string: empty document"
+end
+
+module Cache = struct
+  module Integrity = Gridsat_core.Integrity
+
+  (* Writes clause [c] at [flat.(at)] as its DIMACS literals in ascending
+     order.  A Cnf clause is strictly increasing in the internal encoding,
+     where variable [v] is [2v] and [-v] is [2v + 1]: the DIMACS order is its
+     negative literals by descending variable, then its positive ones by
+     ascending variable. *)
+  let put_dimacs flat at (c : Sat.Types.lit array) =
+    let j = ref at in
+    for k = Array.length c - 1 downto 0 do
+      if not (Sat.Types.is_pos c.(k)) then begin
+        flat.(!j) <- Sat.Types.to_int c.(k);
+        incr j
+      end
+    done;
+    for k = 0 to Array.length c - 1 do
+      if Sat.Types.is_pos c.(k) then begin
+        flat.(!j) <- Sat.Types.to_int c.(k);
+        incr j
+      end
+    done
+
+  (* Lexicographic order on the clauses [flat.(i .. ei - 1)] and
+     [flat.(j .. ej - 1)], a proper prefix first: the order the key has
+     always been defined by, so existing keys stay valid. *)
+  let rec compare_from (flat : int array) i ei j ej =
+    if i = ei || j = ej then Int.compare (ei - i) (ej - j)
+    else if flat.(i) < flat.(j) then -1
+    else if flat.(i) > flat.(j) then 1
+    else compare_from flat (i + 1) ei (j + 1) ej
+
+  let compare_clauses flat off a b = compare_from flat off.(a) off.(a + 1) off.(b) off.(b + 1)
+
+  (* Canonical form: each clause as its sorted DIMACS literals (Cnf
+     normalisation already removed duplicate literals), the clause list
+     itself sorted and deduplicated.  The formula's identity is exactly
+     this set-of-sets plus the variable count, streamed as
+     "p <nvars>;" then "<lit> <lit> ... ;" per clause.  The clauses sit in
+     one flat array, clause [k] at [off.(k) .. off.(k + 1) - 1], and only
+     their indices are sorted.  Merge sort only because it compares less
+     than heap sort; any sort gives the same key. *)
+  let digest cnf =
+    let clauses = Clause_lists.to_list (Sat.Cnf.clauses cnf) in
+    let n = List.length clauses in
+    let off = Array.make (n + 1) 0 in
+    List.iteri (fun k c -> off.(k + 1) <- off.(k) + Array.length c) clauses;
+    let flat = Array.make off.(n) 0 in
+    List.iteri (fun k c -> put_dimacs flat off.(k) c) clauses;
+    let order = Array.init n Fun.id in
+    Array.stable_sort (compare_clauses flat off) order;
+    let h = Integrity.hasher () in
+    Integrity.add_string h "p ";
+    Integrity.add_int h (Sat.Cnf.nvars cnf);
+    Integrity.add_char h ';';
+    for k = 0 to n - 1 do
+      let c = order.(k) in
+      if k = 0 || compare_clauses flat off order.(k - 1) c <> 0 then begin
+        for p = off.(c) to off.(c + 1) - 1 do
+          Integrity.add_int h flat.(p);
+          Integrity.add_char h ' '
+        done;
+        Integrity.add_char h ';'
+      end
+    done;
+    Printf.sprintf "%x-%x" (Integrity.fnv1a_of h) (Integrity.crc32_of h)
+end

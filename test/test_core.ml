@@ -78,16 +78,17 @@ let test_subproblem_prune () =
       facts = [ T.pos 1 ];
       path = [ T.neg 2 ];
       clauses =
-        [
-          [| T.pos 1; T.pos 3 |] (* satisfied by fact 1: dropped *);
-          [| T.neg 2; T.pos 4 |] (* satisfied by path ~2: dropped *);
-          [| T.neg 1; T.pos 3 |] (* ~1 false by fact: stripped to (3) *);
-          [| T.pos 2; T.pos 4 |] (* 2 false by path: kept whole (taint) *);
-        ];
+        Clause_lists.of_list
+          [
+            [| T.pos 1; T.pos 3 |] (* satisfied by fact 1: dropped *);
+            [| T.neg 2; T.pos 4 |] (* satisfied by path ~2: dropped *);
+            [| T.neg 1; T.pos 3 |] (* ~1 false by fact: stripped to (3) *);
+            [| T.pos 2; T.pos 4 |] (* 2 false by path: kept whole (taint) *);
+          ];
     }
   in
   let pruned = Sub.prune sp in
-  let as_lists = List.map Array.to_list pruned.Sub.clauses in
+  let as_lists = List.map Array.to_list (Clause_lists.to_list pruned.Sub.clauses) in
   check int "two clauses survive" 2 (List.length as_lists);
   check bool "fact-false literal stripped" true (List.mem [ T.pos 3 ] as_lists);
   check bool "path literal kept" true (List.mem [ T.pos 2; T.pos 4 ] as_lists)
@@ -150,7 +151,7 @@ let prop_subproblem_wire_roundtrip =
       back.Sub.nvars = sp.Sub.nvars
       && back.Sub.facts = sp.Sub.facts
       && back.Sub.path = sp.Sub.path
-      && List.map Array.to_list back.Sub.clauses = List.map Array.to_list sp.Sub.clauses)
+      && Clause_lists.to_list back.Sub.clauses = Clause_lists.to_list sp.Sub.clauses)
 
 let test_subproblem_wire_errors () =
   let expect_fail text =
@@ -178,6 +179,43 @@ let test_subproblem_wire_literal_errors () =
   expect_failure "p subproblem 3 1\nf 0\na 4 0\n1 0\n";
   expect_failure (Printf.sprintf "p subproblem 3 1\nf 0\na 0\n%d 0\n" min_int)
 
+(* Integers are decimal, as in DIMACS: [int_of_string_opt] used to read
+   OCaml literal syntax. *)
+let test_subproblem_wire_decimal_only () =
+  let expect_failure text =
+    match Sub.of_string text with
+    | exception Failure _ -> ()
+    | exception e -> Alcotest.failf "expected Failure, got %s" (Printexc.to_string e)
+    | _ -> Alcotest.failf "expected Failure on %S" text
+  in
+  expect_failure "p subproblem 3 1\nf 0\na 0\n0x2 -0b11 0\n";
+  expect_failure "p subproblem 10 1\nf 0\na 0\n1_0 0\n";
+  expect_failure "p subproblem 0x3 1\nf 0\na 0\n1 0\n";
+  expect_failure "p subproblem 3 1\nf 0x1 0\na 0\n1 0\n";
+  expect_failure "p subproblem 3 1\nf 0\na 0\n99999999999999999999 0\n";
+  expect_failure "p subproblem 99999999999999999999 1\nf 0\na 0\n1 0\n"
+
+let same_as_legacy (sp : Sub.t) (nvars, facts, path, clauses) =
+  sp.Sub.nvars = nvars && sp.Sub.facts = facts && sp.Sub.path = path
+  && Clause_lists.to_list sp.Sub.clauses = clauses
+
+let prop_subproblem_matches_legacy =
+  QCheck.Test.make ~name:"wire decoder matches the old one outside the documented divergences"
+    ~count:2000 (QCheck.make ~print:String.escaped Doc_gen.sub_doc) (fun doc ->
+      let fresh = try Some (Sub.of_string doc) with Failure _ -> None in
+      let old = try Some (Legacy.Subproblem.of_string (Doc_gen.sub_legacy_view doc)) with _ -> None in
+      match (fresh, old) with
+      | Some sp, Some o -> same_as_legacy sp o
+      | None, None -> true
+      | _ -> false)
+
+let prop_subproblem_mutations =
+  QCheck.Test.make ~name:"wire byte mutations raise only Failure" ~count:2000
+    (QCheck.make ~print:String.escaped QCheck.Gen.(Doc_gen.sub_doc >>= Doc_gen.mutate))
+    (fun doc ->
+      match Sub.of_string doc with
+      | _ | (exception Failure _) -> true)
+
 let prop_prune_idempotent =
   QCheck.Test.make ~name:"subproblem pruning is idempotent" ~count:100
     (QCheck.make (random_cnf_gen ~max_vars:10 ~max_clauses:40 ~max_len:4))
@@ -193,7 +231,7 @@ let prop_prune_idempotent =
       in
       let once = Sub.prune sp in
       let twice = Sub.prune once in
-      List.map Array.to_list once.Sub.clauses = List.map Array.to_list twice.Sub.clauses)
+      Clause_lists.to_list once.Sub.clauses = Clause_lists.to_list twice.Sub.clauses)
 
 let prop_prune_never_grows =
   QCheck.Test.make ~name:"pruning never grows a subproblem" ~count:100
@@ -243,7 +281,7 @@ let same_subproblem (a : Sub.t) (b : Sub.t) =
   a.Sub.nvars = b.Sub.nvars
   && a.Sub.facts = b.Sub.facts
   && a.Sub.path = b.Sub.path
-  && List.map Array.to_list a.Sub.clauses = List.map Array.to_list b.Sub.clauses
+  && Clause_lists.to_list a.Sub.clauses = Clause_lists.to_list b.Sub.clauses
   && Sub.to_string a = Sub.to_string b
 
 let prop_split_from_is_pruned_split =
@@ -272,7 +310,7 @@ let prop_split_from_is_pruned_split =
    from its clauses, whose normalised clauses then go to the solver. *)
 let cnf_path_solver ~config (sp : Sub.t) =
   Solver.create_with_roots ~config ~facts:sp.Sub.facts ~nvars:sp.Sub.nvars
-    (Cnf.clauses (Cnf.of_lit_arrays ~nvars:sp.Sub.nvars sp.Sub.clauses))
+    (Cnf.clauses (Cnf.of_lit_arrays ~nvars:sp.Sub.nvars (Clause_lists.to_list sp.Sub.clauses)))
     sp.Sub.path
 
 let counters s = { (Solver.stats s) with Sat.Stats.bcp_seconds = 0.; total_seconds = 0. }
@@ -286,7 +324,7 @@ let scrambled (sp : Sub.t) =
     if Array.length r = 0 then r else Array.append r [| r.(0) |]
   in
   let tautology = if sp.Sub.nvars >= 1 then [ [| T.pos 1; T.neg 1 |] ] else [] in
-  { sp with Sub.clauses = tautology @ List.map scramble sp.Sub.clauses }
+  { sp with Sub.clauses = Clause_lists.of_list (tautology @ List.map scramble (Clause_lists.to_list sp.Sub.clauses)) }
 
 let prop_to_solver_matches_cnf_path =
   QCheck.Test.make ~name:"to_solver runs like a solver built from a formula" ~count:150
@@ -318,12 +356,12 @@ let test_to_solver_leaves_clauses_alone () =
   let branch = Option.get (Sub.split_from donor) in
   List.iter
     (fun (what, (sp : Sub.t)) ->
-      let before = List.map Array.to_list sp.Sub.clauses in
+      let before = Clause_lists.to_list sp.Sub.clauses in
       let s = Sub.to_solver ~config:Solver.default_config sp in
       ignore (Solver.run s ~budget:20_000);
       check bool (what ^ ": search ran") true ((Solver.stats s).Sat.Stats.conflicts > 0);
       check bool (what ^ ": clause arrays unchanged") true
-        (List.map Array.to_list sp.Sub.clauses = before))
+        (Clause_lists.to_list sp.Sub.clauses = before))
     [ ("initial", Sub.initial cnf); ("split branch", branch) ]
 
 (* ---------- Scheduler ---------- *)
@@ -388,7 +426,8 @@ let test_scheduler_migration_rule () =
 let test_checkpoint_light_restores_original_clauses () =
   let cnf = Cnf.make ~nvars:3 [ [ 1; 2 ]; [ -1; 3 ] ] in
   let store = C.Checkpoint.create cnf in
-  let sp = { Sub.nvars = 3; facts = []; path = [ T.pos 1 ]; clauses = [ [| T.neg 1; T.pos 3 |] ] } in
+  let sp = { Sub.nvars = 3; facts = []; path = [ T.pos 1 ]; clauses = Clause_lists.of_list [ [| T.neg 1; T.pos 3 |] ] }
+  in
   let bytes = C.Checkpoint.save store ~client:5 ~mode:Cfg.Light sp in
   check bool "light checkpoint small" true (bytes < Sub.bytes sp + 64);
   match C.Checkpoint.restore store ~client:5 with
@@ -402,7 +441,8 @@ let test_checkpoint_light_restores_original_clauses () =
 let test_checkpoint_heavy_roundtrip () =
   let cnf = Cnf.make ~nvars:2 [ [ 1; 2 ] ] in
   let store = C.Checkpoint.create cnf in
-  let sp = { Sub.nvars = 2; facts = [ T.pos 2 ]; path = []; clauses = [ [| T.pos 1; T.neg 2 |] ] } in
+  let sp = { Sub.nvars = 2; facts = [ T.pos 2 ]; path = []; clauses = Clause_lists.of_list [ [| T.pos 1; T.neg 2 |] ] }
+  in
   ignore (C.Checkpoint.save store ~client:1 ~mode:Cfg.Heavy sp);
   (match C.Checkpoint.restore store ~client:1 with
   | Some restored -> check int "heavy keeps stored clauses" 1 (Sub.nclauses restored)
@@ -1327,6 +1367,8 @@ let () =
           Alcotest.test_case "wire format errors" `Quick test_subproblem_wire_errors;
           Alcotest.test_case "wire format literal errors" `Quick
             test_subproblem_wire_literal_errors;
+          Alcotest.test_case "wire format decimal integers only" `Quick
+            test_subproblem_wire_decimal_only;
         ]
         @ qsuite
             [
@@ -1334,6 +1376,8 @@ let () =
               prop_prune_idempotent;
               prop_prune_never_grows;
               prop_subproblem_wire_roundtrip;
+              prop_subproblem_matches_legacy;
+              prop_subproblem_mutations;
             ] );
       ("hand-off", qsuite [ prop_split_from_is_pruned_split; prop_to_solver_matches_cnf_path ]);
       ("baseline", [ Alcotest.test_case "outcomes" `Slow test_baseline_outcomes ]);

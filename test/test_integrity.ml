@@ -45,7 +45,7 @@ module Ref = struct
   let subproblem_to_string (t : Sub.t) =
     let buf = Buffer.create 4096 in
     Buffer.add_string buf
-      (Printf.sprintf "p subproblem %d %d\n" t.Sub.nvars (List.length t.Sub.clauses));
+      (Printf.sprintf "p subproblem %d %d\n" t.Sub.nvars (Sat.Arena.nclauses t.Sub.clauses));
     let add_ints prefix lits =
       Buffer.add_string buf prefix;
       List.iter (fun l -> Buffer.add_string buf (string_of_int (T.to_int l) ^ " ")) lits;
@@ -57,7 +57,7 @@ module Ref = struct
       (fun c ->
         Array.iter (fun l -> Buffer.add_string buf (string_of_int (T.to_int l) ^ " ")) c;
         Buffer.add_string buf "0\n")
-      t.Sub.clauses;
+      (Clause_lists.to_list t.Sub.clauses);
     Buffer.contents buf
 
   let render_entry buf (e : P.journal_entry) =
@@ -159,7 +159,7 @@ module Ref = struct
 
   let cache_digest cnf =
     let clause arr = Array.to_list arr |> List.map T.to_int |> List.sort compare in
-    let clauses = List.sort_uniq compare (List.map clause (Cnf.clauses cnf)) in
+    let clauses = List.sort_uniq compare (List.map clause (Clause_lists.to_list (Cnf.clauses cnf))) in
     let buf = Buffer.create 256 in
     Buffer.add_string buf (Printf.sprintf "p %d;" (Cnf.nvars cnf));
     List.iter
@@ -186,7 +186,7 @@ module Ref = struct
 
   let cache_digest_streamed cnf =
     let clauses =
-      Array.of_list (Sat.Cnf.clauses cnf)
+      Array.of_list (Clause_lists.to_list (Sat.Cnf.clauses cnf))
       |> Array.map (fun c ->
              let ints = Array.map Sat.Types.to_int c in
              Array.stable_sort Int.compare ints;
@@ -290,7 +290,8 @@ let gen_text = QCheck.Gen.(string_size ~gen:char (int_bound 12))
 let gen_sp =
   QCheck.Gen.(
     map
-      (fun (nvars, facts, path, clauses) -> { Sub.nvars; facts; path; clauses })
+      (fun (nvars, facts, path, clauses) ->
+        { Sub.nvars; facts; path; clauses = Clause_lists.of_list clauses })
       (quad gen_int gen_lits gen_lits gen_clauses))
 
 let gen_entry : P.journal_entry QCheck.Gen.t =

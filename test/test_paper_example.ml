@@ -150,12 +150,12 @@ let test_figure2_split_of_figure1_state () =
       Alcotest.(check (list int)) "B starts from ~V10" [ -10 ] b_path;
       (* A dropped the clauses satisfied at its root: c8 (~V10|~V13) and
          c9 (V14) *)
-      let a_clauses = List.map sorted_ints (Solver.active_clauses s) in
+      let a_clauses = List.map sorted_ints (Clause_lists.to_list (Solver.active_clauses s)) in
       Alcotest.(check bool) "A dropped clause 8" true
         (not (List.mem [ -13; -10 ] a_clauses));
       Alcotest.(check bool) "A dropped clause 9" true (not (List.mem [ 14 ] a_clauses));
       (* B dropped clause 9 and the learned clause (satisfied by ~V10) *)
-      let b_clauses = List.map sorted_ints sp.Sub.clauses in
+      let b_clauses = List.map sorted_ints (Clause_lists.to_list sp.Sub.clauses) in
       Alcotest.(check bool) "B dropped clause 9" true (not (List.mem [ 14 ] b_clauses));
       Alcotest.(check bool) "B dropped the learned clause" true
         (not (List.mem [ -10; -7; -5; 8; 9 ] b_clauses));

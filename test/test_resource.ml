@@ -222,8 +222,8 @@ let dup_cnf = Workloads.Php.instance ~pigeons:7 ~holes:6
 let dup_clause =
   List.fold_left
     (fun best c -> if Array.length c < Array.length best then c else best)
-    (List.hd (Sat.Cnf.clauses dup_cnf))
-    (Sat.Cnf.clauses dup_cnf)
+    (Sat.Arena.clause (Sat.Cnf.clauses dup_cnf) 0)
+    (Clause_lists.to_list (Sat.Cnf.clauses dup_cnf))
 
 let solve_injecting first second =
   solve

@@ -241,6 +241,35 @@ let prop_normalise =
       && lits = input
       && match Cnf.normalise ~nvars lits with Some c -> lits = [||] || c != lits | None -> true)
 
+(* Every constructor goes through the one builder: clause by clause in
+   input order, each normalised, tautologies dropped and counted.  The
+   buffers start small, so long clauses make them grow. *)
+let prop_builder =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 12 >>= fun nv ->
+      let lit = map2 (fun v s -> if s then T.pos v else T.neg v) (int_range 1 nv) bool in
+      pair (list_size (int_bound 30) (array_size (int_bound 40) lit)) (list_size (int_bound 5) (array_size (int_bound 6) lit))
+      >|= fun (cs, extra) -> (nv, cs, extra))
+  in
+  QCheck.Test.make ~name:"Cnf builder keeps order, normalises, counts tautologies" ~count:300
+    (QCheck.make gen) (fun (nvars, cs, extra) ->
+      let b = Cnf.builder ~nvars ~clauses:0 ~lits:0 in
+      List.iter
+        (fun c ->
+          Array.iter (Cnf.add b) c;
+          Cnf.end_clause b)
+        cs;
+      let cnf = Cnf.build b in
+      let kept = List.filter_map (Cnf.normalise ~nvars) cs in
+      let joined = Cnf.with_extra_clauses cnf extra and whole = Cnf.of_lit_arrays ~nvars (cs @ extra) in
+      Clause_lists.to_list (Cnf.clauses cnf) = kept
+      && Cnf.dropped_tautologies cnf = List.length cs - List.length kept
+      && Cnf.has_empty_clause cnf = List.mem [||] kept
+      && Clause_lists.to_list (Cnf.clauses joined) = Clause_lists.to_list (Cnf.clauses whole)
+      && Cnf.dropped_tautologies joined = Cnf.dropped_tautologies whole
+      && Clause_lists.to_list (Clause_lists.of_list cs) = cs)
+
 let test_normalise_out_of_range () =
   List.iter
     (fun (ints, bad) ->
@@ -248,6 +277,30 @@ let test_normalise_out_of_range () =
         (Invalid_argument (Printf.sprintf "Cnf: literal %d out of range (nvars = 3)" bad))
         (fun () -> ignore (Cnf.normalise ~nvars:3 (Array.of_list (List.map T.lit_of_int ints)))))
     [ ([ 1; 5; 2 ], 5); ([ 7; -9 ], 7); ([ -9; 7 ], -9); ([ 2; 1; -4 ], -4); ([ 4; 4 ], 4) ]
+
+(* Builds share one reused buffer per domain: a second build started while
+   the first is unfinished, or after one abandoned by an exception, must
+   not disturb either. *)
+let test_builders_interleave () =
+  let clause b ints =
+    List.iter (fun i -> Cnf.add b (T.lit_of_int i)) ints;
+    Cnf.end_clause b
+  in
+  let b1 = Cnf.builder ~nvars:3 ~clauses:2 ~lits:4 in
+  clause b1 [ 3; -1 ];
+  let b2 = Cnf.builder ~nvars:2 ~clauses:1 ~lits:2 in
+  clause b2 [ 2; 2 ];
+  clause b1 [ 2 ];
+  let c2 = Cnf.build b2 and c1 = Cnf.build b1 in
+  let ints cnf = List.map (fun c -> List.map T.to_int (Array.to_list c)) (Clause_lists.to_list (Cnf.clauses cnf)) in
+  check Alcotest.(list (list int)) "first" [ [ -1; 3 ]; [ 2 ] ] (ints c1);
+  check Alcotest.(list (list int)) "second" [ [ 2 ] ] (ints c2);
+  (match Dimacs.parse_string "p cnf 2 2\n1 -2 0\n3 0\n" with
+  | exception Dimacs.Parse_error _ -> ()
+  | _ -> Alcotest.fail "expected Parse_error");
+  check Alcotest.(list (list int)) "after an abandoned parse" [ [ 1; -2 ] ]
+    (ints (Dimacs.parse_string "p cnf 2 1\n1 -2 0\n"));
+  check Alcotest.(list (list int)) "first, still" [ [ -1; 3 ]; [ 2 ] ] (ints c1)
 
 let test_cnf_empty_clause () =
   let cnf = Cnf.make ~nvars:2 [ []; [ 1 ] ] in
@@ -270,7 +323,7 @@ let prop_cnf_eval_total =
       let n = Cnf.nvars cnf in
       let a = Array.init (n + 1) (fun i -> i mod 2 = 0) in
       Cnf.eval cnf a
-      = List.for_all (fun c -> Cnf.clause_eval c a) (Cnf.clauses cnf))
+      = List.for_all (fun c -> Cnf.clause_eval c a) (Clause_lists.to_list (Cnf.clauses cnf)))
 
 (* ---------- Dimacs ---------- *)
 
@@ -304,12 +357,78 @@ let test_dimacs_min_int_literal () =
   | exception Dimacs.Parse_error _ -> ()
   | _ -> Alcotest.fail "expected Parse_error"
 
+let expect_parse_error doc =
+  match Dimacs.parse_string doc with
+  | exception Dimacs.Parse_error _ -> ()
+  | _ -> Alcotest.failf "expected Parse_error on %S" doc
+
+(* Integers are decimal: OCaml literal syntax used to slip through
+   [int_of_string_opt], so [0x2 -0b11] read as (2 -3), [1_0] as 10, and a
+   hexadecimal header count was accepted. *)
+let test_dimacs_decimal_only () =
+  expect_parse_error "p cnf 3 1\n0x2 -0b11 0\n";
+  expect_parse_error "p cnf 10 1\n1_0 0\n";
+  expect_parse_error "p cnf 0x3 1\n1 0\n";
+  expect_parse_error "p cnf 3 1\n0o1 0\n";
+  expect_parse_error "p cnf 3 1\n2a 0\n";
+  expect_parse_error "p cnf 3 1\n- 0\n";
+  expect_parse_error "p cnf 3 1\n99999999999999999999 0\n";
+  expect_parse_error "p cnf 3 1\n-99999999999999999999 0\n";
+  expect_parse_error "p cnf 99999999999999999999 1\n1 0\n";
+  let cnf = Dimacs.parse_string "p cnf 3 1\n+2 -03 0\n" in
+  check bool "signs and leading zeros are decimal" true
+    (Clause_lists.to_list (Cnf.clauses cnf) = [ [| T.pos 2; T.neg 3 |] ])
+
+(* SATLIB [uf*]/[uuf*] files end with [%] then [0]. *)
+let test_dimacs_percent_trailer () =
+  let cnf = Dimacs.parse_string "c uf3\np cnf 3 2\n 1 -2 0\n2 3 0\n%\n0\n\n" in
+  check int "clauses before the trailer" 2 (Cnf.nclauses cnf);
+  check int "nothing after it" 0
+    (Cnf.nclauses (Dimacs.parse_string "p cnf 3 1\n%\n1 2 0\nnot dimacs\n"))
+
+(* Tabs, CRs and spaces are one whitespace class, in the header too. *)
+let test_dimacs_whitespace () =
+  let cnf = Dimacs.parse_string "p\tcnf\t3 1\r\n1\t-3\r2 0\r\n" in
+  check int "header with tabs" 3 (Cnf.nvars cnf);
+  check bool "clause split on tab and CR" true
+    (Clause_lists.to_list (Cnf.clauses cnf) = [ [| T.pos 1; T.pos 2; T.neg 3 |] ])
+
+(* The old decoder's clauses, normalised by the definition [Cnf] must
+   meet: sorted distinct literals, tautologies dropped. *)
+let legacy_normalised (raw : int list list) =
+  let norm c =
+    let d = List.sort_uniq compare (List.map T.lit_of_int c) in
+    if List.exists (fun l -> List.mem (T.negate l) d) d then None else Some (Array.of_list d)
+  in
+  List.filter_map norm raw
+
+let prop_dimacs_matches_legacy =
+  QCheck.Test.make ~name:"decoder matches the old one outside the documented divergences"
+    ~count:2000 (QCheck.make ~print:String.escaped Doc_gen.dimacs_doc) (fun doc ->
+      let fresh = try Ok (Dimacs.parse_string doc) with Dimacs.Parse_error m -> Error m in
+      let old = try Some (Legacy.Dimacs.parse_raw (Doc_gen.dimacs_legacy_view doc)) with _ -> None in
+      match (fresh, old) with
+      | Ok cnf, Some (nvars, raw) ->
+          let expected = legacy_normalised raw in
+          Cnf.nvars cnf = nvars
+          && Clause_lists.to_list (Cnf.clauses cnf) = expected
+          && Cnf.dropped_tautologies cnf = List.length raw - List.length expected
+          && Cnf.has_empty_clause cnf = List.exists (fun c -> c = [||]) expected
+      | Error _, None -> true
+      | _ -> false)
+
+let prop_dimacs_mutations =
+  QCheck.Test.make ~name:"byte mutations raise only Parse_error" ~count:2000
+    (QCheck.make ~print:String.escaped QCheck.Gen.(Doc_gen.dimacs_doc >>= Doc_gen.mutate))
+    (fun doc ->
+      match Dimacs.parse_string doc with
+      | _ | (exception Dimacs.Parse_error _) -> true)
+
 let prop_dimacs_roundtrip =
   QCheck.Test.make ~name:"dimacs print/parse roundtrip" ~count:100 arbitrary_cnf (fun cnf ->
       let cnf' = Dimacs.parse_string (Dimacs.to_string cnf) in
       Cnf.nvars cnf' = Cnf.nvars cnf
-      && List.map Array.to_list (Cnf.clauses cnf')
-         = List.map Array.to_list (Cnf.clauses cnf))
+      && Clause_lists.to_list (Cnf.clauses cnf') = Clause_lists.to_list (Cnf.clauses cnf))
 
 (* ---------- Brute ---------- *)
 
@@ -484,7 +603,7 @@ let prop_learned_clauses_implied =
         (fun clause ->
           let negation = List.map (fun l -> [ T.to_int (T.negate l) ]) (Array.to_list clause) in
           let augmented = Cnf.make ~nvars:(Cnf.nvars cnf) negation in
-          let combined = Cnf.with_extra_clauses augmented (Cnf.clauses cnf) in
+          let combined = Cnf.with_extra_clauses augmented (Clause_lists.to_list (Cnf.clauses cnf)) in
           Brute.solve combined = Brute.Unsat)
         learned)
 
@@ -615,7 +734,7 @@ let prop_shares_from_assumed_solver_globally_valid =
           &&
           let negation = List.map (fun l -> [ T.to_int (T.negate l) ]) (Array.to_list clause) in
           let augmented = Cnf.make ~nvars:(Cnf.nvars cnf) negation in
-          let combined = Cnf.with_extra_clauses augmented (Cnf.clauses cnf) in
+          let combined = Cnf.with_extra_clauses augmented (Clause_lists.to_list (Cnf.clauses cnf)) in
           Brute.solve combined = Brute.Unsat)
         shares)
 
@@ -659,7 +778,7 @@ let test_active_clauses_pruned () =
   (* clause (1 2) is satisfied once root forces 1: it must not be transferred *)
   let cnf = Cnf.make ~nvars:3 [ [ 1 ]; [ 1; 2 ]; [ -1; 2; 3 ] ] in
   let s = Solver.create cnf in
-  let active = Solver.active_clauses s in
+  let active = Clause_lists.to_list (Solver.active_clauses s) in
   check bool "satisfied clause dropped" true
     (not
        (List.exists
@@ -789,7 +908,8 @@ let prop_minimized_learned_still_implied =
         (fun clause ->
           let negation = List.map (fun l -> [ T.to_int (T.negate l) ]) (Array.to_list clause) in
           let augmented = Cnf.make ~nvars:(Cnf.nvars cnf) negation in
-          Brute.solve (Cnf.with_extra_clauses augmented (Cnf.clauses cnf)) = Brute.Unsat)
+          Brute.solve (Cnf.with_extra_clauses augmented (Clause_lists.to_list (Cnf.clauses cnf)))
+          = Brute.Unsat)
         (Solver.drain_shares s ~max_len:100))
 
 let test_minimization_shortens_clauses () =
@@ -898,6 +1018,25 @@ let test_drup_of_string_garbage () =
   match Drup.of_string "  \n\n1 -2 0\nd 1 -2 0\n0\n" with
   | [ Drup.Add _; Drup.Delete _; Drup.Add [||] ] -> ()
   | _ -> Alcotest.fail "valid proof text mangled"
+
+(* DRUP text shares the DIMACS scanner: byte mutations of a valid proof
+   must still end in a clean [Failure] or a parse. *)
+let prop_drup_mutations =
+  let step =
+    QCheck.Gen.(
+      map2
+        (fun del lits ->
+          let lits = Array.of_list (List.map T.lit_of_int lits) in
+          if del then Drup.Delete lits else Drup.Add lits)
+        bool
+        (list_size (int_bound 4) (map (fun v -> if v = 0 then 1 else v) (int_range (-9) 9))))
+  in
+  QCheck.Test.make ~name:"text byte mutations raise only Failure" ~count:1000
+    (QCheck.make ~print:String.escaped
+       QCheck.Gen.(list_size (int_bound 6) step >>= fun p -> Doc_gen.mutate (Drup.to_string p)))
+    (fun text ->
+      match Drup.of_string text with
+      | _ | (exception Failure _) -> true)
 
 (* [check_under] certifies cnf /\ assumptions |= false: a branch's
    refutation must be valid under its guiding path and invalid globally,
@@ -1106,16 +1245,20 @@ let () =
           Alcotest.test_case "range check" `Quick test_cnf_out_of_range;
           Alcotest.test_case "eval" `Quick test_cnf_eval;
           Alcotest.test_case "normalise range check" `Quick test_normalise_out_of_range;
+          Alcotest.test_case "builders interleave" `Quick test_builders_interleave;
         ]
-        @ qsuite [ prop_cnf_eval_total; prop_sort_lits; prop_normalise ] );
+        @ qsuite [ prop_cnf_eval_total; prop_sort_lits; prop_normalise; prop_builder ] );
       ( "dimacs",
         [
           Alcotest.test_case "parse" `Quick test_dimacs_parse;
           Alcotest.test_case "multiline clause" `Quick test_dimacs_multiline_clause;
           Alcotest.test_case "errors" `Quick test_dimacs_errors;
           Alcotest.test_case "min_int literal rejected" `Quick test_dimacs_min_int_literal;
+          Alcotest.test_case "decimal integers only" `Quick test_dimacs_decimal_only;
+          Alcotest.test_case "percent trailer ends the data" `Quick test_dimacs_percent_trailer;
+          Alcotest.test_case "one whitespace class" `Quick test_dimacs_whitespace;
         ]
-        @ qsuite [ prop_dimacs_roundtrip ] );
+        @ qsuite [ prop_dimacs_roundtrip; prop_dimacs_matches_legacy; prop_dimacs_mutations ] );
       ( "brute",
         [
           Alcotest.test_case "simple" `Quick test_brute_simple;
@@ -1186,7 +1329,7 @@ let () =
           Alcotest.test_case "garbage text rejected" `Quick test_drup_of_string_garbage;
           Alcotest.test_case "check under assumptions" `Quick test_drup_check_under;
         ]
-        @ qsuite [ prop_drup_random_unsat_proofs_check ] );
+        @ qsuite [ prop_drup_random_unsat_proofs_check; prop_drup_mutations ] );
       ( "transfer",
         [
           Alcotest.test_case "active clauses pruned" `Quick test_active_clauses_pruned;

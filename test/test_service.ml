@@ -147,6 +147,34 @@ let test_cache_digest_canonical () =
   check bool "permutation-invariant" true (S.Cache.digest a = S.Cache.digest b);
   check bool "different formula, different digest" false (S.Cache.digest a = S.Cache.digest c)
 
+(* Clause sets with the shapes the key must see through: clauses
+   repeated with their literals reversed and one literal doubled, the
+   whole list shuffled, empty clauses, and clauses that are only
+   tautologies (dropped by the formula, so absent from the key). *)
+let digest_case_gen =
+  let open QCheck.Gen in
+  int_range 0 6 >>= fun nvars ->
+  let lit = map2 (fun v s -> if s then v else -v) (int_range 1 (max 1 nvars)) bool in
+  let clause =
+    if nvars = 0 then return []
+    else
+      frequency
+        [
+          (8, list_size (int_range 1 4) lit);
+          (1, return []);
+          (1, map (fun v -> [ v; -v ]) (int_range 1 nvars));
+        ]
+  in
+  list_size (int_bound 12) clause >>= fun base ->
+  list_size (int_bound 6) (oneofl (if base = [] then [ [] ] else base)) >>= fun again ->
+  let scrambled = List.map (fun c -> List.rev c @ match c with [] -> [] | l :: _ -> [ l ]) again in
+  shuffle_l (base @ scrambled) >|= fun clauses -> Sat.Cnf.make ~nvars clauses
+
+let prop_cache_digest_matches_legacy =
+  QCheck.Test.make ~name:"Cache.digest equals the list-based key" ~count:1000
+    (QCheck.make ~print:(Format.asprintf "%a" Sat.Cnf.pp) digest_case_gen) (fun cnf ->
+      S.Cache.digest cnf = Legacy.Cache.digest cnf)
+
 let test_cache_store_and_verify () =
   let cache = S.Cache.create () in
   let cnf = Sat.Cnf.make ~nvars:2 [ [ 1 ]; [ 1; 2 ] ] in
@@ -230,7 +258,7 @@ let test_cache_hit_on_resubmission () =
   (* resubmit the same formula with clauses shuffled: instant verified
      answer, no run, no subproblem dispatched *)
   let shuffled =
-    let cls = List.rev_map (fun a -> List.rev_map Sat.Types.to_int (Array.to_list a)) (Sat.Cnf.clauses cnf) in
+    let cls = List.rev_map (fun a -> List.rev_map Sat.Types.to_int (Array.to_list a)) (Clause_lists.to_list (Sat.Cnf.clauses cnf)) in
     Sat.Cnf.make ~nvars:(Sat.Cnf.nvars cnf) cls
   in
   (match Svc.submit svc ~tenant:"other" ~priority:Job.Low shuffled with
@@ -776,6 +804,7 @@ let () =
         [
           Alcotest.test_case "canonical digest" `Quick test_cache_digest_canonical;
           Alcotest.test_case "store and verify" `Quick test_cache_store_and_verify;
+          QCheck_alcotest.to_alcotest prop_cache_digest_matches_legacy;
         ] );
       ("joblog", [ Alcotest.test_case "replay and scrub" `Quick test_joblog_replay_and_scrub ]);
       ( "scheduling",

@@ -24,7 +24,7 @@ let is_sat cnf = match solve cnf with `Sat _ -> true | `Unsat -> false
 
 let same_cnf a b =
   Cnf.nvars a = Cnf.nvars b
-  && List.map Array.to_list (Cnf.clauses a) = List.map Array.to_list (Cnf.clauses b)
+  && Clause_lists.to_list (Cnf.clauses a) = Clause_lists.to_list (Cnf.clauses b)
 
 (* ---------- Circuit ---------- *)
 
