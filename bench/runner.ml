@@ -89,7 +89,7 @@ let print_row (row : row) =
   Printf.printf "%-32s %-6s | %8s %8s %7s %5d | %8s %8s %5s | %.0fs%s\n%!" e.R.name
     (status_string e.R.status) (baseline_string row.baseline) (grid_time_string row.grid)
     (match speedup row with Some s -> Printf.sprintf "%.2f" s | None -> "-")
-    row.grid.C.Master.max_clients
+    (C.Master.counter row.grid "max_clients")
     (paper_time_string e.R.paper_zchaff)
     (paper_time_string e.R.paper_gridsat)
     (match e.R.paper_max_clients with Some c -> string_of_int c | None -> "-")

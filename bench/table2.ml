@@ -46,7 +46,7 @@ let run () =
         Printf.printf "%-32s %-6s | %9s %6d %7s | %9s | %.0fs\n%!" e.R.name
           (Runner.status_string e.R.status)
           (Runner.grid_time_string grid)
-          grid.C.Master.max_clients batch_note
+          (C.Master.counter grid "max_clients") batch_note
           (Runner.paper_time_string e.R.paper_gridsat)
           (Unix.gettimeofday () -. t0);
         (e, grid, used_batch))

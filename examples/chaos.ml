@@ -120,13 +120,13 @@ let () =
   (match !crashed with
   | Some id -> Format.printf "crashed client:    %d@." id
   | None -> Format.printf "crashed client:    (none was busy)@.");
-  Format.printf "messages dropped:  %d (%d bytes)@." r.C.Master.dropped_messages
-    r.C.Master.dropped_bytes;
+  Format.printf "messages dropped:  %d (%d bytes)@." (C.Master.counter r "dropped_messages")
+    (C.Master.counter r "dropped_bytes");
   Format.printf "retransmissions:   %d@." retries;
-  Format.printf "recoveries:        %d@." r.C.Master.recoveries;
-  Format.printf "rederivations:     %d@." r.C.Master.rederivations;
-  Format.printf "master crashes:    %d@." r.C.Master.master_crashes;
-  Format.printf "false suspicions:  %d@." r.C.Master.false_suspicions;
+  Format.printf "recoveries:        %d@." (C.Master.counter r "recoveries");
+  Format.printf "rederivations:     %d@." (C.Master.counter r "rederivations");
+  Format.printf "master crashes:    %d@." (C.Master.counter r "master_crashes");
+  Format.printf "false suspicions:  %d@." (C.Master.counter r "false_suspicions");
 
   Format.printf "@.--- run summary ---@.%a@.@." C.Gridsat.pp_result r;
   let same =

@@ -51,9 +51,10 @@ let answer_string = function
   | Master.Unknown reason -> Printf.sprintf "UNKNOWN(%s)" reason
 
 let pp_result ppf (r : Master.result) =
+  let c = Master.counter r in
   Format.fprintf ppf
     "@[<v>answer          %s@,time            %.1f s@,max clients     %d@,splits          %d@,\
      shared clauses  %d (in %d batches)@,messages        %d (%d bytes)@,events          %d@]"
-    (answer_string r.Master.answer) r.Master.time r.Master.max_clients r.Master.splits
-    r.Master.shared_clauses r.Master.share_batches r.Master.messages r.Master.bytes
+    (answer_string r.Master.answer) r.Master.time (c "max_clients") (c "splits")
+    (c "shared_clauses") (c "share_batches") (c "messages") (c "bytes")
     (List.length r.Master.events)

@@ -37,14 +37,9 @@ type t = {
   mutable result : Gridsat_core.Master.result option;
 }
 
-let answer_string = function
-  | Gridsat_core.Master.Sat _ -> "SAT"
-  | Gridsat_core.Master.Unsat -> "UNSAT"
-  | Gridsat_core.Master.Unknown reason -> Printf.sprintf "UNKNOWN(%s)" reason
-
 let terminal_string = function
-  | Verdict a -> "verdict:" ^ answer_string a
-  | Cached a -> "cached:" ^ answer_string a
+  | Verdict a -> "verdict:" ^ Gridsat_core.Gridsat.answer_string a
+  | Cached a -> "cached:" ^ Gridsat_core.Gridsat.answer_string a
   | Shed _ -> "shed"
   | Deadline_expired -> "deadline"
   | Cancelled reason -> "cancelled:" ^ reason

@@ -48,9 +48,6 @@ type t = {
       (** the underlying run's result, when a run actually happened *)
 }
 
-val answer_string : Gridsat_core.Master.answer -> string
-(** ["SAT"], ["UNSAT"] or ["UNKNOWN(<reason>)"]. *)
-
 val terminal_string : terminal -> string
 (** Stable one-token-ish rendering used by the job log and reports:
     ["verdict:SAT"], ["cached:UNSAT"], ["shed"], ["deadline"],

@@ -693,7 +693,7 @@ let submit t ~tenant ~priority ?deadline_in ?label cnf =
       (match t.slo with
       | Some slo -> Obs.Slo.note_solved slo ~now:(now t) ~tenant 0.0
       | None -> ());
-      Joblog.append t.log (Joblog.Cache_hit { id; answer = Job.answer_string answer });
+      Joblog.append t.log (Joblog.Cache_hit { id; answer = Core.Gridsat.answer_string answer });
       Cached answer
   | None ->
       Obs.Anomaly.observe t.d_cache_hit ~at:(now t) 0.0;
@@ -826,15 +826,8 @@ let stats t =
 
 let job_json (j : Job.t) =
   let fopt = function None -> J.Null | Some v -> J.Float v in
-  let run_fields =
-    match j.Job.result with
-    | None -> [ ("splits", J.Int 0); ("messages", J.Int 0); ("promotions", J.Int 0) ]
-    | Some r ->
-        [
-          ("splits", J.Int r.Master.splits);
-          ("messages", J.Int r.Master.messages);
-          ("promotions", J.Int r.Master.promotions);
-        ]
+  let run_field key =
+    (key, J.Int (match j.Job.result with Some r -> Master.counter r key | None -> 0))
   in
   J.Obj
     ([
@@ -850,7 +843,7 @@ let job_json (j : Job.t) =
        ("deadline", fopt j.Job.deadline);
        ("preemptions", J.Int j.Job.preemptions);
      ]
-    @ run_fields)
+    @ List.map run_field [ "splits"; "messages"; "promotions" ])
 
 let report t =
   let s = stats t in
