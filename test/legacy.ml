@@ -6,7 +6,9 @@
      [Cnf.make], so its clause lists can be compared before normalisation;
    - [Subproblem.of_string] returns [(nvars, facts, path, clauses)]
      instead of the old list-of-arrays record;
-   - [Cache.digest] reads the formula's clauses through [Clause_lists.to_list]. *)
+   - [Cache.digest] reads the formula's clauses through [Clause_lists.to_list].
+   [Master_counts], at the end, keeps the master's old event-counted result
+   fields the same way, for the run-counter ledger's agreement test. *)
 
 module Dimacs = struct
   module Cnf = Sat.Cnf
@@ -194,4 +196,44 @@ module Cache = struct
       end
     done;
     Printf.sprintf "%x-%x" (Integrity.fnv1a_of h) (Integrity.crc32_of h)
+end
+
+(* [Master.result]'s event-counted fields as they were computed before the
+   run-counter ledger: one fold over the whole event list per field, keyed
+   here by the field's run-section key.  [t] is the chronological event
+   list instead of the master (which kept it newest first); the folds are
+   the old code verbatim.  [splits] was not event-counted then. *)
+module Master_counts = struct
+  module Events = Gridsat_core.Events
+
+  let count_events t f = List.fold_left (fun acc e -> if f e.Events.kind then acc + 1 else acc) 0 t
+
+  let of_events t =
+    [
+      ("retries", count_events t (function Events.Message_retried _ -> true | _ -> false));
+      ("false_suspicions", count_events t (function Events.False_suspicion _ -> true | _ -> false));
+      ( "recoveries",
+        count_events t (function Events.Recovered_from_checkpoint _ -> true | _ -> false) );
+      ( "rederivations",
+        count_events t (function Events.Rederived_from_lineage _ -> true | _ -> false) );
+      ("master_crashes", count_events t (function Events.Master_crashed -> true | _ -> false));
+      ("hedges", count_events t (function Events.Hedge_launched _ -> true | _ -> false));
+      ( "hedge_cancellations",
+        count_events t (function Events.Hedge_cancelled _ -> true | _ -> false) );
+      ( "corrupt_detected",
+        count_events t (function Events.Corrupt_message_detected _ -> true | _ -> false) );
+      ( "nacks",
+        count_events t (function
+          | Events.Corrupt_message_detected { nacked = true; _ } -> true
+          | _ -> false) );
+      ( "certified_fragments",
+        count_events t (function Events.Unsat_fragment_certified _ -> true | _ -> false) );
+      ("quarantines", count_events t (function Events.Client_quarantined _ -> true | _ -> false));
+      ("ships", count_events t (function Events.Journal_shipped _ -> true | _ -> false));
+      ("promotions", count_events t (function Events.Standby_promoted _ -> true | _ -> false));
+      ( "stale_epoch_rejections",
+        count_events t (function Events.Stale_epoch_rejected _ -> true | _ -> false) );
+      ( "replication_divergences",
+        count_events t (function Events.Replication_diverged _ -> true | _ -> false) );
+    ]
 end
