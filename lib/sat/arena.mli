@@ -23,6 +23,12 @@ val normalise : nvars:int -> Types.lit array -> int -> int -> Types.lit array op
     strictly increasing order, or [None] for a tautology.  Raises
     [Invalid_argument] naming the first literal outside [1 .. nvars]. *)
 
+val normalise_in_place : nvars:int -> Types.lit array -> int -> int -> int
+(** [normalise_in_place ~nvars a s e] normalises [a.(s .. e - 1)] as
+    {!normalise} does, in place: its distinct literals, in strictly
+    increasing order, end up in [a.(s .. r - 1)] and [r] is returned, or
+    [-1] for a tautology.  Raises as {!normalise} does. *)
+
 (** {1 Building} *)
 
 type buf

@@ -1201,6 +1201,42 @@ let test_pinned_proof () =
   check Alcotest.string "proof text" "2d724f8c1e4d623603d23e280829ac34"
     (md5 (Drup.to_string (Solver.proof s)))
 
+(* ---------- memory ---------- *)
+
+(* [Array.make] and [Array.init] force a minor collection when they build
+   an array of more than 256 words whose first element is a young block.
+   Building a solver fills each such array from a static element; filling
+   the watch table and the clause list with [Array.init] caused 2 here. *)
+let test_create_no_minor_gc () =
+  let cnf = Workloads.Random_sat.planted ~nvars:1000 ~ratio:0.5 ~seed:1 () in
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).minor_collections in
+  let s = Solver.create cnf in
+  let after = (Gc.quick_stat ()).minor_collections in
+  ignore (Sys.opaque_identity s);
+  check int "minor collections" 0 (after - before)
+
+(* Live words per clause held by 20 solvers built from one received
+   subproblem: the mitre5 split that [Solver.default_config] reaches at
+   budget 20,000 (1,165 clauses, 9,498 literals, 287 variables).  Storing
+   each clause as a record, a one-slot activity array and a literal array
+   took 30.60 words per clause; one int block per clause takes 22.89. *)
+let test_solver_words_per_clause () =
+  let s = Solver.create (Workloads.Equiv.multiplier_mitre ~bits:5 ~bug:false) in
+  ignore (Solver.run s ~budget:20_000);
+  let sp = Option.get (Sp.split_from s) in
+  check (Alcotest.list int) "subproblem" [ 1165; 9498; 287 ]
+    [ Sp.nclauses sp; Sat.Arena.nlits sp.Sp.clauses; sp.Sp.nvars ];
+  let solvers = 20 in
+  Gc.full_major ();
+  let before = (Gc.stat ()).live_words in
+  let kept = List.init solvers (fun _ -> Sp.to_solver ~config:Solver.default_config sp) in
+  Gc.full_major ();
+  let after = (Gc.stat ()).live_words in
+  ignore (Sys.opaque_identity kept);
+  let per_clause = float_of_int (after - before) /. float_of_int (solvers * Sp.nclauses sp) in
+  check bool (Printf.sprintf "%.2f words per clause, at most 25.6" per_clause) true (per_clause <= 25.6)
+
 (* ---------- suite ---------- *)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
@@ -1340,5 +1376,10 @@ let () =
         [
           Alcotest.test_case "search, captures and splits" `Quick test_pinned_search;
           Alcotest.test_case "minimized proof" `Quick test_pinned_proof;
+        ] );
+      ( "memory",
+        [
+          Alcotest.test_case "create forces no minor collection" `Quick test_create_no_minor_gc;
+          Alcotest.test_case "words per solver clause" `Quick test_solver_words_per_clause;
         ] );
     ]
