@@ -99,46 +99,6 @@ let testbed_of_string ~hosts = function
   | "set2" -> Ok (Gridsat_core.Testbed.set2 ())
   | other -> Error (Printf.sprintf "unknown testbed %S (uniform|grads|set2)" other)
 
-(* A canned deterministic fault plan for demo/CI runs: one host crash,
-   one master outage, background message loss and duplication.  Times are
-   absolute virtual seconds, early enough to fire on small instances. *)
-let chaos_plan ~standby ~partition () =
-  let module F = Grid.Fault in
-  let master_fault =
-    if partition then
-      (* instead of killing the primary, cut the standby's site off.  The
-         shipping stream stops, the lease expires and the standby promotes
-         anyway — leaving a usurped primary on the wrong side of the
-         partition whose stale-epoch frames must be observably fenced
-         after the heal *)
-      F.Partition_site { site = Gridsat_core.Replica.site; from_t = 6.; until_t = 18. }
-    else
-      (* with a hot standby armed the crashed primary never restarts: the
-         standby's lease expiry promotes it instead *)
-      F.Crash_master { at = 6.; restart_after = (if standby then infinity else 4.) }
-  in
-  [
-    F.Crash_host { host = 1; at = 2. };
-    master_fault;
-    F.Drop_messages { src_site = None; dst_site = None; p = 0.1; from_t = 0.; until_t = infinity };
-    F.Duplicate_messages { p = 0.05; extra = 0.5; from_t = 0.; until_t = infinity };
-  ]
-
-(* Seeded straggler plan for --stragglers: the first [n] hosts slow down
-   (or oscillate, with --flaky) early in the run.  Heartbeats and acks
-   stay on time, so only the health model's progress-rate signal — and
-   hedging — can defend against these. *)
-let straggler_plan ~n ~flaky ~seed =
-  let module F = Grid.Fault in
-  let st = Random.State.make [| seed; 0x51084 |] in
-  List.init n (fun i ->
-      let host = i + 1 in
-      let at = 1. +. Random.State.float st 2. in
-      let factor = 6. +. Random.State.float st 4. in
-      if flaky then
-        F.Flaky_host { host; factor; period = 4. +. Random.State.float st 4.; from_t = at; until_t = infinity }
-      else F.Slow_host { host; at; factor })
-
 let print_health_table hm =
   Format.printf "c %-5s %-6s %-10s %9s %9s %9s  %s@." "host" "score" "state" "ack-ewma" "hb-jit"
     "rate" "crash/quar/corr/retry";
@@ -342,39 +302,21 @@ let solve_grid shared ~stats ~share_len ~timeout ~chaos_partition ~certify ~stra
           { config with Config.certify = true; integrity_checks = true; share_max_len = 0 }
         else config
       in
+      let module G = Gridsat_core.Gridsat in
       let fault_plan =
-        if shared.chaos then chaos_plan ~standby ~partition:chaos_partition () else []
+        G.link_faults ~corrupt_p:shared.corrupt_p ~choke:shared.choke
+          ~window:config.Config.share_window ~from_t:0. ~until_t:infinity
+        @ (if stragglers > 0 then G.straggler_plan ~n:stragglers ~flaky:shared.flaky ~seed else [])
+        @ if shared.chaos then G.chaos_plan ~standby ~partition:chaos_partition else []
       in
-      let fault_plan =
-        if stragglers > 0 then straggler_plan ~n:stragglers ~flaky:shared.flaky ~seed @ fault_plan
-        else fault_plan
-      in
-      let fault_plan =
-        if shared.corrupt_p > 0. then
-          Grid.Fault.Corrupt_messages
-            { src_site = None; dst_site = None; p = shared.corrupt_p; from_t = 0.; until_t = infinity }
-          :: fault_plan
-        else fault_plan
-      in
-      let fault_plan =
-        if shared.choke > 0 then
-          Grid.Fault.Choke_link
-            {
-              src_site = None;
-              dst_site = None;
-              bytes_per_window = shared.choke;
-              window = config.Config.share_window;
-              from_t = 0.;
-              until_t = infinity;
-            }
-          :: fault_plan
-        else fault_plan
-      in
-      match Config.validate config with
-      | Error e ->
+      match (Config.validate config, Grid.Fault.validate fault_plan) with
+      | Error e, _ ->
           Printf.eprintf "gridsat: bad configuration: %s\n" e;
           2
-      | Ok () ->
+      | _, Error e ->
+          Printf.eprintf "gridsat: bad fault plan: %s\n" e;
+          2
+      | Ok (), Ok () ->
           let health =
             if hedge || health_report then Some (Gridsat_core.Health.create ()) else None
           in
@@ -604,33 +546,6 @@ let serve shared ~files ~hosts_per_job ~max_concurrent ~queue_cap ~tenants ~prio
                   Obs.create ~flight:(Obs.Flight.create ()) ~anomaly:(Obs.Anomaly.create ()) ()
                 else Obs.disabled
               in
-              let { chaos; corrupt_p; flaky; choke; _ } = shared in
-              let svc_chaos =
-                if chaos || corrupt_p > 0. || slow_hosts > 0 || choke > 0 then
-                  Some
-                    {
-                      Svc.default_chaos with
-                      Svc.master_crash = chaos;
-                      corrupt_p;
-                      crash_hosts = (if chaos then 1 else 0);
-                      slow_hosts;
-                      flaky;
-                      choke;
-                    }
-                else None
-              in
-              let cfg =
-                {
-                  Svc.default_config with
-                  Svc.run = shared.config;
-                  hosts_per_job;
-                  max_concurrent;
-                  queue_capacity = queue_cap;
-                  seed = shared.config.Config.seed;
-                  chaos = svc_chaos;
-                  brownout_threshold = brownout;
-                }
-              in
               let on_flight =
                 Option.map
                   (fun dir ->
@@ -651,7 +566,23 @@ let serve shared ~files ~hosts_per_job ~max_concurrent ~queue_cap ~tenants ~prio
                   metrics_dir
               in
               let svc =
-                try Ok (Svc.create ~obs ?slo:slo_spec ?on_flight ?on_expo ~cfg ~testbed ())
+                try
+                  let { chaos; corrupt_p; flaky; choke; _ } = shared in
+                  let cfg =
+                    {
+                      Svc.default_config with
+                      Svc.run = shared.config;
+                      hosts_per_job;
+                      max_concurrent;
+                      queue_capacity = queue_cap;
+                      seed = shared.config.Config.seed;
+                      faults =
+                        Svc.chaos_plan ~master_crash:chaos ~corrupt_p
+                          ~crash_hosts:(if chaos then 1 else 0) ~slow_hosts ~flaky ~choke ();
+                      brownout_threshold = brownout;
+                    }
+                  in
+                  Ok (Svc.create ~obs ?slo:slo_spec ?on_flight ?on_expo ~cfg ~testbed ())
                 with Invalid_argument e -> Error e
               in
               (match svc with

@@ -1,47 +1,46 @@
+module F = Grid.Fault
+
+let chaos_plan ~standby ~partition =
+  [
+    F.Crash_host { host = 1; at = 2. };
+    (if partition then F.Partition_site { site = Replica.site; from_t = 6.; until_t = 18. }
+     else F.Crash_master { at = 6.; restart_after = (if standby then infinity else 4.) });
+    F.Drop_messages { src_site = None; dst_site = None; p = 0.1; from_t = 0.; until_t = infinity };
+    F.Duplicate_messages { p = 0.05; extra = 0.5; from_t = 0.; until_t = infinity };
+  ]
+
+let straggler_plan ~n ~flaky ~seed =
+  let st = Random.State.make [| seed; 0x51084 |] in
+  List.init n (fun i ->
+      let host = i + 1 and at = 1. +. Random.State.float st 2. in
+      let factor = 6. +. Random.State.float st 4. in
+      if flaky then
+        F.Flaky_host { host; factor; period = 4. +. Random.State.float st 4.; from_t = at; until_t = infinity }
+      else F.Slow_host { host; at; factor })
+
+let link_faults ~corrupt_p ~choke ~window ~from_t ~until_t =
+  (if choke > 0 then
+     [ F.Choke_link { src_site = None; dst_site = None; bytes_per_window = choke; window; from_t; until_t } ]
+   else [])
+  @ if corrupt_p = 0. then []
+    else [ F.Corrupt_messages { src_site = None; dst_site = None; p = corrupt_p; from_t; until_t } ]
+
 let solve ?(config = Config.default) ?(fault_plan = []) ?(obs = Obs.disabled) ?health ?on_master
     ~testbed cnf =
   Config.validate_exn config;
   let sim = Grid.Sim.create ~obs () in
-  (* Spans carry virtual time: the whole run's trace lives on the
-     simulation clock, so cross-process causality lines up in Perfetto. *)
+  (* spans carry virtual time, so cross-process causality lines up in Perfetto *)
   Obs.set_clock obs (fun () -> Grid.Sim.now sim);
   let net = Grid.Network.create () in
   let bus = Grid.Everyware.create ~obs sim net in
   let master = Master.create ~obs ?health ~sim ~net ~bus ~cfg:config ~testbed cnf in
-  (match fault_plan with
-  | [] -> ()
-  | specs ->
-      (match Grid.Fault.validate specs with
-      | Ok () -> ()
-      | Error msg -> invalid_arg ("Gridsat.solve: bad fault plan: " ^ msg));
-      let ctl =
-        Grid.Fault.arm ~sim ~seed:config.Config.seed
-          ~on_crash:(fun host -> Master.crash_host master host)
-          ~on_hang:(fun host -> Master.hang_host master host)
-          ~on_master_crash:(fun () -> Master.crash_master master)
-          ~on_master_restart:(fun () -> Master.restart_master master)
-          ~on_storage_corrupt:(fun ~journal_records ~checkpoints ->
-            Master.corrupt_storage master ~journal_records ~checkpoints)
-          ~on_slow:(fun host factor -> Master.slow_host master host factor)
-          ~on_disk_full:(fun ~quota -> Master.set_journal_quota master ~quota)
-          specs
-      in
-      (* the corruptor garbles a payload in place of delivering it intact:
-         the inner message rots, the framing headers keep their own CRC *)
-      Grid.Everyware.set_corrupt bus Protocol.corrupt;
-      Grid.Everyware.set_fault bus (fun ~src_site ~dst_site ~bytes ->
-          Grid.Fault.decide ctl ~src_site ~dst_site ~bytes));
+  Master.arm_faults master ~seed:config.Config.seed fault_plan;
   (match on_master with Some f -> f master | None -> ());
-  (* Drive the simulation until the master reaches a verdict.  The master
-     always arms an overall-timeout event, so this terminates. *)
-  while (not (Master.finished master)) && Grid.Sim.step sim do
-    ()
-  done;
-  (* The event queue draining without a verdict should be impossible (the
-     master always arms the overall timeout), but a caller who asked for
-     a run report must get one even then: close the run with a clean
-     Unknown instead of raising, so --report/--trace artifacts are still
+  (* Drive the run to a verdict; the master always arms an overall-timeout
+     event, so this terminates.  Should the queue drain first anyway, the
+     run closes with a clean Unknown: --report/--trace artifacts are still
      emitted and the journal carries a verdict. *)
+  while (not (Master.finished master)) && Grid.Sim.step sim do () done;
   if not (Master.finished master) then Master.cancel master ~reason:"simulation stalled";
   Master.result master
 

@@ -14,6 +14,36 @@
       | Gridsat_core.Master.Unknown reason -> ...
     ]} *)
 
+(** {1 Fault presets}
+
+    The canned plans behind the CLI's fault flags.  Each is a pure
+    function of its arguments. *)
+
+val chaos_plan : standby:bool -> partition:bool -> Grid.Fault.spec list
+(** [--chaos]: host 1 crashes at 2 s, the master crashes at 6 s, and 10%
+    message loss plus 5% duplication run all along.  The master restarts
+    4 s later, or never with [standby] (the standby's lease expiry
+    promotes it instead).  [partition] replaces the master crash with a
+    partition of the standby's site from 6 s to 18 s: the promoted
+    standby leaves a usurped primary whose stale-epoch frames must be
+    fenced after the heal.  Times are absolute virtual seconds, early
+    enough to fire on small instances. *)
+
+val straggler_plan : n:int -> flaky:bool -> seed:int -> Grid.Fault.spec list
+(** [--stragglers n]: hosts 1..n slow down 6-10x at a seeded instant in
+    [[1, 3)] s, or with [flaky] oscillate on a seeded 4-8 s period.
+    Heartbeats and acks stay on time, so only the health model's
+    progress-rate signal and hedging can defend against them. *)
+
+val link_faults :
+  corrupt_p:float -> choke:int -> window:float -> from_t:float -> until_t:float ->
+  Grid.Fault.spec list
+(** [--choke] and [--corrupt-p] over every link during [[from_t, until_t)]:
+    a {!Grid.Fault.Choke_link} of [choke] bytes per [window] when [choke > 0],
+    then a {!Grid.Fault.Corrupt_messages} with probability [corrupt_p] when
+    it is not [0].  An out-of-range [corrupt_p] is kept, so
+    {!Grid.Fault.validate} rejects the plan. *)
+
 val solve :
   ?config:Config.t ->
   ?fault_plan:Grid.Fault.spec list ->
@@ -25,12 +55,11 @@ val solve :
   Master.result
 (** Runs to termination (answer, timeout, or unrecoverable failure).
     Raises [Invalid_argument] if [config] is inconsistent (see
-    {!Config.validate}).  [fault_plan] arms the fault-injection subsystem
-    against the run: host crashes, hangs, and master crash/restart cycles
-    fire on the simulation clock, and message faults (drops, delays,
-    duplicates, partitions) are applied to every send.  The plan is
-    evaluated with a private RNG seeded from the config, so the same plan
-    and seed replay the identical failure schedule.  [health] wires a
+    {!Config.validate}) or [fault_plan] is malformed.  [fault_plan] is
+    armed by {!Master.arm_faults} with the config's [seed]: host, master
+    and storage faults fire on the simulation clock, message faults apply
+    to every send, and the same plan and seed replay the identical
+    failure schedule.  [health] wires a
     (possibly shared) host-health model into the run's scheduling; see
     {!Master.create}.  [on_master] exposes
     the master right after construction — tests use it to inject failures

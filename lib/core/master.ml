@@ -1653,6 +1653,25 @@ let restart_master t =
     end
   end
 
+(* The one arming point of every fault plan.  The bus corruptor garbles
+   a payload in place of delivering it intact: the inner message rots,
+   the framing headers keep their own CRC. *)
+let arm_faults t ~seed = function
+  | [] -> ()
+  | plan ->
+      (match Grid.Fault.validate plan with
+      | Ok () -> ()
+      | Error msg -> invalid_arg ("Master.arm_faults: bad fault plan: " ^ msg));
+      let ctl =
+        Grid.Fault.arm ~sim:t.sim ~seed ~on_crash:(crash_host t) ~on_hang:(hang_host t)
+          ~on_master_crash:(fun () -> crash_master t)
+          ~on_master_restart:(fun () -> restart_master t)
+          ~on_storage_corrupt:(corrupt_storage t) ~on_slow:(slow_host t)
+          ~on_disk_full:(set_journal_quota t) plan
+      in
+      Grid.Everyware.set_corrupt t.bus Protocol.corrupt;
+      Grid.Everyware.set_fault t.bus (Grid.Fault.decide ctl)
+
 (* External cancellation (deadline expiry, preemption, operator abort) —
    the graceful path the job service rides.  Unlike a raw [terminate],
    cancelling a run whose master is currently down fails over first:

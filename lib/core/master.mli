@@ -24,8 +24,8 @@
     Master durability: every state transition is appended to a
     write-ahead {!Journal} (stable storage, with periodic compaction into
     snapshots).  {!crash_master} wipes all volatile state and drops the
-    endpoint off the bus; {!restart_master} replays the journal, asks the
-    surviving clients to resync, and after a grace window reconciles —
+    endpoint off the bus; a replacement master replays the journal, asks
+    the surviving clients to resync, and after a grace window reconciles —
     adopting work the clients still hold, re-homing orphans from
     checkpoints or lineage, and fencing journal-dead hosts. *)
 
@@ -151,39 +151,14 @@ val crash_host : t -> int -> unit
 (** Silent fault injection: the process dies but the master is not told —
     it discovers the death when the heartbeat lease expires. *)
 
-val hang_host : t -> int -> unit
-(** Silent fault injection: the process wedges (stops computing and
-    heartbeating) but stays registered on the network. *)
-
-val slow_host : t -> int -> float -> unit
-(** Silent fault injection: [slow_host t id factor] divides the host's
-    per-slice compute budget by [factor] ([1.0] restores full speed).
-    The host stays perfectly responsive — heartbeats and acks on time —
-    so only the health model's progress-rate signal and the hedging
-    comparison against the fleet duration p99 can catch it. *)
-
 val health : t -> Health.t option
 (** The health model wired into this run's pool, if any. *)
-
-val set_journal_quota : t -> quota:int -> unit
-(** Fault injection / operations: change the journal's disk quota at run
-    time (0 lifts it).  Crossing the quota forces an emergency compaction
-    and, if the journal is still over, enters journaled-degraded mode
-    (durability alert logged, anomaly tripped, standby shipment paused);
-    relief or shrinkage exits it.  This is the [Fault.Disk_full] hook. *)
 
 val resource_pressure : t -> bool
 (** Whether the run is under resource pressure right now: the journal is
     in degraded mode, a client's outage outbox is latched above its high
     watermark, or the share budget shed within the last window.  A
     service-brownout input. *)
-
-val corrupt_storage : t -> journal_records:int -> checkpoints:bool -> unit
-(** At-rest fault injection: flips the integrity seals of the newest
-    [journal_records] journal records and, if [checkpoints], of every
-    checkpoint snapshot.  Silent until a replay scrubs the journal tail
-    or a recovery discards the snapshot and falls back to lineage
-    re-derivation. *)
 
 val inject : t -> src:int -> Protocol.msg -> unit
 (** Test hook: delivers a forged payload to the master as if [src] had
@@ -199,16 +174,27 @@ val crash_master : t -> unit
     are not told — they discover the outage through retry exhaustion and
     keep solving autonomously.  No-op once finished or already down. *)
 
-val restart_master : t -> unit
-(** Failure injection: a replacement master starts.  It replays the
-    journal, re-registers the endpoint, sends {!Protocol.Resync_request}
-    to every not-known-dead client, and after [resync_grace] reconciles:
-    subproblems the clients still hold are adopted, orphans are re-homed
-    from their last holder's checkpoint or re-derived from lineage, and
-    dispatching resumes.  No-op unless currently down — except after a
-    standby promotion, where the restarted process is a superseded
-    zombie: it rejoins at its old epoch and lives only until the first
-    new-epoch frame fences it. *)
+val arm_faults : t -> seed:int -> Grid.Fault.spec list -> unit
+(** Arms a fault plan against this run: the one place a plan meets a
+    master.  Raises [Invalid_argument] naming the bad spec if
+    {!Grid.Fault.validate} rejects the plan.  Host, master and storage
+    actions fire on the run's simulator clock through the master's own
+    hooks; every send on the run's bus goes through the plan's message
+    faults, and a corrupted payload is garbled by {!Protocol.corrupt}.
+    [seed] seeds the plan's private RNG, so the same plan and seed replay
+    the same schedule.  An empty plan is a no-op.
+
+    Every host fault is silent.  [Hang_host] wedges the process (no
+    compute, no heartbeats, still registered).  [Slow_host] and
+    [Flaky_host] shrink its compute slices while heartbeats and acks stay
+    on time, so only the health model's progress-rate signal and hedging
+    catch the straggler.  [Crash_master]'s replacement replays the
+    journal, resyncs the clients and reconciles; after a standby
+    promotion it is a superseded zombie that lives until fenced.
+    [Corrupt_storage] flips the seals of the newest journal records and,
+    optionally, of every checkpoint.  [Disk_full] forces the journal's
+    quota down (emergency compaction, then journaled-degraded mode) and
+    lifts it at [until_t]. *)
 
 val cancel : t -> reason:string -> unit
 (** Graceful external cancellation (deadline expiry, preemption, operator

@@ -154,4 +154,5 @@ val validate : spec list -> (unit, string) result
     times, delays or record counts, non-positive slowdown factors or
     periods, and overlapping {!Slow_host}/{!Flaky_host} windows on one
     host (the last toggle would win, making the schedule ambiguous).
-    Called by the {!Gridsat} entry points before a plan is armed. *)
+    [Gridsat_core.Master.arm_faults], the one place a plan is armed, calls
+    it first. *)

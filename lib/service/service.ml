@@ -4,16 +4,6 @@ module Config = Core.Config
 module Testbed = Core.Testbed
 module J = Obs.Json
 
-type chaos = {
-  master_crash : bool;
-  corrupt_p : float;
-  crash_hosts : int;
-  slow_hosts : int;
-  slow_factor : float;
-  flaky : bool;
-  choke : int;
-}
-
 type config = {
   queue_capacity : int;
   hosts_per_job : int;
@@ -25,20 +15,9 @@ type config = {
   brownout_threshold : float;
   brownout_stretch : float;
   run : Config.t;
-  chaos : chaos option;
+  faults : run:Config.t -> start:float -> hosts:int list -> Random.State.t -> Grid.Fault.spec list;
   seed : int;
 }
-
-let default_chaos =
-  {
-    master_crash = false;
-    corrupt_p = 0.;
-    crash_hosts = 0;
-    slow_hosts = 0;
-    slow_factor = 8.;
-    flaky = false;
-    choke = 0;
-  }
 
 let default_config =
   {
@@ -52,9 +31,62 @@ let default_config =
     brownout_threshold = 0.;
     brownout_stretch = 1.5;
     run = Config.default;
-    chaos = None;
+    faults = (fun ~run:_ ~start:_ ~hosts:_ _ -> []);
     seed = 0;
   }
+
+(* Offsets are drawn from the service RNG in a fixed order (master
+   crash, host crashes, slowdowns), so the whole schedule replays.  Each
+   spec goes to the front of the plan, and that order is kept: message
+   faults draw in plan order, and same-instant actions fire in the order
+   they were scheduled. *)
+let chaos_plan ?(master_crash = false) ?(corrupt_p = 0.) ?(crash_hosts = 0) ?(slow_hosts = 0)
+    ?(slow_factor = 8.) ?(flaky = false) ?(choke = 0) () =
+  if corrupt_p < 0. || corrupt_p > 1. then
+    invalid_arg "Service.chaos_plan: corrupt_p must be in [0,1]";
+  if slow_hosts > 0 && slow_factor <= 0. then
+    invalid_arg "Service.chaos_plan: slow_factor must be positive";
+  fun ~run ~start ~hosts rng ->
+    let frnd hi = Random.State.float rng hi in
+    let specs =
+      ref
+        (Core.Gridsat.link_faults ~corrupt_p ~choke ~window:run.Config.share_window ~from_t:start
+           ~until_t:(start +. 1e6))
+    in
+    let add spec = specs := spec :: !specs in
+    if master_crash then begin
+      let at = start +. 1. +. frnd 1.5 in
+      (* under hot-standby replication the crashed primary never restarts:
+         the standby's lease expiry promotes it instead.  The draw still
+         happens so the rest of the schedule stays aligned with the
+         equivalent non-standby run at the same seed. *)
+      let drawn = 1. +. frnd 1. in
+      add
+        (Grid.Fault.Crash_master
+           { at; restart_after = (if run.Config.standby then infinity else drawn) })
+    end;
+    let n = List.length hosts in
+    List.iteri
+      (fun i host ->
+        if i < min crash_hosts (n - 1) then
+          add
+            (Grid.Fault.Crash_host
+               { host; at = start +. 0.8 +. (float_of_int i *. 0.7) +. frnd 0.7 }))
+      hosts;
+    (* stragglers take the tail of the lease, so crash and slowdown targets
+       only overlap when the lease is smaller than both counts *)
+    List.iteri
+      (fun i host ->
+        if i >= n - min slow_hosts n then begin
+          let at = start +. 0.5 +. frnd 1.0 in
+          add
+            (if flaky then
+               Grid.Fault.Flaky_host
+                 { host; factor = slow_factor; period = 4. +. frnd 4.; from_t = at; until_t = at +. 1e6 }
+             else Grid.Fault.Slow_host { host; at; factor = slow_factor })
+        end)
+      hosts;
+    !specs
 
 type submit_outcome =
   | Accepted
@@ -161,12 +193,6 @@ let create ?(obs = Obs.disabled) ?slo ?on_flight ?on_expo ?(expo_period = 30.) ~
   if n = 0 then invalid_arg "Service.create: empty host pool";
   if cfg.hosts_per_job < 1 || cfg.hosts_per_job > n then
     invalid_arg "Service.create: hosts_per_job must be in [1, pool size]";
-  (match cfg.chaos with
-  | Some ch when ch.corrupt_p < 0. || ch.corrupt_p > 1. ->
-      invalid_arg "Service.create: chaos corrupt_p must be in [0,1]"
-  | Some ch when ch.slow_hosts > 0 && ch.slow_factor <= 0. ->
-      invalid_arg "Service.create: chaos slow_factor must be positive"
-  | _ -> ());
   if cfg.brownout_threshold < 0. || cfg.brownout_threshold > 1. then
     invalid_arg "Service.create: brownout_threshold must be in [0,1]";
   if cfg.brownout_stretch < 1. then
@@ -316,90 +342,6 @@ let finalize_run t r =
       Cache.store t.cache ~digest:job.Job.digest answer;
       finish_job t job (Job.Verdict answer)
 
-(* Seeded per-job fault plan, offsets drawn from the service RNG (the
-   draw order follows the deterministic dispatch order, so the whole
-   schedule replays). *)
-let arm_chaos t ch ~(master : Master.t) ~bus ~(job : Job.t) ~lease =
-  let start = now t in
-  let frnd hi = Random.State.float t.rng hi in
-  let specs = ref [] in
-  if ch.corrupt_p > 0. then
-    specs :=
-      Grid.Fault.Corrupt_messages
-        { src_site = None; dst_site = None; p = ch.corrupt_p; from_t = start; until_t = start +. 1e6 }
-      :: !specs;
-  if ch.choke > 0 then
-    specs :=
-      Grid.Fault.Choke_link
-        {
-          src_site = None;
-          dst_site = None;
-          bytes_per_window = ch.choke;
-          window = t.cfg.run.Config.share_window;
-          from_t = start;
-          until_t = start +. 1e6;
-        }
-      :: !specs;
-  if ch.master_crash then begin
-    let at = start +. 1. +. frnd 1.5 in
-    (* under hot-standby replication the crashed primary never restarts —
-       the standby's lease expiry promotes it instead.  The draw still
-       happens so the rest of the chaos schedule stays aligned with the
-       equivalent non-standby run at the same seed. *)
-    let drawn = 1. +. frnd 1. in
-    let restart_after = if t.cfg.run.Config.standby then infinity else drawn in
-    specs := Grid.Fault.Crash_master { at; restart_after } :: !specs
-  end;
-  let crashes = min ch.crash_hosts (List.length lease - 1) in
-  List.iteri
-    (fun i h ->
-      if i < crashes then
-        specs :=
-          Grid.Fault.Crash_host { host = host_id h; at = start +. 0.8 +. (float_of_int i *. 0.7) +. frnd 0.7 }
-          :: !specs)
-    lease;
-  (* stragglers take the tail of the lease, so crash and slowdown targets
-     only overlap when the lease is smaller than both counts *)
-  let n_lease = List.length lease in
-  let slows = min ch.slow_hosts n_lease in
-  List.iteri
-    (fun i h ->
-      if i >= n_lease - slows then begin
-        let at = start +. 0.5 +. frnd 1.0 in
-        if ch.flaky then
-          specs :=
-            Grid.Fault.Flaky_host
-              {
-                host = host_id h;
-                factor = ch.slow_factor;
-                period = 4. +. frnd 4.;
-                from_t = at;
-                until_t = at +. 1e6;
-              }
-            :: !specs
-        else
-          specs := Grid.Fault.Slow_host { host = host_id h; at; factor = ch.slow_factor } :: !specs
-      end)
-    lease;
-  if !specs <> [] then begin
-    let ctl =
-      Grid.Fault.arm ~sim:t.sim
-        ~seed:(t.cfg.seed + (31 * job.Job.id))
-        ~on_crash:(fun host -> Master.crash_host master host)
-        ~on_hang:(fun host -> Master.hang_host master host)
-        ~on_master_crash:(fun () -> Master.crash_master master)
-        ~on_master_restart:(fun () -> Master.restart_master master)
-        ~on_storage_corrupt:(fun ~journal_records ~checkpoints ->
-          Master.corrupt_storage master ~journal_records ~checkpoints)
-        ~on_slow:(fun host factor -> Master.slow_host master host factor)
-        ~on_disk_full:(fun ~quota -> Master.set_journal_quota master ~quota)
-        !specs
-    in
-    Grid.Everyware.set_corrupt bus Core.Protocol.corrupt;
-    Grid.Everyware.set_fault bus (fun ~src_site ~dst_site ~bytes ->
-        Grid.Fault.decide ctl ~src_site ~dst_site ~bytes)
-  end
-
 let start_job t (job : Job.t) =
   let rec split n acc = function
     | rest when n = 0 -> (List.rev acc, rest)
@@ -435,7 +377,8 @@ let start_job t (job : Job.t) =
     Master.create ~obs:job_obs ~health:t.health ~sim:t.sim ~net:t.net ~bus ~cfg:rcfg
       ~testbed:sub job.Job.cnf
   in
-  (match t.cfg.chaos with None -> () | Some ch -> arm_chaos t ch ~master ~bus ~job ~lease);
+  Master.arm_faults master ~seed:(t.cfg.seed + (31 * job.Job.id))
+    (t.cfg.faults ~run:rcfg ~start:(now t) ~hosts:(List.map host_id lease) t.rng);
   job.Job.state <- Job.Running;
   if job.Job.started_at = None then job.Job.started_at <- Some (now t);
   let wait = now t -. job.Job.submitted_at in

@@ -30,36 +30,7 @@
 
     Determinism: given the same config (including [seed]), testbed and
     submission script, the whole multi-run schedule — admissions,
-    dispatches, preemptions, per-job chaos — replays identically. *)
-
-type chaos = {
-  master_crash : bool;
-      (** crash each job's master mid-run and restart it a few (seeded)
-          seconds later *)
-  corrupt_p : float;  (** per-message payload corruption probability *)
-  crash_hosts : int;
-      (** silently crash up to this many of each job's leased hosts
-          (always leaving at least one alive) *)
-  slow_hosts : int;
-      (** silently slow down up to this many of each job's leased hosts
-          (taken from the tail of the lease, so crash and slowdown
-          targets only overlap on tiny leases) *)
-  slow_factor : float;
-      (** compute-budget divisor applied to slowed hosts; heartbeats and
-          acks stay on time, so the straggler is invisible to crash
-          detection *)
-  flaky : bool;
-      (** oscillate slowed hosts between full and [slow_factor] speed on
-          a seeded period instead of a one-shot permanent slowdown *)
-  choke : int;
-      (** saturate every link of each job's run: at most this many bytes
-          per [run.share_window] virtual seconds per link, excess dropped
-          (0 disables).  Deterministic — no RNG draw is consumed. *)
-}
-
-val default_chaos : chaos
-(** No chaos armed: all counts zero, [slow_factor] 8, [flaky] off,
-    [choke] 0 — the base record to override per field. *)
+    dispatches, preemptions, per-job fault plans — replays identically. *)
 
 type config = {
   queue_capacity : int;  (** bounded admission queue size *)
@@ -78,11 +49,32 @@ type config = {
       (** multiplier applied to outstanding advisory deadlines when a
           brownout begins (>= 1) *)
   run : Gridsat_core.Config.t;  (** per-run master configuration *)
-  chaos : chaos option;  (** per-job fault plan template, if any *)
-  seed : int;  (** seeds the chaos offsets and nothing else *)
+  faults :
+    run:Gridsat_core.Config.t -> start:float -> hosts:int list -> Random.State.t -> Grid.Fault.spec list;
+      (** the job's fault plan, from its run config, start time, leased
+          host ids and the service RNG (drawn in dispatch order).  Armed
+          by {!Gridsat_core.Master.arm_faults} with seed
+          [seed + 31 * job id].  The default returns [[]], drawing nothing. *)
+  seed : int;  (** seeds the fault plans and nothing else *)
 }
 
 val default_config : config
+
+val chaos_plan :
+  ?master_crash:bool -> ?corrupt_p:float -> ?crash_hosts:int -> ?slow_hosts:int ->
+  ?slow_factor:float -> ?flaky:bool -> ?choke:int -> unit ->
+  run:Gridsat_core.Config.t -> start:float -> hosts:int list -> Random.State.t ->
+  Grid.Fault.spec list
+(** The chaos preset for [faults], timed from the job's start.
+    [master_crash] crashes the master 1-2.5 s in; it restarts 1-2 s later
+    (never under [run.standby]: the standby promotes).  [corrupt_p]
+    garbles payloads.  [crash_hosts] crash silently, always leaving one
+    host alive.  [slow_hosts] from the lease's tail compute
+    [slow_factor] (default 8) times slower, or oscillate with [flaky],
+    while heartbeats stay on time.  [choke] caps every link at that many
+    bytes per [run.share_window] (0, the default, disables it).  Raises
+    [Invalid_argument] once applied to [()] if [corrupt_p] is outside
+    [[0, 1]], or [slow_factor <= 0] with [slow_hosts > 0]. *)
 
 type submit_outcome =
   | Accepted  (** queued; will run when resources allow *)

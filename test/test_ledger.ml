@@ -12,7 +12,7 @@ let check = Alcotest.check
 let int = Alcotest.int
 
 (* The config and fault plan of [gridsat solve -m grid --chaos], plus
-   [--standby] when asked (bin/gridsat_cli.ml). *)
+   [--standby] when asked (the config as bin/gridsat_cli.ml sets it). *)
 let chaos_config ~standby seed =
   let c =
     {
@@ -28,13 +28,7 @@ let chaos_config ~standby seed =
   in
   if standby then { c with Cfg.standby = true; standby_lease = 6.; ship_interval = 1. } else c
 
-let chaos_plan ~standby =
-  [
-    F.Crash_host { host = 1; at = 2. };
-    F.Crash_master { at = 6.; restart_after = (if standby then infinity else 4.) };
-    F.Drop_messages { src_site = None; dst_site = None; p = 0.1; from_t = 0.; until_t = infinity };
-    F.Duplicate_messages { p = 0.05; extra = 0.5; from_t = 0.; until_t = infinity };
-  ]
+let chaos_plan ~standby = C.Gridsat.chaos_plan ~standby ~partition:false
 
 let uniform6 () = C.Testbed.uniform ~n:6 ~speed:2000. ()
 

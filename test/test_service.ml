@@ -409,7 +409,7 @@ let chaos_scenario ~seed =
       retry_after_base = 15.;
       preemption = true;
       seed;
-      chaos = Some { Svc.default_chaos with Svc.master_crash = true; corrupt_p = 0.03; crash_hosts = 1 };
+      faults = Svc.chaos_plan ~master_crash:true ~corrupt_p:0.03 ~crash_hosts:1 ();
     }
   in
   let svc = Svc.create ~cfg ~testbed:(testbed 16) () in
@@ -514,7 +514,7 @@ let test_brownout_sheds_and_stretches () =
       max_concurrent = 1;
       brownout_threshold = 0.7;
       brownout_stretch = 2.;
-      chaos = Some { Svc.default_chaos with Svc.slow_hosts = 2; slow_factor = 1000. };
+      faults = Svc.chaos_plan ~slow_hosts:2 ~slow_factor:1000. ();
       run = { run_config with Cfg.heartbeat_period = 2. };
     }
   in
@@ -556,7 +556,7 @@ let test_report_health_table_roundtrip () =
       svc_config with
       Svc.hosts_per_job = 4;
       max_concurrent = 1;
-      chaos = Some { Svc.default_chaos with Svc.slow_hosts = 1; slow_factor = 1000. };
+      faults = Svc.chaos_plan ~slow_hosts:1 ~slow_factor:1000. ();
       run = { run_config with Cfg.heartbeat_period = 2. };
     }
   in
@@ -688,14 +688,7 @@ let obs_scenario ~seed =
       max_concurrent = 1;
       queue_capacity = 8;
       seed;
-      chaos =
-        Some
-          {
-            Svc.default_chaos with
-            Svc.master_crash = true;
-            slow_hosts = 1;
-            slow_factor = 1000.;
-          };
+      faults = Svc.chaos_plan ~master_crash:true ~slow_hosts:1 ~slow_factor:1000. ();
     }
   in
   let svc = Svc.create ~obs ~slo:spec ~cfg ~testbed:(testbed 8) () in
@@ -793,6 +786,219 @@ let test_obs_byte_stable_across_runs () =
   check Alcotest.string "flight dumps byte-stable" d1 d2;
   check Alcotest.string "report sections byte-stable" r1 r2
 
+(* ---------- fault presets ---------- *)
+
+module F = Grid.Fault
+
+let plan =
+  Alcotest.testable (fun ppf p -> Format.fprintf ppf "<plan of %d specs>" (List.length p)) ( = )
+
+(* Each preset must expand to the plans of the code it replaced: the same
+   specs, in the same order, from the same RNG draws.  The expected
+   lists were printed (floats to 17 significant digits, so equality is
+   exact) by a build of the code before the presets moved.
+   [Service.chaos_plan]'s come from the old per-job [arm_chaos],
+   instrumented to print the plan it armed for the only job of a service at seed 5: submitted at 2.5 s,
+   started at 3 s on hosts [1; 2; 3] or [1], drawing from a fresh
+   [Random.State.make [| 5; 0x5e47 |]], with [share_window = 1.5].
+   [Gridsat]'s come from the CLI functions they replace.  Every preset's
+   output must also pass [Fault.validate], which the service never
+   called before. *)
+let service_chaos_expected =
+  [
+    ( (3, false, true),
+      [
+        F.Flaky_host
+          { host = 3; factor = 5.; period = 4.6738591890565573; from_t = 4.4643204751831806;
+            until_t = 1000004.4643204752 };
+        F.Flaky_host
+          { host = 2; factor = 5.; period = 6.7973542079580263; from_t = 4.4309847590893581;
+            until_t = 1000004.4309847591 };
+        F.Crash_host { host = 2; at = 5.0150206632409446 };
+        F.Crash_host { host = 1; at = 3.99513653280143 };
+        F.Crash_master { at = 4.6107474712690983; restart_after = 1.8405469188803916 };
+        F.Choke_link
+          { src_site = None; dst_site = None; bytes_per_window = 4096; window = 1.5; from_t = 3.;
+            until_t = 1000003. };
+        F.Corrupt_messages
+          { src_site = None; dst_site = None; p = 0.25; from_t = 3.; until_t = 1000003. };
+      ] );
+    ( (3, true, true),
+      [
+        F.Flaky_host
+          { host = 3; factor = 5.; period = 4.6738591890565573; from_t = 4.4643204751831806;
+            until_t = 1000004.4643204752 };
+        F.Flaky_host
+          { host = 2; factor = 5.; period = 6.7973542079580263; from_t = 4.4309847590893581;
+            until_t = 1000004.4309847591 };
+        F.Crash_host { host = 2; at = 5.0150206632409446 };
+        F.Crash_host { host = 1; at = 3.99513653280143 };
+        F.Crash_master { at = 4.6107474712690983; restart_after = infinity };
+        F.Choke_link
+          { src_site = None; dst_site = None; bytes_per_window = 4096; window = 1.5; from_t = 3.;
+            until_t = 1000003. };
+        F.Corrupt_messages
+          { src_site = None; dst_site = None; p = 0.25; from_t = 3.; until_t = 1000003. };
+      ] );
+    ( (1, false, true),
+      [
+        F.Flaky_host
+          { host = 1; factor = 5.; period = 6.9429752185196865; from_t = 3.7787664754306145;
+            until_t = 1000003.7787664754 };
+        F.Crash_master { at = 4.6107474712690983; restart_after = 1.8405469188803916 };
+        F.Choke_link
+          { src_site = None; dst_site = None; bytes_per_window = 4096; window = 1.5; from_t = 3.;
+            until_t = 1000003. };
+        F.Corrupt_messages
+          { src_site = None; dst_site = None; p = 0.25; from_t = 3.; until_t = 1000003. };
+      ] );
+    ( (1, true, true),
+      [
+        F.Flaky_host
+          { host = 1; factor = 5.; period = 6.9429752185196865; from_t = 3.7787664754306145;
+            until_t = 1000003.7787664754 };
+        F.Crash_master { at = 4.6107474712690983; restart_after = infinity };
+        F.Choke_link
+          { src_site = None; dst_site = None; bytes_per_window = 4096; window = 1.5; from_t = 3.;
+            until_t = 1000003. };
+        F.Corrupt_messages
+          { src_site = None; dst_site = None; p = 0.25; from_t = 3.; until_t = 1000003. };
+      ] );
+    ( (3, false, false),
+      [
+        F.Slow_host { host = 3; at = 4.1993385519895066; factor = 5. };
+        F.Slow_host { host = 2; at = 4.4309847590893581; factor = 5. };
+        F.Crash_host { host = 2; at = 5.0150206632409446 };
+        F.Crash_host { host = 1; at = 3.99513653280143 };
+        F.Crash_master { at = 4.6107474712690983; restart_after = 1.8405469188803916 };
+        F.Choke_link
+          { src_site = None; dst_site = None; bytes_per_window = 4096; window = 1.5; from_t = 3.;
+            until_t = 1000003. };
+        F.Corrupt_messages
+          { src_site = None; dst_site = None; p = 0.25; from_t = 3.; until_t = 1000003. };
+      ] );
+  ]
+
+let test_service_chaos_plan () =
+  List.iter
+    (fun ((lease, standby, flaky), expected) ->
+      let faults =
+        Svc.chaos_plan ~master_crash:true ~corrupt_p:0.25 ~crash_hosts:2 ~slow_hosts:2
+          ~slow_factor:5. ~flaky ~choke:4096 ()
+      in
+      let run = { Cfg.default with Cfg.standby; share_window = 1.5 } in
+      let got =
+        faults ~run ~start:3. ~hosts:(List.init lease (fun i -> i + 1))
+          (Random.State.make [| 5; 0x5e47 |])
+      in
+      let name = Printf.sprintf "lease %d standby %b flaky %b" lease standby flaky in
+      check plan name expected got;
+      check bool (name ^ " validates") true (F.validate got = Ok ()))
+    service_chaos_expected;
+  let rejects name f =
+    check bool name true (try ignore (f ()); false with Invalid_argument _ -> true)
+  in
+  rejects "corrupt_p above 1" (fun () -> Svc.chaos_plan ~corrupt_p:2. ());
+  rejects "negative corrupt_p" (fun () -> Svc.chaos_plan ~corrupt_p:(-0.5) ());
+  rejects "non-positive slow_factor" (fun () -> Svc.chaos_plan ~slow_hosts:1 ~slow_factor:0. ());
+  check plan "slow_factor unchecked without slow hosts" []
+    ((Svc.chaos_plan ~slow_factor:0. ()) ~run:Cfg.default ~start:0. ~hosts:[ 1 ]
+       (Random.State.make [| 0 |]));
+  (* the default plan is empty and leaves the service RNG untouched *)
+  let rng = Random.State.make [| 5; 0x5e47 |] in
+  let before = Random.State.copy rng in
+  check plan "default is empty" []
+    (Svc.default_config.Svc.faults ~run:Cfg.default ~start:3. ~hosts:[ 1; 2 ] rng);
+  check int "default draws nothing" (Random.State.bits before) (Random.State.bits rng)
+
+let gridsat_chaos_expected =
+  [
+    ( (false, false),
+      [
+        F.Crash_host { host = 1; at = 2. };
+        F.Crash_master { at = 6.; restart_after = 4. };
+        F.Drop_messages
+          { src_site = None; dst_site = None; p = 0.1; from_t = 0.; until_t = infinity };
+        F.Duplicate_messages { p = 0.05; extra = 0.5; from_t = 0.; until_t = infinity };
+      ] );
+    ( (true, false),
+      [
+        F.Crash_host { host = 1; at = 2. };
+        F.Crash_master { at = 6.; restart_after = infinity };
+        F.Drop_messages
+          { src_site = None; dst_site = None; p = 0.1; from_t = 0.; until_t = infinity };
+        F.Duplicate_messages { p = 0.05; extra = 0.5; from_t = 0.; until_t = infinity };
+      ] );
+    ( (false, true),
+      [
+        F.Crash_host { host = 1; at = 2. };
+        F.Partition_site { site = "standby"; from_t = 6.; until_t = 18. };
+        F.Drop_messages
+          { src_site = None; dst_site = None; p = 0.1; from_t = 0.; until_t = infinity };
+        F.Duplicate_messages { p = 0.05; extra = 0.5; from_t = 0.; until_t = infinity };
+      ] );
+    ( (true, true),
+      [
+        F.Crash_host { host = 1; at = 2. };
+        F.Partition_site { site = "standby"; from_t = 6.; until_t = 18. };
+        F.Drop_messages
+          { src_site = None; dst_site = None; p = 0.1; from_t = 0.; until_t = infinity };
+        F.Duplicate_messages { p = 0.05; extra = 0.5; from_t = 0.; until_t = infinity };
+      ] );
+  ]
+
+let straggler_expected =
+  [
+    ( false,
+      [
+        F.Slow_host { host = 1; at = 1.855013241130322; factor = 7.4166011137205956 };
+        F.Slow_host { host = 2; at = 2.7371818500497778; factor = 8.3132496297631064 };
+        F.Slow_host { host = 3; at = 1.7121790467096067; factor = 9.9597144570474274 };
+      ] );
+    ( true,
+      [
+        F.Flaky_host
+          { host = 1; factor = 7.4166011137205956; period = 7.4743637000995555;
+            from_t = 1.855013241130322; until_t = infinity };
+        F.Flaky_host
+          { host = 2; factor = 7.4243580934192135; period = 7.9597144570474274;
+            from_t = 2.1566248148815532; until_t = infinity };
+        F.Flaky_host
+          { host = 3; factor = 9.3431510431491755; period = 4.5268939122086369;
+            from_t = 2.3801022116847124; until_t = infinity };
+      ] );
+  ]
+
+let test_gridsat_presets () =
+  let pinned name expected got =
+    check plan name expected got;
+    check bool (name ^ " validates") true (F.validate got = Ok ())
+  in
+  List.iter
+    (fun ((standby, partition), expected) ->
+      pinned
+        (Printf.sprintf "chaos standby %b partition %b" standby partition)
+        expected
+        (C.Gridsat.chaos_plan ~standby ~partition))
+    gridsat_chaos_expected;
+  List.iter
+    (fun (flaky, expected) ->
+      pinned (Printf.sprintf "stragglers flaky %b" flaky) expected
+        (C.Gridsat.straggler_plan ~n:3 ~flaky ~seed:11))
+    straggler_expected;
+  (* the --choke 5000 --corrupt-p 0.2 head of a solve plan (share window 10) *)
+  pinned "link faults"
+    [
+      F.Choke_link
+        { src_site = None; dst_site = None; bytes_per_window = 5000; window = 10.; from_t = 0.;
+          until_t = infinity };
+      F.Corrupt_messages
+        { src_site = None; dst_site = None; p = 0.2; from_t = 0.; until_t = infinity };
+    ]
+    (C.Gridsat.link_faults ~corrupt_p:0.2 ~choke:5000 ~window:10. ~from_t:0. ~until_t:infinity);
+  check plan "no link faults" []
+    (C.Gridsat.link_faults ~corrupt_p:0. ~choke:0 ~window:10. ~from_t:0. ~until_t:infinity)
+
 let () =
   Alcotest.run "service"
     [
@@ -836,5 +1042,10 @@ let () =
         [
           Alcotest.test_case "slo burn + flight dump" `Quick test_obs_slo_burn_and_flight_dump;
           Alcotest.test_case "byte-stable across runs" `Quick test_obs_byte_stable_across_runs;
+        ] );
+      ( "fault presets",
+        [
+          Alcotest.test_case "service chaos plan pinned" `Quick test_service_chaos_plan;
+          Alcotest.test_case "gridsat presets pinned" `Quick test_gridsat_presets;
         ] );
     ]
