@@ -151,7 +151,7 @@ let shared_config ~seed ~chaos ~hedge ~standby ~ship_sync ~share_budget ~journal
   in
   (* --hedge arms the full straggler defense: hedged re-execution plus
      percentile-driven (adaptive) lease and retry deadlines *)
-  let c = if hedge then { c with Config.hedge = true; adaptive_timeouts = true } else c in
+  let c = if hedge then { c with Config.hedge = true } else c in
   (* --standby arms hot-standby master replication; under --chaos the
      lease and ship interval tighten so the canned early crash promotes
      within a short run's horizon (the lease must exceed heartbeat_period) *)
@@ -295,12 +295,10 @@ let solve_grid shared ~stats ~share_len ~timeout ~chaos_partition ~certify ~stra
   | Ok testbed -> (
       let obs = obs_of ~report ~trace in
       let config = { shared.config with Config.share_max_len = share_len; overall_timeout = timeout } in
-      (* --certify implies its own preconditions: integrity framing on and
-         clause sharing off (Config.validate rejects anything else) *)
+      (* --certify implies its own precondition: clause sharing off
+         (Config.validate rejects anything else) *)
       let config =
-        if certify then
-          { config with Config.certify = true; integrity_checks = true; share_max_len = 0 }
-        else config
+        if certify then { config with Config.certify = true; share_max_len = 0 } else config
       in
       let module G = Gridsat_core.Gridsat in
       let fault_plan =
@@ -426,7 +424,7 @@ let solve_cmd =
           ~doc:
             "certify the answer (grid mode): clients attach DRUP fragments to UNSAT claims, the \
              master checks each one under its branch's guiding path and quarantines clients whose \
-             answers fail.  Implies integrity framing and disables clause sharing.")
+             answers fail.  Disables clause sharing.")
   in
   let stragglers =
     Arg.(

@@ -92,9 +92,7 @@ let solver_stats t =
   (match t.state with Solving s -> Sat.Stats.add acc (Solver.stats s.solver) | Idle -> ());
   acc
 
-let send_raw t ~dst msg =
-  let msg = if t.cfg.Config.integrity_checks then Protocol.frame ~epoch:t.epoch msg else msg in
-  Grid.Everyware.send t.bus ~src:t.cid ~dst ~bytes:(Protocol.size msg) msg
+let send_raw t ~dst msg = Protocol.send t.bus ~src:t.cid ~dst ~epoch:t.epoch msg
 
 let reliable t = match t.rel with Some r -> r | None -> assert false
 
@@ -515,8 +513,8 @@ let handle_payload t ~src msg =
       (* master- or standby-bound messages; a client should never receive them *)
       ()
   | Protocol.Corrupt_payload ->
-      (* garbled content that slipped through because integrity framing is
-         off: indistinguishable from a lost message *)
+      (* garbled content outside any frame (only a forged payload: every
+         sender frames): indistinguishable from a lost message *)
       ()
   | Protocol.Ack _ | Protocol.Nack _ | Protocol.Reliable _ | Protocol.Framed _ ->
       (* unwrapped below; never nested *) ()

@@ -20,11 +20,9 @@ type t = {
   retry_base : float;
   retry_max_attempts : int;
   retry_jitter : float;
-  adaptive_timeouts : bool;
   hedge : bool;
   journal_compact_every : int;
   resync_grace : float;
-  integrity_checks : bool;
   certify : bool;
   standby : bool;
   ship_sync : bool;
@@ -57,11 +55,9 @@ let default =
     retry_base = 2.;
     retry_max_attempts = 6;
     retry_jitter = 0.1;
-    adaptive_timeouts = false;
     hedge = false;
     journal_compact_every = 64;
     resync_grace = 10.;
-    integrity_checks = true;
     certify = false;
     standby = false;
     ship_sync = false;
@@ -111,10 +107,6 @@ let validate t =
   else if t.journal_compact_every < 1 then
     err "journal_compact_every must be at least 1, got %d" t.journal_compact_every
   else if t.resync_grace <= 0. then err "resync_grace must be positive, got %g" t.resync_grace
-  else if t.certify && not t.integrity_checks then
-    err
-      "certify requires integrity_checks: a certified run must not accept answers whose \
-       transport can silently rot"
   else if t.certify && t.share_max_len > 0 then
     err
       "certify requires share_max_len = 0: foreign clauses are not locally derivable, so \

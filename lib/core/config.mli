@@ -43,37 +43,29 @@ type t = {
           run seed, but desynchronised across clients, so retries that
           exhausted together during a master outage cannot stampede the
           restarted master in lockstep *)
-  adaptive_timeouts : bool;
-      (** derive the failure-detector lease and the reliable retry base
-          from observed latency percentiles (heartbeat-gap p99, ack p99)
-          instead of the fixed constants.  Adaptive values may only
-          tighten the configured ones — [suspect_timeout]/[retry_base]
-          remain the worst-case bounds. *)
   hedge : bool;
       (** straggler hedging: when a subproblem's elapsed time exceeds the
           fleet's p99 solve duration and an idle healthy host exists, the
           master dispatches a second copy of the same branch; the first
-          result wins and the loser is cancelled.  Accounting stays
-          exactly-once — both copies share one pid. *)
+          result wins and the loser is cancelled (both copies share one
+          pid, so accounting stays exactly-once).  Hedging also adapts the
+          failure-detector lease and the retry base to latency
+          percentiles (heartbeat-gap p99, ack p99), never past the
+          configured [suspect_timeout]/[retry_base]. *)
   journal_compact_every : int;
       (** fold the master's write-ahead journal into a snapshot every this
           many entries (bounds replay work after a master crash) *)
   resync_grace : float;
       (** how long a restarted master waits for client [Resync] reports
           before treating unclaimed live subproblems as orphans *)
-  integrity_checks : bool;
-      (** seal every wire message in a digest frame (receivers drop — and
-          NACK, for reliable envelopes — payloads that fail the check),
-          and verify at-rest seals on journal records and checkpoint
-          snapshots.  On by default; the disabled path costs one branch. *)
   certify : bool;
       (** distributed UNSAT certification: clients log DRUP proofs and
           attach the fragment to [Finished_unsat]; the master RUP-checks
           every fragment against the original formula under the branch's
           journaled guiding path before tombstoning it, and quarantines
-          clients whose answers fail.  Requires [integrity_checks] and
-          [share_max_len = 0] (foreign clauses are not locally derivable,
-          so sharing runs cannot produce checkable per-branch proofs). *)
+          clients whose answers fail.  Requires [share_max_len = 0]
+          (foreign clauses are not locally derivable, so sharing runs
+          cannot produce checkable per-branch proofs). *)
   standby : bool;
       (** hot-standby master replication: the master ships its journal
           records to a shadow replica that continuously verifies its
@@ -128,8 +120,8 @@ val validate : t -> (unit, string) result
 (** Rejects inconsistent configurations with a descriptive message:
     non-positive periods/timeouts, [suspect_timeout <= heartbeat_period]
     (every healthy client would be declared dead), [retry_max_attempts <
-    1], [mem_headroom] outside [(0, 1]], [certify] without
-    [integrity_checks] or with clause sharing enabled, [ship_sync]
+    1], [mem_headroom] outside [(0, 1]], [certify] with clause
+    sharing enabled, [ship_sync]
     without [standby], non-positive [ship_interval], [standby_lease]
     not exceeding [heartbeat_period], negative [share_budget] or
     [journal_quota], non-positive [share_window], [outbox_cap < 1], and

@@ -3,8 +3,10 @@
     The master owns the resource pool, launches empty clients, assigns the
     initial problem to the first registrant, brokers splits (including the
     backlog of denied requests, served longest-running-first), relays
-    clause shares, directs migrations toward stronger idle resources,
-    verifies reported models, submits/cancels the batch job, and decides
+    clause shares, directs migrations toward stronger idle resources —
+    every host it sets aside for a split, migration or problem carries a
+    {!Pool.hold} naming why — verifies reported models, submits/cancels
+    the batch job, and decides
     termination: all subproblems exhausted means UNSAT, a verified model
     means SAT, and the overall timeout or an unrecoverable client death
     means no answer.
@@ -12,7 +14,7 @@
     Fault tolerance: the master runs a lease-based failure detector over
     client heartbeats ([heartbeat_period] / [suspect_timeout]); a silent
     monitored host is declared dead and its subproblem recovered from its
-    checkpoint (or from the master's own in-flight copy) onto an idle
+    checkpoint (or from the copy in its [Delivery] hold) onto an idle
     host, parking in a recovery queue when none is free.  When a dead
     client left no checkpoint its subproblem is re-derived from the
     original CNF and the guiding-path lineage journaled at every split —
@@ -126,7 +128,7 @@ val create :
     withholding, score-blended ranking, hedging/adaptive-timeout
     percentiles); the service passes one shared across runs.  When
     omitted, a private model is created whenever the config enables
-    hedging or adaptive timeouts. *)
+    hedging. *)
 
 val finished : t -> bool
 

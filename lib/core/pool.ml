@@ -1,15 +1,17 @@
-(* Pool state, split out of [Master]: everything about the grid hosts a
-   master (or the multi-tenant job service above it) schedules over —
-   who exists, what lease state each host is in, its NWS forecast, and
-   the reliable transport endpoint — and nothing about any particular
-   solve run.  Per-run state (split tree, journal, live-problem and
-   certification bookkeeping) stays in [Master]; the [lib/service]
-   front-end leases disjoint host subsets from one shared inventory and
-   hands each lease to a run as its own [Pool]. *)
+(* Pool state, split out of [Master]: the grid hosts a master (or the job
+   service above it) schedules over — lease states and holds, NWS
+   forecasts, the reliable transport endpoint — and nothing about any
+   particular solve run.  See pool.mli. *)
 
 module R = Grid.Resource
 
-type rstate = Launching | Idle | Reserved | Busy | Dead
+type hold =
+  | Partner of int
+  | Awaiting_problem
+  | Migration of int
+  | Delivery of Protocol.pid * Subproblem.t
+
+type rstate = Launching | Idle | Reserved of hold | Busy | Dead
 
 type host = {
   client : Client.t;
@@ -21,6 +23,10 @@ type host = {
   mutable last_heard : float;  (* failure-detector lease anchor *)
   mutable fenced : bool;  (* a declared-dead host that spoke again was told to stop *)
   mutable pid : Protocol.pid option;  (* the subproblem this host is working on *)
+  mutable partner_of : (int * int) list;
+      (* splits whose problem overtook the requester's Split_ok: the
+         requester, and the grant's [reserved_seq] *)
+  mutable reserved_seq : int;  (* when this host was last reserved, in pool reservations *)
 }
 
 type t = {
@@ -31,9 +37,10 @@ type t = {
   mutable health : Health.t option;
       (* host-health model; optional so the plain-master tests and
          baselines keep the pure NWS ranking *)
+  mutable reservations : int;  (* made so far; orders a requester's pending splits *)
 }
 
-let create () = { hosts = Hashtbl.create 64; rel = None; health = None }
+let create () = { hosts = Hashtbl.create 64; rel = None; health = None; reservations = 0 }
 
 let add t ~sim ~client ~resource ~trace =
   Hashtbl.replace t.hosts resource.R.id
@@ -47,6 +54,8 @@ let add t ~sim ~client ~resource ~trace =
       last_heard = Grid.Sim.now sim;
       fenced = false;
       pid = None;
+      partner_of = [];
+      reserved_seq = 0;
     }
 
 let find t id = Hashtbl.find t.hosts id
@@ -56,8 +65,6 @@ let find_opt t id = Hashtbl.find_opt t.hosts id
 let iter f t = Hashtbl.iter f t.hosts
 
 let fold f t acc = Hashtbl.fold f t.hosts acc
-
-let size t = Hashtbl.length t.hosts
 
 let set_reliable t rel = t.rel <- Some rel
 
@@ -73,21 +80,72 @@ let health_score t id =
 let health_admissible t ~now id =
   match t.health with None -> true | Some h -> Health.admissible h ~host:id ~now
 
-let busy_count t =
-  Hashtbl.fold (fun _ h acc -> if h.rstate = Busy then acc + 1 else acc) t.hosts 0
+let is_busy h = match h.rstate with Busy -> true | _ -> false
 
-let busy_ids t =
-  Hashtbl.fold (fun id h acc -> if h.rstate = Busy then id :: acc else acc) t.hosts []
-  |> List.sort compare
+let is_dead h = match h.rstate with Dead -> true | _ -> false
 
-let reserved_ids t =
-  Hashtbl.fold (fun id h acc -> if h.rstate = Reserved then id :: acc else acc) t.hosts []
-  |> List.sort compare
+let unload h =
+  if is_busy h then begin
+    h.rstate <- Idle;
+    h.pid <- None
+  end
 
-let unreserve t id =
+let ids_where p t =
+  Hashtbl.fold (fun id h acc -> if p h then id :: acc else acc) t.hosts [] |> List.sort compare
+
+let busy_count t = Hashtbl.fold (fun _ h acc -> if is_busy h then acc + 1 else acc) t.hosts 0
+
+let busy_ids t = ids_where is_busy t
+
+let reserved_ids t = ids_where (fun h -> match h.rstate with Reserved _ -> true | _ -> false) t
+
+let reserve t id hold =
+  let h = find t id in
+  t.reservations <- t.reservations + 1;
+  h.reserved_seq <- t.reservations;
+  h.rstate <- Reserved hold
+
+let release t id =
   match Hashtbl.find_opt t.hosts id with
-  | Some h when h.rstate = Reserved -> h.rstate <- Idle
+  | Some ({ rstate = Reserved _; _ } as h) -> h.rstate <- Idle
   | _ -> ()
+
+let end_holds t ~keep_reserved =
+  Hashtbl.iter
+    (fun _ h ->
+      (match h.rstate with
+      | Reserved _ -> h.rstate <- (if keep_reserved then Reserved Awaiting_problem else Idle)
+      | _ -> ());
+      h.partner_of <- [])
+    t.hosts
+
+(* [h] holds a hold [p] accepts: its reservation's, or the [Partner] hold
+   of a split whose problem overtook the requester's Split_ok. *)
+let holding p h =
+  (match h.rstate with Reserved hold -> p hold | _ -> false)
+  || List.exists (fun (r, _) -> p (Partner r)) h.partner_of
+
+let holders t p = ids_where (holding p) t
+
+(* A requester's pending splits close newest first, by reservation order:
+   each is a partner still reserved for it or an early partner. *)
+let close_split t requester ~confirmed =
+  let newest = ref (-1, ignore) in
+  let consider seq close = if seq > fst !newest then newest := (seq, close) in
+  Hashtbl.iter
+    (fun _ h ->
+      (match h.rstate with
+      | Reserved (Partner r) when r = requester ->
+          consider h.reserved_seq (fun () ->
+              h.rstate <- (if confirmed then Reserved Awaiting_problem else Idle))
+      | _ -> ());
+      List.iter
+        (fun ((r, seq) as split) ->
+          if r = requester then
+            consider seq (fun () -> h.partner_of <- List.filter (( <> ) split) h.partner_of))
+        h.partner_of)
+    t.hosts;
+  snd !newest ()
 
 (* The candidates the scheduler may hand new work to.  While the master is
    resyncing after a crash, "idle" hosts may in fact hold live work that
@@ -99,14 +157,15 @@ let idle_candidates t ~resyncing ~now =
   else
     Hashtbl.fold
       (fun id h acc ->
-        if h.rstate = Idle && Client.is_alive h.client && health_admissible t ~now id then
-          {
-            Scheduler.resource = h.resource;
-            forecast = Grid.Nws.forecast h.nws;
-            health = health_score t id;
-          }
-          :: acc
-        else acc)
+        match h.rstate with
+        | Idle when Client.is_alive h.client && health_admissible t ~now id ->
+            {
+              Scheduler.resource = h.resource;
+              forecast = Grid.Nws.forecast h.nws;
+              health = health_score t id;
+            }
+            :: acc
+        | _ -> acc)
       t.hosts []
     (* stable order so Random_pick and ties are reproducible *)
     |> List.sort (fun a b -> compare a.Scheduler.resource.R.id b.Scheduler.resource.R.id)
@@ -123,7 +182,7 @@ let rank t h =
    scan, so ties resolve to the last host in table order): replayed runs
    must keep producing byte-identical timelines. *)
 let weakest_busy t =
-  let busy = Hashtbl.fold (fun _ h acc -> if h.rstate = Busy then h :: acc else acc) t.hosts [] in
+  let busy = Hashtbl.fold (fun _ h acc -> if is_busy h then h :: acc else acc) t.hosts [] in
   List.fold_left
     (fun acc h ->
       match acc with
@@ -134,18 +193,17 @@ let weakest_busy t =
 (* Monitored hosts whose heartbeat lease ran out, ascending.  Dead and
    still-launching hosts are not monitored. *)
 let expired t ~now ~timeout =
-  Hashtbl.fold
-    (fun id h acc ->
+  ids_where
+    (fun h ->
       match h.rstate with
-      | (Idle | Reserved | Busy) when now -. h.last_heard > timeout -> id :: acc
-      | _ -> acc)
-    t.hosts []
-  |> List.sort compare
+      | Idle | Reserved _ | Busy -> now -. h.last_heard > timeout
+      | Launching | Dead -> false)
+    t
 
 let observe_nws t ~now =
   Hashtbl.iter
     (fun _ h ->
-      if h.rstate <> Dead then Grid.Nws.observe h.nws (Grid.Trace.availability h.trace now))
+      if not (is_dead h) then Grid.Nws.observe h.nws (Grid.Trace.availability h.trace now))
     t.hosts
 
 let aggregate_solver_stats t =

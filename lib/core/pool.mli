@@ -4,13 +4,36 @@
     inventory of grid hosts with their lease states ([Launching] →
     [Idle] → [Reserved] → [Busy], or [Dead]), the per-host NWS
     forecasters the scheduler ranks by, the failure-detector anchors
-    ([last_heard]), and the reliable transport endpoint.  It knows
-    nothing about any particular solve run — the split tree, journal and
-    certification bookkeeping stay in {!Master} — which is what lets the
-    {!module:Gridsat_service} front-end schedule many concurrent runs
-    over one shared host inventory, leasing each run its own pool. *)
+    ([last_heard]), and the reliable transport endpoint.  A [Reserved]
+    host carries its {!hold}: the one record of why it is reserved, which
+    only the pool writes ({!reserve}, {!release}, {!close_split},
+    {!end_holds}).  It knows nothing about any particular solve run — the
+    split tree, journal and certification bookkeeping stay in {!Master} —
+    which is what lets the {!module:Gridsat_service} front-end schedule
+    many concurrent runs over one shared host inventory, leasing each run
+    its own pool. *)
 
-type rstate = Launching | Idle | Reserved | Busy | Dead
+(** Why a host is reserved, and what ends the reservation. *)
+type hold =
+  | Partner of int
+      (** split partner granted to this requester.  Its [Split_ok] turns
+          the hold into [Awaiting_problem]; its [Split_failed], a lost
+          grant, or the requester finishing, dying or orphaning its branch
+          releases it. *)
+  | Awaiting_problem
+      (** the state after [Split_ok], and every hold a crashed master
+          forgot: no release path the master owns.  [Problem_received],
+          a resync or death ends it. *)
+  | Migration of int
+      (** target of this migration source.  [Problem_received] ends it
+          and frees the source; a lost [Migrate_to], or the source dying
+          or orphaning its branch, releases it. *)
+  | Delivery of Protocol.pid * Subproblem.t
+      (** a problem the master sent, with its copy.  [Problem_received]
+          ends it; a lost [Problem] or the addressee's death re-homes the
+          copy; the pid's hedge resolving cancels it. *)
+
+type rstate = Launching | Idle | Reserved of hold | Busy | Dead
 
 type host = {
   client : Client.t;
@@ -24,6 +47,11 @@ type host = {
       (** a declared-dead host that spoke again was told to stop *)
   mutable pid : Protocol.pid option;
       (** the subproblem this host is working on *)
+  mutable partner_of : (int * int) list;
+      (** the splits whose problem reached this partner before the
+          requester's [Split_ok]: requester and grant [reserved_seq].  The
+          host still holds [Partner requester] until {!close_split}. *)
+  mutable reserved_seq : int;  (** the pool's reservation count when last reserved *)
 }
 
 type t
@@ -39,7 +67,6 @@ val find : t -> int -> host
 val find_opt : t -> int -> host option
 val iter : (int -> host -> unit) -> t -> unit
 val fold : (int -> host -> 'a -> 'a) -> t -> 'a -> 'a
-val size : t -> int
 
 val set_reliable : t -> Reliable.t -> unit
 (** Installs the pool's reliable transport endpoint (once, at
@@ -56,16 +83,35 @@ val set_health : t -> Health.t -> unit
 
 val health : t -> Health.t option
 
-val health_score : t -> int -> float
-
-val health_admissible : t -> now:float -> int -> bool
-
+val is_busy : host -> bool
+val is_dead : host -> bool
 val busy_count : t -> int
 val busy_ids : t -> int list
 val reserved_ids : t -> int list
 
-val unreserve : t -> int -> unit
+val unload : host -> unit
+(** A [Busy] host becomes [Idle] with no pid; no-op in any other state. *)
+
+val reserve : t -> int -> hold -> unit
+(** Puts the host in [Reserved hold], replacing any hold it had. *)
+
+val release : t -> int -> unit
 (** Returns a [Reserved] host to [Idle]; no-op in any other state. *)
+
+val end_holds : t -> keep_reserved:bool -> unit
+(** Ends every hold and pending split.  A [Reserved] host returns to
+    [Idle] (run termination), or with [keep_reserved] stays reserved as
+    [Awaiting_problem] (a crashed master's amnesia). *)
+
+val holders : t -> (hold -> bool) -> int list
+(** The hosts holding a hold the predicate accepts, ascending, counting
+    early split partners (see [partner_of]). *)
+
+val close_split : t -> int -> confirmed:bool -> unit
+(** Closes [requester]'s newest pending split (a [Split_failed] names no
+    partner).  A partner still reserved for it becomes [Awaiting_problem]
+    when [confirmed] (a [Split_ok]), else [Idle]; an early partner
+    forgets the requester.  No-op without a pending split. *)
 
 val idle_candidates : t -> resyncing:bool -> now:float -> Scheduler.candidate list
 (** Live, admissible idle hosts as scheduler candidates, ascending by

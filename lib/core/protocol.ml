@@ -292,6 +292,10 @@ let digest msg = Integrity.hash_fnv1a emit msg
    stale sender even when the payload is trash. *)
 let frame ?(epoch = 0) msg = Framed { digest = digest msg; epoch; payload = msg }
 
+let send bus ~src ~dst ~epoch msg =
+  let msg = frame ~epoch msg in
+  Grid.Everyware.send bus ~src ~dst ~bytes:(size msg) msg
+
 let epoch_of = function Framed { epoch; _ } -> epoch | _ -> 0
 
 let verify = function

@@ -123,8 +123,8 @@ type msg =
   | Reliable of { mid : int; payload : msg }
       (** retry envelope for critical control messages *)
   | Framed of { digest : int; epoch : int; payload : msg }
-      (** integrity frame sealing every message put on the wire when
-          [Config.integrity_checks] is on; receivers verify with {!verify}
+      (** integrity frame sealing every message put on the wire;
+          receivers verify with {!verify}
           and refuse payloads whose digest does not match.  [epoch] is the
           sender's master epoch (0 for the whole run unless a standby was
           promoted): receivers reject frames from stale epochs, which
@@ -169,6 +169,10 @@ val frame : ?epoch:int -> msg -> msg
     digested, so (like a reliable envelope's mid) it survives in-flight
     payload corruption and a receiver can fence a stale sender even when
     the payload is trash. *)
+
+val send : msg Grid.Everyware.t -> src:int -> dst:int -> epoch:int -> msg -> unit
+(** Puts [msg] on the wire framed at [epoch], sized by {!size}: the one
+    way every endpoint sends. *)
 
 val epoch_of : msg -> int
 (** The epoch carried in a message's frame header (0 for unframed

@@ -45,11 +45,7 @@ let mark_promoted t = t.promoted <- true
 
 let stop t = t.stopped <- true
 
-let send_raw t ~dst msg =
-  let msg =
-    if t.cfg.Config.integrity_checks then Protocol.frame ~epoch:t.epoch msg else msg
-  in
-  Grid.Everyware.send t.bus ~src:standby_id ~dst ~bytes:(Protocol.size msg) msg
+let send_raw t ~dst msg = Protocol.send t.bus ~src:standby_id ~dst ~epoch:t.epoch msg
 
 let send_ack t ~dst ~seq ~ok =
   send_raw t ~dst (Protocol.Ship_ack { seq; applied = t.applied_entries; ok })

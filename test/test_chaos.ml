@@ -58,9 +58,8 @@ let chaos_config =
 (* Certified runs: every UNSAT claim must carry a DRUP fragment that
    checks under the branch's journaled guiding path.  Clause sharing is
    off (a foreign clause is not derivable from the receiver's own
-   fragment) and integrity framing is on, as [Config.validate] demands. *)
-let certify_config =
-  { chaos_config with Cfg.certify = true; integrity_checks = true; share_max_len = 0 }
+   fragment), as [Config.validate] demands. *)
+let certify_config = { chaos_config with Cfg.certify = true; share_max_len = 0 }
 
 (* Straggler defense on: health-aware ranking, adaptive deadlines and
    hedged re-execution, with jittered retry backoff. *)
@@ -68,7 +67,6 @@ let hedge_config =
   {
     chaos_config with
     Cfg.hedge = true;
-    adaptive_timeouts = true;
     retry_jitter = 0.1;
     (* a fine monitor tick so the p99 crossing is noticed promptly *)
     heartbeat_period = 2.;
@@ -292,7 +290,10 @@ let scenarios =
 let run_scenario s (wname, cnf) () =
   let baseline = solve ~config:s.config cnf in
   let plan = s.plan baseline.C.Master.time in
-  let faulted = solve ~config:s.config ~fault_plan:plan cnf in
+  let master = ref None in
+  let faulted =
+    solve ~config:s.config ~fault_plan:plan ~on_master:(fun m -> master := Some m) cnf
+  in
   check bool "fault-free run produces a real verdict" true
     (answer_kind baseline.C.Master.answer <> "UNKNOWN");
   check Alcotest.string
@@ -305,6 +306,13 @@ let run_scenario s (wname, cnf) () =
         check bool (Printf.sprintf "%s/%s: proof event %d present" s.sname wname i) true
           (has_event p faulted))
       s.proof;
+  (* a finished run holds no host back from the pool *)
+  (match !master with
+  | Some m ->
+      check (Alcotest.list Alcotest.int)
+        (Printf.sprintf "%s/%s: no host left Reserved" s.sname wname)
+        [] (C.Master.reserved_hosts m)
+  | None -> Alcotest.fail "on_master was not called");
   (* same plan, same seed: the timeline must replay exactly *)
   let again = solve ~config:s.config ~fault_plan:plan cnf in
   check bool
@@ -598,7 +606,6 @@ let test_certify_loss_no_quarantine () =
       suspect_timeout = 8.;
       slice = 0.5;
       certify = true;
-      integrity_checks = true;
       share_max_len = 0;
       seed;
     }
@@ -769,7 +776,7 @@ let test_hedge_beats_no_hedge () =
   (* C13 in miniature: with an extreme straggler holding a branch, the
      hedged run must finish no later than the defenseless one *)
   let cnf = hedge_cnf in
-  let no_hedge = { hedge_config with Cfg.hedge = false; adaptive_timeouts = false } in
+  let no_hedge = { hedge_config with Cfg.hedge = false } in
   let baseline = solve ~config:no_hedge ~testbed:(hedge_testbed ()) cnf in
   let plan = straggler_plan baseline.C.Master.time in
   let slow = solve ~config:no_hedge ~fault_plan:plan ~testbed:(hedge_testbed ()) cnf in
@@ -784,7 +791,7 @@ let test_hedge_beats_no_hedge () =
 let test_hedge_certify_stable () =
   (* hedging must not break split-tree certification: duplicate copies of
      a branch are fenced before they can double-cover it *)
-  let config = { certify_config with Cfg.hedge = true; adaptive_timeouts = true } in
+  let config = { certify_config with Cfg.hedge = true } in
   let cnf = hedge_cnf in
   let baseline = solve ~config ~testbed:(hedge_testbed ()) cnf in
   let r =

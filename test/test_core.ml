@@ -1071,13 +1071,10 @@ let test_config_validate () =
   (match Cfg.validate { Cfg.default with Cfg.retry_max_attempts = -1 } with
   | Error msg -> check bool "error names the field" true (contains msg "retry")
   | Ok () -> Alcotest.fail "negative retry budget accepted");
-  check bool "certify requires integrity framing" true
-    (rejects
-       { Cfg.default with Cfg.certify = true; integrity_checks = false; share_max_len = 0 });
   check bool "certify forbids clause sharing" true
-    (rejects { Cfg.default with Cfg.certify = true; integrity_checks = true; share_max_len = 10 });
-  check bool "certify with sharing off and framing on is valid" true
-    (ok { Cfg.default with Cfg.certify = true; integrity_checks = true; share_max_len = 0 });
+    (rejects { Cfg.default with Cfg.certify = true; share_max_len = 10 });
+  check bool "certify with sharing off is valid" true
+    (ok { Cfg.default with Cfg.certify = true; share_max_len = 0 });
   match Cfg.validate_exn { Cfg.default with Cfg.suspect_timeout = 1.; heartbeat_period = 5. } with
   | () -> Alcotest.fail "validate_exn let an inconsistent config through"
   | exception Invalid_argument _ -> ()

@@ -73,7 +73,7 @@ let configs =
     ("chaos+standby", chaos_config ~standby:true, chaos_plan ~standby:true);
     ( "certify",
       (fun seed ->
-        { (plain seed) with Cfg.certify = true; integrity_checks = true; share_max_len = 0 }),
+        { (plain seed) with Cfg.certify = true; share_max_len = 0 }),
       [] );
     ("corrupt-p", plain, [ corrupt ]);
     ("share-budget", (fun seed -> { (plain seed) with Cfg.share_budget = 300 }), []);
