@@ -570,7 +570,7 @@ let straggler () =
     }
   in
   let hedged_cfg =
-    { no_hedge with C.Config.hedge = true; retry_jitter = 0.1 }
+    { no_hedge with C.Config.hedge = true }
   in
   let baseline = C.Gridsat.solve ~config:no_hedge ~testbed:(testbed ()) cnf in
   Printf.printf "fault-free baseline: %s in %s s\n\n"

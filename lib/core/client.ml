@@ -372,7 +372,7 @@ let fresh_branch_pid t =
 
 let handle_split_partner t partner =
   match t.state with
-  | Idle -> send t ~dst:t.master Protocol.Split_failed
+  | Idle -> send t ~dst:t.master (Protocol.Split_failed { partner })
   | Solving s -> (
       s.split_pending <- false;
       let branch =
@@ -382,7 +382,7 @@ let handle_split_partner t partner =
         else Subproblem.split_from s.solver
       in
       match branch with
-      | None -> send t ~dst:t.master Protocol.Split_failed
+      | None -> send t ~dst:t.master (Protocol.Split_failed { partner })
       | Some sp ->
           let bytes = Subproblem.bytes sp in
           let pid = fresh_branch_pid t in
@@ -416,6 +416,7 @@ let handle_split_partner t partner =
             (Protocol.Split_ok
                {
                  pid;
+                 donor_pid = s.pid;
                  dst = partner;
                  bytes;
                  path = sp.Subproblem.path;
@@ -507,7 +508,7 @@ let handle_payload t ~src msg =
          [handle] off the frame header *)
       ()
   | Protocol.Register | Protocol.Problem_received _ | Protocol.Split_request _
-  | Protocol.Split_ok _ | Protocol.Split_failed | Protocol.Shares _ | Protocol.Finished_unsat _
+  | Protocol.Split_ok _ | Protocol.Split_failed _ | Protocol.Shares _ | Protocol.Finished_unsat _
   | Protocol.Found_model _ | Protocol.Orphaned _ | Protocol.Resync _ | Protocol.Heartbeat _
   | Protocol.Ship _ | Protocol.Ship_ack _ ->
       (* master- or standby-bound messages; a client should never receive them *)
@@ -629,7 +630,7 @@ let create ?(obs = Obs.disabled) ~sim ~bus ~cfg ~resource ~trace ~master callbac
     }
   in
   let rel =
-    Reliable.create ~obs ~obs_tid:t.cid ~seed:cfg.Config.seed ~jitter:cfg.Config.retry_jitter
+    Reliable.create ~obs ~obs_tid:t.cid ~seed:cfg.Config.seed ~jitter:Reliable.endpoint_jitter
       ~sim ~send_raw:(fun ~dst msg -> send_raw t ~dst msg)
       ~active:(fun () -> t.alive && not t.hung)
       ~retry_base:cfg.Config.retry_base ~max_attempts:cfg.Config.retry_max_attempts

@@ -19,7 +19,6 @@ type t = {
   suspect_timeout : float;
   retry_base : float;
   retry_max_attempts : int;
-  retry_jitter : float;
   hedge : bool;
   journal_compact_every : int;
   resync_grace : float;
@@ -54,7 +53,6 @@ let default =
     suspect_timeout = 60.;
     retry_base = 2.;
     retry_max_attempts = 6;
-    retry_jitter = 0.1;
     hedge = false;
     journal_compact_every = 64;
     resync_grace = 10.;
@@ -89,8 +87,6 @@ let validate t =
   else if t.retry_max_attempts < 1 then
     err "retry_max_attempts must be at least 1, got %d" t.retry_max_attempts
   else if t.retry_base <= 0. then err "retry_base must be positive, got %g" t.retry_base
-  else if not (t.retry_jitter >= 0. && t.retry_jitter <= 1.) then
-    err "retry_jitter must lie in [0, 1], got %g" t.retry_jitter
   else if t.slice <= 0. then err "slice must be positive, got %g" t.slice
   else if t.overall_timeout <= 0. then
     err "overall_timeout must be positive, got %g" t.overall_timeout

@@ -37,12 +37,6 @@ type t = {
   retry_base : float;  (** first backoff delay of the reliable channel *)
   retry_max_attempts : int;
       (** reliable sends abandoned after this many unacked transmissions *)
-  retry_jitter : float;
-      (** relative spread (in [[0, 1]]) applied to every reliable backoff
-          delay from a per-endpoint seeded RNG: deterministic under the
-          run seed, but desynchronised across clients, so retries that
-          exhausted together during a master outage cannot stampede the
-          restarted master in lockstep *)
   hedge : bool;
       (** straggler hedging: when a subproblem's elapsed time exceeds the
           fleet's p99 solve duration and an idle healthy host exists, the

@@ -85,7 +85,7 @@ type t = {
   started_at : float;
   obs : Obs.t;
   obs_on : bool;
-  split_spans : (int, Obs.Span.id) Hashtbl.t;  (* requester -> open split span *)
+  split_spans : (int * int, Obs.Span.id) Hashtbl.t;  (* requester, partner -> open split span *)
   mutable outage_span : Obs.Span.id;  (* covers a master crash .. reconciliation *)
   g_repl_lag : Obs.Metrics.gauge;
   h_failover : Obs.Metrics.histogram;
@@ -419,10 +419,30 @@ let partner_for requester = function Pool.Partner r -> r = requester | _ -> fals
 
 let delivering pid = function Pool.Delivery (p, _) -> p = pid | _ -> false
 
-(* Releases the holds made for [id] — its newest pending split and its
+(* Closes the "split" spans of the (requester, partner) grants [closes]
+   accepts, with [outcome]. *)
+let exit_split_spans t ?(args = []) closes outcome =
+  if t.obs_on then
+    Hashtbl.filter_map_inplace
+      (fun split sp ->
+        if not (closes split) then Some sp
+        else begin
+          Obs.Span.exit (spanr t) sp ~args:(("outcome", Obs.Json.String outcome) :: args);
+          None
+        end)
+      t.split_spans
+
+(* Closes [requester]'s split with [partner] (without one, every split of
+   [requester]) in the pool and its span. *)
+let close_split t requester ?partner ~confirmed ?args outcome =
+  Pool.close_split t.pool requester ?partner ~confirmed ();
+  exit_split_spans t ?args
+    (fun (r, p) -> r = requester && (partner = None || partner = Some p)) outcome
+
+(* Releases the holds made for [id] — its pending splits and its
    migration target — when it loses the branch they were made for. *)
-let release_holds_for t id =
-  Pool.close_split t.pool id ~confirmed:false;
+let release_holds_for t id outcome =
+  close_split t id ~confirmed:false outcome;
   List.iter (Pool.release t.pool)
     (Pool.holders t.pool (function Migration s -> s = id | _ -> false))
 
@@ -437,7 +457,8 @@ let terminate t answer why =
     log t (Events.Terminated why);
     (* a finished run must not leave hosts parked in Reserved: release
        every hold before the Stop broadcast *)
-    Pool.end_holds t.pool ~keep_reserved:false;
+    Pool.end_holds t.pool ~awaiting:None;
+    exit_split_spans t (fun _ -> true) "terminated";
     t.backlog <- [];
     Queue.clear t.pending_recovery;
     Hashtbl.reset t.pending_cert;
@@ -476,7 +497,7 @@ let grant_split t requester =
             ~args:[ ("requester", Obs.Json.Int requester); ("partner", Obs.Json.Int partner) ]
             "split"
         in
-        Hashtbl.replace t.split_spans requester sp
+        Hashtbl.add t.split_spans (requester, partner) sp
       end;
       send t ~dst:requester (Protocol.Split_partner { partner });
       true
@@ -486,7 +507,7 @@ let grant_split t requester =
 let free_finisher t src =
   note_host_success t src;
   Option.iter Pool.unload (Pool.find_opt t.pool src);
-  Pool.close_split t.pool src ~confirmed:false;
+  close_split t src ~confirmed:false "requester-finished";
   Checkpoint.drop t.checkpoints ~client:src;
   t.backlog <- List.filter (fun (c, _) -> c <> src) t.backlog
 
@@ -692,14 +713,6 @@ let absorb_if_refuted t ~holder pid =
     refute_pid t pid
   end
 
-let close_split_span t requester args =
-  if t.obs_on then
-    match Hashtbl.find_opt t.split_spans requester with
-    | Some sp ->
-        Hashtbl.remove t.split_spans requester;
-        Obs.Span.exit (spanr t) sp ~args
-    | None -> ()
-
 (* ---------- client death (also the teeth behind quarantine) ---------- *)
 
 let pid_homed t pid =
@@ -723,10 +736,19 @@ let declare_dead t id =
       note_incident t id `Crash;
       bump t Client_deaths 1;
       minstant t ~cat:"master" ~args:[ ("client", Obs.Json.Int id) ] "client.dead";
-      close_split_span t id [ ("outcome", Obs.Json.String "requester-died") ];
       t.backlog <- List.filter (fun (c, _) -> c <> id) t.backlog;
-      release_holds_for t id;
+      release_holds_for t id "requester-died";
+      (* partners awaiting the dead donor's hand-off will never get it:
+         free them and re-derive the branches the journal has them hold *)
+      let stranded = Pool.holders t.pool (function Awaiting_problem s -> s = id | _ -> false) in
+      List.iter (Pool.release t.pool) stranded;
       if not t.finished then begin
+        let st = tree t in
+        Hashtbl.fold (fun p h acc -> if List.mem h stranded then (p, h) :: acc else acc) st.holder []
+        |> List.sort compare
+        |> List.iter (fun (pid, h) ->
+               if Hashtbl.mem st.live pid && not (pid_homed t pid) then
+                 rederive_lost t ~holder:(Some h) pid);
         match prev with
         | Reserved (Delivery (pid, sp)) ->
             (* we still hold the very subproblem we sent it *)
@@ -763,7 +785,7 @@ let declare_dead t id =
                     (* no checkpoint: reconstruct the branch from its
                        journaled lineage instead of aborting the run *)
                     rederive_lost t ~holder:(Some id) pid))
-        | Launching | Idle | Reserved (Partner _ | Awaiting_problem | Migration _) | Dead -> ()
+        | Launching | Idle | Reserved (Partner _ | Awaiting_problem _ | Migration _) | Dead -> ()
       end
   | _ -> ()
 
@@ -877,7 +899,7 @@ let on_problem_received t src ~pid ~from ~bytes ~path =
   | Reserved (Partner r) ->
       (* the problem overtook its requester's Split_ok: the split stays
          pending until that arrives *)
-      h.partner_of <- (r, h.reserved_seq) :: h.partner_of
+      h.partner_of <- r :: h.partner_of
   | _ -> ());
   (* the receiver reports its lineage, closing the gap where a split's
      [Split_ok] has not arrived yet: the branch is re-derivable from the
@@ -919,34 +941,19 @@ let split_covers ~donor_path ~path =
       List.mem (Sat.Types.negate last) donor_path
       && List.for_all (fun l -> List.mem l donor_path) rev_pre
 
-(* The branch [src] just split.  In certify mode a Split_ok can overtake
-   the donor's own Problem_received, so the pool may not know it yet; the
-   split tree does: the live pid [src] holds whose lineage is the child's
-   path minus its last literal. *)
-let split_donor t src ~path =
-  match (host t src).pid with
-  | Some _ as p -> p
-  | None when (not t.cfg.Config.certify) || path = [] -> None
-  | None ->
-      let n = List.length path - 1 and st = tree t in
-      let pre = List.filteri (fun i _ -> i < n) path in
-      Hashtbl.fold
-        (fun p lineage acc ->
-          if lineage = pre && Hashtbl.find_opt st.holder p = Some src && (acc = None || Some p < acc)
-          then Some p
-          else acc)
-        st.live None
-
-let on_split_ok t src ~pid ~dst ~bytes ~path ~donor_path =
-  close_split_span t src
-    [
-      ("outcome", Obs.Json.String "ok");
-      ("pid", Obs.Json.String (Printf.sprintf "%d.%d" (fst pid) (snd pid)));
-      ("dst", Obs.Json.Int dst);
-      ("bytes", Obs.Json.Int bytes);
-    ];
-  Pool.close_split t.pool src ~confirmed:true;
-  let donor_pid = split_donor t src ~path in
+let on_split_ok t src ~pid ~donor_pid ~dst ~bytes ~path ~donor_path =
+  close_split t src ~partner:dst ~confirmed:true
+    ~args:
+      [
+        ("pid", Obs.Json.String (Printf.sprintf "%d.%d" (fst pid) (snd pid)));
+        ("dst", Obs.Json.Int dst);
+        ("bytes", Obs.Json.Int bytes);
+      ]
+    "ok";
+  (* the branch the donor split, unless it concluded (or moved on) first *)
+  let st = tree t in
+  let held = Hashtbl.mem st.live donor_pid && Hashtbl.find_opt st.holder donor_pid = Some src in
+  let donor_pid = if held then Some donor_pid else None in
   let verdict =
     if not t.cfg.Config.certify then `Accept donor_path
     else
@@ -996,9 +1003,8 @@ let on_split_ok t src ~pid ~dst ~bytes ~path ~donor_path =
         ~pid:(match donor_pid with Some p -> p | None -> pid)
         ~reason:"split paths are not complementary"
 
-let on_split_failed t src =
-  close_split_span t src [ ("outcome", Obs.Json.String "failed") ];
-  Pool.close_split t.pool src ~confirmed:false;
+let on_split_failed t src partner =
+  close_split t src ~partner ~confirmed:false "failed";
   settle_parked t src;
   dispatch t
 
@@ -1126,7 +1132,7 @@ let on_found_model t src model =
    only duplicates work, which the pid accounting absorbs. *)
 let on_orphaned t src pid sp =
   let h = host t src in
-  release_holds_for t src;
+  release_holds_for t src "requester-orphaned";
   (* a migration source already dropped its solver state; it is idle now *)
   if h.pid = Some pid then begin
     if Pool.is_busy h then h.rstate <- Idle;
@@ -1173,9 +1179,9 @@ let handle_payload t ~src msg =
   | Protocol.Problem_received { pid; from; bytes; path } ->
       on_problem_received t src ~pid ~from ~bytes ~path
   | Protocol.Split_request reason -> on_split_request t src reason
-  | Protocol.Split_ok { pid; dst; bytes; path; donor_path } ->
-      on_split_ok t src ~pid ~dst ~bytes ~path ~donor_path
-  | Protocol.Split_failed -> on_split_failed t src
+  | Protocol.Split_ok { pid; donor_pid; dst; bytes; path; donor_path } ->
+      on_split_ok t src ~pid ~donor_pid ~dst ~bytes ~path ~donor_path
+  | Protocol.Split_failed { partner } -> on_split_failed t src partner
   | Protocol.Shares { clauses } -> on_shares t src clauses
   | Protocol.Finished_unsat { pid; proof } -> on_finished_unsat t src pid proof
   | Protocol.Found_model m -> on_found_model t src m
@@ -1369,7 +1375,7 @@ let inject t ~src msg = handle_payload t ~src msg
    the journal and the checkpoint store (both stable storage) survive.
    Clients notice via retry exhaustion and keep solving autonomously. *)
 let drop_volatile t =
-  Pool.end_holds t.pool ~keep_reserved:true;
+  Pool.end_holds t.pool ~awaiting:(Some t.active_id);
   Hashtbl.reset t.hedged;
   t.backlog <- [];
   Queue.clear t.pending_recovery;
@@ -1378,11 +1384,10 @@ let drop_volatile t =
 let crash_master t =
   if (not t.finished) && not t.down then begin
     log t Events.Master_crashed;
-    if t.obs_on then begin
-      Hashtbl.reset t.split_spans;
+    exit_split_spans t (fun _ -> true) "master-crashed";
+    if t.obs_on then
       t.outage_span <-
-        Obs.Span.enter (spanr t) ~tid:Obs.Span.master_tid ~cat:"master" "master.outage"
-    end;
+        Obs.Span.enter (spanr t) ~tid:Obs.Span.master_tid ~cat:"master" "master.outage";
     t.down <- true;
     t.resyncing <- false;
     t.outage_started <- Some (Grid.Sim.now t.sim);
@@ -1641,25 +1646,23 @@ let consider_hedge t ~now =
             match stragglers with
             | [] -> ()
             | (_, primary, pid) :: _ -> (
-                match Hashtbl.find_opt (tree t).live pid with
+                (* every straggler's pid is live (filtered above) *)
+                match Scheduler.pick t.cfg.scheduler ~rng:t.rng (idle_candidates t) with
                 | None -> ()
-                | Some path -> (
-                    match Scheduler.pick t.cfg.scheduler ~rng:t.rng (idle_candidates t) with
-                    | None -> ()
-                    | Some cand ->
-                        let backup = cand.Scheduler.resource.R.id in
-                        let sp = Subproblem.of_lineage t.cnf path in
-                        Hashtbl.replace t.hedged pid ();
-                        log t (Events.Hedge_launched { pid; primary; backup });
-                        minstant t ~cat:"master"
-                          ~args:
-                            [
-                              ("pid", Obs.Json.String (Printf.sprintf "%d.%d" (fst pid) (snd pid)));
-                              ("primary", Obs.Json.Int primary);
-                              ("backup", Obs.Json.Int backup);
-                            ]
-                          "hedge";
-                        send_problem t ~dst:backup pid sp))))
+                | Some cand ->
+                    let backup = cand.Scheduler.resource.R.id in
+                    let sp = Subproblem.of_lineage t.cnf (Hashtbl.find (tree t).live pid) in
+                    Hashtbl.replace t.hedged pid ();
+                    log t (Events.Hedge_launched { pid; primary; backup });
+                    minstant t ~cat:"master"
+                      ~args:
+                        [
+                          ("pid", Obs.Json.String (Printf.sprintf "%d.%d" (fst pid) (snd pid)));
+                          ("primary", Obs.Json.Int primary);
+                          ("backup", Obs.Json.Int backup);
+                        ]
+                      "hedge";
+                    send_problem t ~dst:backup pid sp)))
 
 let rec monitor t =
   if not t.finished then begin
@@ -1673,15 +1676,12 @@ let rec monitor t =
       let suspect =
         match health t with
         | Some hm when t.cfg.Config.hedge ->
+            Reliable.set_retry_base (reliable t)
+              (Health.retry_base hm ~default:t.cfg.Config.retry_base);
             Health.suspect_timeout hm ~heartbeat_period:t.cfg.Config.heartbeat_period
               ~default:t.cfg.Config.suspect_timeout
         | _ -> t.cfg.Config.suspect_timeout
       in
-      (match health t with
-      | Some hm when t.cfg.Config.hedge ->
-          Reliable.set_retry_base (reliable t)
-            (Health.retry_base hm ~default:t.cfg.Config.retry_base)
-      | _ -> ());
       let expired = Pool.expired t.pool ~now ~timeout:suspect in
       List.iter
         (fun id ->
@@ -1805,7 +1805,7 @@ let create ?(obs = Obs.disabled) ?health ~sim ~net ~bus ~cfg ~testbed cnf =
   (match health with Some hm -> Pool.set_health t.pool hm | None -> ());
   Pool.set_reliable t.pool
     (Reliable.create ~obs ~obs_tid:Obs.Span.master_tid ~seed:cfg.Config.seed
-         ~jitter:cfg.Config.retry_jitter
+         ~jitter:Reliable.endpoint_jitter
          ~on_ack:(fun ~dst ~latency ->
            match Pool.health t.pool with
            | Some hm -> Health.note_ack hm ~host:dst ~latency
@@ -1832,9 +1832,9 @@ let create ?(obs = Obs.disabled) ?health ~sim ~net ~bus ~cfg ~testbed cnf =
                      Pool.release t.pool dst;
                      assign_recovered t ~failed:dst ~from_checkpoint:false pid sp
                  | _ -> ())
-             | Protocol.Split_partner { partner = _ } ->
+             | Protocol.Split_partner { partner } ->
                  (* the requester never learned about its partner *)
-                 Pool.close_split t.pool dst ~confirmed:false;
+                 close_split t dst ~partner ~confirmed:false "grant-lost";
                  settle_parked t dst;
                  dispatch t
              | Protocol.Migrate_to { target } -> (

@@ -122,8 +122,9 @@ val create :
     [obs] (default [Obs.disabled]) is threaded through every layer the
     master owns (journal, checkpoints, reliable channel, clients and
     their solvers): scheduling/recovery counters and instant-spans land
-    on the master track, and the five-message split sequence is covered
-    by a ["split"] span from grant to Split_ok/Split_failed.
+    on the master track, and each split grant's five-message sequence is
+    covered by a ["split"] span, closed where that split closes or at
+    termination at the latest.
     [health] wires a host-health model into scheduling (probation
     withholding, score-blended ranking, hedging/adaptive-timeout
     percentiles); the service passes one shared across runs.  When

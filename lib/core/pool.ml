@@ -7,7 +7,7 @@ module R = Grid.Resource
 
 type hold =
   | Partner of int
-  | Awaiting_problem
+  | Awaiting_problem of int
   | Migration of int
   | Delivery of Protocol.pid * Subproblem.t
 
@@ -23,10 +23,8 @@ type host = {
   mutable last_heard : float;  (* failure-detector lease anchor *)
   mutable fenced : bool;  (* a declared-dead host that spoke again was told to stop *)
   mutable pid : Protocol.pid option;  (* the subproblem this host is working on *)
-  mutable partner_of : (int * int) list;
-      (* splits whose problem overtook the requester's Split_ok: the
-         requester, and the grant's [reserved_seq] *)
-  mutable reserved_seq : int;  (* when this host was last reserved, in pool reservations *)
+  mutable partner_of : int list;
+      (* requesters of the splits whose problem overtook their Split_ok *)
 }
 
 type t = {
@@ -37,10 +35,9 @@ type t = {
   mutable health : Health.t option;
       (* host-health model; optional so the plain-master tests and
          baselines keep the pure NWS ranking *)
-  mutable reservations : int;  (* made so far; orders a requester's pending splits *)
 }
 
-let create () = { hosts = Hashtbl.create 64; rel = None; health = None; reservations = 0 }
+let create () = { hosts = Hashtbl.create 64; rel = None; health = None }
 
 let add t ~sim ~client ~resource ~trace =
   Hashtbl.replace t.hosts resource.R.id
@@ -55,7 +52,6 @@ let add t ~sim ~client ~resource ~trace =
       fenced = false;
       pid = None;
       partner_of = [];
-      reserved_seq = 0;
     }
 
 let find t id = Hashtbl.find t.hosts id
@@ -99,22 +95,21 @@ let busy_ids t = ids_where is_busy t
 
 let reserved_ids t = ids_where (fun h -> match h.rstate with Reserved _ -> true | _ -> false) t
 
-let reserve t id hold =
-  let h = find t id in
-  t.reservations <- t.reservations + 1;
-  h.reserved_seq <- t.reservations;
-  h.rstate <- Reserved hold
+let reserve t id hold = (find t id).rstate <- Reserved hold
 
 let release t id =
   match Hashtbl.find_opt t.hosts id with
   | Some ({ rstate = Reserved _; _ } as h) -> h.rstate <- Idle
   | _ -> ()
 
-let end_holds t ~keep_reserved =
+let end_holds t ~awaiting =
   Hashtbl.iter
     (fun _ h ->
-      (match h.rstate with
-      | Reserved _ -> h.rstate <- (if keep_reserved then Reserved Awaiting_problem else Idle)
+      (match (h.rstate, awaiting) with
+      | Reserved _, None -> h.rstate <- Idle
+      | Reserved (Partner s | Awaiting_problem s | Migration s), Some _
+      | Reserved (Delivery _), Some s ->
+          h.rstate <- Reserved (Awaiting_problem s)
       | _ -> ());
       h.partner_of <- [])
     t.hosts
@@ -123,29 +118,26 @@ let end_holds t ~keep_reserved =
    of a split whose problem overtook the requester's Split_ok. *)
 let holding p h =
   (match h.rstate with Reserved hold -> p hold | _ -> false)
-  || List.exists (fun (r, _) -> p (Partner r)) h.partner_of
+  || List.exists (fun r -> p (Partner r)) h.partner_of
 
 let holders t p = ids_where (holding p) t
 
-(* A requester's pending splits close newest first, by reservation order:
-   each is a partner still reserved for it or an early partner. *)
-let close_split t requester ~confirmed =
-  let newest = ref (-1, ignore) in
-  let consider seq close = if seq > fst !newest then newest := (seq, close) in
-  Hashtbl.iter
-    (fun _ h ->
-      (match h.rstate with
-      | Reserved (Partner r) when r = requester ->
-          consider h.reserved_seq (fun () ->
-              h.rstate <- (if confirmed then Reserved Awaiting_problem else Idle))
-      | _ -> ());
-      List.iter
-        (fun ((r, seq) as split) ->
-          if r = requester then
-            consider seq (fun () -> h.partner_of <- List.filter (( <> ) split) h.partner_of))
-        h.partner_of)
-    t.hosts;
-  snd !newest ()
+let rec drop_first x = function [] -> [] | y :: l -> if y = x then l else y :: drop_first x l
+
+(* [close h] ends one of [requester]'s splits on [h]: the reservation if
+   [h] is still its partner, else one early-partner entry. *)
+let close_split t requester ?partner ~confirmed () =
+  let close h =
+    match h.rstate with
+    | Reserved (Partner r) when r = requester ->
+        h.rstate <- (if confirmed then Reserved (Awaiting_problem requester) else Idle)
+    | _ -> h.partner_of <- drop_first requester h.partner_of
+  in
+  match partner with
+  | Some id -> Option.iter close (find_opt t id)
+  | None ->
+      let split = function Partner r -> r = requester | _ -> false in
+      Hashtbl.iter (fun _ h -> while holding split h do close h done) t.hosts
 
 (* The candidates the scheduler may hand new work to.  While the master is
    resyncing after a crash, "idle" hosts may in fact hold live work that

@@ -16,14 +16,14 @@
 (** Why a host is reserved, and what ends the reservation. *)
 type hold =
   | Partner of int
-      (** split partner granted to this requester.  Its [Split_ok] turns
-          the hold into [Awaiting_problem]; its [Split_failed], a lost
-          grant, or the requester finishing, dying or orphaning its branch
-          releases it. *)
-  | Awaiting_problem
-      (** the state after [Split_ok], and every hold a crashed master
-          forgot: no release path the master owns.  [Problem_received],
-          a resync or death ends it. *)
+      (** split partner granted to this requester.  The split's
+          [Split_ok] makes it [Awaiting_problem requester]; its
+          [Split_failed] or lost grant, or the requester finishing, dying
+          or orphaning its branch, releases it. *)
+  | Awaiting_problem of int
+      (** waiting on a problem from this sender (see {!end_holds}).
+          [Problem_received], a resync, or the host's or sender's death
+          ends it. *)
   | Migration of int
       (** target of this migration source.  [Problem_received] ends it
           and frees the source; a lost [Migrate_to], or the source dying
@@ -47,11 +47,10 @@ type host = {
       (** a declared-dead host that spoke again was told to stop *)
   mutable pid : Protocol.pid option;
       (** the subproblem this host is working on *)
-  mutable partner_of : (int * int) list;
-      (** the splits whose problem reached this partner before the
-          requester's [Split_ok]: requester and grant [reserved_seq].  The
-          host still holds [Partner requester] until {!close_split}. *)
-  mutable reserved_seq : int;  (** the pool's reservation count when last reserved *)
+  mutable partner_of : int list;
+      (** the requesters whose split's problem reached this partner
+          before their [Split_ok]: it holds [Partner requester] for each
+          until {!close_split}. *)
 }
 
 type t
@@ -98,20 +97,22 @@ val reserve : t -> int -> hold -> unit
 val release : t -> int -> unit
 (** Returns a [Reserved] host to [Idle]; no-op in any other state. *)
 
-val end_holds : t -> keep_reserved:bool -> unit
+val end_holds : t -> awaiting:int option -> unit
 (** Ends every hold and pending split.  A [Reserved] host returns to
-    [Idle] (run termination), or with [keep_reserved] stays reserved as
-    [Awaiting_problem] (a crashed master's amnesia). *)
+    [Idle] (run termination), or with [Some master] (a crashed master's
+    amnesia) awaits the sender its hold named: the requester, the
+    migration source, or [master] for a [Delivery]. *)
 
 val holders : t -> (hold -> bool) -> int list
 (** The hosts holding a hold the predicate accepts, ascending, counting
     early split partners (see [partner_of]). *)
 
-val close_split : t -> int -> confirmed:bool -> unit
-(** Closes [requester]'s newest pending split (a [Split_failed] names no
-    partner).  A partner still reserved for it becomes [Awaiting_problem]
-    when [confirmed] (a [Split_ok]), else [Idle]; an early partner
-    forgets the requester.  No-op without a pending split. *)
+val close_split : t -> int -> ?partner:int -> confirmed:bool -> unit -> unit
+(** [close_split t requester ~partner] closes the split a [Split_ok],
+    [Split_failed] or lost grant names; without [partner], every split of
+    [requester].  A partner still reserved for it becomes
+    [Awaiting_problem requester] when [confirmed] (a [Split_ok]), else
+    [Idle]; an early partner forgets it.  No-op without such a split. *)
 
 val idle_candidates : t -> resyncing:bool -> now:float -> Scheduler.candidate list
 (** Live, admissible idle hosts as scheduler candidates, ascending by

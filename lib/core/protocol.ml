@@ -32,12 +32,13 @@ type msg =
   | Split_partner of { partner : int }
   | Split_ok of {
       pid : pid;
+      donor_pid : pid;
       dst : int;
       bytes : int;
       path : Sat.Types.lit list;
       donor_path : Sat.Types.lit list;
     }
-  | Split_failed
+  | Split_failed of { partner : int }
   | Shares of { clauses : Sat.Types.lit array list }
   | Share_relay of { origin : int; clauses : Sat.Types.lit array list }
   | Finished_unsat of { pid : pid; proof : string option }
@@ -89,7 +90,7 @@ let rec size = function
       control_bytes
       + String.length log_digest
       + List.fold_left (fun acc e -> acc + entry_bytes e) 0 entries
-  | Register | Split_request _ | Split_partner _ | Split_failed | Migrate_to _ | Cancel _
+  | Register | Split_request _ | Split_partner _ | Split_failed _ | Migrate_to _ | Cancel _
   | Resync_request | Stop | Heartbeat _ | Ship_ack _ | Epoch_notice | Ack _ | Nack _
   | Corrupt_payload ->
       control_bytes
@@ -100,7 +101,7 @@ let rec size = function
    the run and must ride the ack/retry layer. *)
 let critical = function
   | Register | Problem _ | Problem_received _ | Split_request _ | Split_partner _ | Split_ok _
-  | Split_failed | Finished_unsat _ | Found_model _ | Migrate_to _ | Cancel _ | Orphaned _
+  | Split_failed _ | Finished_unsat _ | Found_model _ | Migrate_to _ | Cancel _ | Orphaned _
   | Resync_request | Resync _ | Ship _ ->
       true
   | Shares _ | Share_relay _ | Stop | Heartbeat _ | Ship_ack _ | Epoch_notice | Ack _ | Nack _
@@ -205,16 +206,19 @@ let rec emit sink = function
   | Split_partner { partner } ->
       s sink "partner ";
       i sink partner
-  | Split_ok { pid; dst; bytes; path; donor_path } ->
+  | Split_ok { pid; donor_pid; dst; bytes; path; donor_path } ->
       s sink "split_ok ";
       pid_sp sink pid;
+      pid_sp sink donor_pid;
       int_sp sink dst;
       int_sp sink bytes;
       s sink "p ";
       lits sink path;
       s sink "d ";
       lits sink donor_path
-  | Split_failed -> s sink "split_failed"
+  | Split_failed { partner } ->
+      s sink "split_failed ";
+      i sink partner
   | Shares { clauses = cs } ->
       s sink "shares ";
       clauses sink cs

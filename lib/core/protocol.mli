@@ -56,17 +56,21 @@ type msg =
   | Split_partner of { partner : int }  (** master -> client (message 2) *)
   | Split_ok of {
       pid : pid;
+      donor_pid : pid;
       dst : int;
       bytes : int;
       path : Sat.Types.lit list;
       donor_path : Sat.Types.lit list;
     }
-      (** donor -> master (message 5); [pid] stamps the handed-off branch.
+      (** donor -> master (message 5); [pid] stamps the handed-off branch,
+          [donor_pid] names the branch the donor split, and [dst] the
+          partner it went to, so the answer closes exactly that split.
           Carries both sides' guiding-path lineages — the new branch's
           [path] and the donor's grown [donor_path] — so the master can
           journal them and later re-derive either branch from the original
           CNF alone. *)
-  | Split_failed  (** donor -> master: nothing to split *)
+  | Split_failed of { partner : int }
+      (** donor -> master: nothing to split for the granted [partner] *)
   | Shares of { clauses : Sat.Types.lit array list }  (** client -> master *)
   | Share_relay of { origin : int; clauses : Sat.Types.lit array list }
       (** master -> every other active client *)
@@ -135,7 +139,8 @@ type msg =
           fault injection. *)
 
 val control_bytes : int
-(** Nominal size of a control message. *)
+(** Nominal size of a control message.  Pids and host ids ride in its
+    header, so they add nothing to a message's size. *)
 
 val shares_bytes : Sat.Types.lit array list -> int
 (** Serialised size of a clause-share batch. *)

@@ -37,6 +37,8 @@ type t = {
   h_ack : Obs.Metrics.histogram;
 }
 
+let endpoint_jitter = 0.1
+
 let create ?(obs = Obs.disabled) ?(obs_tid = Obs.Span.run_tid) ?(seed = 0) ?(jitter = 0.)
     ?(on_ack = fun ~dst:_ ~latency:_ -> ()) ~sim ~send_raw ~active ~retry_base ~max_attempts
     ~on_retry ?(on_exhausted = fun ~dst:_ ~attempts:_ -> ()) ~on_give_up () =

@@ -13,6 +13,9 @@
 
 type t
 
+val endpoint_jitter : float
+(** The [jitter] of the master's and every client's channel: 0.1. *)
+
 val create :
   ?obs:Obs.t ->
   ?obs_tid:int ->

@@ -62,12 +62,11 @@ let chaos_config =
 let certify_config = { chaos_config with Cfg.certify = true; share_max_len = 0 }
 
 (* Straggler defense on: health-aware ranking, adaptive deadlines and
-   hedged re-execution, with jittered retry backoff. *)
+   hedged re-execution. *)
 let hedge_config =
   {
     chaos_config with
     Cfg.hedge = true;
-    retry_jitter = 0.1;
     (* a fine monitor tick so the p99 crossing is noticed promptly *)
     heartbeat_period = 2.;
     (* no clause sharing: a straggler's branch cannot be refuted for free
@@ -627,6 +626,44 @@ let test_certify_loss_no_quarantine () =
           check Alcotest.int (cell ^ ": quarantines") 0 (C.Master.counter r "quarantines"))
         seeds)
     [ ("drop+dup", [ drop; dup ], [ 3; 4; 5; 8 ]); ("drop", [ drop ], [ 3; 9 ]) ]
+
+(* A requester granted a second partner before its first split is
+   answered: each Split_ok and Split_failed closes the split it names, and
+   a requester that finishes or dies closes all of its splits.  If an
+   answer closed the other grant, the older split would stay pending and
+   UNSAT would wait for the overall timeout.  Every master "split" span
+   must be closed by the end of the run. *)
+let test_double_grant_closes_by_name () =
+  let plan =
+    [
+      F.Slow_host { host = 1; at = 2.; factor = 20. };
+      F.Drop_messages { src_site = None; dst_site = None; p = 0.1; from_t = 0.; until_t = infinity };
+    ]
+  in
+  List.iter
+    (fun (name, config, cnf, seed) ->
+      let obs = Obs.create () in
+      let r =
+        C.Gridsat.solve ~config:{ config with Cfg.seed } ~fault_plan:plan ~obs
+          ~testbed:(C.Testbed.uniform ~n:(4 + (seed mod 4)) ~speed:500. ())
+          cnf
+      in
+      let cell = Printf.sprintf "%s seed %d" name seed in
+      check Alcotest.string (cell ^ ": verdict") "UNSAT" (answer_kind r.C.Master.answer);
+      let open_splits =
+        List.filter
+          (fun (sp : Obs.Span.span) ->
+            sp.name = "split" && sp.tid = Obs.Span.master_tid && not sp.closed)
+          (Obs.Span.spans (Obs.spans obs))
+      in
+      check Alcotest.int (cell ^ ": split spans left open") 0 (List.length open_splits))
+    [
+      ( "php-6-5 standby",
+        { chaos_config with Cfg.standby = true },
+        Workloads.Php.instance ~pigeons:6 ~holes:5,
+        2 );
+      ("php-7-6 hedge", hedge_config, Workloads.Php.instance ~pigeons:7 ~holes:6, 21);
+    ]
 
 (* Certify mode: a client's report of holding a registered branch never
    rewrites the journaled lineage its fragment will be checked under — a
@@ -1233,6 +1270,11 @@ let () =
             test_journal_corrupt_tail_scrubbed;
           Alcotest.test_case "checkpoint corrupt_all discards" `Quick
             test_checkpoint_corrupt_all_discards;
+        ] );
+      ( "splits",
+        [
+          Alcotest.test_case "double grant closes splits by name" `Slow
+            test_double_grant_closes_by_name;
         ] );
       ( "stragglers",
         [

@@ -105,12 +105,12 @@ module Ref = struct
     | Split_request `Memory -> pf "split? mem"
     | Split_request `Long_running -> pf "split? long"
     | Split_partner { partner } -> pf "partner %d" partner
-    | Split_ok { pid = o, n; dst; bytes; path; donor_path } ->
-        pf "split_ok %d.%d %d %d p " o n dst bytes;
+    | Split_ok { pid = o, n; donor_pid = o', n'; dst; bytes; path; donor_path } ->
+        pf "split_ok %d.%d %d.%d %d %d p " o n o' n' dst bytes;
         lits path;
         pf "d ";
         lits donor_path
-    | Split_failed -> pf "split_failed"
+    | Split_failed { partner } -> pf "split_failed %d" partner
     | Shares { clauses = cs } ->
         pf "shares ";
         clauses cs
@@ -330,9 +330,10 @@ let rec gen_msg depth : P.msg QCheck.Gen.t =
       return (P.Split_request `Long_running);
       map (fun partner -> P.Split_partner { partner }) gen_int;
       map3
-        (fun (pid, dst) (bytes, path) donor_path -> P.Split_ok { pid; dst; bytes; path; donor_path })
-        (pair gen_pid gen_int) (pair gen_int gen_lits) gen_lits;
-      return P.Split_failed;
+        (fun (pid, donor_pid, dst) (bytes, path) donor_path ->
+          P.Split_ok { pid; donor_pid; dst; bytes; path; donor_path })
+        (triple gen_pid gen_pid gen_int) (pair gen_int gen_lits) gen_lits;
+      map (fun partner -> P.Split_failed { partner }) gen_int;
       map (fun clauses -> P.Shares { clauses }) gen_clauses;
       map2 (fun origin clauses -> P.Share_relay { origin; clauses }) gen_int gen_clauses;
       map2 (fun pid proof -> P.Finished_unsat { pid; proof }) gen_pid (opt gen_text);
