@@ -503,10 +503,6 @@ let handle_payload t ~src msg =
       finish_problem ~outcome:"stopped" t;
       (match t.rel with Some r -> Reliable.stop r | None -> ());
       t.alive <- false
-  | Protocol.Epoch_notice ->
-      (* succession announcement: the adoption already happened in
-         [handle] off the frame header *)
-      ()
   | Protocol.Register | Protocol.Problem_received _ | Protocol.Split_request _
   | Protocol.Split_ok _ | Protocol.Split_failed _ | Protocol.Shares _ | Protocol.Finished_unsat _
   | Protocol.Found_model _ | Protocol.Orphaned _ | Protocol.Resync _ | Protocol.Heartbeat _
@@ -517,60 +513,27 @@ let handle_payload t ~src msg =
       (* garbled content outside any frame (only a forged payload: every
          sender frames): indistinguishable from a lost message *)
       ()
-  | Protocol.Ack _ | Protocol.Nack _ | Protocol.Reliable _ | Protocol.Framed _ ->
-      (* unwrapped below; never nested *) ()
+  | Protocol.Epoch_notice | Protocol.Ack _ | Protocol.Nack _ | Protocol.Reliable _
+  | Protocol.Framed _ ->
+      (* [Reliable.receive] took these, a notice's epoch included *) ()
 
+(* Around [Reliable.receive]: a newer epoch from a master endpoint
+   (id <= 0) is a promoted standby, so the client re-points [t.master]
+   (failover redirects clients, it never restarts them), and any word
+   from the master ends an outage. *)
 let handle t ~src msg =
   if t.alive && not t.hung then
-    (* read the epoch off the raw frame header before [verify] strips the
-       frame — like a reliable mid, the header survives even when the
-       payload digest check fails *)
-    let frame_epoch = Protocol.epoch_of msg in
-    match Protocol.verify msg with
-    | `Corrupt payload -> (
-        (* the frame's digest check failed: refuse the payload.  If the
-           surviving envelope header names a reliable mid, NACK it so the
-           sender retransmits immediately instead of waiting out its
-           backoff timer. *)
-        match payload with
-        | Protocol.Reliable { mid; _ } ->
-            t.callbacks.log (Events.Corrupt_message_detected { receiver = t.cid; nacked = true });
-            send_raw t ~dst:src (Protocol.Nack { mid })
-        | _ -> t.callbacks.log (Events.Corrupt_message_detected { receiver = t.cid; nacked = false })
-        )
-    | `Ok msg ->
-        (* Epoch fencing rides the frame header.  A frame older than the
-           highest epoch we have seen is a superseded master's traffic:
-           refuse it and answer with an [Epoch_notice] (framed at our
-           epoch) so the zombie learns it was fenced.  A frame from a
-           newer epoch coming from a master endpoint (id <= 0) announces
-           a promoted standby: adopt the epoch and re-point [t.master] —
-           the failover redirects clients, it never restarts them.
-           Non-standby runs frame everything at epoch 0 and always fall
-           straight through. *)
-        if frame_epoch < t.epoch then begin
-          t.callbacks.log
-            (Events.Stale_epoch_rejected
-               { receiver = t.cid; src; epoch = frame_epoch; current = t.epoch });
-          send_raw t ~dst:src Protocol.Epoch_notice
-        end
-        else begin
-          if frame_epoch > t.epoch then begin
-            t.epoch <- frame_epoch;
-            (* only master endpoints (id <= 0) can announce a succession;
-               [master_reachable] below ends any outage and flushes the
-               outbox toward the new address *)
-            if src <= 0 && src <> t.master then t.master <- src
-          end;
-          if src = t.master then master_reachable t;
-          match msg with
-          | Protocol.Reliable { mid; payload } ->
-              send_raw t ~dst:src (Protocol.Ack { mid });
-              if Reliable.admit (reliable t) ~src ~mid then handle_payload t ~src payload
-          | Protocol.Ack { mid } -> Reliable.handle_ack (reliable t) ~mid
-          | Protocol.Nack { mid } -> Reliable.handle_nack (reliable t) ~mid
-          | _ -> handle_payload t ~src msg
-        end
+    Reliable.receive ~rel:(reliable t)
+      (Reliable.inbox_of (reliable t))
+      ~me:t.cid ~epoch:t.epoch ~reply:(send_raw t) ~log:t.callbacks.log
+      ~succession:(fun ~src ~epoch ->
+        t.epoch <- epoch;
+        if src <= 0 && src <> t.master then t.master <- src;
+        true)
+      ~accept:(fun ~src _ ->
+        if src = t.master then master_reachable t;
+        true)
+      ~deliver:(handle_payload t) ~src msg
 
 (* Empty clients take a moment to launch before they can register
    (process start-up on the remote host). *)

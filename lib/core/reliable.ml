@@ -6,6 +6,17 @@ type pending = {
   mutable timer : Grid.Sim.event_id;
 }
 
+type inbox = (int * int, unit) Hashtbl.t  (* (src, mid) already delivered *)
+
+let inbox () : inbox = Hashtbl.create 64
+
+let admit (inbox : inbox) ~src ~mid =
+  if Hashtbl.mem inbox (src, mid) then false
+  else begin
+    Hashtbl.replace inbox (src, mid) ();
+    true
+  end
+
 type t = {
   sim : Grid.Sim.t;
   send_raw : dst:int -> Protocol.msg -> unit;
@@ -21,7 +32,7 @@ type t = {
   on_ack : dst:int -> latency:float -> unit;
   mutable next_mid : int;
   outstanding : (int, pending) Hashtbl.t;
-  seen : (int * int, unit) Hashtbl.t;  (* (src, mid) already delivered *)
+  inbox : inbox;
   mutable retries : int;
   mutable gave_up : int;
   mutable nacked : int;
@@ -59,7 +70,7 @@ let create ?(obs = Obs.disabled) ?(obs_tid = Obs.Span.run_tid) ?(seed = 0) ?(jit
     on_ack;
     next_mid = 0;
     outstanding = Hashtbl.create 16;
-    seen = Hashtbl.create 64;
+    inbox = inbox ();
     retries = 0;
     gave_up = 0;
     nacked = 0;
@@ -219,12 +230,36 @@ let nudge t ~dst =
       end)
     t.outstanding
 
-let admit t ~src ~mid =
-  if Hashtbl.mem t.seen (src, mid) then false
-  else begin
-    Hashtbl.replace t.seen (src, mid) ();
-    true
+let inbox_of t = t.inbox
+
+(* Header fields survive payload rot, so a stale sender is fenced before
+   its payload is checked.  A newer epoch changes who runs the fleet, so
+   only a verified frame may announce one. *)
+let receive ?rel inbox ~me ~epoch ~reply ~log ?(report = fun ~src:_ -> true)
+    ?(succession = fun ~src:_ ~epoch:_ -> true) ?(accept = fun ~src:_ _ -> true) ~deliver ~src
+    msg =
+  let frame_epoch = Protocol.epoch_of msg in
+  if frame_epoch < epoch then begin
+    log (Events.Stale_epoch_rejected { receiver = me; src; epoch = frame_epoch; current = epoch });
+    reply ~dst:src Protocol.Epoch_notice
   end
+  else
+    match Protocol.verify msg with
+    | `Corrupt payload ->
+        if report ~src then begin
+          let mid = match payload with Protocol.Reliable { mid; _ } -> Some mid | _ -> None in
+          log (Events.Corrupt_message_detected { receiver = me; nacked = mid <> None });
+          Option.iter (fun mid -> reply ~dst:src (Protocol.Nack { mid })) mid
+        end
+    | `Ok msg -> (
+        if (frame_epoch = epoch || succession ~src ~epoch:frame_epoch) && accept ~src msg then
+          match msg with
+          | Protocol.Reliable { mid; payload } ->
+              reply ~dst:src (Protocol.Ack { mid });
+              if admit inbox ~src ~mid then deliver ~src payload
+          | Protocol.Ack { mid } -> Option.iter (fun r -> handle_ack r ~mid) rel
+          | Protocol.Nack { mid } -> Option.iter (fun r -> handle_nack r ~mid) rel
+          | msg -> deliver ~src msg)
 
 let stop t =
   Hashtbl.iter (fun _ p -> Grid.Sim.cancel t.sim p.timer) t.outstanding;

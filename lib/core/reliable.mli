@@ -7,9 +7,10 @@
     {!Protocol.Ack} arrives or the attempt budget is exhausted, at which
     point the owner's [on_give_up] decides what the loss means (a donor
     returns the orphaned subproblem to the master; the master releases a
-    reserved partner).  {!admit} is the receive side: it records
-    [(src, mid)] pairs so retried or network-duplicated envelopes are
-    acked again but delivered only once. *)
+    reserved partner).  {!receive} is the receive side of every endpoint,
+    the twin of {!Protocol.send}: it fences stale epochs, verifies the
+    frame, acks and dedups envelopes through an {!inbox}, and settles
+    acks and NACKs. *)
 
 type t
 
@@ -82,9 +83,48 @@ val nudge : t -> dst:int -> unit
     made into the outage were lost, and without the reset a stale
     exhaustion timer could declare the recovered link dead. *)
 
-val admit : t -> src:int -> mid:int -> bool
+(** {1 Receiving} *)
+
+type inbox
+(** Receive-side dedup: every [(src, mid)] already delivered.  A channel
+    holds one ({!inbox_of}); the standby makes its own ({!inbox}). *)
+
+val inbox : unit -> inbox
+
+val inbox_of : t -> inbox
+
+val admit : inbox -> src:int -> mid:int -> bool
 (** [true] exactly once per [(src, mid)]: the caller should ack every
     envelope but deliver only admitted ones. *)
+
+val receive :
+  ?rel:t ->
+  inbox ->
+  me:int ->
+  epoch:int ->
+  reply:(dst:int -> Protocol.msg -> unit) ->
+  log:(Events.kind -> unit) ->
+  ?report:(src:int -> bool) ->
+  ?succession:(src:int -> epoch:int -> bool) ->
+  ?accept:(src:int -> Protocol.msg -> bool) ->
+  deliver:(src:int -> Protocol.msg -> unit) ->
+  src:int ->
+  Protocol.msg ->
+  unit
+(** The one receive path of endpoint [me] at [epoch], in a fixed order.
+    [reply] sends raw, framed at the receiver's epoch.
+    + A header epoch below [epoch] is fenced before the frame is
+      verified (the header survives rot): log
+      {!Events.Stale_epoch_rejected}, reply {!Protocol.Epoch_notice}.
+    + A frame that fails {!Protocol.verify} is dropped; if [report src]
+      (default [true]), log {!Events.Corrupt_message_detected} and NACK a
+      reliable mid that survived.
+    + A newer epoch reaches [succession] only from a verified frame; it
+      returns whether to go on (default [true]).
+    + [accept] (default [true]) says whether to handle a verified frame.
+    + A {!Protocol.Reliable} envelope is acked and its payload delivered
+      once per mid ({!admit}); [Ack]/[Nack] settle [rel] (ignored
+      without one); anything else is delivered. *)
 
 val stop : t -> unit
 (** Cancels all retry timers (owner is shutting down). *)

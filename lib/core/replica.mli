@@ -21,8 +21,8 @@
     {!Master} promotes the standby into a primary at a bumped epoch.
 
     The replica deliberately owns no {!Reliable} channel of its own: it
-    raw-acks every reliable envelope it receives and keeps a [(src, mid)]
-    table for dedup, mirroring {!Reliable.admit} without the retry
+    receives through {!Reliable.receive} with its own {!Reliable.inbox},
+    which raw-acks and dedups every reliable envelope, without the retry
     machinery it never needs ([Ship_ack] loss is repaired by the
     primary's own retries of the next batch). *)
 

@@ -1004,14 +1004,12 @@ let test_reliable_duplicate_ack () =
   check bool "never gave up" true (!gave = [])
 
 let test_reliable_dedup_on_admission () =
-  let sim = Grid.Sim.create () in
-  let sent = ref [] and gave = ref [] in
-  let rel = make_reliable ~sim ~sent ~gave () in
-  check bool "first (5,1) admitted" true (C.Reliable.admit rel ~src:5 ~mid:1);
-  check bool "replayed (5,1) rejected" false (C.Reliable.admit rel ~src:5 ~mid:1);
-  check bool "same src, new mid admitted" true (C.Reliable.admit rel ~src:5 ~mid:2);
-  check bool "same mid, other src admitted" true (C.Reliable.admit rel ~src:6 ~mid:1);
-  check bool "replay still rejected" false (C.Reliable.admit rel ~src:5 ~mid:1)
+  let inbox = C.Reliable.inbox () in
+  check bool "first (5,1) admitted" true (C.Reliable.admit inbox ~src:5 ~mid:1);
+  check bool "replayed (5,1) rejected" false (C.Reliable.admit inbox ~src:5 ~mid:1);
+  check bool "same src, new mid admitted" true (C.Reliable.admit inbox ~src:5 ~mid:2);
+  check bool "same mid, other src admitted" true (C.Reliable.admit inbox ~src:6 ~mid:1);
+  check bool "replay still rejected" false (C.Reliable.admit inbox ~src:5 ~mid:1)
 
 let test_reliable_exhaustion_signal () =
   let sim = Grid.Sim.create () in
