@@ -68,10 +68,19 @@ module Record = struct
 
   (* A refutation is final: pids are never reused, so a registration that
      arrives after the pid was refuted (message reordering around a split,
-     possibly spanning a master restart) must not resurrect it. *)
+     possibly spanning a master restart) must not resurrect it.  A lineage
+     only grows: a registration whose path is a strict prefix of the live
+     one is an older split reported late, and keeps the longer path. *)
   let register st pid path client =
     if not (Hashtbl.mem st.refuted pid) then begin
-      Hashtbl.replace st.live pid path;
+      let rec below = function
+        | [], _ :: _ -> true
+        | l :: p, l' :: q -> l = l' && below (p, q)
+        | _ -> false
+      in
+      (match Hashtbl.find_opt st.live pid with
+      | Some live when below (path, live) -> ()
+      | _ -> Hashtbl.replace st.live pid path);
       Hashtbl.replace st.holder pid client
     end
 
