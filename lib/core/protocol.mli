@@ -181,11 +181,12 @@ val send : msg Grid.Everyware.t -> src:int -> dst:int -> epoch:int -> msg -> uni
 
 val epoch_of : msg -> int
 (** The epoch carried in a message's frame header (0 for unframed
-    messages). *)
+    messages).  {!Reliable.receive}, the twin of {!send}, reads it before
+    {!verify}, so a stale sender is fenced even when its payload rotted. *)
 
 val verify : msg -> [ `Ok of msg | `Corrupt of msg ]
-(** Checks and strips a {!frame}.  Unframed messages pass through as
-    [`Ok] (framing off, or pre-integrity traffic); a framed payload whose
+(** Checks and strips a {!frame}: a step of {!Reliable.receive}.
+    Unframed messages pass through as [`Ok]; a framed payload whose
     digest does not match comes back as [`Corrupt payload] so the receiver
     can still read surviving envelope headers (to NACK a [Reliable] mid). *)
 
