@@ -133,13 +133,16 @@ module Record = struct
       str " @ ";
       int client
     in
+    let rec lits_from = function
+      | [] -> ()
+      | [ l ] -> int (T.to_int l)
+      | l :: rest ->
+          Integrity.put_lit sink ~sep:' ' l;
+          lits_from rest
+    in
     let lits ls =
       str " [";
-      List.iteri
-        (fun k l ->
-          if k > 0 then str " ";
-          int (T.to_int l))
-        ls;
+      lits_from ls;
       str "]"
     in
     match e with

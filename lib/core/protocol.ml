@@ -132,7 +132,7 @@ let pid_sp sink p =
   pid sink p;
   Integrity.put_char sink ' '
 
-let lits sink ls = List.iter (fun l -> int_sp sink (Sat.Types.to_int l)) ls
+let lits sink ls = List.iter (Integrity.put_lit sink ~sep:' ') ls
 
 let emit_entry sink = function
   | Registered { client } ->
@@ -184,7 +184,7 @@ let emit_entry sink = function
 let clauses sink cs =
   List.iter
     (fun c ->
-      Array.iter (fun l -> int_sp sink (Sat.Types.to_int l)) c;
+      Integrity.put_lits sink ~sep:' ' c 0 (Array.length c);
       s sink "/")
     cs
 

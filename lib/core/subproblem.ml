@@ -97,24 +97,18 @@ let capture_pure ~origin solver = prune { origin with facts = []; path = Sat.Sol
      ... *)
 let emit sink t =
   let open Integrity in
-  let lit l =
-    put_int sink (T.to_int l);
-    put_char sink ' '
-  in
   let { Sat.Arena.lits; starts } = t.clauses in
   put_string sink "p subproblem ";
   put_int sink t.nvars;
   put_char sink ' ';
   put_int sink (nclauses t);
   put_string sink "\nf ";
-  List.iter lit t.facts;
+  List.iter (put_lit sink ~sep:' ') t.facts;
   put_string sink "0\na ";
-  List.iter lit t.path;
+  List.iter (put_lit sink ~sep:' ') t.path;
   put_string sink "0\n";
   for k = 0 to nclauses t - 1 do
-    for p = starts.(k) to starts.(k + 1) - 1 do
-      lit lits.(p)
-    done;
+    put_lits sink ~sep:' ' lits starts.(k) (starts.(k + 1) - starts.(k));
     put_string sink "0\n"
   done
 
