@@ -15,6 +15,7 @@ type event_id = Key.t
 type t = {
   mutable clock : float;
   mutable queue : (unit -> unit) Pq.t;
+  mutable pending : int;  (* [Pq.cardinal queue], which is O(pending) to recount *)
   mutable next_seq : int;
   mutable fired : int;
   obs_on : bool;
@@ -26,6 +27,7 @@ let create ?(obs = Obs.disabled) () =
   {
     clock = 0.;
     queue = Pq.empty;
+    pending = 0;
     next_seq = 0;
     fired = 0;
     obs_on = Obs.enabled obs;
@@ -41,16 +43,23 @@ let schedule_at t ~time f =
   t.next_seq <- seq + 1;
   let key = { Key.time; seq } in
   t.queue <- Pq.add key f t.queue;
-  if t.obs_on then Obs.Metrics.gauge_max t.g_pending (float_of_int (Pq.cardinal t.queue));
+  t.pending <- t.pending + 1;
+  if t.obs_on then Obs.Metrics.gauge_max t.g_pending (float_of_int t.pending);
   key
 
 let schedule t ~delay f = schedule_at t ~time:(t.clock +. Float.max 0. delay) f
 
-(* Removing a key that already fired (or was already cancelled) leaves the
-   queue unchanged, so a late or repeated cancel is a no-op. *)
-let cancel t id = t.queue <- Pq.remove id t.queue
+(* Removing a key that already fired (or was already cancelled) returns
+   the queue itself, so a late or repeated cancel is a no-op and counts
+   nothing. *)
+let cancel t id =
+  let q = Pq.remove id t.queue in
+  if q != t.queue then begin
+    t.queue <- q;
+    t.pending <- t.pending - 1
+  end
 
-let pending t = Pq.cardinal t.queue
+let pending t = t.pending
 
 let events_fired t = t.fired
 
@@ -59,6 +68,7 @@ let step t =
   | None -> false
   | Some (key, f) ->
       t.queue <- Pq.remove key t.queue;
+      t.pending <- t.pending - 1;
       t.clock <- key.Key.time;
       t.fired <- t.fired + 1;
       if t.obs_on then Obs.Metrics.incr t.c_events;

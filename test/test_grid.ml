@@ -67,6 +67,31 @@ let test_sim_cancel_twice () =
   check int "only the live event fired" 1 !fired;
   check int "queue drained" 0 (Sim.pending sim)
 
+(* The queue depth is a running count, not a recount: every way an event
+   leaves the queue lowers it once, and no other call moves it. *)
+let test_sim_pending_count () =
+  let sim = Sim.create ~obs:(Obs.create ()) () in
+  let a = Sim.schedule sim ~delay:1.0 ignore in
+  let b = Sim.schedule sim ~delay:2.0 ignore in
+  let c = Sim.schedule sim ~delay:3.0 ignore in
+  ignore (Sim.schedule_at sim ~time:4.0 ignore);
+  check int "four scheduled" 4 (Sim.pending sim);
+  check bool "step fires a" true (Sim.step sim);
+  check int "a fired" 3 (Sim.pending sim);
+  Sim.cancel sim c;
+  check int "c cancelled" 2 (Sim.pending sim);
+  Sim.cancel sim c;
+  check int "double cancel of c" 2 (Sim.pending sim);
+  Sim.cancel sim a;
+  check int "cancel of a after it fired" 2 (Sim.pending sim);
+  ignore (Sim.step sim);
+  Sim.cancel sim b;
+  check int "cancel of b after it fired" 1 (Sim.pending sim);
+  ignore (Sim.step sim);
+  check int "drained" 0 (Sim.pending sim);
+  check bool "nothing left to step" false (Sim.step sim);
+  check int "still drained" 0 (Sim.pending sim)
+
 let test_sim_nested_schedule () =
   let sim = Sim.create () in
   let log = ref [] in
@@ -629,6 +654,7 @@ let () =
           Alcotest.test_case "cancel" `Quick test_sim_cancel;
           Alcotest.test_case "cancel after fire" `Quick test_sim_cancel_fired_no_leak;
           Alcotest.test_case "cancel twice" `Quick test_sim_cancel_twice;
+          Alcotest.test_case "pending count" `Quick test_sim_pending_count;
           Alcotest.test_case "nested schedule" `Quick test_sim_nested_schedule;
           Alcotest.test_case "until boundary" `Quick test_sim_until_boundary;
           Alcotest.test_case "negative delay" `Quick test_sim_negative_delay_clamped;
