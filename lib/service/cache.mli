@@ -24,7 +24,15 @@ val digest : Sat.Cnf.t -> string
     clause list, duplicates removed) before hashing, and the key pairs
     two independent hashes (FNV-1a and CRC-32) of the canonical bytes to
     make accidental collisions negligible.  The bytes are streamed into
-    the hasher, never built as a string. *)
+    the hasher, never built as a string.
+
+    Cost: linear in the formula's literals plus one int sort of its
+    clauses.  Each clause is sorted by an int that packs its first
+    literals; only clauses whose packed prefixes tie and that run past
+    them are compared literal by literal.  The working arrays are this
+    domain's reused scratch, so a call allocates a constant few dozen
+    words (the hasher and the hex key), whatever the formula's size up to
+    2{^20} literals. *)
 
 val find : t -> digest:string -> cnf:Sat.Cnf.t -> Gridsat_core.Master.answer option
 (** A verified verdict for this formula, if one is stored.  SAT hits are
