@@ -20,9 +20,10 @@ let bytes t =
   + (8 * (List.length t.facts + List.length t.path))
   + 64
 
-(* The arena stays the subproblem's: the solver copies each clause as it
-   normalises it, and other holders of this value (the master's in-flight
-   table, the receiver's origin, heavy checkpoints) see it unchanged. *)
+(* The arena stays the subproblem's: the solver copies the clauses into
+   its own arena before it normalises them, and other holders of this
+   value (the master's in-flight table, the receiver's origin, heavy
+   checkpoints) see it unchanged. *)
 let to_solver ~config ?obs ?obs_tid t =
   Sat.Solver.create_with_roots ~config ?obs ?obs_tid ~facts:t.facts ~nvars:t.nvars t.clauses
     t.path

@@ -36,7 +36,8 @@ val depth : t -> int
 
 val to_solver : config:Sat.Solver.config -> ?obs:Obs.t -> ?obs_tid:int -> t -> Sat.Solver.t
 (** Instantiates a solver for the subproblem.  The subproblem's arena is
-    only read: the solver normalises each clause into an array it keeps. *)
+    only read: the solver copies the clauses into its own clause arena
+    and normalises each there. *)
 
 val capture : Sat.Solver.t -> t
 (** Snapshot of a solver's current problem (for migration or

@@ -80,9 +80,9 @@ val create_with_roots :
   t
 (** [create_with_roots ~facts ~nvars clauses path] builds a solver over
     the formula of [clauses] without building it: each clause is
-    normalised once ({!Arena.normalise}) into an array the solver
-    keeps.  The arena is only read, so it may be shared (a received
-    subproblem's is).
+    copied into the solver's own clause arena and normalised there
+    ({!Arena.normalise_in_place}).  [clauses] is only read, so it may be
+    shared (a received subproblem's is).
     It asserts two kinds of literals at decision level 0 — this is how a
     client instantiates a received subproblem (root assignments + clause
     set):
