@@ -10,7 +10,6 @@ type 'msg t = {
   mutable bytes : int;
   mutable dropped : int;
   mutable dropped_bytes : int;
-  mutable corrupted : int;
   mutable fault : (src_site:string -> dst_site:string -> bytes:int -> fault_decision) option;
   mutable corruptor : ('msg -> 'msg) option;
   obs : Obs.t;
@@ -33,7 +32,6 @@ let create ?(obs = Obs.disabled) sim net =
     bytes = 0;
     dropped = 0;
     dropped_bytes = 0;
-    corrupted = 0;
     fault = None;
     corruptor = None;
     obs;
@@ -121,7 +119,6 @@ let send t ~src ~dst ~bytes msg =
       match t.corruptor with
       | None -> deliver 0.
       | Some f ->
-          t.corrupted <- t.corrupted + 1;
           if t.obs_on then Obs.Metrics.incr t.c_corrupted;
           deliver_msg 0. (f msg))
 
@@ -132,5 +129,3 @@ let bytes_sent t = t.bytes
 let messages_dropped t = t.dropped
 
 let bytes_dropped t = t.dropped_bytes
-
-let messages_corrupted t = t.corrupted

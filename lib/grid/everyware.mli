@@ -69,9 +69,6 @@ val messages_dropped : 'msg t -> int
 
 val bytes_dropped : 'msg t -> int
 
-val messages_corrupted : 'msg t -> int
-(** Messages whose payload the fault hook garbled in flight. *)
-
 val transfer_time : 'msg t -> src:int -> dst:int -> bytes:int -> float
 (** The delay {!send} would apply right now (used by clients to record
     how long their problem took to arrive — the split-timeout base). *)

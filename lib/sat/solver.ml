@@ -15,8 +15,6 @@ module T = Types
 type restart_strategy = Luby | Geometric of float | Fixed
 
 type config = {
-  decay_interval : int;
-  decay_factor : float;
   restarts_enabled : bool;
   restart_base : int;
   restart_strategy : restart_strategy;
@@ -25,7 +23,6 @@ type config = {
   learned_cap_min : int;
   reduce_db_enabled : bool;
   share_export_max : int;
-  capture_conflicts : bool;
   random_decision_freq : float;
   emit_proof : bool;
   minimize_learned : bool;
@@ -35,8 +32,6 @@ type config = {
 
 let default_config =
   {
-    decay_interval = 256;
-    decay_factor = 0.5;
     restarts_enabled = true;
     restart_base = 128;
     restart_strategy = Luby;
@@ -45,7 +40,6 @@ let default_config =
     learned_cap_min = 5_000;
     reduce_db_enabled = true;
     share_export_max = 16;
-    capture_conflicts = false;
     random_decision_freq = 0.02;
     emit_proof = false;
     minimize_learned = false;
@@ -106,8 +100,8 @@ let[@inline] set_activity a cr x =
 let no_reason = -1
 
 (* A growable stack of ints: the clause lists and the scratch buffers.
-   Unlike {!Vec} it is local to this module, so every access inlines, and
-   its stores are typed [int], so none goes through the write barrier. *)
+   It is local to this module, so every access inlines, and its stores
+   are typed [int], so none goes through the write barrier. *)
 type ints = { mutable items : int array; mutable len : int }
 
 let ints cap = { items = Array.make (max cap 1) 0; len = 0 }
@@ -372,7 +366,14 @@ let bump_lits t cr =
     bump_lit t t.arena.(cr + k)
   done
 
-let decay_scores t = t.var_inc <- t.var_inc /. t.cfg.decay_factor
+(* VSIDS decay (the paper's periodic halving): every [decay_interval]
+   conflicts, scores are multiplied by [decay_factor], by growing the bump
+   increment instead. *)
+let decay_interval = 256
+
+let decay_factor = 0.5
+
+let decay_scores t = t.var_inc <- t.var_inc /. decay_factor
 
 let bump_clause_activity t cr =
   let a = t.arena in
@@ -1198,7 +1199,7 @@ let handle_conflict t confl =
     let c, blevel = analyze t confl in
     backtrack t blevel;
     record_learned t c;
-    if t.stats.conflicts mod t.cfg.decay_interval = 0 then decay_scores t;
+    if t.stats.conflicts mod decay_interval = 0 then decay_scores t;
     t.cla_inc <- t.cla_inc /. 0.999
   end
 

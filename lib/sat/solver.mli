@@ -29,8 +29,6 @@ type restart_strategy =
   | Fixed  (** every [restart_base] conflicts (zChaff-2001 style) *)
 
 type config = {
-  decay_interval : int;  (** conflicts between VSIDS decays (paper: periodic halving) *)
-  decay_factor : float;  (** score multiplier applied at each decay, in (0,1) *)
   restarts_enabled : bool;
   restart_base : int;  (** conflicts before the first restart *)
   restart_strategy : restart_strategy;
@@ -44,7 +42,6 @@ type config = {
           (the paper's baseline) kept everything until memory ran out; turn
           this off to reproduce its MEM_OUT behaviour. *)
   share_export_max : int;  (** record learned clauses up to this length for export *)
-  capture_conflicts : bool;  (** snapshot implication graphs (slow; for inspection) *)
   random_decision_freq : float;  (** probability of a random decision, in [0,1) *)
   emit_proof : bool;
       (** log a DRUP proof of every clause derivation; check it with
@@ -204,8 +201,7 @@ val decide_manual : t -> Types.lit -> unit
 val propagate_manual : t -> [ `Ok | `Conflict of conflict_info ]
 (** Propagates to fixpoint.  On conflict, performs FirstUIP analysis,
     backjumps, records the learned clause, and returns the full
-    {!conflict_info} (the implication graph is always captured on this
-    path regardless of [capture_conflicts]). *)
+    {!conflict_info}, implication graph included. *)
 
 val proof : t -> Drup.t
 (** The DRUP proof logged so far (empty unless [emit_proof] is set).

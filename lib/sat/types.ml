@@ -27,17 +27,7 @@ let lit_value v l =
   | True -> if is_pos l then True else False
   | False -> if is_pos l then False else True
 
-let value_not = function
-  | True -> False
-  | False -> True
-  | Unknown -> Unknown
-
 let pp_lit ppf l = Format.fprintf ppf "%d" (to_int l)
-
-let pp_value ppf = function
-  | True -> Format.pp_print_string ppf "true"
-  | False -> Format.pp_print_string ppf "false"
-  | Unknown -> Format.pp_print_string ppf "unknown"
 
 let pp_clause ppf lits =
   Format.pp_print_char ppf '(';

@@ -60,13 +60,9 @@ let sxor t a b =
         Wire o
       end
 
-let snand t a b = snot (sand t a b)
-
 let eq t a b = snot (sxor t a b)
 
 let mux t ~sel a b = sor t (sand t (snot sel) a) (sand t sel b)
-
-let big_and t = List.fold_left (sand t) (Const true)
 
 let big_or t = List.fold_left (sor t) (Const false)
 

@@ -27,12 +27,8 @@ val sor : t -> signal -> signal -> signal
 
 val sxor : t -> signal -> signal -> signal
 
-val snand : t -> signal -> signal -> signal
-
 val mux : t -> sel:signal -> signal -> signal -> signal
 (** [mux ~sel a b] is [a] when [sel] is false, [b] when [sel] is true. *)
-
-val big_and : t -> signal list -> signal
 
 val big_or : t -> signal list -> signal
 

@@ -5,7 +5,6 @@ module Cnf = Sat.Cnf
 module Solver = Sat.Solver
 module Brute = Sat.Brute
 module Model = Sat.Model
-module Vec = Sat.Vec
 module Heap = Sat.Heap
 module Dimacs = Sat.Dimacs
 
@@ -68,42 +67,6 @@ let prop_negate_involution =
     QCheck.(int_range 1 1000)
     (fun v -> T.negate (T.negate (T.pos v)) = T.pos v)
 
-(* ---------- Vec ---------- *)
-
-let test_vec_basic () =
-  let v = Vec.create 0 in
-  check bool "empty" true (Vec.is_empty v);
-  for i = 1 to 100 do
-    Vec.push v i
-  done;
-  check int "size" 100 (Vec.size v);
-  check int "get" 50 (Vec.get v 49);
-  check int "last" 100 (Vec.last v);
-  check int "pop" 100 (Vec.pop v);
-  check int "size after pop" 99 (Vec.size v);
-  Vec.shrink v 10;
-  check int "size after shrink" 10 (Vec.size v);
-  check int "fold sum" 55 (Vec.fold ( + ) 0 v);
-  Vec.clear v;
-  check bool "cleared" true (Vec.is_empty v)
-
-let test_vec_swap_remove () =
-  let v = Vec.of_list 0 [ 1; 2; 3; 4 ] in
-  Vec.swap_remove v 0;
-  check int "size" 3 (Vec.size v);
-  check int "moved last into slot" 4 (Vec.get v 0);
-  check bool "contents" true (List.sort compare (Vec.to_list v) = [ 2; 3; 4 ])
-
-let test_vec_bounds () =
-  let v = Vec.of_list 0 [ 1 ] in
-  Alcotest.check_raises "get out of bounds" (Invalid_argument "Vec: index out of bounds")
-    (fun () -> ignore (Vec.get v 1))
-
-let prop_vec_to_of_list =
-  QCheck.Test.make ~name:"Vec.of_list/to_list roundtrip" ~count:200
-    QCheck.(list int)
-    (fun xs -> Vec.to_list (Vec.of_list 0 xs) = xs)
-
 (* ---------- Heap ---------- *)
 
 let test_heap_pop_order () =
@@ -142,24 +105,7 @@ let prop_heap_sorts =
       let keys = List.map (fun v -> score.(v)) popped in
       List.sort (fun a b -> Float.compare b a) keys = keys)
 
-(* ---------- more Vec / Stats / Model coverage ---------- *)
-
-let test_vec_copy_independent () =
-  let v = Vec.of_list 0 [ 1; 2; 3 ] in
-  let w = Vec.copy v in
-  Vec.push w 4;
-  Vec.set w 0 9;
-  check int "original unchanged" 1 (Vec.get v 0);
-  check int "original size unchanged" 3 (Vec.size v);
-  check int "copy updated" 4 (Vec.size w)
-
-let test_vec_iteri_exists () =
-  let v = Vec.of_list 0 [ 10; 20; 30 ] in
-  let acc = ref [] in
-  Vec.iteri (fun i x -> acc := (i, x) :: !acc) v;
-  check bool "iteri pairs" true (List.rev !acc = [ (0, 10); (1, 20); (2, 30) ]);
-  check bool "exists true" true (Vec.exists (fun x -> x = 20) v);
-  check bool "exists false" false (Vec.exists (fun x -> x = 99) v)
+(* ---------- more Stats / Model coverage ---------- *)
 
 let test_stats_add_and_averages () =
   let a = Sat.Stats.create () and b = Sat.Stats.create () in
@@ -1303,13 +1249,6 @@ let () =
           Alcotest.test_case "literal valuation" `Quick test_lit_value;
         ]
         @ qsuite [ prop_lit_roundtrip; prop_negate_involution ] );
-      ( "vec",
-        [
-          Alcotest.test_case "push/pop/shrink" `Quick test_vec_basic;
-          Alcotest.test_case "swap_remove" `Quick test_vec_swap_remove;
-          Alcotest.test_case "bounds checking" `Quick test_vec_bounds;
-        ]
-        @ qsuite [ prop_vec_to_of_list ] );
       ( "heap",
         [
           Alcotest.test_case "pop order" `Quick test_heap_pop_order;
@@ -1319,8 +1258,6 @@ let () =
         @ qsuite [ prop_heap_sorts ] );
       ( "coverage",
         [
-          Alcotest.test_case "vec copy" `Quick test_vec_copy_independent;
-          Alcotest.test_case "vec iteri/exists" `Quick test_vec_iteri_exists;
           Alcotest.test_case "stats arithmetic" `Quick test_stats_add_and_averages;
           Alcotest.test_case "model accessors" `Quick test_model_accessors;
           Alcotest.test_case "cnf extension" `Quick test_cnf_with_extra_clauses;
