@@ -3,7 +3,7 @@ type pending = {
   msg : Protocol.msg;
   sent_at : float;  (* virtual send time, for the ack-latency histogram *)
   mutable attempt : int;  (* retries performed so far *)
-  mutable timer : Grid.Sim.event_id;
+  mutable timer : Grid.Sim.event_id option;  (* armed after the first transmission *)
 }
 
 type inbox = (int * int, unit) Hashtbl.t  (* (src, mid) already delivered *)
@@ -103,9 +103,11 @@ let backoff t attempt =
   if t.jitter <= 0. then d
   else d *. (1. -. t.jitter +. (2. *. t.jitter *. Random.State.float t.rng 1.0))
 
+let cancel_timer t p = Option.iter (Grid.Sim.cancel t.sim) p.timer
+
 let rec arm_timer t mid p =
   p.timer <-
-    Grid.Sim.schedule t.sim ~delay:(backoff t p.attempt) (fun () -> fire t mid)
+    Some (Grid.Sim.schedule t.sim ~delay:(backoff t p.attempt) (fun () -> fire t mid))
 
 and fire t mid =
   match Hashtbl.find_opt t.outstanding mid with
@@ -161,16 +163,7 @@ and fire t mid =
 let send t ~dst msg =
   let mid = t.next_mid in
   t.next_mid <- mid + 1;
-  let p =
-    {
-      dst;
-      msg;
-      sent_at = Grid.Sim.now t.sim;
-      attempt = 0;
-      timer = Grid.Sim.schedule t.sim ~delay:0. (fun () -> ());
-    }
-  in
-  Grid.Sim.cancel t.sim p.timer;
+  let p = { dst; msg; sent_at = Grid.Sim.now t.sim; attempt = 0; timer = None } in
   Hashtbl.replace t.outstanding mid p;
   if t.obs_on then Obs.Metrics.incr t.c_sends;
   if t.flight_on then
@@ -184,7 +177,7 @@ let handle_ack t ~mid =
   match Hashtbl.find_opt t.outstanding mid with
   | None -> ()
   | Some p ->
-      Grid.Sim.cancel t.sim p.timer;
+      cancel_timer t p;
       Hashtbl.remove t.outstanding mid;
       let latency = Grid.Sim.now t.sim -. p.sent_at in
       if t.obs_on then Obs.Metrics.observe t.h_ack latency;
@@ -210,7 +203,7 @@ let handle_nack t ~mid =
   match Hashtbl.find_opt t.outstanding mid with
   | None -> ()
   | Some p ->
-      Grid.Sim.cancel t.sim p.timer;
+      cancel_timer t p;
       t.nacked <- t.nacked + 1;
       fire t mid
 
@@ -222,7 +215,7 @@ let nudge t ~dst =
   Hashtbl.iter
     (fun mid p ->
       if p.dst = dst then begin
-        Grid.Sim.cancel t.sim p.timer;
+        cancel_timer t p;
         p.attempt <- 0;
         t.retries <- t.retries + 1;
         t.send_raw ~dst (Protocol.Reliable { mid; payload = p.msg });
@@ -262,7 +255,7 @@ let receive ?rel inbox ~me ~epoch ~reply ~log ?(report = fun ~src:_ -> true)
           | msg -> deliver ~src msg)
 
 let stop t =
-  Hashtbl.iter (fun _ p -> Grid.Sim.cancel t.sim p.timer) t.outstanding;
+  Hashtbl.iter (fun _ p -> cancel_timer t p) t.outstanding;
   Hashtbl.reset t.outstanding
 
 let outstanding t = Hashtbl.length t.outstanding
