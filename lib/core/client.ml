@@ -85,8 +85,6 @@ let slow_factor t = t.slow_factor
 
 let busy_since t = match t.state with Solving s -> Some s.started_at | Idle -> None
 
-let mem_bytes_in_use t = match t.state with Solving s -> Solver.db_bytes s.solver | Idle -> 0
-
 let solver_stats t =
   let acc = Sat.Stats.copy t.stats_acc in
   (match t.state with Solving s -> Sat.Stats.add acc (Solver.stats s.solver) | Idle -> ());
@@ -97,8 +95,6 @@ let send_raw t ~dst msg = Protocol.send t.bus ~src:t.cid ~dst ~epoch:t.epoch msg
 let reliable t = match t.rel with Some r -> r | None -> assert false
 
 let master_down t = t.master_down
-
-let outbox_depth t = Flow.depth t.outbox
 
 let outbox_peak t = Flow.peak t.outbox
 
@@ -244,10 +240,12 @@ let flush_shares t s =
 let maybe_checkpoint t s =
   match t.cfg.checkpoint with
   | Config.No_checkpoint -> ()
-  | Config.Light | Config.Heavy ->
+  | (Config.Light | Config.Heavy) as mode ->
       if now t -. s.last_checkpoint >= t.cfg.checkpoint_period then begin
         s.last_checkpoint <- now t;
-        t.callbacks.save_checkpoint ~client:t.cid (Subproblem.capture s.solver)
+        (* a light checkpoint stores only the root, so it copies no clauses *)
+        let capture = if mode = Config.Light then Subproblem.capture_root else Subproblem.capture in
+        t.callbacks.save_checkpoint ~client:t.cid (capture s.solver)
       end
 
 let request_split t s reason =

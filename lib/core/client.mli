@@ -85,14 +85,9 @@ val solver_stats : t -> Sat.Stats.t
 
 val busy_since : t -> float option
 
-val mem_bytes_in_use : t -> int
-
 val master_down : t -> bool
 (** Whether this client currently believes the master is unreachable
     (retry exhaustion flipped it; any delivery from the master clears it). *)
-
-val outbox_depth : t -> int
-(** Messages currently parked in the outage outbox. *)
 
 val outbox_peak : t -> int
 (** Highest outbox depth ever reached. *)

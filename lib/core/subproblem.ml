@@ -28,14 +28,16 @@ let to_solver ~config ?obs ?obs_tid t =
   Sat.Solver.create_with_roots ~config ?obs ?obs_tid ~facts:t.facts ~nvars:t.nvars t.clauses
     t.path
 
-let capture solver =
+let capture_root solver =
   if not (Sat.Solver.is_ok solver) then invalid_arg "Subproblem.capture: refuted solver";
   {
     nvars = Sat.Solver.nvars solver;
     facts = Sat.Solver.root_facts solver;
     path = Sat.Solver.root_path solver;
-    clauses = Sat.Solver.active_clauses solver;
+    clauses = Sat.Arena.empty;
   }
+
+let capture solver = { (capture_root solver) with clauses = Sat.Solver.active_clauses solver }
 
 (* Marks indexed by literal: [1] for a root literal, [2] for a literal
    whose variable a fact assigns. *)

@@ -46,6 +46,11 @@ val capture : Sat.Solver.t -> t
     installing its clauses at the first root conflict, so its clause set
     can be partial and, shipped, could produce a false model. *)
 
+val capture_root : Sat.Solver.t -> t
+(** {!capture} without the clause set (an empty arena): only the root
+    assignment, which is all a light checkpoint stores.  Copies no
+    clauses; raises like {!capture}. *)
+
 val of_lineage : Sat.Cnf.t -> Sat.Types.lit list -> t
 (** Re-derives a subproblem from the original formula and its guiding-path
     lineage alone (Figure 2: a branch is fully determined by its ordered

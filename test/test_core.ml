@@ -457,6 +457,29 @@ let test_checkpoint_none_mode () =
   check int "no-checkpoint stores nothing" 0
     (C.Checkpoint.save store ~client:1 ~mode:Cfg.No_checkpoint sp)
 
+(* A client's periodic light checkpoint takes only the root of its
+   running solver; what it stores must be what stripping a full capture
+   stored. *)
+let test_checkpoint_light_copies_no_clauses () =
+  let cnf = php ~pigeons:8 ~holes:7 in
+  let donor = Solver.create cnf in
+  ignore (Solver.run donor ~budget:500);
+  let s = Sub.to_solver ~config:Solver.default_config (Option.get (Sub.split_from donor)) in
+  ignore (Solver.run s ~budget:500);
+  check bool "solver still running" true (Solver.is_ok s);
+  let root = Sub.capture_root s and full = Sub.capture s in
+  check bool "root has a path" true (root.Sub.path <> []);
+  check int "root copies no clauses" 0 (Sub.nclauses root);
+  check int "same seal"
+    (C.Checkpoint.seal_of { full with Sub.clauses = Sat.Arena.empty })
+    (C.Checkpoint.seal_of root);
+  let saved sp =
+    let store = C.Checkpoint.create cnf in
+    let bytes = C.Checkpoint.save store ~client:1 ~mode:Cfg.Light sp in
+    (bytes, Sub.to_string (Option.get (C.Checkpoint.restore store ~client:1)))
+  in
+  check bool "same bytes and restore" true (saved full = saved root)
+
 (* ---------- end-to-end runs ---------- *)
 
 let test_gridsat_unsat () =
@@ -1293,6 +1316,7 @@ let () =
           Alcotest.test_case "light restore" `Quick test_checkpoint_light_restores_original_clauses;
           Alcotest.test_case "heavy roundtrip" `Quick test_checkpoint_heavy_roundtrip;
           Alcotest.test_case "none mode" `Quick test_checkpoint_none_mode;
+          Alcotest.test_case "light copies no clauses" `Quick test_checkpoint_light_copies_no_clauses;
         ] );
       ( "end-to-end",
         [
