@@ -24,6 +24,9 @@ type state = {
   mutable shed : int;
   mutable cache_hits : int;
   mutable requeues : int;
+  mutable verdicts : int;
+  mutable deadline_expired : int;
+  mutable cancelled : int;
 }
 
 module Record = struct
@@ -89,7 +92,15 @@ module Record = struct
     | Finished { terminal; _ } -> 16 + String.length terminal
 
   let empty () =
-    { jobs = Hashtbl.create 32; submitted = 0; admitted = 0; shed = 0; cache_hits = 0; requeues = 0 }
+    { jobs = Hashtbl.create 32; submitted = 0; admitted = 0; shed = 0; cache_hits = 0;
+      requeues = 0; verdicts = 0; deadline_expired = 0; cancelled = 0 }
+
+  (* Shed and cache-hit terminals have records of their own, so a
+     [Finished] one is a verdict, a deadline expiry or a cancellation. *)
+  let tally_finished st terminal =
+    if terminal = "deadline" then st.deadline_expired <- st.deadline_expired + 1
+    else if String.starts_with ~prefix:"cancelled:" terminal then st.cancelled <- st.cancelled + 1
+    else if String.starts_with ~prefix:"verdict:" terminal then st.verdicts <- st.verdicts + 1
 
   let apply st = function
     | Submitted { id; _ } ->
@@ -108,7 +119,9 @@ module Record = struct
     | Requeued { id; _ } ->
         st.requeues <- st.requeues + 1;
         Hashtbl.replace st.jobs id Queued
-    | Finished { id; terminal } -> Hashtbl.replace st.jobs id (Done terminal)
+    | Finished { id; terminal } ->
+        tally_finished st terminal;
+        Hashtbl.replace st.jobs id (Done terminal)
 
   let copy st = { st with jobs = Hashtbl.copy st.jobs }
 

@@ -10,7 +10,9 @@
     {!Gridsat_core.Sealed_log}'s, under the metric name
     [service.joblog].  The joblog keeps no snapshot: its empty state
     costs 0 bytes, nothing compacts it, and degraded mode exits on quota
-    relief or when a scrub drops it back under quota. *)
+    relief or when a scrub drops it back under quota.  Its applied state
+    ({!current}) is the one store of the service's job counts, so the
+    counts it reports are those its log would recover. *)
 
 type entry =
   | Submitted of {
@@ -36,7 +38,10 @@ type state = {
   mutable admitted : int;
   mutable shed : int;
   mutable cache_hits : int;
-  mutable requeues : int;
+  mutable requeues : int;  (** a requeue is only ever a preemption *)
+  mutable verdicts : int;  (** [Finished] records of a [verdict:] terminal *)
+  mutable deadline_expired : int;  (** [Finished] records of the [deadline] terminal *)
+  mutable cancelled : int;  (** [Finished] records of a [cancelled:] terminal *)
 }
 
 type t
@@ -56,6 +61,7 @@ val entries : t -> entry list
 
 val digest : state -> string
 (** Canonical digest of a replayed state (sorted job ids), for
-    determinism checks. *)
+    determinism checks.  Each job's terminal covers the verdict,
+    deadline and cancellation tallies. *)
 
 val pp_entry : Format.formatter -> entry -> unit

@@ -157,15 +157,9 @@ type t = {
   mutable n_brownouts : int;
   mutable joblog_degraded_seen : bool;  (* edge detector for the durability alarm *)
   mutable n_stretched : int;
-  (* plain counters mirrored into Obs so they land in reports *)
-  mutable n_submitted : int;
-  mutable n_admitted : int;
-  mutable n_shed : int;
-  mutable n_cache_hits : int;
-  mutable n_deadline : int;
-  mutable n_preempted : int;
-  mutable n_cancelled : int;
-  mutable n_completed : int;
+  (* the service.jobs.* series; the counts themselves live in the
+     joblog's state, and each series is bumped beside the record that
+     carries its count *)
   c_submitted : Obs.Metrics.counter;
   c_admitted : Obs.Metrics.counter;
   c_shed : Obs.Metrics.counter;
@@ -233,14 +227,6 @@ let create ?(obs = Obs.disabled) ?slo ?on_flight ?on_expo ?(expo_period = 30.) ~
     n_brownouts = 0;
     joblog_degraded_seen = false;
     n_stretched = 0;
-    n_submitted = 0;
-    n_admitted = 0;
-    n_shed = 0;
-    n_cache_hits = 0;
-    n_deadline = 0;
-    n_preempted = 0;
-    n_cancelled = 0;
-    n_completed = 0;
     c_submitted = Obs.Metrics.counter m "service.jobs.submitted";
     c_admitted = Obs.Metrics.counter m "service.jobs.admitted";
     c_shed = Obs.Metrics.counter m "service.jobs.shed";
@@ -279,38 +265,39 @@ let outstanding t =
 let tenant_load t tenant =
   List.length (List.filter (fun r -> r.rjob.Job.tenant = tenant) t.running)
 
-(* Terminal transition for every outcome except shed/cache-hit (those are
-   decided inside submit, before the job ever counts as admitted). *)
+(* The one terminal transition, for every outcome: the job's state, its
+   terminal record (the joblog's count of the outcome), the SLO note,
+   then the outcome's series. *)
 let finish_job t (job : Job.t) terminal =
   job.Job.state <- Job.Done terminal;
   job.Job.finished_at <- Some (now t);
-  Joblog.append t.log (Joblog.Finished { id = job.Job.id; terminal = Job.terminal_string terminal });
-  let tenant = job.Job.tenant in
+  let id = job.Job.id and tenant = job.Job.tenant in
+  Joblog.append t.log
+    (match terminal with
+    | Job.Shed { retry_after } -> Joblog.Shed { id; retry_after }
+    | Job.Cached answer -> Joblog.Cache_hit { id; answer = Core.Gridsat.answer_string answer }
+    | Job.Verdict _ | Job.Deadline_expired | Job.Cancelled _ ->
+        Joblog.Finished { id; terminal = Job.terminal_string terminal });
+  let e2e = now t -. job.Job.submitted_at in
   (match (t.slo, terminal) with
-  | Some slo, Job.Verdict _ ->
-      Obs.Slo.note_solved slo ~now:(now t) ~tenant (now t -. job.Job.submitted_at)
+  | Some slo, (Job.Verdict _ | Job.Cached _) -> Obs.Slo.note_solved slo ~now:(now t) ~tenant e2e
   | Some slo, (Job.Deadline_expired | Job.Cancelled _ | Job.Shed _) ->
       Obs.Slo.note_error slo ~now:(now t) ~tenant
-  | Some slo, Job.Cached _ ->
-      Obs.Slo.note_solved slo ~now:(now t) ~tenant (now t -. job.Job.submitted_at)
   | None, _ -> ());
   match terminal with
   | Job.Verdict _ ->
-      t.n_completed <- t.n_completed + 1;
       Obs.Metrics.incr t.c_completed;
       Obs.Metrics.observe
         (Obs.Metrics.histogram (Obs.metrics t.obs) ~labels:[ ("tenant", tenant) ]
            "service.e2e_s")
-        (now t -. job.Job.submitted_at)
+        e2e
   | Job.Deadline_expired ->
-      t.n_deadline <- t.n_deadline + 1;
       Obs.Metrics.incr t.c_deadline;
       Obs.Anomaly.trip (Obs.anomaly t.obs) ~at:(now t) ~rule:"deadline-miss"
-        ~detail:(Printf.sprintf "job %d tenant %s" job.Job.id tenant) ()
-  | Job.Cancelled _ ->
-      t.n_cancelled <- t.n_cancelled + 1;
-      Obs.Metrics.incr t.c_cancelled
-  | Job.Cached _ | Job.Shed _ -> ()
+        ~detail:(Printf.sprintf "job %d tenant %s" id tenant) ()
+  | Job.Cancelled _ -> Obs.Metrics.incr t.c_cancelled
+  | Job.Cached _ -> Obs.Metrics.incr t.c_cache_hit
+  | Job.Shed _ -> Obs.Metrics.incr t.c_shed
 
 (* Return a finished run's lease to the pool and give its job a terminal
    state (or requeue it, if it was preempted). *)
@@ -334,6 +321,7 @@ let finalize_run t r =
       job.Job.state <- Job.Queued;
       job.Job.preemptions <- job.Job.preemptions + 1;
       Joblog.append t.log (Joblog.Requeued { id = job.Job.id; reason = "preempted" });
+      Obs.Metrics.incr t.c_preempted;
       Admission.requeue t.adm job
   | Some Deadline -> finish_job t job Job.Deadline_expired
   | Some (Abort reason) -> finish_job t job (Job.Cancelled reason)
@@ -440,8 +428,6 @@ let maybe_preempt t =
         in
         match victim with
         | Some r when level r < Job.priority_level waiting.Job.priority ->
-            t.n_preempted <- t.n_preempted + 1;
-            Obs.Metrics.incr t.c_preempted;
             r.cancel_intent <- Some Preempt;
             Master.cancel r.master ~reason:"preempted";
             finalize_run t r
@@ -486,14 +472,7 @@ let shed_low_queued t =
       if job.Job.state = Job.Queued && job.Job.priority = Job.Low then begin
         Admission.remove t.adm job;
         let retry_after = Admission.retry_after t.adm ~base:t.cfg.retry_after_base in
-        job.Job.state <- Job.Done (Job.Shed { retry_after });
-        job.Job.finished_at <- Some (now t);
-        t.n_shed <- t.n_shed + 1;
-        Obs.Metrics.incr t.c_shed;
-        (match t.slo with
-        | Some slo -> Obs.Slo.note_error slo ~now:(now t) ~tenant:job.Job.tenant
-        | None -> ());
-        Joblog.append t.log (Joblog.Shed { id = job.Job.id; retry_after })
+        finish_job t job (Job.Shed { retry_after })
       end)
     (Admission.queued_jobs t.adm)
 
@@ -621,22 +600,14 @@ let submit t ~tenant ~priority ?deadline_in ?label cnf =
     }
   in
   t.all_jobs <- job :: t.all_jobs;
-  t.n_submitted <- t.n_submitted + 1;
-  Obs.Metrics.incr t.c_submitted;
   Joblog.append t.log
     (Joblog.Submitted
        { id; tenant; priority = Job.priority_string priority; digest; deadline });
+  Obs.Metrics.incr t.c_submitted;
   match Cache.find t.cache ~digest ~cnf with
   | Some answer ->
       Obs.Anomaly.observe t.d_cache_hit ~at:(now t) 1.0;
-      job.Job.state <- Job.Done (Job.Cached answer);
-      job.Job.finished_at <- Some (now t);
-      t.n_cache_hits <- t.n_cache_hits + 1;
-      Obs.Metrics.incr t.c_cache_hit;
-      (match t.slo with
-      | Some slo -> Obs.Slo.note_solved slo ~now:(now t) ~tenant 0.0
-      | None -> ());
-      Joblog.append t.log (Joblog.Cache_hit { id; answer = Core.Gridsat.answer_string answer });
+      finish_job t job (Job.Cached answer);
       Cached answer
   | None ->
       Obs.Anomaly.observe t.d_cache_hit ~at:(now t) 0.0;
@@ -644,21 +615,13 @@ let submit t ~tenant ~priority ?deadline_in ?label cnf =
          the door while degraded capacity is reserved for the rest *)
       if Admission.is_full t.adm || (t.brownout && priority = Job.Low) then begin
         let retry_after = Admission.retry_after t.adm ~base:t.cfg.retry_after_base in
-        job.Job.state <- Job.Done (Job.Shed { retry_after });
-        job.Job.finished_at <- Some (now t);
-        t.n_shed <- t.n_shed + 1;
-        Obs.Metrics.incr t.c_shed;
-        (match t.slo with
-        | Some slo -> Obs.Slo.note_error slo ~now:(now t) ~tenant
-        | None -> ());
-        Joblog.append t.log (Joblog.Shed { id; retry_after });
+        finish_job t job (Job.Shed { retry_after });
         Rejected { retry_after }
       end
       else begin
         Admission.enqueue t.adm job;
-        t.n_admitted <- t.n_admitted + 1;
-        Obs.Metrics.incr t.c_admitted;
         Joblog.append t.log (Joblog.Admitted { id });
+        Obs.Metrics.incr t.c_admitted;
         arm_deadline t job;
         arm_pump t;
         Accepted
@@ -748,15 +711,16 @@ let running_masters t =
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let stats t =
+  let log = Joblog.current t.log in
   {
-    submitted = t.n_submitted;
-    admitted = t.n_admitted;
-    shed = t.n_shed;
-    cache_hits = t.n_cache_hits;
-    deadline_expired = t.n_deadline;
-    preempted = t.n_preempted;
-    cancelled = t.n_cancelled;
-    completed = t.n_completed;
+    submitted = log.Joblog.submitted;
+    admitted = log.admitted;
+    shed = log.shed;
+    cache_hits = log.cache_hits;
+    deadline_expired = log.deadline_expired;
+    preempted = log.requeues;
+    cancelled = log.cancelled;
+    completed = log.verdicts;
     hosts_total = t.hosts_total;
     hosts_free = List.length t.free_hosts;
     hosts_healthy = healthy_hosts t;

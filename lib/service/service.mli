@@ -178,6 +178,9 @@ val jobs : t -> Job.t list
 (** All jobs ever submitted, in submission order. *)
 
 val stats : t -> stats
+(** The eight job counts, [submitted] to [completed], are tallies of
+    the joblog's applied state ({!Joblog.current}), their one store;
+    [preempted] counts its requeues.  The other fields are read live. *)
 
 val joblog : t -> Joblog.t
 

@@ -501,8 +501,24 @@ let check_lifecycle_invariant svc =
             (Job.state_string j.Job.state) s
       | _ -> Alcotest.fail (Printf.sprintf "job %d not terminal in the replayed log" j.Job.id))
     jobs;
-  (* no leaked resources, no orphaned runs *)
+  (* the reported job counts are the replayed log's *)
   let s = Svc.stats svc in
+  let counts (s : Svc.stats) =
+    [ s.submitted; s.admitted; s.shed; s.cache_hits; s.deadline_expired; s.preempted; s.cancelled; s.completed ]
+  in
+  check (Alcotest.list int) "stats counts = replayed joblog counts"
+    [
+      st.S.Joblog.submitted;
+      st.admitted;
+      st.shed;
+      st.cache_hits;
+      st.deadline_expired;
+      st.requeues;
+      st.cancelled;
+      st.verdicts;
+    ]
+    (counts s);
+  (* no leaked resources, no orphaned runs *)
   check int "all hosts returned to the pool" s.Svc.hosts_total s.Svc.hosts_free;
   check bool "no master left running" true (Svc.running_masters svc = []);
   (* verdicts that did land are correct: php instances are UNSAT,
@@ -572,6 +588,48 @@ let test_brownout_sheds_and_stretches () =
       check bool "report carries brownout count" true (List.mem_assoc "brownouts" fields);
       check bool "report carries brownout flag" true (List.mem_assoc "brownout" fields)
   | _ -> Alcotest.fail "service section missing from report"
+
+(* A brownout shed is a terminal like any other: its record is appended
+   before its SLO note, so when that note trips the fast burn, the
+   flight dump it causes ends with the shed job's record. *)
+let test_brownout_shed_record_in_burn_dump () =
+  let obs = Obs.create ~flight:(Obs.Flight.create ()) ~anomaly:(Obs.Anomaly.create ()) () in
+  let spec = match Obs.Slo.parse "*:errors<0.05" with Ok s -> s | Error e -> Alcotest.fail e in
+  let cfg =
+    {
+      svc_config with
+      Svc.hosts_per_job = 6;
+      max_concurrent = 1;
+      brownout_threshold = 0.7;
+      faults = Svc.chaos_plan ~slow_hosts:2 ~slow_factor:1000. ();
+      run = { run_config with Cfg.heartbeat_period = 2. };
+    }
+  in
+  let svc = Svc.create ~obs ~slo:spec ~cfg ~testbed:(testbed 6) () in
+  ignore (Svc.submit svc ~tenant:"t0" ~priority:Job.Normal ~label:"long" (php ~pigeons:8 ~holes:7));
+  ignore (Svc.submit svc ~tenant:"t1" ~priority:Job.Low ~label:"sacrificial" (planted 3));
+  Svc.run svc;
+  let shed = job_by_label svc "sacrificial" in
+  check bool "low-priority job shed" true
+    (match shed.Job.state with Job.Done (Job.Shed _) -> true | _ -> false);
+  let burns =
+    List.filter
+      (fun (_, doc) -> Obs.Json.member "trigger" doc = Some (Obs.Json.String "slo-fast-burn"))
+      (Svc.flight_dumps svc)
+  in
+  match burns with
+  | [] -> Alcotest.fail "no slo-fast-burn dump"
+  | (_, doc) :: _ -> (
+      let events = match Obs.Json.member "events" doc with Some (Obs.Json.List es) -> es | _ -> [] in
+      match List.rev events with
+      | last :: _ ->
+          check bool "dump ends with the job_shed record" true
+            (Obs.Json.member "name" last = Some (Obs.Json.String "job_shed"));
+          check bool "of the shed job" true
+            (match Obs.Json.member "args" last with
+            | Some args -> Obs.Json.member "job" args = Some (Obs.Json.Int shed.Job.id)
+            | None -> false)
+      | [] -> Alcotest.fail "empty dump")
 
 (* The per-host health table round-trips through the service report:
    one row per host the model has seen, every column present, and the
@@ -1058,6 +1116,8 @@ let () =
           Alcotest.test_case "sheds low and stretches deadlines" `Quick
             test_brownout_sheds_and_stretches;
           Alcotest.test_case "health table round-trips" `Quick test_report_health_table_roundtrip;
+          Alcotest.test_case "shed record ends the burn dump" `Quick
+            test_brownout_shed_record_in_burn_dump;
         ] );
       ( "chaos-matrix",
         [
