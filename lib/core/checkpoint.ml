@@ -3,13 +3,11 @@ type entry = { sp : Subproblem.t; bytes : int; light : bool; mutable seal : int 
 type t = {
   cnf : Sat.Cnf.t;
   store : (int, entry) Hashtbl.t;
-  mutable saves : int;
-  mutable discarded : int;
+  saves : Obs.Metrics.counter;
+  discarded : Obs.Metrics.counter;
   obs : Obs.t;
   obs_on : bool;
-  c_saves : Obs.Metrics.counter;
   c_restores : Obs.Metrics.counter;
-  c_discarded : Obs.Metrics.counter;
   h_bytes : Obs.Metrics.histogram;
 }
 
@@ -18,20 +16,17 @@ let create ?(obs = Obs.disabled) cnf =
   {
     cnf;
     store = Hashtbl.create 16;
-    saves = 0;
-    discarded = 0;
+    saves = Obs.Metrics.counter m "checkpoint.saves";
+    discarded = Obs.Metrics.counter m "checkpoint.discarded";
     obs;
     obs_on = Obs.enabled obs;
-    c_saves = Obs.Metrics.counter m "checkpoint.saves";
     c_restores = Obs.Metrics.counter m "checkpoint.restores";
-    c_discarded = Obs.Metrics.counter m "checkpoint.discarded";
     h_bytes = Obs.Metrics.histogram m "checkpoint.bytes";
   }
 
 let record_save t ~client ~light bytes =
-  t.saves <- t.saves + 1;
+  Obs.Metrics.incr t.saves;
   if t.obs_on then begin
-    Obs.Metrics.incr t.c_saves;
     Obs.Metrics.observe t.h_bytes (float_of_int bytes);
     ignore
       (Obs.Span.instant (Obs.spans t.obs) ~tid:Obs.Span.master_tid ~cat:"checkpoint"
@@ -70,13 +65,12 @@ let restore t ~client =
   match Hashtbl.find_opt t.store client with
   | None -> None
   | Some { sp; light; seal; _ } when seal = seal_of sp ->
-      if t.obs_on then begin
-        Obs.Metrics.incr t.c_restores;
+      Obs.Metrics.incr t.c_restores;
+      if t.obs_on then
         ignore
           (Obs.Span.instant (Obs.spans t.obs) ~tid:Obs.Span.master_tid ~cat:"checkpoint"
              ~args:[ ("client", Obs.Json.Int client); ("light", Obs.Json.Bool light) ]
-             "checkpoint.restore")
-      end;
+             "checkpoint.restore");
       if light then
         Some (Subproblem.prune { sp with Subproblem.clauses = Sat.Cnf.clauses t.cnf })
       else Some sp
@@ -85,14 +79,12 @@ let restore t ~client =
          narrow the search space, so the checkpoint is discarded and the
          caller falls back to lineage re-derivation *)
       Hashtbl.remove t.store client;
-      t.discarded <- t.discarded + 1;
-      if t.obs_on then begin
-        Obs.Metrics.incr t.c_discarded;
+      Obs.Metrics.incr t.discarded;
+      if t.obs_on then
         ignore
           (Obs.Span.instant (Obs.spans t.obs) ~tid:Obs.Span.master_tid ~cat:"checkpoint"
              ~args:[ ("client", Obs.Json.Int client) ]
-             "checkpoint.corrupt_discarded")
-      end;
+             "checkpoint.corrupt_discarded");
       None
 
 let corrupt_all t = Hashtbl.iter (fun _ e -> e.seal <- Integrity.corrupted e.seal) t.store
@@ -101,6 +93,6 @@ let drop t ~client = Hashtbl.remove t.store client
 
 let total_bytes t = Hashtbl.fold (fun _ e acc -> acc + e.bytes) t.store 0
 
-let saves t = t.saves
+let saves t = Obs.Metrics.counter_value t.saves
 
-let discarded t = t.discarded
+let discarded t = Obs.Metrics.counter_value t.discarded

@@ -53,7 +53,7 @@ type t = {
       (* every foreign clause already enqueued into a solver here, as its
          sorted literals: a clause relayed twice (duplicate delivery, or
          two masters' relays racing across a failover) is suppressed *)
-  mutable dup_suppressed : int;
+  dup_suppressed : Obs.Metrics.counter;  (* the [client.shares.dup_suppressed] series *)
   stats_acc : Sat.Stats.t;
   obs : Obs.t;
   obs_on : bool;
@@ -62,7 +62,6 @@ type t = {
   c_problems : Obs.Metrics.counter;
   c_shares_flushed : Obs.Metrics.counter;
   c_splits_donated : Obs.Metrics.counter;
-  c_dups : Obs.Metrics.counter;
   c_outbox_shed : Obs.Metrics.counter;
   g_outbox : Obs.Metrics.gauge;
   h_transfer : Obs.Metrics.histogram;
@@ -102,7 +101,7 @@ let outbox_shed t = Flow.shed_count t.outbox
 
 let outbox_pressured t = Flow.under_pressure t.outbox
 
-let dup_suppressed t = t.dup_suppressed
+let dup_suppressed t = Obs.Metrics.counter_value t.dup_suppressed
 
 (* During a master outage the client keeps solving autonomously and parks
    its master-bound traffic in a watermark-bounded outbox instead of
@@ -459,9 +458,8 @@ let handle_payload t ~src msg =
                 let key = Array.copy c in
                 Sat.Types.sort_lits key;
                 if Hashtbl.mem t.seen_shares key then begin
-                  t.dup_suppressed <- t.dup_suppressed + 1;
+                  Obs.Metrics.incr t.dup_suppressed;
                   t.callbacks.note_dup 1;
-                  if t.obs_on then Obs.Metrics.incr t.c_dups;
                   false
                 end
                 else begin
@@ -575,7 +573,7 @@ let create ?(obs = Obs.disabled) ~sim ~bus ~cfg ~resource ~trace ~master callbac
           ();
       probing = false;
       seen_shares = Hashtbl.create 64;
-      dup_suppressed = 0;
+      dup_suppressed = Obs.Metrics.counter m ~labels "client.shares.dup_suppressed";
       stats_acc = Sat.Stats.create ();
       obs;
       obs_on = Obs.enabled obs;
@@ -584,7 +582,6 @@ let create ?(obs = Obs.disabled) ~sim ~bus ~cfg ~resource ~trace ~master callbac
       c_problems = Obs.Metrics.counter m ~labels "client.problems.received";
       c_shares_flushed = Obs.Metrics.counter m ~labels "client.shares.flushed";
       c_splits_donated = Obs.Metrics.counter m ~labels "client.splits.donated";
-      c_dups = Obs.Metrics.counter m ~labels "client.shares.dup_suppressed";
       c_outbox_shed = Obs.Metrics.counter m ~labels "client.outbox.shed";
       g_outbox = Obs.Metrics.gauge m ~labels "client.outbox.depth";
       h_transfer = Obs.Metrics.histogram m ~labels "client.transfer.seconds";

@@ -206,10 +206,8 @@ let pp_entry ppf e = Format.pp_print_string ppf (Integrity.render Record.emit e)
 type t = {
   log : Log.t;
   compact_every : int;
-  mutable compactions : int;
-  mutable forced_compactions : int;
-  c_compactions : Obs.Metrics.counter;
-  c_forced : Obs.Metrics.counter;
+  compactions : Obs.Metrics.counter;
+  forced_compactions : Obs.Metrics.counter;
 }
 
 let create ?(obs = Obs.disabled) ?quota ~compact_every () =
@@ -217,28 +215,23 @@ let create ?(obs = Obs.disabled) ?quota ~compact_every () =
   {
     log = Log.create ~obs ?quota ~name:"journal" ();
     compact_every = max 1 compact_every;
-    compactions = 0;
-    forced_compactions = 0;
-    c_compactions = Obs.Metrics.counter m "journal.compactions";
-    c_forced = Obs.Metrics.counter m "journal.forced_compactions";
+    compactions = Obs.Metrics.counter m "journal.compactions";
+    forced_compactions = Obs.Metrics.counter m "journal.forced_compactions";
   }
 
 let compact t =
   let folded = Log.fold t.log in
-  t.compactions <- t.compactions + 1;
+  Obs.Metrics.incr t.compactions;
   let obs = Log.obs t.log in
-  if Obs.enabled obs then begin
-    Obs.Metrics.incr t.c_compactions;
+  if Obs.enabled obs then
     ignore
       (Obs.Span.instant (Obs.spans obs) ~tid:Obs.Span.master_tid ~cat:"journal"
          ~args:[ ("entries_folded", Obs.Json.Int folded) ]
          "journal.compact")
-  end
 
 (* Quota relief: the first crossing forces an emergency compaction. *)
 let force_compaction t () =
-  t.forced_compactions <- t.forced_compactions + 1;
-  if Obs.enabled (Log.obs t.log) then Obs.Metrics.incr t.c_forced;
+  Obs.Metrics.incr t.forced_compactions;
   compact t
 
 let append t e =
@@ -272,9 +265,9 @@ let records_dropped t = Log.records_dropped t.log
 
 let log_digest t = Log.log_digest t.log
 
-let compactions t = t.compactions
+let compactions t = Obs.Metrics.counter_value t.compactions
 
-let forced_compactions t = t.forced_compactions
+let forced_compactions t = Obs.Metrics.counter_value t.forced_compactions
 
 (* Canonical serialisation: every table is rendered in sorted key order so
    two replays of the same journal digest identically regardless of

@@ -71,10 +71,9 @@ type t = {
       (* per-recipient-link byte budget per virtual-time window
          ([cfg.share_budget] > 0); [None] keeps unconditional broadcast *)
   mutable last_share_shed : float;  (* resource-pressure recency signal *)
-  tally : int array;  (* the value of every [Sum] and [Peak] row of [rows], by row index *)
-  series : Obs.Metrics.counter option array;
-      (* each ledger row's registry handle, resolved once at [create]
-         when telemetry is on *)
+  tally : int array;
+      (* the value of every [Sum] and [Peak] row of [rows], by row index;
+         a row's series is a view of its slot *)
   mutable events : Events.t list;  (* newest first *)
   mutable batch_job : (Grid.Batch.t * Grid.Batch.job) option;
   mutable timeout : Grid.Sim.event_id option;
@@ -108,7 +107,8 @@ let initial_pid : Protocol.pid = (master_id, 0)
 (* Every run counter has one row here, one store and one bump site.  A
    row gives the counter's key in [counters] (the report's run section
    and the CLI summaries; "" for none), its registry series ("" for
-   none), and where its value lives:
+   none; a view of the row's [tally] slot, so only [Sum] rows have
+   one), and where its value lives:
    - [Sum]: a slot of [t.tally] that [bump] adds to — from [log]'s match
      for every counter an event implies, directly for the few that no
      event carries (share bytes, dups, outbox sheds, migrations, deaths);
@@ -194,11 +194,10 @@ let slot =
 
 let bump t c n =
   let i = slot c in
-  (match rows.(i) with
+  match rows.(i) with
   | _, _, _, Sum -> t.tally.(i) <- t.tally.(i) + n
   | _, _, _, Peak -> if n > t.tally.(i) then t.tally.(i) <- n
-  | _, key, _, Read _ -> invalid_arg ("Master.bump: " ^ key ^ " is kept by another layer"));
-  match t.series.(i) with Some h -> Obs.Metrics.add h n | None -> ()
+  | _, key, _, Read _ -> invalid_arg ("Master.bump: " ^ key ^ " is kept by another layer")
 
 let value t c =
   let i = slot c in
@@ -1750,11 +1749,6 @@ let create ?(obs = Obs.disabled) ?health ~sim ~net ~bus ~cfg ~testbed cnf =
          else None);
       last_share_shed = neg_infinity;
       tally = Array.make (Array.length rows) 0;
-      series =
-        Array.map
-          (fun (_, _, name, _) ->
-            if name <> "" && Obs.enabled obs then Some (Obs.Metrics.counter m name) else None)
-          rows;
       events = [];
       batch_job = None;
       timeout = None;
@@ -1781,6 +1775,10 @@ let create ?(obs = Obs.disabled) ?health ~sim ~net ~bus ~cfg ~testbed cnf =
       h_share_fanout = Obs.Metrics.histogram m "master.share.fanout";
     }
   in
+  (let tally = t.tally in
+   Array.iteri
+     (fun i (_, _, name, _) -> if name <> "" then Obs.Metrics.view m name (fun () -> tally.(i)))
+     rows);
   (match health with Some hm -> Pool.set_health t.pool hm | None -> ());
   Pool.set_reliable t.pool
     (Reliable.create ~obs ~obs_tid:Obs.Span.master_tid ~seed:cfg.Config.seed

@@ -33,8 +33,8 @@ type t = {
   mutable next_mid : int;
   outstanding : (int, pending) Hashtbl.t;
   inbox : inbox;
-  mutable retries : int;
-  mutable gave_up : int;
+  retries : Obs.Metrics.counter;
+  gave_up : Obs.Metrics.counter;  (* the [reliable.exhausted] series *)
   mutable nacked : int;
   obs : Obs.t;
   obs_on : bool;
@@ -43,8 +43,6 @@ type t = {
   flight_on : bool;
   d_ack : Obs.Anomaly.detector;  (* streaming ack-latency outlier detector *)
   c_sends : Obs.Metrics.counter;
-  c_retries : Obs.Metrics.counter;
-  c_exhausted : Obs.Metrics.counter;
   h_ack : Obs.Metrics.histogram;
 }
 
@@ -71,8 +69,8 @@ let create ?(obs = Obs.disabled) ?(obs_tid = Obs.Span.run_tid) ?(seed = 0) ?(jit
     next_mid = 0;
     outstanding = Hashtbl.create 16;
     inbox = inbox ();
-    retries = 0;
-    gave_up = 0;
+    retries = Obs.Metrics.counter m ~labels "reliable.retries";
+    gave_up = Obs.Metrics.counter m ~labels "reliable.exhausted";
     nacked = 0;
     obs;
     obs_on = Obs.enabled obs;
@@ -83,8 +81,6 @@ let create ?(obs = Obs.disabled) ?(obs_tid = Obs.Span.run_tid) ?(seed = 0) ?(jit
       Obs.Anomaly.detector (Obs.anomaly obs) ~name:"ack-latency" ~direction:`High ~min_n:16
         ();
     c_sends = Obs.Metrics.counter m ~labels "reliable.sends";
-    c_retries = Obs.Metrics.counter m ~labels "reliable.retries";
-    c_exhausted = Obs.Metrics.counter m ~labels "reliable.exhausted";
     h_ack = Obs.Metrics.histogram m ~labels "reliable.ack.latency";
   }
 
@@ -116,14 +112,12 @@ and fire t mid =
       if not (t.active ()) then Hashtbl.remove t.outstanding mid
       else if p.attempt >= t.max_attempts then begin
         Hashtbl.remove t.outstanding mid;
-        t.gave_up <- t.gave_up + 1;
-        if t.obs_on then begin
-          Obs.Metrics.incr t.c_exhausted;
+        Obs.Metrics.incr t.gave_up;
+        if t.obs_on then
           ignore
             (Obs.Span.instant (Obs.spans t.obs) ~tid:t.obs_tid ~cat:"protocol"
                ~args:[ ("dst", Obs.Json.Int p.dst); ("attempts", Obs.Json.Int p.attempt) ]
-               "reliable.exhausted")
-        end;
+               "reliable.exhausted");
         if t.flight_on then
           Obs.Flight.note t.flight ~sub:"net"
             ~args:
@@ -138,14 +132,12 @@ and fire t mid =
       end
       else begin
         p.attempt <- p.attempt + 1;
-        t.retries <- t.retries + 1;
-        if t.obs_on then begin
-          Obs.Metrics.incr t.c_retries;
+        Obs.Metrics.incr t.retries;
+        if t.obs_on then
           ignore
             (Obs.Span.instant (Obs.spans t.obs) ~tid:t.obs_tid ~cat:"protocol"
                ~args:[ ("dst", Obs.Json.Int p.dst); ("attempt", Obs.Json.Int p.attempt) ]
-               "reliable.retry")
-        end;
+               "reliable.retry");
         if t.flight_on then
           Obs.Flight.note t.flight ~sub:"net"
             ~args:
@@ -217,7 +209,7 @@ let nudge t ~dst =
       if p.dst = dst then begin
         cancel_timer t p;
         p.attempt <- 0;
-        t.retries <- t.retries + 1;
+        Obs.Metrics.incr t.retries;
         t.send_raw ~dst (Protocol.Reliable { mid; payload = p.msg });
         arm_timer t mid p
       end)
@@ -263,8 +255,8 @@ let outstanding t = Hashtbl.length t.outstanding
 let outstanding_to t ~dst =
   Hashtbl.fold (fun _ p acc -> if p.dst = dst then acc + 1 else acc) t.outstanding 0
 
-let retries t = t.retries
+let retries t = Obs.Metrics.counter_value t.retries
 
-let gave_up t = t.gave_up
+let gave_up t = Obs.Metrics.counter_value t.gave_up
 
 let nacked t = t.nacked

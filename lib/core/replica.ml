@@ -18,24 +18,21 @@ type t = {
       (* out-of-order batches, keyed by the entry index they start at *)
   inbox : Reliable.inbox;
   mutable applied_entries : int;
-  mutable batches : int;
-  mutable divergences : int;
+  batches : Obs.Metrics.counter;  (* the [standby.ships.applied] series *)
+  divergences : Obs.Metrics.counter;
   mutable epoch : int;
   mutable last_heard : float;
   mutable promoted : bool;
   mutable stopped : bool;
-  obs_on : bool;
-  c_ships : Obs.Metrics.counter;
-  c_divergences : Obs.Metrics.counter;
 }
 
 let journal t = t.journal
 
 let applied t = t.applied_entries
 
-let batches t = t.batches
+let batches t = Obs.Metrics.counter_value t.batches
 
-let divergences t = t.divergences
+let divergences t = Obs.Metrics.counter_value t.divergences
 
 let epoch t = t.epoch
 
@@ -63,14 +60,12 @@ let rec apply_batch t ~src ~seq ~entries ~log_digest =
   else begin
     List.iter (Journal.append t.journal) entries;
     t.applied_entries <- t.applied_entries + List.length entries;
-    t.batches <- t.batches + 1;
-    if t.obs_on then Obs.Metrics.incr t.c_ships;
+    Obs.Metrics.incr t.batches;
     (* the continuous consistency check: our shadow log must chain to the
        exact digest the primary's log had when it flushed this batch *)
     let ok = String.equal (Journal.log_digest t.journal) log_digest in
     if not ok then begin
-      t.divergences <- t.divergences + 1;
-      if t.obs_on then Obs.Metrics.incr t.c_divergences;
+      Obs.Metrics.incr t.divergences;
       t.log (Events.Replication_diverged { seq })
     end;
     t.log (Events.Ship_applied { seq; applied = t.applied_entries; ok });
@@ -127,15 +122,12 @@ let create ?(obs = Obs.disabled) ~sim ~bus ~cfg ~log ~on_lease_expired () =
       pending = Hashtbl.create 8;
       inbox = Reliable.inbox ();
       applied_entries = 0;
-      batches = 0;
-      divergences = 0;
+      batches = Obs.Metrics.counter m "standby.ships.applied";
+      divergences = Obs.Metrics.counter m "standby.divergences";
       epoch = 0;
       last_heard = Grid.Sim.now sim;
       promoted = false;
       stopped = false;
-      obs_on = Obs.enabled obs;
-      c_ships = Obs.Metrics.counter m "standby.ships.applied";
-      c_divergences = Obs.Metrics.counter m "standby.divergences";
     }
   in
   Grid.Everyware.register bus ~id:standby_id ~site ~handler:(fun ~src msg -> handle t ~src msg);

@@ -105,20 +105,17 @@ module Make (R : RECORD) = struct
     mutable pending_n : int;
     mutable base_bytes : int;
     mutable pending_bytes : int;
-    mutable appended : int;
-    mutable records_dropped : int;
+    appended : Obs.Metrics.counter;
+    records_dropped : Obs.Metrics.counter;
     mutable quota : int;  (* bytes; 0 = unlimited *)
     mutable bytes_peak : int;
     mutable degraded : bool;
-    mutable degraded_entries : int;
+    degraded_entries : Obs.Metrics.counter;
     mutable log_fnv : int;
     mutable log_crc : int;  (* the two lanes of the rolling log digest *)
     requota_on_scrub : bool;
     obs : Obs.t;
     obs_on : bool;
-    c_appends : Obs.Metrics.counter;
-    c_dropped : Obs.Metrics.counter;
-    c_degraded : Obs.Metrics.counter;
     g_bytes : Obs.Metrics.gauge;
   }
 
@@ -132,20 +129,17 @@ module Make (R : RECORD) = struct
       pending_n = 0;
       base_bytes = R.state_bytes base;
       pending_bytes = 0;
-      appended = 0;
-      records_dropped = 0;
+      appended = Obs.Metrics.counter m (name ^ ".appends");
+      records_dropped = Obs.Metrics.counter m (name ^ ".records.dropped");
       quota = max 0 quota;
       bytes_peak = 0;
       degraded = false;
-      degraded_entries = 0;
+      degraded_entries = Obs.Metrics.counter m (name ^ ".degraded_entries");
       log_fnv = 0;
       log_crc = 0;
       requota_on_scrub;
       obs;
       obs_on = Obs.enabled obs;
-      c_appends = Obs.Metrics.counter m (name ^ ".appends");
-      c_dropped = Obs.Metrics.counter m (name ^ ".records.dropped");
-      c_degraded = Obs.Metrics.counter m (name ^ ".degraded_entries");
       g_bytes = Obs.Metrics.gauge m (name ^ ".bytes");
     }
 
@@ -176,8 +170,7 @@ module Make (R : RECORD) = struct
       t.pending <- ok;
       t.pending_n <- List.length ok;
       t.pending_bytes <- List.fold_left (fun a (e, _) -> a + R.entry_bytes e) 0 ok;
-      t.records_dropped <- t.records_dropped + List.length bad;
-      if t.obs_on then List.iter (fun _ -> Obs.Metrics.incr t.c_dropped) bad;
+      Obs.Metrics.add t.records_dropped (List.length bad);
       if t.requota_on_scrub then begin
         enforce_quota ~relieve:ignore t;
         set_gauge t
@@ -195,19 +188,16 @@ module Make (R : RECORD) = struct
     t.pending <- (e, crc) :: t.pending;
     t.pending_n <- t.pending_n + 1;
     t.pending_bytes <- t.pending_bytes + R.entry_bytes e;
-    t.appended <- t.appended + 1;
-    t.log_fnv <- chain t.log_fnv ~pos:t.appended (Integrity.fnv1a_of h);
-    t.log_crc <- chain t.log_crc ~pos:t.appended crc;
-    if t.obs_on then Obs.Metrics.incr t.c_appends;
+    Obs.Metrics.incr t.appended;
+    let pos = Obs.Metrics.counter_value t.appended in
+    t.log_fnv <- chain t.log_fnv ~pos (Integrity.fnv1a_of h);
+    t.log_crc <- chain t.log_crc ~pos crc;
     let b = bytes t in
     if b > t.bytes_peak then t.bytes_peak <- b
 
   let settle ?(relieve = ignore) t =
     enforce_quota ~relieve t;
-    if t.degraded then begin
-      t.degraded_entries <- t.degraded_entries + 1;
-      if t.obs_on then Obs.Metrics.incr t.c_degraded
-    end;
+    if t.degraded then Obs.Metrics.incr t.degraded_entries;
     set_gauge t
 
   let append t e =
@@ -259,11 +249,11 @@ module Make (R : RECORD) = struct
 
   let degraded t = t.degraded
 
-  let degraded_entries t = t.degraded_entries
+  let degraded_entries t = Obs.Metrics.counter_value t.degraded_entries
 
-  let appended t = t.appended
+  let appended t = Obs.Metrics.counter_value t.appended
 
-  let records_dropped t = t.records_dropped
+  let records_dropped t = Obs.Metrics.counter_value t.records_dropped
 
   let log_digest t = Printf.sprintf "%016x%016x" t.log_fnv t.log_crc
 end

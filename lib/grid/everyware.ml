@@ -6,16 +6,14 @@ type 'msg t = {
   sim : Sim.t;
   net : Network.t;
   endpoints : (int, 'msg endpoint) Hashtbl.t;
-  mutable messages : int;
   mutable bytes : int;
-  mutable dropped : int;
   mutable dropped_bytes : int;
   mutable fault : (src_site:string -> dst_site:string -> bytes:int -> fault_decision) option;
   mutable corruptor : ('msg -> 'msg) option;
   obs : Obs.t;
   obs_on : bool;
-  c_sent : Obs.Metrics.counter;
-  c_dropped : Obs.Metrics.counter;
+  sent : Obs.Metrics.counter;
+  dropped : Obs.Metrics.counter;
   c_duplicated : Obs.Metrics.counter;
   c_corrupted : Obs.Metrics.counter;
   (* per-site-pair histograms, cached so a send never re-derives labels *)
@@ -28,16 +26,14 @@ let create ?(obs = Obs.disabled) sim net =
     sim;
     net;
     endpoints = Hashtbl.create 64;
-    messages = 0;
     bytes = 0;
-    dropped = 0;
     dropped_bytes = 0;
     fault = None;
     corruptor = None;
     obs;
     obs_on = Obs.enabled obs;
-    c_sent = Obs.Metrics.counter m "net.messages.sent";
-    c_dropped = Obs.Metrics.counter m "net.messages.dropped";
+    sent = Obs.Metrics.counter m "net.messages.sent";
+    dropped = Obs.Metrics.counter m "net.messages.dropped";
     c_duplicated = Obs.Metrics.counter m "net.messages.duplicated";
     c_corrupted = Obs.Metrics.counter m "net.messages.corrupted";
     pair_hists = Hashtbl.create 16;
@@ -82,10 +78,9 @@ let send t ~src ~dst ~bytes msg =
     match Hashtbl.find_opt t.endpoints dst with Some e -> e.site | None -> src_site
   in
   let delay = Network.transfer_time t.net ~src:src_site ~dst:dst_site ~bytes in
-  t.messages <- t.messages + 1;
+  Obs.Metrics.incr t.sent;
   t.bytes <- t.bytes + bytes;
   if t.obs_on then begin
-    Obs.Metrics.incr t.c_sent;
     let h_bytes, h_latency = pair_hists t ~src_site ~dst_site in
     Obs.Metrics.observe h_bytes (float_of_int bytes);
     Obs.Metrics.observe h_latency delay
@@ -104,12 +99,11 @@ let send t ~src ~dst ~bytes msg =
   match decision with
   | Deliver -> deliver 0.
   | Drop ->
-      t.dropped <- t.dropped + 1;
-      t.dropped_bytes <- t.dropped_bytes + bytes;
-      if t.obs_on then Obs.Metrics.incr t.c_dropped
+      Obs.Metrics.incr t.dropped;
+      t.dropped_bytes <- t.dropped_bytes + bytes
   | Delay extra -> deliver (Float.max 0. extra)
   | Duplicate extra ->
-      if t.obs_on then Obs.Metrics.incr t.c_duplicated;
+      Obs.Metrics.incr t.c_duplicated;
       deliver 0.;
       deliver (Float.max 0. extra)
   | Corrupt -> (
@@ -119,13 +113,13 @@ let send t ~src ~dst ~bytes msg =
       match t.corruptor with
       | None -> deliver 0.
       | Some f ->
-          if t.obs_on then Obs.Metrics.incr t.c_corrupted;
+          Obs.Metrics.incr t.c_corrupted;
           deliver_msg 0. (f msg))
 
-let messages_sent t = t.messages
+let messages_sent t = Obs.Metrics.counter_value t.sent
 
 let bytes_sent t = t.bytes
 
-let messages_dropped t = t.dropped
+let messages_dropped t = Obs.Metrics.counter_value t.dropped
 
 let bytes_dropped t = t.dropped_bytes

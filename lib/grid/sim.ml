@@ -17,9 +17,8 @@ type t = {
   mutable queue : (unit -> unit) Pq.t;
   mutable pending : int;  (* [Pq.cardinal queue], which is O(pending) to recount *)
   mutable next_seq : int;
-  mutable fired : int;
+  fired : Obs.Metrics.counter;  (* the [sim.events] series *)
   obs_on : bool;
-  c_events : Obs.Metrics.counter;
   g_pending : Obs.Metrics.gauge;
 }
 
@@ -29,9 +28,8 @@ let create ?(obs = Obs.disabled) () =
     queue = Pq.empty;
     pending = 0;
     next_seq = 0;
-    fired = 0;
+    fired = Obs.Metrics.counter (Obs.metrics obs) "sim.events";
     obs_on = Obs.enabled obs;
-    c_events = Obs.Metrics.counter (Obs.metrics obs) "sim.events";
     g_pending = Obs.Metrics.gauge (Obs.metrics obs) "sim.pending.max";
   }
 
@@ -61,7 +59,7 @@ let cancel t id =
 
 let pending t = t.pending
 
-let events_fired t = t.fired
+let events_fired t = Obs.Metrics.counter_value t.fired
 
 let step t =
   match Pq.min_binding_opt t.queue with
@@ -70,8 +68,7 @@ let step t =
       t.queue <- Pq.remove key t.queue;
       t.pending <- t.pending - 1;
       t.clock <- key.Key.time;
-      t.fired <- t.fired + 1;
-      if t.obs_on then Obs.Metrics.incr t.c_events;
+      Obs.Metrics.incr t.fired;
       f ();
       true
 

@@ -10,8 +10,8 @@ type t
 type event_id
 
 val create : ?obs:Obs.t -> unit -> t
-(** [obs] (default [Obs.disabled]) receives an event counter and a
-    max-queue-depth gauge. *)
+(** [obs] (default [Obs.disabled]) receives the {!events_fired} count
+    as [sim.events] and a max-queue-depth gauge. *)
 
 val now : t -> float
 (** Current virtual time in seconds. *)

@@ -10,7 +10,11 @@ type histogram = {
   mutable hi : float;
 }
 
-type instrument = C of counter | G of gauge | H of histogram
+(* Every cell and view registered under one key: the key's value is
+   their sum, taken at export. *)
+type sum = { mutable cells : counter list; mutable views : (unit -> int) list }
+
+type instrument = C of sum | G of gauge | H of histogram
 
 type t = {
   enabled : bool;
@@ -32,8 +36,6 @@ let scope t ~labels =
 
 (* Dummy instruments handed out by a disabled registry: recording into
    them is harmless and they are never exported. *)
-let dummy_counter = { c = 0 }
-
 let dummy_gauge = { g = 0.0 }
 
 let dummy_histogram = { buckets = [| 0 |]; count = 0; sum = 0.0; lo = 0.0; hi = 0.0 }
@@ -84,17 +86,30 @@ let bucket_mid i =
   let lo = Float.ldexp (0.5 *. (gamma ** float_of_int sub)) e in
   lo *. Float.sqrt gamma
 
+let sum_at t name labels =
+  let k = key t name labels in
+  match Hashtbl.find_opt t.table k with
+  | Some (C s) -> s
+  | Some _ -> invalid_arg (Printf.sprintf "Obs.Metrics: %s is not a counter" k)
+  | None ->
+      let s = { cells = []; views = [] } in
+      Hashtbl.add t.table k (C s);
+      s
+
 let counter t ?(labels = []) name =
-  if not t.enabled then dummy_counter
-  else
-    let k = key t name labels in
-    match Hashtbl.find_opt t.table k with
-    | Some (C c) -> c
-    | Some _ -> invalid_arg (Printf.sprintf "Obs.Metrics: %s is not a counter" k)
-    | None ->
-        let c = { c = 0 } in
-        Hashtbl.add t.table k (C c);
-        c
+  let c = { c = 0 } in
+  (if t.enabled then
+     let s = sum_at t name labels in
+     s.cells <- c :: s.cells);
+  c
+
+let view t ?(labels = []) name f =
+  if t.enabled then
+    let s = sum_at t name labels in
+    s.views <- f :: s.views
+
+let sum_value s =
+  List.fold_left (fun a f -> a + f ()) (List.fold_left (fun a c -> a + c.c) 0 s.cells) s.views
 
 let gauge t ?(labels = []) name =
   if not t.enabled then dummy_gauge
@@ -178,29 +193,54 @@ let quantile h q =
     if h.lo <= h.hi then Float.max h.lo (Float.min h.hi r) else r
   end
 
-let json_of_instrument = function
-  | C c -> Json.Obj [ ("type", Json.String "counter"); ("value", Json.Int c.c) ]
-  | G g -> Json.Obj [ ("type", Json.String "gauge"); ("value", Json.Float g.g) ]
+type export =
+  | Counter of int
+  | Gauge of float
+  | Histogram of {
+      count : int;
+      sum : float;
+      lo : float;
+      hi : float;
+      p50 : float;
+      p90 : float;
+      p99 : float;
+    }
+
+let export_of_instrument = function
+  | C s -> Counter (sum_value s)
+  | G g -> Gauge g.g
   | H h ->
       let empty = bucketed_total h = 0 in
+      Histogram
+        {
+          count = h.count;
+          sum = h.sum;
+          lo = (if empty then 0.0 else h.lo);
+          hi = (if empty then 0.0 else h.hi);
+          p50 = quantile h 0.50;
+          p90 = quantile h 0.90;
+          p99 = quantile h 0.99;
+        }
+
+let json_of_export = function
+  | Counter n -> Json.Obj [ ("type", Json.String "counter"); ("value", Json.Int n) ]
+  | Gauge g -> Json.Obj [ ("type", Json.String "gauge"); ("value", Json.Float g) ]
+  | Histogram h ->
       Json.Obj
         [
           ("type", Json.String "histogram");
           ("count", Json.Int h.count);
           ("sum", Json.Float h.sum);
-          ("min", Json.Float (if empty then 0.0 else h.lo));
-          ("max", Json.Float (if empty then 0.0 else h.hi));
-          ("p50", Json.Float (quantile h 0.50));
-          ("p90", Json.Float (quantile h 0.90));
-          ("p99", Json.Float (quantile h 0.99));
+          ("min", Json.Float h.lo);
+          ("max", Json.Float h.hi);
+          ("p50", Json.Float h.p50);
+          ("p90", Json.Float h.p90);
+          ("p99", Json.Float h.p99);
         ]
 
 let sorted_entries t =
   let entries = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.table [] in
   List.sort (fun (a, _) (b, _) -> String.compare a b) entries
-
-let to_json t =
-  Json.Obj (List.map (fun (k, v) -> (k, json_of_instrument v)) (sorted_entries t))
 
 (* ---------- merged (label-stripped) service-level view ---------- *)
 
@@ -228,8 +268,8 @@ let merged_entries t =
     (fun (k, v) ->
       let b = base_name k in
       match (Hashtbl.find_opt tbl b, v) with
-      | None, C c ->
-          Hashtbl.add tbl b (C { c = c.c });
+      | None, C s ->
+          Hashtbl.add tbl b (C { cells = [ { c = sum_value s } ]; views = [] });
           names := b :: !names
       | None, G g ->
           Hashtbl.add tbl b (G { g = g.g });
@@ -237,7 +277,7 @@ let merged_entries t =
       | None, H h ->
           Hashtbl.add tbl b (H (copy_histogram h));
           names := b :: !names
-      | Some (C dst), C src -> dst.c <- dst.c + src.c
+      | Some (C dst), C src -> dst.cells <- { c = sum_value src } :: dst.cells
       | Some (G dst), G src -> if src.g > dst.g then dst.g <- src.g
       | Some (H dst), H src -> merge_histogram_into dst src
       | Some _, _ -> ())
@@ -245,41 +285,13 @@ let merged_entries t =
   List.sort (fun a b -> String.compare a b) !names
   |> List.map (fun b -> (b, Hashtbl.find tbl b))
 
-let merged_json t =
-  Json.Obj (List.map (fun (k, v) -> (k, json_of_instrument v)) (merged_entries t))
-
-(* ---------- flat export (feeds the Prometheus exposition) ---------- *)
-
-type export =
-  | Counter of int
-  | Gauge of float
-  | Histogram of {
-      count : int;
-      sum : float;
-      lo : float;
-      hi : float;
-      p50 : float;
-      p90 : float;
-      p99 : float;
-    }
-
-let export_of_instrument = function
-  | C c -> Counter c.c
-  | G g -> Gauge g.g
-  | H h ->
-      let empty = bucketed_total h = 0 in
-      Histogram
-        {
-          count = h.count;
-          sum = h.sum;
-          lo = (if empty then 0.0 else h.lo);
-          hi = (if empty then 0.0 else h.hi);
-          p50 = quantile h 0.50;
-          p90 = quantile h 0.90;
-          p99 = quantile h 0.99;
-        }
+(* ---------- flat export (feeds the JSON report and the Prometheus exposition) ---------- *)
 
 let export_all t = List.map (fun (k, v) -> (k, export_of_instrument v)) (sorted_entries t)
 
 let export_merged t =
   List.map (fun (k, v) -> (k, export_of_instrument v)) (merged_entries t)
+
+let to_json t = Json.Obj (List.map (fun (k, e) -> (k, json_of_export e)) (export_all t))
+
+let merged_json t = Json.Obj (List.map (fun (k, e) -> (k, json_of_export e)) (export_merged t))

@@ -1,15 +1,24 @@
 (** Metrics registry: counters, gauges, and log-bucketed histograms.
 
-    Instruments are looked up (or created) once by [(name, labels)] and
-    the returned handle is kept by the instrumented code, so recording on
-    the hot path is a single mutable-field update — no hashing, no
+    Instruments are made once by [(name, labels)] — the key — and the
+    returned handle is kept by the instrumented code, so recording on the
+    hot path is a single mutable-field update — no hashing, no
     allocation.
 
+    A count has one store.  Either its owner keeps it in a {!counter}
+    cell, which is the owner's own count whether or not the registry is
+    enabled, or the owner keeps it elsewhere (a journal's applied state,
+    a solver's statistics) and registers a {!view} that reads it.  A key
+    holds every cell and view registered under it, and its exported
+    value is their sum, taken at export: two owners of one key (a
+    primary and a standby journal, every solver of one client) show the
+    total.
+
     A registry created with [enabled:false] (or the shared {!disabled}
-    instance) hands out dummy instruments: recording into them is a store
-    into a shared scratch cell, and {!to_json} renders an empty registry.
-    Hot paths that want to skip even that store can branch on
-    {!is_enabled} once at setup. *)
+    instance) registers nothing and renders empty; its gauges and
+    histograms are dummies, a store into a shared scratch cell.  Hot
+    paths that want to skip even that store can branch on {!is_enabled}
+    once at setup. *)
 
 type t
 
@@ -35,7 +44,18 @@ val scope : t -> labels:(string * string) list -> t
     disabled registry returns it unchanged. *)
 
 val counter : t -> ?labels:(string * string) list -> string -> counter
-(** Find-or-create.  Same [(name, labels)] returns the same handle. *)
+(** A fresh cell of the caller's own, registered under the key when the
+    registry is enabled.  Each call makes a new cell: its
+    {!counter_value} is what was recorded through it, and the key's
+    export is the sum over every cell and view under it. *)
+
+val view : t -> ?labels:(string * string) list -> string -> (unit -> int) -> unit
+(** [view t name read] registers [read] under the counter key: at each
+    export it is called and added to the key's sum.  This is how a count
+    kept elsewhere becomes a series without a second store.  [read] is
+    kept as long as the registry, so it should capture the count's cell
+    or small record, never the endpoint that holds it.  No-op on a
+    disabled registry. *)
 
 val gauge : t -> ?labels:(string * string) list -> string -> gauge
 
@@ -47,6 +67,7 @@ val incr : counter -> unit
 val add : counter -> int -> unit
 
 val counter_value : counter -> int
+(** This cell's count, not the key's sum. *)
 
 val set : gauge -> float -> unit
 
@@ -70,12 +91,12 @@ val quantile : histogram -> float -> float
 
 val to_json : t -> Json.t
 (** Deterministic export: instruments sorted by name then labels.
-    Counters/gauges carry their value; histograms carry count, sum,
-    min/max and p50/p90/p99. *)
+    Counters carry the sum of their key's cells and views, gauges their
+    value; histograms carry count, sum, min/max and p50/p90/p99. *)
 
 val merged_json : t -> Json.t
 (** Label-stripped service-level view: instruments sharing a base name
-    are merged — counters sum, gauges keep the max, histograms add
+    are merged — counters sum their keys' sums, gauges keep the max, histograms add
     bucket-wise (count/sum add, min/max widen), so merged quantiles stay
     within the bucket resolution of the per-label quantile envelope. *)
 

@@ -191,17 +191,12 @@ type t = {
   mutable root_kept : int;
   mutable bcp_ns : int; (* monotonic nanoseconds inside [propagate] *)
   mutable run_ns : int; (* ... and inside [run] *)
-  (* telemetry: [obs_on] is the single hot-path guard; the instrument
-     handles are resolved once at construction so recording is a mutable
-     store, never a registry lookup *)
+  (* telemetry: [obs_on] is the single hot-path guard for spans; the
+     [solver.*] series are views of [stats], registered at construction *)
   obs : Obs.t;
   obs_on : bool;
   obs_tid : int;
   mutable obs_parent : Obs.Span.id; (* span to parent solver phases under *)
-  c_decisions : Obs.Metrics.counter;
-  c_conflicts : Obs.Metrics.counter;
-  c_learned : Obs.Metrics.counter;
-  c_restarts : Obs.Metrics.counter;
 }
 
 let nvars t = t.nvars
@@ -674,7 +669,6 @@ let record_share t cr =
 let record_learned t cr =
   proof_add t cr;
   t.stats.learned <- t.stats.learned + 1;
-  if t.obs_on then Obs.Metrics.incr t.c_learned;
   t.stats.learned_literals <- t.stats.learned_literals + size t.arena cr;
   record_share t cr;
   bump_lits t cr;
@@ -986,7 +980,6 @@ let decide t =
       new_level t;
       enqueue t l no_reason;
       t.stats.decisions <- t.stats.decisions + 1;
-      if t.obs_on then Obs.Metrics.incr t.c_decisions;
       if t.lim_n > t.stats.max_decision_level then t.stats.max_decision_level <- t.lim_n;
       true
 
@@ -1009,13 +1002,11 @@ let restart t =
     | Geometric factor -> max 1 (int_of_float (float_of_int t.restart_limit *. factor))
     | Fixed -> t.cfg.restart_base));
   t.stats.restarts <- t.stats.restarts + 1;
-  if t.obs_on then begin
-    Obs.Metrics.incr t.c_restarts;
+  if t.obs_on then
     ignore
       (Obs.Span.instant (Obs.spans t.obs) ~parent:t.obs_parent ~tid:t.obs_tid ~cat:"solver"
          ~args:[ ("restarts", Obs.Json.Int t.stats.restarts) ]
          "restart")
-  end
 
 (* ---------- construction ---------- *)
 
@@ -1058,8 +1049,18 @@ let create_internal cfg ~nvars ~obs ~obs_tid ~facts ~assumptions ~normalise (cla
   let n = !n in
   let var_activity = Array.make (nvars + 1) 0. in
   let order = Heap.create ~nvars ~key:var_activity in
-  let m = Obs.metrics obs in
-  let labels = [ ("client", string_of_int obs_tid) ] in
+  let stats = Stats.create () in
+  (let m = Obs.metrics obs in
+   if Obs.Metrics.is_enabled m then
+     let labels = [ ("client", string_of_int obs_tid) ] in
+     List.iter
+       (fun (name, read) -> Obs.Metrics.view m ~labels name read)
+       [
+         ("solver.decisions", fun () -> stats.decisions);
+         ("solver.conflicts", fun () -> stats.conflicts);
+         ("solver.learned", fun () -> stats.learned);
+         ("solver.restarts", fun () -> stats.restarts);
+       ]);
   let t =
     {
       cfg;
@@ -1088,7 +1089,7 @@ let create_internal cfg ~nvars ~obs ~obs_tid ~facts ~assumptions ~normalise (cla
       phase = Array.make (nvars + 1) false;
       var_inc = 1.0;
       cla_inc = 1.0;
-      stats = Stats.create ();
+      stats;
       conflicts_since_restart = 0;
       restart_limit = cfg.restart_base;
       luby_index = 1;
@@ -1110,10 +1111,6 @@ let create_internal cfg ~nvars ~obs ~obs_tid ~facts ~assumptions ~normalise (cla
       obs_on = Obs.enabled obs;
       obs_tid;
       obs_parent = Obs.Span.none;
-      c_decisions = Obs.Metrics.counter m ~labels "solver.decisions";
-      c_conflicts = Obs.Metrics.counter m ~labels "solver.conflicts";
-      c_learned = Obs.Metrics.counter m ~labels "solver.learned";
-      c_restarts = Obs.Metrics.counter m ~labels "solver.restarts";
     }
   in
   for v = 1 to nvars do
@@ -1189,7 +1186,6 @@ let learned_cap t =
 (* A conflict at the root refutes the subproblem ([ok] turns false). *)
 let handle_conflict t confl =
   t.stats.conflicts <- t.stats.conflicts + 1;
-  if t.obs_on then Obs.Metrics.incr t.c_conflicts;
   t.conflicts_since_restart <- t.conflicts_since_restart + 1;
   if t.lim_n = 0 then begin
     proof_refute t;

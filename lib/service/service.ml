@@ -157,17 +157,6 @@ type t = {
   mutable n_brownouts : int;
   mutable joblog_degraded_seen : bool;  (* edge detector for the durability alarm *)
   mutable n_stretched : int;
-  (* the service.jobs.* series; the counts themselves live in the
-     joblog's state, and each series is bumped beside the record that
-     carries its count *)
-  c_submitted : Obs.Metrics.counter;
-  c_admitted : Obs.Metrics.counter;
-  c_shed : Obs.Metrics.counter;
-  c_cache_hit : Obs.Metrics.counter;
-  c_deadline : Obs.Metrics.counter;
-  c_preempted : Obs.Metrics.counter;
-  c_cancelled : Obs.Metrics.counter;
-  c_completed : Obs.Metrics.counter;
 }
 
 let host_id (h : Testbed.host) = h.Testbed.resource.Grid.Resource.id
@@ -227,16 +216,23 @@ let create ?(obs = Obs.disabled) ?slo ?on_flight ?on_expo ?(expo_period = 30.) ~
     n_brownouts = 0;
     joblog_degraded_seen = false;
     n_stretched = 0;
-    c_submitted = Obs.Metrics.counter m "service.jobs.submitted";
-    c_admitted = Obs.Metrics.counter m "service.jobs.admitted";
-    c_shed = Obs.Metrics.counter m "service.jobs.shed";
-    c_cache_hit = Obs.Metrics.counter m "service.jobs.cache_hit";
-    c_deadline = Obs.Metrics.counter m "service.jobs.deadline_expired";
-    c_preempted = Obs.Metrics.counter m "service.jobs.preempted";
-    c_cancelled = Obs.Metrics.counter m "service.jobs.cancelled";
-    c_completed = Obs.Metrics.counter m "service.jobs.completed";
   }
   in
+  (* the service.jobs.* series are views of the joblog's state, the one
+     store of the job counts *)
+  (let log = t.log in
+   List.iter
+     (fun (name, read) -> Obs.Metrics.view m name (fun () -> read (Joblog.current log)))
+     [
+       ("service.jobs.submitted", fun s -> s.Joblog.submitted);
+       ("service.jobs.admitted", fun s -> s.Joblog.admitted);
+       ("service.jobs.shed", fun s -> s.Joblog.shed);
+       ("service.jobs.cache_hit", fun s -> s.Joblog.cache_hits);
+       ("service.jobs.deadline_expired", fun s -> s.Joblog.deadline_expired);
+       ("service.jobs.preempted", fun s -> s.Joblog.requeues);
+       ("service.jobs.cancelled", fun s -> s.Joblog.cancelled);
+       ("service.jobs.completed", fun s -> s.Joblog.verdicts);
+     ]);
   (* every anomaly trigger dumps the flight recorder: the rings hold the
      causally-ordered window that led up to the trigger *)
   (if Obs.Anomaly.is_enabled (Obs.anomaly obs) && Obs.Flight.is_enabled (Obs.flight obs)
@@ -266,8 +262,8 @@ let tenant_load t tenant =
   List.length (List.filter (fun r -> r.rjob.Job.tenant = tenant) t.running)
 
 (* The one terminal transition, for every outcome: the job's state, its
-   terminal record (the joblog's count of the outcome), the SLO note,
-   then the outcome's series. *)
+   terminal record (the joblog's count of the outcome, which its series
+   reads), then the SLO note. *)
 let finish_job t (job : Job.t) terminal =
   job.Job.state <- Job.Done terminal;
   job.Job.finished_at <- Some (now t);
@@ -286,18 +282,14 @@ let finish_job t (job : Job.t) terminal =
   | None, _ -> ());
   match terminal with
   | Job.Verdict _ ->
-      Obs.Metrics.incr t.c_completed;
       Obs.Metrics.observe
         (Obs.Metrics.histogram (Obs.metrics t.obs) ~labels:[ ("tenant", tenant) ]
            "service.e2e_s")
         e2e
   | Job.Deadline_expired ->
-      Obs.Metrics.incr t.c_deadline;
       Obs.Anomaly.trip (Obs.anomaly t.obs) ~at:(now t) ~rule:"deadline-miss"
         ~detail:(Printf.sprintf "job %d tenant %s" id tenant) ()
-  | Job.Cancelled _ -> Obs.Metrics.incr t.c_cancelled
-  | Job.Cached _ -> Obs.Metrics.incr t.c_cache_hit
-  | Job.Shed _ -> Obs.Metrics.incr t.c_shed
+  | Job.Cancelled _ | Job.Cached _ | Job.Shed _ -> ()
 
 (* Return a finished run's lease to the pool and give its job a terminal
    state (or requeue it, if it was preempted). *)
@@ -321,7 +313,6 @@ let finalize_run t r =
       job.Job.state <- Job.Queued;
       job.Job.preemptions <- job.Job.preemptions + 1;
       Joblog.append t.log (Joblog.Requeued { id = job.Job.id; reason = "preempted" });
-      Obs.Metrics.incr t.c_preempted;
       Admission.requeue t.adm job
   | Some Deadline -> finish_job t job Job.Deadline_expired
   | Some (Abort reason) -> finish_job t job (Job.Cancelled reason)
@@ -603,7 +594,6 @@ let submit t ~tenant ~priority ?deadline_in ?label cnf =
   Joblog.append t.log
     (Joblog.Submitted
        { id; tenant; priority = Job.priority_string priority; digest; deadline });
-  Obs.Metrics.incr t.c_submitted;
   match Cache.find t.cache ~digest ~cnf with
   | Some answer ->
       Obs.Anomaly.observe t.d_cache_hit ~at:(now t) 1.0;
@@ -621,7 +611,6 @@ let submit t ~tenant ~priority ?deadline_in ?label cnf =
       else begin
         Admission.enqueue t.adm job;
         Joblog.append t.log (Joblog.Admitted { id });
-        Obs.Metrics.incr t.c_admitted;
         arm_deadline t job;
         arm_pump t;
         Accepted

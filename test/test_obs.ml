@@ -17,6 +17,12 @@ let contains haystack needle =
 module M = Obs.Metrics
 module S = Obs.Span
 
+(* A counter key's exported value: the sum of its cells and views. *)
+let exported m k =
+  match List.assoc_opt k (M.export_all m) with
+  | Some (M.Counter n) -> n
+  | _ -> Alcotest.failf "no counter %s in the export" k
+
 (* ---------- JSON ---------- *)
 
 let test_json_roundtrip () =
@@ -125,15 +131,24 @@ let test_metrics_registry () =
   M.incr c1;
   M.add c1' 2;
   M.incr c2;
-  check int "same handle" 3 (M.counter_value c1);
-  check int "distinct labels" 1 (M.counter_value c2);
+  check int "own cell" 1 (M.counter_value c1);
+  check int "same key sums at export" 3 (exported m "x{client=1}");
+  check int "distinct labels" 1 (exported m "x{client=2}");
+  (* a view is read at export and summed with the key's cells *)
+  let kept = ref 4 in
+  M.view m ~labels:[ ("client", "1") ] "x" (fun () -> !kept);
+  kept := 5;
+  check int "view read at export" 8 (exported m "x{client=1}");
   let g = M.gauge m "g" in
   M.gauge_max g 5.;
   M.gauge_max g 3.;
   check (float 1e-9) "gauge_max keeps max" 5. (M.gauge_value g);
-  (* disabled registry: inert instruments, empty export *)
+  (* disabled registry: a counter is still its caller's own count, and
+     nothing is exported *)
   let d = M.counter M.disabled "y" in
   M.incr d;
+  check int "disabled cell counts" 1 (M.counter_value d);
+  M.view M.disabled "z" (fun () -> 1);
   check string "disabled exports empty" "{}" (J.to_string (M.to_json M.disabled))
 
 (* ---------- JSON parser hardening ---------- *)
@@ -220,17 +235,16 @@ let test_metrics_scoping () =
   let s2 = M.scope m ~labels:[ ("job", "2") ] in
   M.add (M.counter s1 "jobs.done") 3;
   M.add (M.counter s2 "jobs.done") 4;
-  (* a scoped handle is the same instrument as explicit labels on the base *)
-  check int "scoped = labeled" 3 (M.counter_value (M.counter m ~labels:[ ("job", "1") ] "jobs.done"));
+  (* a scoped handle lands under the same key as explicit labels on the base *)
+  M.incr (M.counter m ~labels:[ ("job", "1") ] "jobs.done");
+  check int "scoped = labeled" 4 (exported m "jobs.done{job=1}");
   (* nested scopes append their labels *)
   let s1t = M.scope s1 ~labels:[ ("tenant", "acme") ] in
   M.incr (M.counter s1t "jobs.done");
-  check int "nested scope"
-    1
-    (M.counter_value (M.counter m ~labels:[ ("job", "1"); ("tenant", "acme") ] "jobs.done"));
+  check int "nested scope" 1 (exported m "jobs.done{job=1,tenant=acme}");
   (* the merged view strips labels and sums counters *)
   (match List.assoc_opt "jobs.done" (M.export_merged m) with
-  | Some (M.Counter n) -> check int "merged counter sums" 8 n
+  | Some (M.Counter n) -> check int "merged counter sums" 9 n
   | _ -> fail "merged counter missing");
   (* gauges merge by max *)
   M.set (M.gauge s1 "depth") 2.;
