@@ -871,20 +871,24 @@ let check_cmd =
 (* ---------- report ---------- *)
 
 (* Flatten a JSON document to its numeric leaves, addressed by dotted
-   path ("metrics.service.e2e_s.p99", list items by index).  The diff
-   mode compares two reports leaf-by-leaf on these paths. *)
+   path ("metrics.service.e2e_s.p99", list items by index), each flagged
+   when it is the value of a [counter] series.  The diff mode compares
+   two reports leaf-by-leaf on these paths. *)
 let numeric_leaves doc =
   let acc = ref [] in
   let join prefix k = if prefix = "" then k else prefix ^ "." ^ k in
-  let rec walk prefix (j : Obs.Json.t) =
+  let rec walk ~counter prefix (j : Obs.Json.t) =
     match j with
-    | Obs.Json.Int i -> acc := (prefix, float_of_int i) :: !acc
-    | Obs.Json.Float f -> acc := (prefix, f) :: !acc
-    | Obs.Json.Obj kvs -> List.iter (fun (k, v) -> walk (join prefix k) v) kvs
-    | Obs.Json.List items -> List.iteri (fun i v -> walk (join prefix (string_of_int i)) v) items
+    | Obs.Json.Int i -> acc := (prefix, (float_of_int i, counter)) :: !acc
+    | Obs.Json.Float f -> acc := (prefix, (f, counter)) :: !acc
+    | Obs.Json.Obj kvs ->
+        let counter = List.assoc_opt "type" kvs = Some (Obs.Json.String "counter") in
+        List.iter (fun (k, v) -> walk ~counter (join prefix k) v) kvs
+    | Obs.Json.List items ->
+        List.iteri (fun i v -> walk ~counter:false (join prefix (string_of_int i)) v) items
     | Obs.Json.Null | Obs.Json.Bool _ | Obs.Json.String _ -> ()
   in
-  walk "" doc;
+  walk ~counter:false "" doc;
   List.rev !acc
 
 let last_segment path =
@@ -896,15 +900,16 @@ let diff_reports ~fail_above ~gate doc_a doc_b =
   let leaves_a = numeric_leaves doc_a and leaves_b = numeric_leaves doc_b in
   let tbl_b = Hashtbl.create 256 in
   List.iter (fun (p, v) -> Hashtbl.replace tbl_b p v) leaves_b;
-  let regressions = ref [] in
+  let regressions = ref [] and counters = ref [] in
   let changed = ref 0 in
   List.iter
-    (fun (path, a) ->
+    (fun (path, (a, counter)) ->
       match Hashtbl.find_opt tbl_b path with
       | None -> ()
-      | Some b when a = b -> ()
-      | Some b ->
+      | Some (b, _) when a = b -> ()
+      | Some (b, _) ->
           incr changed;
+          if counter then counters := path :: !counters;
           let pct = if a = 0. then infinity else (b -. a) /. Float.abs a *. 100. in
           let pct_s = if a = 0. then "+inf%" else Printf.sprintf "%+.1f%%" pct in
           Printf.printf "%-56s %14s -> %-14s %s\n" path (Obs.Json.float_repr a)
@@ -937,7 +942,14 @@ let diff_reports ~fail_above ~gate doc_a doc_b =
           (if pct = infinity then "+inf%" else Printf.sprintf "%+.1f%%" pct))
       regs
   end;
-  if regs = [] && same_paths then 0 else 1
+  (* a count of a deterministic run is exact: any change fails, whatever
+     the gate *)
+  let counters = List.rev !counters in
+  if counters <> [] then begin
+    Printf.printf "FAIL: %d counter leaf(s) changed:\n" (List.length counters);
+    List.iter (fun path -> Printf.printf "  %s\n" path) counters
+  end;
+  if regs = [] && counters = [] && same_paths then 0 else 1
 
 let report_cmd =
   let file_a = Arg.(required & pos 0 (some file) None & info [] ~docv:"REPORT.json") in
@@ -954,7 +966,8 @@ let report_cmd =
       & info [ "fail-above" ]
           ~doc:
             "diff mode: exit non-zero when a gated metric leaf grows by more than this \
-             percentage, or when a numeric path exists in only one of the two reports")
+             percentage, when a numeric path exists in only one of the two reports, or \
+             when the value of any counter series changes")
   in
   let gate =
     Arg.(

@@ -102,7 +102,7 @@ val counter : result -> string -> int
 val ledger : (string * string) list
 (** Every row of the master's run-counter ledger as (key, registry
     series), [""] where a row has none.  With telemetry on, a row's
-    registry counter always equals its value ({!counter} by key). *)
+    series is a view of its value ({!counter} by key). *)
 
 type t
 

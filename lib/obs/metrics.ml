@@ -10,11 +10,16 @@ type histogram = {
   mutable hi : float;
 }
 
-(* Every cell and view registered under one key: the key's value is
-   their sum, taken at export. *)
+(* Every cell and view registered under one counter key: the key's value
+   is their sum, taken at export. *)
 type sum = { mutable cells : counter list; mutable views : (unit -> int) list }
 
-type instrument = C of sum | G of gauge | H of histogram
+type instrument =
+  | C of counter  (* a counter key's only cell, the common case *)
+  | V of (unit -> int)  (* a counter key's only view *)
+  | S of sum  (* a counter key's cells and views, once it has two *)
+  | G of gauge
+  | H of histogram
 
 type t = {
   enabled : bool;
@@ -86,30 +91,34 @@ let bucket_mid i =
   let lo = Float.ldexp (0.5 *. (gamma ** float_of_int sub)) e in
   lo *. Float.sqrt gamma
 
-let sum_at t name labels =
+(* Register a cell or a view under a counter key: a key's first one is
+   held as it is, and a second turns the key into a sum. *)
+let register t name labels ~cells ~views =
   let k = key t name labels in
-  match Hashtbl.find_opt t.table k with
-  | Some (C s) -> s
-  | Some _ -> invalid_arg (Printf.sprintf "Obs.Metrics: %s is not a counter" k)
-  | None ->
-      let s = { cells = []; views = [] } in
-      Hashtbl.add t.table k (C s);
-      s
+  match (Hashtbl.find_opt t.table k, cells, views) with
+  | None, [ c ], [] -> Hashtbl.add t.table k (C c)
+  | None, [], [ f ] -> Hashtbl.add t.table k (V f)
+  | None, _, _ -> Hashtbl.add t.table k (S { cells; views })
+  | Some (C c0), _, _ -> Hashtbl.replace t.table k (S { cells = cells @ [ c0 ]; views })
+  | Some (V f0), _, _ -> Hashtbl.replace t.table k (S { cells; views = views @ [ f0 ] })
+  | Some (S s), _, _ ->
+      s.cells <- cells @ s.cells;
+      s.views <- views @ s.views
+  | Some _, _, _ -> invalid_arg (Printf.sprintf "Obs.Metrics: %s is not a counter" k)
 
 let counter t ?(labels = []) name =
   let c = { c = 0 } in
-  (if t.enabled then
-     let s = sum_at t name labels in
-     s.cells <- c :: s.cells);
+  if t.enabled then register t name labels ~cells:[ c ] ~views:[];
   c
 
-let view t ?(labels = []) name f =
-  if t.enabled then
-    let s = sum_at t name labels in
-    s.views <- f :: s.views
+let view t ?(labels = []) name f = if t.enabled then register t name labels ~cells:[] ~views:[ f ]
 
-let sum_value s =
-  List.fold_left (fun a f -> a + f ()) (List.fold_left (fun a c -> a + c.c) 0 s.cells) s.views
+(* A counter key's value: the sum of its cells and views, read now. *)
+let count = function
+  | C c -> c.c
+  | V f -> f ()
+  | S s -> List.fold_left (fun a f -> a + f ()) (List.fold_left (fun a c -> a + c.c) 0 s.cells) s.views
+  | G _ | H _ -> 0
 
 let gauge t ?(labels = []) name =
   if not t.enabled then dummy_gauge
@@ -207,7 +216,7 @@ type export =
     }
 
 let export_of_instrument = function
-  | C s -> Counter (sum_value s)
+  | (C _ | V _ | S _) as i -> Counter (count i)
   | G g -> Gauge g.g
   | H h ->
       let empty = bucketed_total h = 0 in
@@ -268,8 +277,8 @@ let merged_entries t =
     (fun (k, v) ->
       let b = base_name k in
       match (Hashtbl.find_opt tbl b, v) with
-      | None, C s ->
-          Hashtbl.add tbl b (C { cells = [ { c = sum_value s } ]; views = [] });
+      | None, (C _ | V _ | S _) ->
+          Hashtbl.add tbl b (C { c = count v });
           names := b :: !names
       | None, G g ->
           Hashtbl.add tbl b (G { g = g.g });
@@ -277,7 +286,7 @@ let merged_entries t =
       | None, H h ->
           Hashtbl.add tbl b (H (copy_histogram h));
           names := b :: !names
-      | Some (C dst), C src -> dst.cells <- { c = sum_value src } :: dst.cells
+      | Some (C dst), (C _ | V _ | S _) -> dst.c <- dst.c + count v
       | Some (G dst), G src -> if src.g > dst.g then dst.g <- src.g
       | Some (H dst), H src -> merge_histogram_into dst src
       | Some _, _ -> ())

@@ -3,7 +3,8 @@
     [Obs.t] bundles a metrics registry, a span recorder, a flight
     recorder and an anomaly-trigger funnel behind one on/off switch.
     Every subsystem takes an optional [?obs] argument defaulting to
-    {!disabled}; the disabled context hands out inert instruments and
+    {!disabled}; the disabled context exports nothing, hands out inert
+    gauges and histograms (a counter is still its caller's own count) and
     never records a span or flight event, so instrumented code costs a
     few predictable branches when telemetry is off (verified by the
     [obs] micro-bench).

@@ -1291,6 +1291,75 @@ let test_baseline_outcomes () =
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
+(* ---------- registry retention ---------- *)
+
+(* Runs a bus, a journal, a checkpoint store and a reliable endpoint
+   against [obs]'s registry and returns weak pointers to them.  Not
+   inlined, so nothing of theirs stays on the caller's stack. *)
+let[@inline never] run_owners obs =
+  let sim = Grid.Sim.create () in
+  let bus = Grid.Everyware.create ~obs sim (Grid.Network.create ()) in
+  Grid.Everyware.register bus ~id:0 ~site:"a" ~handler:(fun ~src:_ _ -> ());
+  Grid.Everyware.register bus ~id:1 ~site:"a" ~handler:(fun ~src:_ _ -> ());
+  (let n = ref 0 in
+   Grid.Everyware.set_fault bus (fun ~src_site:_ ~dst_site:_ ~bytes:_ ->
+       incr n;
+       if !n mod 2 = 0 then Grid.Everyware.Drop else Grid.Everyware.Deliver));
+  for _ = 1 to 4 do
+    C.Protocol.send bus ~src:0 ~dst:1 ~epoch:0 C.Protocol.Stop
+  done;
+  let journal = C.Journal.create ~obs ~compact_every:2 () in
+  List.iter (C.Journal.append journal)
+    C.Journal.[ Registered { client = 1 }; Registered { client = 2 }; Suspected { client = 2 } ];
+  let store = C.Checkpoint.create ~obs (Cnf.make ~nvars:2 [ [ 1; 2 ] ]) in
+  let sp = { Sub.nvars = 2; facts = []; path = []; clauses = Clause_lists.of_list [ [| T.pos 1 |] ] } in
+  ignore (C.Checkpoint.save store ~client:1 ~mode:Cfg.Heavy sp);
+  C.Checkpoint.corrupt_all store;
+  ignore (C.Checkpoint.restore store ~client:1);
+  let rel =
+    C.Reliable.create ~obs ~sim
+      ~send_raw:(fun ~dst:_ _ -> ())
+      ~active:(fun () -> true)
+      ~retry_base:1.0 ~max_attempts:2
+      ~on_retry:(fun ~dst:_ ~attempt:_ -> ())
+      ~on_give_up:(fun ~dst:_ _ -> ())
+      ()
+  in
+  C.Reliable.send rel ~dst:7 C.Protocol.Stop;
+  drain sim;
+  let weak = Weak.create 4 in
+  List.iteri (fun i o -> Weak.set weak i (Some o))
+    [ Obj.repr bus; Obj.repr journal; Obj.repr store; Obj.repr rel ];
+  weak
+
+(* The registry keeps each owner's count (its cell, or the small record
+   a view reads), never the owner: dropped owners are collected while
+   the registry lives on, and its export still shows their final
+   counts. *)
+let test_registry_retains_no_owner () =
+  let obs = Obs.create () in
+  let weak = run_owners obs in
+  Gc.full_major ();
+  List.iteri
+    (fun i name -> check bool (name ^ " collected") false (Weak.check weak i))
+    [ "bus"; "journal"; "checkpoint store"; "reliable endpoint" ];
+  let exported = Obs.Metrics.export_merged (Obs.metrics obs) in
+  List.iter
+    (fun (name, n) ->
+      match List.assoc_opt name exported with
+      | Some (Obs.Metrics.Counter v) -> check int name n v
+      | _ -> Alcotest.failf "no %s series" name)
+    [
+      ("net.messages.sent", 4);
+      ("net.messages.dropped", 2);
+      ("journal.appends", 3);
+      ("journal.compactions", 1);
+      ("checkpoint.saves", 1);
+      ("checkpoint.discarded", 1);
+      ("reliable.retries", 2);
+      ("reliable.exhausted", 1);
+    ]
+
 let () =
   Alcotest.run "core"
     [
@@ -1318,6 +1387,8 @@ let () =
           Alcotest.test_case "none mode" `Quick test_checkpoint_none_mode;
           Alcotest.test_case "light copies no clauses" `Quick test_checkpoint_light_copies_no_clauses;
         ] );
+      ( "registry",
+        [ Alcotest.test_case "owners are not retained" `Quick test_registry_retains_no_owner ] );
       ( "end-to-end",
         [
           Alcotest.test_case "unsat run" `Slow test_gridsat_unsat;

@@ -139,6 +139,11 @@ let test_metrics_registry () =
   M.view m ~labels:[ ("client", "1") ] "x" (fun () -> !kept);
   kept := 5;
   check int "view read at export" 8 (exported m "x{client=1}");
+  M.view m "v" (fun () -> 7);
+  check int "lone view" 7 (exported m "v");
+  M.view m "v" (fun () -> 1);
+  M.incr (M.counter m "v");
+  check int "views and a cell sum" 9 (exported m "v");
   let g = M.gauge m "g" in
   M.gauge_max g 5.;
   M.gauge_max g 3.;

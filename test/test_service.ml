@@ -256,6 +256,41 @@ let test_joblog_replay_and_scrub () =
   (* job 2's shed record was rotted away: it replays as still queued *)
   check bool "job 2 degraded to queued" true (Hashtbl.find st'.S.Joblog.jobs 2 = S.Joblog.Queued)
 
+(* The service.jobs.* series read the joblog's applied state, so after
+   at-rest rot and [Joblog.recover] they show the recovered counts, as
+   [Svc.stats] does.  Rotting the newest three records drops three of
+   the four completions. *)
+let test_series_follow_recovered_joblog () =
+  let obs = Obs.create () in
+  let cfg = { svc_config with Svc.hosts_per_job = 1; max_concurrent = 4 } in
+  let svc = Svc.create ~obs ~cfg ~testbed:(testbed 4) () in
+  List.iter
+    (fun (pigeons, holes) ->
+      ignore (Svc.submit svc ~tenant:"acme" ~priority:Job.Normal (php ~pigeons ~holes)))
+    [ (4, 3); (5, 4); (6, 5); (7, 6) ];
+  Svc.run svc;
+  check int "four completions before the rot" 4 (Svc.stats svc).Svc.completed;
+  S.Joblog.corrupt_tail (Svc.joblog svc) ~n:3;
+  S.Joblog.recover (Svc.joblog svc);
+  let s = Svc.stats svc in
+  let exported = Obs.Metrics.export_all (Obs.metrics obs) in
+  List.iter
+    (fun (name, count) ->
+      match List.assoc_opt ("service.jobs." ^ name) exported with
+      | Some (Obs.Metrics.Counter n) -> check int name count n
+      | _ -> Alcotest.failf "no service.jobs.%s series" name)
+    [
+      ("submitted", s.Svc.submitted);
+      ("admitted", s.admitted);
+      ("shed", s.shed);
+      ("cache_hit", s.cache_hits);
+      ("deadline_expired", s.deadline_expired);
+      ("preempted", s.preempted);
+      ("cancelled", s.cancelled);
+      ("completed", s.completed);
+    ];
+  check int "three completions rotted away" 1 s.Svc.completed
+
 (* ---------- end-to-end scheduling ---------- *)
 
 let test_single_job_verdict () =
@@ -1099,7 +1134,12 @@ let () =
           QCheck_alcotest.to_alcotest prop_cache_digest_matches_legacy;
           QCheck_alcotest.to_alcotest prop_cache_digest_wide_matches_legacy;
         ] );
-      ("joblog", [ Alcotest.test_case "replay and scrub" `Quick test_joblog_replay_and_scrub ]);
+      ( "joblog",
+        [
+          Alcotest.test_case "replay and scrub" `Quick test_joblog_replay_and_scrub;
+          Alcotest.test_case "series follow a recovered log" `Quick
+            test_series_follow_recovered_joblog;
+        ] );
       ( "scheduling",
         [
           Alcotest.test_case "single job verdict" `Quick test_single_job_verdict;
