@@ -31,7 +31,7 @@ type histogram
 val create : enabled:bool -> t
 
 val disabled : t
-(** Shared always-off registry; its instruments are inert. *)
+(** Shared always-off registry: it registers and exports nothing. *)
 
 val is_enabled : t -> bool
 
@@ -58,6 +58,8 @@ val view : t -> ?labels:(string * string) list -> string -> (unit -> int) -> uni
     disabled registry. *)
 
 val gauge : t -> ?labels:(string * string) list -> string -> gauge
+(** Find-or-create: the same key returns the same gauge (and likewise
+    for {!histogram}). *)
 
 val histogram : t -> ?labels:(string * string) list -> string -> histogram
 (** Log-bucketed: 4 sub-buckets per octave (~12% relative accuracy). *)
