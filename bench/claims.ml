@@ -36,7 +36,9 @@ let bcp () =
       let s = Sat.Solver.create cnf in
       ignore (Sat.Solver.solve ~budget:6_000_000 s);
       let st = Sat.Solver.stats s in
-      rows := (name, Sat.Stats.json st) :: !rows;
+      rows :=
+        (name, Obs.Json.Obj [ ("solver", Sat.Stats.json st); ("wall", Sat.Stats.wall_json st) ])
+        :: !rows;
       Printf.printf "%-28s %10d %12d %8.1f%%\n%!" name st.Sat.Stats.conflicts
         st.Sat.Stats.propagations
         (100. *. Sat.Stats.bcp_fraction st))

@@ -89,7 +89,9 @@ let solve_sequential ~preprocess ~proof_out ~stats ~budget ~report ~trace cnf =
   emit_telemetry ~report ~trace ~obs (fun () ->
       Obs.Report.build
         ~meta:[ ("mode", Obs.Json.String "seq") ]
-        ~sections:[ ("solver", Sat.Stats.json (Sat.Solver.stats solver)) ]
+        ~sections:
+          (let st = Sat.Solver.stats solver in
+           [ ("solver", Sat.Stats.json st); ("wall", Sat.Stats.wall_json st) ])
         ~metrics:(Obs.metrics obs) ~spans:(Obs.spans obs) ());
   0
 

@@ -45,8 +45,6 @@ let peak t = t.peak
 
 let shed_count t = t.shed
 
-let is_empty t = t.items = []
-
 let under_pressure t = t.pressured
 
 let update_pressure t =
@@ -83,19 +81,15 @@ let rec enforce t acc =
     | None -> List.rev acc
   else List.rev acc
 
-let admit t x append =
+let push t x =
   let seq = t.seq in
   t.seq <- seq + 1;
-  if append then t.items <- t.items @ [ (seq, x) ] else t.items <- (seq, x) :: t.items;
+  t.items <- t.items @ [ (seq, x) ];
   t.depth <- t.depth + 1;
   if t.depth > t.peak then t.peak <- t.depth;
   let out = enforce t [] in
   update_pressure t;
   out
-
-let push t x = admit t x true
-
-let push_front t x = admit t x false
 
 let pop t =
   match t.items with
@@ -125,9 +119,6 @@ let take_first t pred =
   in
   go [] t.items
 
-let iter t f = List.iter (fun (_, x) -> f x) t.items
-
-let count t pred = List.fold_left (fun n (_, x) -> if pred x then n + 1 else n) 0 t.items
 
 (* ---------- windowed byte budget ---------- *)
 

@@ -29,10 +29,6 @@ val push : 'a queue -> 'a -> 'a list
 (** Append at the tail; returns the items shed to restore the watermark
     (possibly including the pushed item itself). *)
 
-val push_front : 'a queue -> 'a -> 'a list
-(** Insert at the head (requeue after a failed delivery attempt); same
-    shed discipline as {!push}. *)
-
 val pop : 'a queue -> 'a option
 (** Remove the head (FIFO order). *)
 
@@ -42,10 +38,6 @@ val drain : 'a queue -> 'a list
 val take_first : 'a queue -> ('a -> bool) -> 'a option
 (** Remove and return the first (oldest) item satisfying the predicate. *)
 
-val iter : 'a queue -> ('a -> unit) -> unit
-
-val count : 'a queue -> ('a -> bool) -> int
-
 val depth : 'a queue -> int
 
 val peak : 'a queue -> int
@@ -53,8 +45,6 @@ val peak : 'a queue -> int
 
 val shed_count : 'a queue -> int
 (** Total items shed over the queue's lifetime. *)
-
-val is_empty : 'a queue -> bool
 
 val under_pressure : 'a queue -> bool
 (** True from the instant depth reaches the high watermark until it

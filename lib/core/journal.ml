@@ -67,20 +67,11 @@ module Record = struct
     }
 
   (* A refutation is final: pids are never reused, so a registration that
-     arrives after the pid was refuted (message reordering around a split,
-     possibly spanning a master restart) must not resurrect it.  A lineage
-     only grows: a registration whose path is a strict prefix of the live
-     one is an older split reported late, and keeps the longer path. *)
+     arrives after the pid was refuted (another copy's Finished_unsat ahead
+     of it, possibly spanning a master restart) must not resurrect it. *)
   let register st pid path client =
     if not (Hashtbl.mem st.refuted pid) then begin
-      let rec below = function
-        | [], _ :: _ -> true
-        | l :: p, l' :: q -> l = l' && below (p, q)
-        | _ -> false
-      in
-      (match Hashtbl.find_opt st.live pid with
-      | Some live when below (path, live) -> ()
-      | _ -> Hashtbl.replace st.live pid path);
+      Hashtbl.replace st.live pid path;
       Hashtbl.replace st.holder pid client
     end
 
@@ -94,7 +85,11 @@ module Record = struct
     | Split { donor; donor_pid; donor_path; pid; dst; path } ->
         st.splits <- st.splits + 1;
         register st donor_pid donor_path donor;
-        register st pid path dst
+        (* the child's holder reports to the master on its own stream, so
+           its Problem_received — even its own split of the child — can
+           come first: then the child is live already, with its lineage
+           and holder, and this split only created it *)
+        if not (Hashtbl.mem st.live pid) then register st pid path dst
     | Refuted { pid } ->
         Hashtbl.remove st.live pid;
         Hashtbl.remove st.holder pid;

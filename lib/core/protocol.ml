@@ -55,7 +55,7 @@ type msg =
   | Epoch_notice
   | Ack of { mid : int }
   | Nack of { mid : int }
-  | Reliable of { mid : int; payload : msg }
+  | Reliable of { mid : int; low : int; payload : msg }
   | Framed of { digest : int; epoch : int; payload : msg }
   | Corrupt_payload
 
@@ -276,7 +276,7 @@ let rec emit sink = function
   | Nack { mid } ->
       s sink "nack ";
       i sink mid
-  | Reliable { mid; payload } ->
+  | Reliable { mid; low = _; payload } ->
       s sink "rel ";
       int_sp sink mid;
       emit sink payload
@@ -309,12 +309,12 @@ let verify = function
 
 (* In-flight bit rot: the payload content becomes unreadable trash, while
    the small fixed-position headers — the frame digest and a reliable
-   envelope's mid — survive (they carry their own header CRC in any real
+   envelope's mid and low-water mark — survive (they carry their own header CRC in any real
    encoding).  That is exactly the shape that lets a receiver detect the
    damage and name the envelope to NACK. *)
 let corrupt msg =
   let garble = function
-    | Reliable { mid; payload = _ } -> Reliable { mid; payload = Corrupt_payload }
+    | Reliable { mid; low; payload = _ } -> Reliable { mid; low; payload = Corrupt_payload }
     | _ -> Corrupt_payload
   in
   match msg with

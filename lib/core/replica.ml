@@ -16,7 +16,7 @@ type t = {
   journal : Journal.t;
   pending : (int, Protocol.journal_entry list * string) Hashtbl.t;
       (* out-of-order batches, keyed by the entry index they start at *)
-  inbox : Reliable.inbox;
+  streams : Reliable.streams;
   mutable applied_entries : int;
   batches : Obs.Metrics.counter;  (* the [standby.ships.applied] series *)
   divergences : Obs.Metrics.counter;
@@ -84,7 +84,7 @@ let rec apply_batch t ~src ~seq ~entries ~log_digest =
    noise (e.g. a client probing a stale address). *)
 let handle t ~src msg =
   if not (t.stopped || t.promoted) then
-    Reliable.receive t.inbox ~me:standby_id ~epoch:t.epoch ~reply:(send_raw t) ~log:t.log
+    Reliable.receive t.streams ~me:standby_id ~epoch:t.epoch ~reply:(send_raw t) ~log:t.log
       ~succession:(fun ~src:_ ~epoch ->
         t.epoch <- epoch;
         true)
@@ -120,7 +120,7 @@ let create ?(obs = Obs.disabled) ~sim ~bus ~cfg ~log ~on_lease_expired () =
       on_lease_expired;
       journal = Journal.create ~obs ~compact_every:cfg.Config.journal_compact_every ();
       pending = Hashtbl.create 8;
-      inbox = Reliable.inbox ();
+      streams = Reliable.streams ();
       applied_entries = 0;
       batches = Obs.Metrics.counter m "standby.ships.applied";
       divergences = Obs.Metrics.counter m "standby.divergences";

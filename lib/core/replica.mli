@@ -21,9 +21,10 @@
     {!Master} promotes the standby into a primary at a bumped epoch.
 
     The replica deliberately owns no {!Reliable} channel of its own: it
-    receives through {!Reliable.receive} with its own {!Reliable.inbox},
-    which raw-acks and dedups every reliable envelope, without the retry
-    machinery it never needs ([Ship_ack] loss is repaired by the
+    receives through {!Reliable.receive} with its own {!Reliable.streams},
+    which raw-acks every reliable envelope and delivers the primary's
+    shipments in order, once each, without the retry machinery it never
+    needs ([Ship_ack] loss is repaired by the
     primary's own retries of the next batch). *)
 
 type t

@@ -15,6 +15,7 @@ let build ?(meta = []) ~obs (r : Master.result) =
       [
         ("run", run_section r);
         ("solver", Sat.Stats.json r.Master.solver_stats);
+        ("wall", Sat.Stats.wall_json r.Master.solver_stats);
         ("timeline", Timeline.json curve);
       ]
     ~metrics:(Obs.metrics obs) ~spans:(Obs.spans obs) ()

@@ -1,6 +1,7 @@
 (** The aggregated run report: one JSON document merging every layer of
     a finished run — the metrics registry, the span tree, the run-level
-    counters from {!Master.result}, the aggregated {!Sat.Stats}, and the
+    counters from {!Master.result}, the aggregated {!Sat.Stats} (its
+    counts in [solver], its wall-clock timings apart in [wall]), and the
     {!Timeline} busy curve.  [gridsat solve --report] writes it; [gridsat
     report] validates and summarises it. *)
 

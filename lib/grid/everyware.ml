@@ -6,6 +6,7 @@ type 'msg t = {
   sim : Sim.t;
   net : Network.t;
   endpoints : (int, 'msg endpoint) Hashtbl.t;
+  last_delivery : (int * int, float) Hashtbl.t;  (* (src, dst) -> latest delivery time scheduled *)
   mutable bytes : int;
   mutable dropped_bytes : int;
   mutable fault : (src_site:string -> dst_site:string -> bytes:int -> fault_decision) option;
@@ -26,6 +27,7 @@ let create ?(obs = Obs.disabled) sim net =
     sim;
     net;
     endpoints = Hashtbl.create 64;
+    last_delivery = Hashtbl.create 64;
     bytes = 0;
     dropped_bytes = 0;
     fault = None;
@@ -56,9 +58,6 @@ let site_of t id =
   | Some e -> e.site
   | None -> invalid_arg (Printf.sprintf "Everyware: endpoint %d not registered" id)
 
-let transfer_time t ~src ~dst ~bytes =
-  Network.transfer_time t.net ~src:(site_of t src) ~dst:(site_of t dst) ~bytes
-
 let pair_hists t ~src_site ~dst_site =
   match Hashtbl.find_opt t.pair_hists (src_site, dst_site) with
   | Some pair -> pair
@@ -85,9 +84,19 @@ let send t ~src ~dst ~bytes msg =
     Obs.Metrics.observe h_bytes (float_of_int bytes);
     Obs.Metrics.observe h_latency delay
   end;
+  (* A link is a stream: a message is delivered no earlier than the one
+     sent before it on the same (src, dst) link, and the simulator fires
+     same-instant events in scheduling order, so no fault reorders a link. *)
   let deliver_msg extra m =
+    let at = Sim.now t.sim +. Float.max 0. (delay +. extra) in
+    let at =
+      match Hashtbl.find_opt t.last_delivery (src, dst) with
+      | Some last when last > at -> last
+      | _ -> at
+    in
+    Hashtbl.replace t.last_delivery (src, dst) at;
     ignore
-      (Sim.schedule t.sim ~delay:(delay +. extra) (fun () ->
+      (Sim.schedule_at t.sim ~time:at (fun () ->
            match Hashtbl.find_opt t.endpoints dst with
            | Some e -> e.handler ~src m
            | None -> () (* endpoint vanished while the message was in flight *)))

@@ -2,21 +2,31 @@
 
     The paper's GridSAT components communicate through the EveryWare
     toolkit.  This layer provides the same service over the simulator:
-    typed point-to-point messages between registered endpoints, delivered
-    after the network transfer time for their payload size, with global
-    traffic accounting.  Peer-to-peer subproblem transfers and
+    typed point-to-point messages between registered endpoints, with
+    global traffic accounting.  Peer-to-peer subproblem transfers and
     master/client control traffic both go through here.
 
+    Each (src, dst) link is a stream, as EveryWare's TCP connections
+    were: a message is delivered at the later of its send time plus the
+    network transfer time for its size and the link's previous delivery,
+    so a small message never overtakes a large one sent before it.
+
     Delivery is perfect unless a fault hook is installed (see
-    {!set_fault}): fault injection can drop, delay, or duplicate any
-    message at send time, which is how {!Fault} plans model lossy WAN
-    links, partitions, and latency spikes. *)
+    {!set_fault}): fault injection can drop, delay, duplicate or corrupt
+    any message at send time, which is how {!Fault} plans model lossy WAN
+    links, partitions, and latency spikes.  No decision reorders a link:
+    a delayed or duplicated message holds back the messages sent after
+    it on its link. *)
 
 type fault_decision =
   | Deliver  (** normal delivery after the transfer time *)
   | Drop  (** the message is lost; counted in {!messages_dropped} *)
-  | Delay of float  (** delivered, but this many extra seconds late *)
-  | Duplicate of float  (** delivered normally, plus a second copy this much later *)
+  | Delay of float
+      (** delivered, but this many extra seconds late (and the link's
+          later messages with it) *)
+  | Duplicate of float
+      (** delivered normally, plus a second copy this much later (which
+          holds back the link's later messages too) *)
   | Corrupt
       (** delivered on time, but the payload is passed through the hook
           installed with {!set_corrupt} (bit rot in flight); degrades to
@@ -42,7 +52,8 @@ val unregister : 'msg t -> id:int -> unit
 
 val send : 'msg t -> src:int -> dst:int -> bytes:int -> 'msg -> unit
 (** Schedules delivery of [msg] after the transfer time from [src]'s site
-    to [dst]'s site, subject to the fault hook.  Raises [Invalid_argument]
+    to [dst]'s site, and not before the link's previous delivery, subject
+    to the fault hook.  Raises [Invalid_argument]
     if [src] is not registered; unknown destinations drop the message at
     delivery time. *)
 
@@ -69,6 +80,3 @@ val messages_dropped : 'msg t -> int
 
 val bytes_dropped : 'msg t -> int
 
-val transfer_time : 'msg t -> src:int -> dst:int -> bytes:int -> float
-(** The delay {!send} would apply right now (used by clients to record
-    how long their problem took to arrive — the split-timeout base). *)

@@ -85,9 +85,14 @@ let json t =
       ("foreign_merged", Obs.Json.Int t.foreign_merged);
       ("foreign_discarded", Obs.Json.Int t.foreign_discarded);
       ("foreign_implications", Obs.Json.Int t.foreign_implications);
+      ("avg_learned_length", Obs.Json.Float (avg_learned_length t));
+    ]
+
+let wall_json t =
+  Obs.Json.Obj
+    [
       ("bcp_seconds", Obs.Json.Float t.bcp_seconds);
       ("total_seconds", Obs.Json.Float t.total_seconds);
-      ("avg_learned_length", Obs.Json.Float (avg_learned_length t));
       ("bcp_fraction", Obs.Json.Float (bcp_fraction t));
     ]
 

@@ -39,8 +39,13 @@ val pp : Format.formatter -> t -> unit
 (** Print every field (counters, timings, and the derived averages). *)
 
 val json : t -> Obs.Json.t
-(** All fields plus [avg_learned_length]/[bcp_fraction], for embedding
-    in the run report. *)
+(** The counters plus [avg_learned_length], for embedding in a run
+    report: deterministic for a seeded run. *)
+
+val wall_json : t -> Obs.Json.t
+(** The wall-clock timings, [bcp_seconds], [total_seconds] and
+    [bcp_fraction]: a report's [wall] section, which two runs of one
+    seed do not share. *)
 
 val to_json : t -> string
 (** [json] rendered compactly. *)

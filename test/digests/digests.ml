@@ -146,7 +146,7 @@ let messages : (string * P.msg) list =
     ("epoch_notice", Epoch_notice);
     ("ack", Ack { mid = 42 });
     ("nack", Nack { mid = -1 });
-    ("reliable", Reliable { mid = 43; payload = Split_partner { partner = 2 } });
+    ("reliable", Reliable { mid = 43; low = 41; payload = Split_partner { partner = 2 } });
     ("framed", Framed { digest = min_int; epoch = 3; payload = Stop });
     ("corrupt_payload", Corrupt_payload);
   ]

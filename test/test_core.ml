@@ -978,7 +978,8 @@ let test_protocol_sizes () =
     && C.Protocol.size (C.Protocol.Ack { mid = 7 }) = C.Protocol.control_bytes);
   check bool "reliable envelope weighs what its payload weighs" true
     (C.Protocol.size
-       (C.Protocol.Reliable { mid = 3; payload = C.Protocol.Problem { pid = (1, 0); sp; sent_at = 0. } })
+       (C.Protocol.Reliable
+          { mid = 3; low = 1; payload = C.Protocol.Problem { pid = (1, 0); sp; sent_at = 0. } })
     = Sub.bytes sp);
   check bool "critical classification" true
     (C.Protocol.critical (C.Protocol.Finished_unsat { pid = (1, 0); proof = None })
@@ -1016,23 +1017,127 @@ let test_reliable_duplicate_ack () =
     | [ (7, C.Protocol.Reliable { mid; _ }) ] -> mid
     | _ -> Alcotest.fail "expected one enveloped transmission"
   in
-  C.Reliable.handle_ack rel ~mid;
+  C.Reliable.handle_ack rel ~src:7 ~mid;
   check int "settled" 0 (C.Reliable.outstanding rel);
   (* a duplicate ack (retransmission crossed the first ack) is a no-op *)
-  C.Reliable.handle_ack rel ~mid;
-  C.Reliable.handle_ack rel ~mid:999;
+  C.Reliable.handle_ack rel ~src:7 ~mid;
+  C.Reliable.handle_ack rel ~src:7 ~mid:999;
   check int "still settled" 0 (C.Reliable.outstanding rel);
   drain sim;
   check int "no retries after the ack" 0 (C.Reliable.retries rel);
   check bool "never gave up" true (!gave = [])
 
-let test_reliable_dedup_on_admission () =
-  let inbox = C.Reliable.inbox () in
-  check bool "first (5,1) admitted" true (C.Reliable.admit inbox ~src:5 ~mid:1);
-  check bool "replayed (5,1) rejected" false (C.Reliable.admit inbox ~src:5 ~mid:1);
-  check bool "same src, new mid admitted" true (C.Reliable.admit inbox ~src:5 ~mid:2);
-  check bool "same mid, other src admitted" true (C.Reliable.admit inbox ~src:6 ~mid:1);
-  check bool "replay still rejected" false (C.Reliable.admit inbox ~src:5 ~mid:1)
+(* Streams under any fault mix: 2-3 endpoints exchange numbered payloads
+   over one bus whose every send (envelopes, acks and NACKs alike) takes
+   a random drop, delay, duplicate or corrupt decision, with attempt
+   budgets small enough that some envelopes are given up.  For each
+   (src, dst) stream the receiver delivers payloads in send order, each
+   at most once, and every payload not abandoned; the sender's
+   [on_give_up] sees the abandoned ones oldest first, and nothing is left
+   outstanding.  (An abandoned payload may still have been delivered: its
+   last copy or ack can be lost after delivery.) *)
+let prop_reliable_streams =
+  let decision =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, return Grid.Everyware.Deliver);
+          (2, return Grid.Everyware.Drop);
+          (1, map (fun d -> Grid.Everyware.Delay d) (float_bound_inclusive 6.));
+          (1, map (fun d -> Grid.Everyware.Duplicate d) (float_bound_inclusive 6.));
+          (1, return Grid.Everyware.Corrupt);
+        ])
+  in
+  let gen =
+    QCheck.Gen.(
+      quad (int_range 2 3) (int_range 1 2)
+        (list_size (int_range 1 40) (triple (int_range 1 3) (int_range 1 3) (float_bound_inclusive 30.)))
+        (list_size (int_range 0 300) decision))
+  in
+  QCheck.Test.make ~name:"streams deliver in order, once" ~count:300 (QCheck.make gen)
+    (fun (n, max_attempts, sends, decisions) ->
+      let sim = Grid.Sim.create () in
+      let bus = Grid.Everyware.create sim (Grid.Network.create ()) in
+      let pending = ref decisions in
+      Grid.Everyware.set_fault bus (fun ~src_site:_ ~dst_site:_ ~bytes:_ ->
+          match !pending with
+          | d :: rest ->
+              pending := rest;
+              d
+          | [] -> Grid.Everyware.Deliver);
+      Grid.Everyware.set_corrupt bus C.Protocol.corrupt;
+      let delivered = Hashtbl.create 16 and abandoned = Hashtbl.create 16 in
+      let note tbl key k = Hashtbl.replace tbl key (k :: Option.value ~default:[] (Hashtbl.find_opt tbl key)) in
+      let seq_of = function C.Protocol.Cancel { pid = _, k } -> k | _ -> -1 in
+      let endpoints =
+        List.init n (fun i ->
+            let id = i + 1 in
+            let raw ~dst msg = C.Protocol.send bus ~src:id ~dst ~epoch:0 msg in
+            let rel =
+              C.Reliable.create ~sim ~send_raw:raw
+                ~active:(fun () -> true)
+                ~retry_base:1.0 ~max_attempts
+                ~on_retry:(fun ~dst:_ ~attempt:_ -> ())
+                ~on_give_up:(fun ~dst msg -> note abandoned (id, dst) (seq_of msg))
+                ()
+            in
+            Grid.Everyware.register bus ~id ~site:(Printf.sprintf "s%d" id) ~handler:(fun ~src msg ->
+                C.Reliable.receive ~rel (C.Reliable.streams_of rel) ~me:id ~epoch:0 ~reply:raw
+                  ~log:ignore
+                  ~deliver:(fun ~src msg -> note delivered (src, id) (seq_of msg))
+                  ~src msg);
+            rel)
+      in
+      let sent = Hashtbl.create 16 in
+      List.iter
+        (fun (src, dst, at) ->
+          if src <= n && dst <= n && src <> dst then
+            ignore
+              (Grid.Sim.schedule sim ~delay:at (fun () ->
+                   let k = Option.value ~default:0 (Hashtbl.find_opt sent (src, dst)) in
+                   Hashtbl.replace sent (src, dst) (k + 1);
+                   C.Reliable.send (List.nth endpoints (src - 1)) ~dst
+                     (C.Protocol.Cancel { pid = (src, k) }))))
+        sends;
+      drain sim;
+      let ascending l = List.sort_uniq compare l = l in
+      let ints l = String.concat " " (List.map string_of_int l) in
+      Hashtbl.iter
+        (fun (src, dst) count ->
+          let got = List.rev (Option.value ~default:[] (Hashtbl.find_opt delivered (src, dst)))
+          and lost = List.rev (Option.value ~default:[] (Hashtbl.find_opt abandoned (src, dst))) in
+          if
+            not
+              (ascending got && ascending lost
+              && List.for_all (fun k -> List.mem k lost || List.mem k got) (List.init count Fun.id))
+          then
+            QCheck.Test.fail_reportf "stream %d -> %d: %d sent, delivered [%s], abandoned [%s]" src
+              dst count (ints got) (ints lost))
+        sent;
+      List.for_all (fun rel -> C.Reliable.outstanding rel = 0) endpoints)
+
+(* A stream's receive state is one counter per peer: 10,000 envelopes
+   delivered in order, from two peers, leave it as large as 10 did. *)
+let test_reliable_receive_state_bounded () =
+  let rx = C.Reliable.streams () in
+  let deliver_from src mid =
+    C.Reliable.receive rx ~me:0 ~epoch:0
+      ~reply:(fun ~dst:_ _ -> ())
+      ~log:ignore
+      ~deliver:(fun ~src:_ _ -> ())
+      ~src
+      (C.Protocol.Reliable { mid; low = mid; payload = C.Protocol.Stop })
+  in
+  for mid = 0 to 4 do
+    deliver_from 1 mid;
+    deliver_from 2 mid
+  done;
+  let words = Obj.reachable_words (Obj.repr rx) in
+  for mid = 5 to 4_999 do
+    deliver_from 1 mid;
+    deliver_from 2 mid
+  done;
+  check int "no growth after 10,000 envelopes" words (Obj.reachable_words (Obj.repr rx))
 
 let test_reliable_exhaustion_signal () =
   let sim = Grid.Sim.create () in
@@ -1432,7 +1537,8 @@ let () =
       ( "reliable",
         [
           Alcotest.test_case "duplicate ack is a no-op" `Quick test_reliable_duplicate_ack;
-          Alcotest.test_case "dedup on admission" `Quick test_reliable_dedup_on_admission;
+          QCheck_alcotest.to_alcotest prop_reliable_streams;
+          Alcotest.test_case "receive state bounded" `Quick test_reliable_receive_state_bounded;
           Alcotest.test_case "retry exhaustion signal" `Quick test_reliable_exhaustion_signal;
         ] );
       ( "protocol",

@@ -353,7 +353,59 @@ let test_everyware_fault_delay_and_duplicate () =
   let count m = List.length (List.filter (fun (x, _) -> String.equal x m) !arrivals) in
   check int "duplicated delivered twice" 2 (count "twice");
   check int "delayed delivered once" 1 (count "slow");
-  check bool "delay adds latency" true (List.assoc "slow" !arrivals > List.assoc "plain" !arrivals)
+  check bool "delay adds latency" true (List.assoc "slow" !arrivals >= 5.0);
+  check bool "a later message on the link waits for the delayed one" true
+    (List.assoc "plain" !arrivals >= List.assoc "slow" !arrivals);
+  check (Alcotest.list Alcotest.string) "arrivals keep send order"
+    [ "slow"; "plain"; "twice"; "twice" ]
+    (List.rev_map fst !arrivals)
+
+(* No fault mix reorders a link: whatever each send's decision (drop,
+   delay, duplicate, corrupt) and size, the copies that arrive on each
+   (src, dst) link arrive in send order, a duplicate right behind or
+   after its original, and other links are not held back. *)
+let prop_everyware_link_order =
+  let decision =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, return Everyware.Deliver);
+          (1, return Everyware.Drop);
+          (1, map (fun d -> Everyware.Delay d) (float_bound_inclusive 5.));
+          (1, map (fun d -> Everyware.Duplicate d) (float_bound_inclusive 5.));
+          (1, return Everyware.Corrupt);
+        ])
+  in
+  let send = QCheck.Gen.(quad (int_range 1 3) (int_range 1 3) (int_range 1 200_000) decision) in
+  let gen = QCheck.Gen.(list_size (int_range 1 60) send) in
+  QCheck.Test.make ~name:"no fault reorders a link" ~count:200 (QCheck.make gen) (fun sends ->
+      let sim = Sim.create () in
+      let bus = Everyware.create sim (Network.create ()) in
+      let arrivals = ref [] in
+      List.iter
+        (fun id ->
+          Everyware.register bus ~id ~site:(if id = 1 then "a" else "b") ~handler:(fun ~src n ->
+              arrivals := (src, id, abs n) :: !arrivals))
+        [ 1; 2; 3 ];
+      let pending = ref [] in
+      Everyware.set_fault bus (fun ~src_site:_ ~dst_site:_ ~bytes:_ ->
+          match !pending with d :: rest -> pending := rest; d | [] -> Everyware.Deliver);
+      Everyware.set_corrupt bus (fun n -> -n);
+      List.iteri
+        (fun i (src, dst, bytes, d) ->
+          pending := [ d ];
+          Everyware.send bus ~src ~dst ~bytes i)
+        sends;
+      Sim.run sim ~until:1e9;
+      List.for_all
+        (fun (src, dst) ->
+          let seen =
+            List.filter_map
+              (fun (s, d, n) -> if s = src && d = dst then Some n else None)
+              (List.rev !arrivals)
+          in
+          List.sort compare seen = seen)
+        [ (1, 2); (1, 3); (2, 1); (2, 3); (3, 1); (3, 2); (1, 1); (2, 2); (3, 3) ])
 
 (* ---------- Fault plans ---------- *)
 
@@ -693,6 +745,7 @@ let () =
           Alcotest.test_case "fault drop" `Quick test_everyware_fault_drop;
           Alcotest.test_case "fault delay and duplicate" `Quick
             test_everyware_fault_delay_and_duplicate;
+          QCheck_alcotest.to_alcotest prop_everyware_link_order;
         ] );
       ( "fault",
         [

@@ -144,7 +144,7 @@ module Ref = struct
     | Epoch_notice -> pf "epoch!"
     | Ack { mid } -> pf "ack %d" mid
     | Nack { mid } -> pf "nack %d" mid
-    | Reliable { mid; payload } ->
+    | Reliable { mid; low = _; payload } ->
         pf "rel %d " mid;
         render buf payload
     | Framed { digest; epoch; payload } ->
@@ -408,7 +408,7 @@ let rec gen_msg depth : P.msg QCheck.Gen.t =
     frequency
       [
         (4, oneof flat);
-        (1, map2 (fun mid payload -> P.Reliable { mid; payload }) gen_int inner);
+        (1, map3 (fun mid low payload -> P.Reliable { mid; low; payload }) gen_int gen_int inner);
         (1, map3 (fun digest epoch payload -> P.Framed { digest; epoch; payload }) gen_int gen_int inner);
       ]
 

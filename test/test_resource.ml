@@ -95,12 +95,10 @@ let test_queue_pressure_hysteresis () =
   ignore (Flow.pop q);
   check bool "released at the low watermark" false (Flow.under_pressure q)
 
-let test_queue_push_front_and_take () =
+let test_queue_take_first () =
   let q = Flow.queue ~high:5 ~critical:(fun _ -> false) ~value:(fun x -> x) () in
   ignore (Flow.push q 1);
   ignore (Flow.push q 2);
-  ignore (Flow.push_front q 9);
-  check (Alcotest.option int) "requeued item pops first" (Some 9) (Flow.pop q);
   ignore (Flow.push q 4);
   check (Alcotest.option int) "take_first finds the oldest match" (Some 2)
     (Flow.take_first q (fun x -> x mod 2 = 0));
@@ -385,7 +383,7 @@ let () =
           Alcotest.test_case "shed ties oldest first" `Quick test_queue_shed_ties_oldest_first;
           Alcotest.test_case "critical unsheddable" `Quick test_queue_critical_unsheddable;
           Alcotest.test_case "pressure hysteresis" `Quick test_queue_pressure_hysteresis;
-          Alcotest.test_case "push_front and take_first" `Quick test_queue_push_front_and_take;
+          Alcotest.test_case "take_first" `Quick test_queue_take_first;
           QCheck_alcotest.to_alcotest prop_shed_never_drops_critical;
         ] );
       ( "flow-budget",
