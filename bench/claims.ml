@@ -430,7 +430,11 @@ let master_crash () =
       ~fault_plan:
         [
           F.Crash_master
-            { at = Float.max 4. (0.3 *. t); restart_after = Float.max 10. (0.15 *. t) };
+            {
+              at = Float.max 4. (0.3 *. t);
+              restart_after = Float.max 10. (0.15 *. t);
+              by_verdict = false;
+            };
         ]
   in
   if Snapshot.enabled () then
@@ -724,12 +728,20 @@ let failover () =
         in
         let restart =
           C.Gridsat.solve ~config:(base seed)
-            ~fault_plan:[ loss; F.Crash_master { at = crash_at; restart_after = cold_restart } ]
+            ~fault_plan:
+              [
+                loss;
+                F.Crash_master { at = crash_at; restart_after = cold_restart; by_verdict = false };
+              ]
             ~testbed:(testbed ()) cnf
         in
         let standby =
           C.Gridsat.solve ~config:(standby_cfg seed)
-            ~fault_plan:[ loss; F.Crash_master { at = crash_at; restart_after = infinity } ]
+            ~fault_plan:
+              [
+                loss;
+                F.Crash_master { at = crash_at; restart_after = infinity; by_verdict = false };
+              ]
             ~testbed:(testbed ()) cnf
         in
         let d_re = downtime restart and d_st = downtime standby in

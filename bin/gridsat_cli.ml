@@ -345,6 +345,14 @@ let solve_grid shared ~stats ~share_len ~timeout ~chaos_partition ~certify ~stra
                %d divergences@."
               (c "promotions") (c "ships") (c "stale_epoch_rejections")
               (c "replication_divergences");
+          (* a partition the run ended before cut nothing off: say so *)
+          List.iter
+            (function
+              | Grid.Fault.Partition_site { from_t; _ } when result.Master.time < from_t ->
+                  Format.printf "c chaos: the run ended at %.1f s, before the partition at %g s@."
+                    result.Master.time from_t
+              | _ -> ())
+            fault_plan;
           (match health with Some hm when health_report -> print_health_table hm | _ -> ());
           if resource_limited shared then
             Format.printf

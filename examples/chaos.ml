@@ -76,7 +76,7 @@ let () =
     [
       F.Partition_site { site = "west"; from_t = p_from; until_t = p_until };
       F.Drop_messages { src_site = None; dst_site = None; p = 0.1; from_t = 0.; until_t = infinity };
-      F.Crash_master { at = m_at; restart_after = 20. };
+      F.Crash_master { at = m_at; restart_after = 20.; by_verdict = false };
     ]
   in
   Format.printf "--- chaos run ---@.";

@@ -4,7 +4,9 @@ let chaos_plan ~standby ~partition =
   [
     F.Crash_host { host = 1; at = 2. };
     (if partition then F.Partition_site { site = Replica.site; from_t = 6.; until_t = 18. }
-     else F.Crash_master { at = 6.; restart_after = (if standby then infinity else 4.) });
+     else
+       F.Crash_master
+         { at = 6.; restart_after = (if standby then infinity else 4.); by_verdict = standby });
     F.Drop_messages { src_site = None; dst_site = None; p = 0.1; from_t = 0.; until_t = infinity };
     F.Duplicate_messages { p = 0.05; extra = 0.5; from_t = 0.; until_t = infinity };
   ]

@@ -23,7 +23,8 @@ val chaos_plan : standby:bool -> partition:bool -> Grid.Fault.spec list
 (** [--chaos]: host 1 crashes at 2 s, the master crashes at 6 s, and 10%
     message loss plus 5% duplication run all along.  The master restarts
     4 s later, or never with [standby] (the standby's lease expiry
-    promotes it instead).  [partition] replaces the master crash with a
+    promotes it instead); with [standby] the crash is due by the verdict,
+    so a run that would end before 6 s fails over too.  [partition] replaces the master crash with a
     partition of the standby's site from 6 s to 18 s: the promoted
     standby leaves a usurped primary whose stale-epoch frames must be
     fenced after the heal.  Times are absolute virtual seconds, early

@@ -1,7 +1,7 @@
 type spec =
   | Crash_host of { host : int; at : float }
   | Hang_host of { host : int; at : float }
-  | Crash_master of { at : float; restart_after : float }
+  | Crash_master of { at : float; restart_after : float; by_verdict : bool }
   | Drop_messages of {
       src_site : string option;
       dst_site : string option;
@@ -88,6 +88,7 @@ type t = {
   mutable slowdowns : int;
   mutable choked : int;
   mutable disk_fulls : int;
+  mutable verdict_due : unit -> unit;  (* fires every [by_verdict] crash *)
 }
 
 let arm ~sim ~seed ~on_crash ~on_hang ?(on_master_crash = fun () -> ())
@@ -129,6 +130,7 @@ let arm ~sim ~seed ~on_crash ~on_hang ?(on_master_crash = fun () -> ())
       slowdowns = 0;
       choked = 0;
       disk_fulls = 0;
+      verdict_due = ignore;
     }
   in
   List.iter
@@ -143,11 +145,18 @@ let arm ~sim ~seed ~on_crash ~on_hang ?(on_master_crash = fun () -> ())
             (Sim.schedule_at sim ~time:at (fun () ->
                  t.hangs <- t.hangs + 1;
                  on_hang host))
-      | Crash_master { at; restart_after } ->
-          ignore
-            (Sim.schedule_at sim ~time:at (fun () ->
-                 t.master_crashes <- t.master_crashes + 1;
-                 on_master_crash ()));
+      | Crash_master { at; restart_after; by_verdict } ->
+          let fired = ref false in
+          let crash () =
+            if not !fired then begin
+              fired := true;
+              t.master_crashes <- t.master_crashes + 1;
+              on_master_crash ()
+            end
+          in
+          ignore (Sim.schedule_at sim ~time:at crash);
+          let due = t.verdict_due in
+          if by_verdict then t.verdict_due <- (fun () -> due (); crash ());
           (* restart_after = infinity means the old master never comes
              back (a hot standby is expected to take over); scheduling an
              infinite-time event would drag the virtual clock along *)
@@ -319,6 +328,8 @@ let decide t ~src_site ~dst_site ~bytes =
         Everyware.Delay d
   end
 
+let verdict_due t = t.verdict_due ()
+
 let counters t =
   {
     crashes = t.crashes;
@@ -344,7 +355,7 @@ let validate specs =
   let check = function
     | Crash_host { at; _ } | Hang_host { at; _ } ->
         if at < 0. then err "crash/hang time must be non-negative, got %g" at else Ok ()
-    | Crash_master { at; restart_after } ->
+    | Crash_master { at; restart_after; _ } ->
         if at < 0. then err "Crash_master: at must be non-negative, got %g" at
         else if restart_after < 0. then
           err "Crash_master: restart_after must be non-negative, got %g" restart_after

@@ -27,13 +27,15 @@
 type spec =
   | Crash_host of { host : int; at : float }
   | Hang_host of { host : int; at : float }
-  | Crash_master of { at : float; restart_after : float }
+  | Crash_master of { at : float; restart_after : float; by_verdict : bool }
       (** the master process dies at [at] (volatile state lost, endpoint
           gone) and a replacement replays the journal [restart_after]
-          seconds later.  Clients keep solving autonomously in between.
+          seconds after [at].  Clients keep solving autonomously in between.
           [restart_after = infinity] means no replacement ever starts —
           the shape used under hot-standby replication, where the
-          standby's lease expiry promotes it instead. *)
+          standby's lease expiry promotes it instead.  With [by_verdict]
+          a run that reaches a verdict first has its master die just
+          before announcing it ({!verdict_due}). *)
   | Drop_messages of {
       src_site : string option;
       dst_site : string option;
@@ -144,6 +146,9 @@ val arm :
 val decide :
   t -> src_site:string -> dst_site:string -> bytes:int -> Everyware.fault_decision
 (** The {!Everyware.set_fault} hook for this plan. *)
+
+val verdict_due : t -> unit
+(** The master is about to announce a verdict: fire each [by_verdict] crash not yet fired. *)
 
 val counters : t -> counters
 (** How many faults the plan has injected so far. *)

@@ -61,9 +61,8 @@ let chaos_plan ?(master_crash = false) ?(corrupt_p = 0.) ?(crash_hosts = 0) ?(sl
          happens so the rest of the schedule stays aligned with the
          equivalent non-standby run at the same seed. *)
       let drawn = 1. +. frnd 1. in
-      add
-        (Grid.Fault.Crash_master
-           { at; restart_after = (if run.Config.standby then infinity else drawn) })
+      let restart_after = if run.Config.standby then infinity else drawn in
+      add (Grid.Fault.Crash_master { at; restart_after; by_verdict = false })
     end;
     let n = List.length hosts in
     List.iteri

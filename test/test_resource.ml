@@ -308,7 +308,11 @@ let test_outbox_bounded_during_outage () =
   let plan =
     [
       F.Crash_master
-        { at = Float.max 4. (0.25 *. t); restart_after = Float.max 25. (0.4 *. t) };
+        {
+          at = Float.max 4. (0.25 *. t);
+          restart_after = Float.max 25. (0.4 *. t);
+          by_verdict = false;
+        };
     ]
   in
   let r = solve ~config:outage_config ~fault_plan:plan cnf in

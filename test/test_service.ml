@@ -935,7 +935,8 @@ let service_chaos_expected =
             until_t = 1000004.4309847591 };
         F.Crash_host { host = 2; at = 5.0150206632409446 };
         F.Crash_host { host = 1; at = 3.99513653280143 };
-        F.Crash_master { at = 4.6107474712690983; restart_after = 1.8405469188803916 };
+        F.Crash_master
+          { at = 4.6107474712690983; restart_after = 1.8405469188803916; by_verdict = false };
         F.Choke_link
           { src_site = None; dst_site = None; bytes_per_window = 4096; window = 1.5; from_t = 3.;
             until_t = 1000003. };
@@ -952,7 +953,7 @@ let service_chaos_expected =
             until_t = 1000004.4309847591 };
         F.Crash_host { host = 2; at = 5.0150206632409446 };
         F.Crash_host { host = 1; at = 3.99513653280143 };
-        F.Crash_master { at = 4.6107474712690983; restart_after = infinity };
+        F.Crash_master { at = 4.6107474712690983; restart_after = infinity; by_verdict = false };
         F.Choke_link
           { src_site = None; dst_site = None; bytes_per_window = 4096; window = 1.5; from_t = 3.;
             until_t = 1000003. };
@@ -964,7 +965,8 @@ let service_chaos_expected =
         F.Flaky_host
           { host = 1; factor = 5.; period = 6.9429752185196865; from_t = 3.7787664754306145;
             until_t = 1000003.7787664754 };
-        F.Crash_master { at = 4.6107474712690983; restart_after = 1.8405469188803916 };
+        F.Crash_master
+          { at = 4.6107474712690983; restart_after = 1.8405469188803916; by_verdict = false };
         F.Choke_link
           { src_site = None; dst_site = None; bytes_per_window = 4096; window = 1.5; from_t = 3.;
             until_t = 1000003. };
@@ -976,7 +978,7 @@ let service_chaos_expected =
         F.Flaky_host
           { host = 1; factor = 5.; period = 6.9429752185196865; from_t = 3.7787664754306145;
             until_t = 1000003.7787664754 };
-        F.Crash_master { at = 4.6107474712690983; restart_after = infinity };
+        F.Crash_master { at = 4.6107474712690983; restart_after = infinity; by_verdict = false };
         F.Choke_link
           { src_site = None; dst_site = None; bytes_per_window = 4096; window = 1.5; from_t = 3.;
             until_t = 1000003. };
@@ -989,7 +991,8 @@ let service_chaos_expected =
         F.Slow_host { host = 2; at = 4.4309847590893581; factor = 5. };
         F.Crash_host { host = 2; at = 5.0150206632409446 };
         F.Crash_host { host = 1; at = 3.99513653280143 };
-        F.Crash_master { at = 4.6107474712690983; restart_after = 1.8405469188803916 };
+        F.Crash_master
+          { at = 4.6107474712690983; restart_after = 1.8405469188803916; by_verdict = false };
         F.Choke_link
           { src_site = None; dst_site = None; bytes_per_window = 4096; window = 1.5; from_t = 3.;
             until_t = 1000003. };
@@ -1035,7 +1038,7 @@ let gridsat_chaos_expected =
     ( (false, false),
       [
         F.Crash_host { host = 1; at = 2. };
-        F.Crash_master { at = 6.; restart_after = 4. };
+        F.Crash_master { at = 6.; restart_after = 4.; by_verdict = false };
         F.Drop_messages
           { src_site = None; dst_site = None; p = 0.1; from_t = 0.; until_t = infinity };
         F.Duplicate_messages { p = 0.05; extra = 0.5; from_t = 0.; until_t = infinity };
@@ -1043,7 +1046,7 @@ let gridsat_chaos_expected =
     ( (true, false),
       [
         F.Crash_host { host = 1; at = 2. };
-        F.Crash_master { at = 6.; restart_after = infinity };
+        F.Crash_master { at = 6.; restart_after = infinity; by_verdict = true };
         F.Drop_messages
           { src_site = None; dst_site = None; p = 0.1; from_t = 0.; until_t = infinity };
         F.Duplicate_messages { p = 0.05; extra = 0.5; from_t = 0.; until_t = infinity };
