@@ -507,7 +507,7 @@ let handle_payload t ~src msg =
   | Protocol.Register | Protocol.Problem_received _ | Protocol.Split_request _
   | Protocol.Split_ok _ | Protocol.Split_failed _ | Protocol.Shares _ | Protocol.Finished_unsat _
   | Protocol.Found_model _ | Protocol.Orphaned _ | Protocol.Resync _ | Protocol.Heartbeat _
-  | Protocol.Ship _ | Protocol.Ship_ack _ ->
+  | Protocol.Ship _ ->
       (* master- or standby-bound messages; a client should never receive them *)
       ()
   | Protocol.Corrupt_payload ->

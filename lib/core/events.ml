@@ -41,7 +41,6 @@ type kind =
   | Host_probation of { host : int; until_t : float }
   | Host_readmitted of { host : int }
   | Journal_shipped of { seq : int; entries : int }
-  | Ship_applied of { seq : int; applied : int; ok : bool }
   | Replication_diverged of { seq : int }
   | Standby_promoted of { epoch : int }
   | Stale_epoch_rejected of { receiver : int; src : int; epoch : int; current : int }
@@ -135,11 +134,8 @@ let pp_kind ppf = function
       Format.fprintf ppf "host %d re-admitted (canary subproblem succeeded)" host
   | Journal_shipped { seq; entries } ->
       Format.fprintf ppf "journal batch #%d shipped to the standby (%d entries)" seq entries
-  | Ship_applied { seq; applied; ok } ->
-      Format.fprintf ppf "standby applied batch #%d (%d entries total, digest %s)" seq applied
-        (if ok then "ok" else "MISMATCH")
   | Replication_diverged { seq } ->
-      Format.fprintf ppf "standby log digest DIVERGED from the primary's at batch #%d" seq
+      Format.fprintf ppf "standby log DIVERGED from the primary's at batch #%d" seq
   | Standby_promoted { epoch } ->
       Format.fprintf ppf "standby promoted to primary (epoch %d); resyncing clients" epoch
   | Stale_epoch_rejected { receiver; src; epoch; current } ->
@@ -234,8 +230,6 @@ let flight_view kind : string * (string * Obs.Json.t) list =
   | Host_probation { host; until_t } -> ("host_probation", [ i "host" host; f "until" until_t ])
   | Host_readmitted { host } -> ("host_readmitted", [ i "host" host ])
   | Journal_shipped { seq; entries } -> ("journal_shipped", [ i "seq" seq; i "entries" entries ])
-  | Ship_applied { seq; applied; ok } ->
-      ("ship_applied", [ i "seq" seq; i "applied" applied; b "ok" ok ])
   | Replication_diverged { seq } -> ("replication_diverged", [ i "seq" seq ])
   | Standby_promoted { epoch } -> ("standby_promoted", [ i "epoch" epoch ])
   | Stale_epoch_rejected { receiver; src; epoch; current } ->

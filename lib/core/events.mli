@@ -76,13 +76,11 @@ type kind =
       (** a half-open host's canary subproblem succeeded; breaker closed *)
   | Journal_shipped of { seq : int; entries : int }
       (** the primary flushed a journal batch to the hot standby *)
-  | Ship_applied of { seq : int; applied : int; ok : bool }
-      (** the standby applied batch [seq]; [ok] is the continuous
-          consistency check — its shadow log digest matched the
-          primary's *)
   | Replication_diverged of { seq : int }
-      (** the standby's shadow log digest did not match the primary's
-          at batch [seq] — replication is unsound (should never happen) *)
+      (** the standby's shadow journal stopped being a prefix of the
+          primary's at batch [seq]: the batch did not start at the
+          standby's applied count, or its log digest did not match —
+          replication is unsound (should never happen) *)
   | Standby_promoted of { epoch : int }
       (** the standby's lease on the primary expired: it bumped the master
           epoch, took over the run, and is resyncing the clients *)

@@ -51,7 +51,6 @@ type msg =
   | Stop
   | Heartbeat of { decisions : int }
   | Ship of { seq : int; entries : journal_entry list; log_digest : string }
-  | Ship_ack of { seq : int; applied : int; ok : bool }
   | Epoch_notice
   | Ack of { mid : int }
   | Nack of { mid : int }
@@ -91,8 +90,7 @@ let rec size = function
       + String.length log_digest
       + List.fold_left (fun acc e -> acc + entry_bytes e) 0 entries
   | Register | Split_request _ | Split_partner _ | Split_failed _ | Migrate_to _ | Cancel _
-  | Resync_request | Stop | Heartbeat _ | Ship_ack _ | Epoch_notice | Ack _ | Nack _
-  | Corrupt_payload ->
+  | Resync_request | Stop | Heartbeat _ | Epoch_notice | Ack _ | Nack _ | Corrupt_payload ->
       control_bytes
 
 (* Clause shares are semantically safe to lose (a learned clause is only an
@@ -104,7 +102,7 @@ let critical = function
   | Split_failed _ | Finished_unsat _ | Found_model _ | Migrate_to _ | Cancel _ | Orphaned _
   | Resync_request | Resync _ | Ship _ ->
       true
-  | Shares _ | Share_relay _ | Stop | Heartbeat _ | Ship_ack _ | Epoch_notice | Ack _ | Nack _
+  | Shares _ | Share_relay _ | Stop | Heartbeat _ | Epoch_notice | Ack _ | Nack _
   | Reliable _ | Framed _ | Corrupt_payload ->
       false
 
@@ -264,11 +262,6 @@ let rec emit sink = function
           emit_entry sink e;
           s sink "/")
         entries
-  | Ship_ack { seq; applied; ok } ->
-      s sink "ship_ack ";
-      int_sp sink seq;
-      int_sp sink applied;
-      s sink (string_of_bool ok)
   | Epoch_notice -> s sink "epoch!"
   | Ack { mid } ->
       s sink "ack ";

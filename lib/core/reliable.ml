@@ -32,7 +32,7 @@ type t = {
   on_retry : dst:int -> attempt:int -> unit;
   on_exhausted : dst:int -> attempts:int -> unit;
   on_give_up : dst:int -> Protocol.msg -> unit;
-  on_ack : dst:int -> latency:float -> unit;
+  on_ack : dst:int -> latency:float -> Protocol.msg -> unit;
   outbound : (int, outbound) Hashtbl.t;
   inbound : streams;
   retries : Obs.Metrics.counter;
@@ -50,7 +50,7 @@ type t = {
 let endpoint_jitter = 0.1
 
 let create ?(obs = Obs.disabled) ?(obs_tid = Obs.Span.run_tid) ?(seed = 0) ?(jitter = 0.)
-    ?(on_ack = fun ~dst:_ ~latency:_ -> ()) ~sim ~send_raw ~active ~retry_base ~max_attempts
+    ?(on_ack = fun ~dst:_ ~latency:_ _ -> ()) ~sim ~send_raw ~active ~retry_base ~max_attempts
     ~on_retry ?(on_exhausted = fun ~dst:_ ~attempts:_ -> ()) ~on_give_up () =
   let m = Obs.metrics obs in
   let labels = [ ("owner", string_of_int obs_tid) ] in
@@ -184,7 +184,7 @@ let handle_ack t ~src ~mid =
           if t.obs_on then Obs.Metrics.observe t.h_ack latency;
           Obs.Anomaly.observe t.d_ack ~at:(Grid.Sim.now t.sim) latency;
           flight t ~dst:src "ack" [ ("mid", Obs.Json.Int p.seq); ("latency", Obs.Json.Float latency) ];
-          t.on_ack ~dst:src ~latency)
+          t.on_ack ~dst:src ~latency p.msg)
         settled
 
 (* The receiver saw envelope [mid] arrive corrupt: the link works, the

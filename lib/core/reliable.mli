@@ -33,7 +33,7 @@ val create :
   ?obs_tid:int ->
   ?seed:int ->
   ?jitter:float ->
-  ?on_ack:(dst:int -> latency:float -> unit) ->
+  ?on_ack:(dst:int -> latency:float -> Protocol.msg -> unit) ->
   sim:Grid.Sim.t ->
   send_raw:(dst:int -> Protocol.msg -> unit) ->
   active:(unit -> bool) ->
@@ -55,9 +55,10 @@ val create :
     deterministic under a fixed seed, but desynchronised across
     endpoints, so channels that all exhausted during a master outage do
     not stampede the restarted master in lockstep.  [on_ack] (default
-    no-op) reports each settled send's round-trip latency — the health
-    model's ack-latency feed, deliberately separate from the obs-gated
-    histogram.  After [max_attempts] unacked (re)transmissions,
+    no-op) reports each settled send's round-trip latency and payload —
+    the health model's ack-latency feed, deliberately separate from the
+    obs-gated histogram, and the primary's receipt for a journal
+    shipment.  After [max_attempts] unacked (re)transmissions,
     [on_exhausted] fires once (a distinct signal that the budget ran dry —
     clients use it to detect a master outage) and then [on_give_up]
     fires with each abandoned payload of the stream, oldest first. *)

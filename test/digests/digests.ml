@@ -142,7 +142,6 @@ let messages : (string * P.msg) list =
     ("stop", Stop);
     ("heartbeat", Heartbeat { decisions = 123_456_789 });
     ("ship", Ship { seq = 17; entries; log_digest = "00ff" });
-    ("ship_ack", Ship_ack { seq = 17; applied = 11; ok = true });
     ("epoch_notice", Epoch_notice);
     ("ack", Ack { mid = 42 });
     ("nack", Nack { mid = -1 });

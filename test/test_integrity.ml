@@ -140,7 +140,6 @@ module Ref = struct
             render_entry buf e;
             Buffer.add_char buf '/')
           entries
-    | Ship_ack { seq; applied; ok } -> pf "ship_ack %d %d %b" seq applied ok
     | Epoch_notice -> pf "epoch!"
     | Ack { mid } -> pf "ack %d" mid
     | Nack { mid } -> pf "nack %d" mid
@@ -395,7 +394,6 @@ let rec gen_msg depth : P.msg QCheck.Gen.t =
       map3
         (fun seq entries log_digest -> P.Ship { seq; entries; log_digest })
         gen_int (list_size (int_bound 5) gen_entry) gen_text;
-      map3 (fun seq applied ok -> P.Ship_ack { seq; applied; ok }) gen_int gen_int bool;
       return P.Epoch_notice;
       map (fun mid -> P.Ack { mid }) gen_int;
       map (fun mid -> P.Nack { mid }) gen_int;
