@@ -71,12 +71,6 @@ val admissible : t -> host:int -> now:float -> bool
 val duration_p99 : t -> float option
 (** p99 subproblem duration; [None] until ≥ 5 samples. *)
 
-val hb_gap_p99 : t -> float option
-(** p99 heartbeat gap; [None] until ≥ 20 samples. *)
-
-val ack_p99 : t -> float option
-(** p99 ack latency; [None] until ≥ 20 samples. *)
-
 val suspect_timeout : t -> heartbeat_period:float -> default:float -> float
 (** Adaptive lease: [3 × hb_gap_p99] clamped to
     [[2.5 × heartbeat_period, default]] — it may only tighten the

@@ -136,8 +136,6 @@ val finished : t -> bool
 val result : t -> result
 (** Raises [Invalid_argument] before the run has finished. *)
 
-val busy_clients : t -> int
-
 val busy_client_ids : t -> int list
 (** Ids of currently busy clients, ascending (for fault injection). *)
 
@@ -221,10 +219,6 @@ val epoch : t -> int
 
 val promoted : t -> bool
 (** Whether the hot standby has taken this run over. *)
-
-val replica : t -> Replica.t option
-(** The hot-standby replica, when the config enables [standby] (for
-    tests: applied counts, divergences, the shadow journal). *)
 
 val events_so_far : t -> Events.t list
 
