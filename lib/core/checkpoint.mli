@@ -21,15 +21,15 @@ val restore : t -> client:int -> Subproblem.t option
 (** The subproblem to restart from, reconstructed per the stored mode:
     a light checkpoint yields the original clauses plus the saved root
     assignment; a heavy checkpoint yields the full saved state.  A
-    snapshot whose at-rest integrity seal (CRC-32 of its serialised form,
-    taken at save time) no longer matches is discarded and [None] is
+    snapshot whose at-rest integrity seal (the CRC lane of its canonical
+    words, taken at save time) no longer matches is discarded and [None] is
     returned — restoring a rotted root assignment could silently narrow
     the search space, while [None] sends the caller down the safe
     lineage re-derivation path. *)
 
 val seal_of : Subproblem.t -> int
-(** The at-rest seal of a snapshot: CRC-32 of its {!Subproblem.to_string}
-    form, streamed from {!Subproblem.emit} without building the text. *)
+(** The at-rest seal of a snapshot: the CRC lane of the words
+    {!Subproblem.emit} writes for it (see {!Integrity}). *)
 
 val corrupt_all : t -> unit
 (** Fault injection: rot every stored snapshot at rest, so the next

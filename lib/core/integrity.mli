@@ -2,100 +2,97 @@
 
     Everything the distributed layer persists or puts on the wire can be
     corrupted: message payloads in flight, checkpoint snapshots and
-    journal records at rest.  This module provides the two digests the
-    stack seals records with, both dependency-free and deterministic:
+    journal records at rest.  This module provides the one hasher the
+    stack seals records with, dependency-free and deterministic.
 
-    - {!fnv1a}, a 64-bit FNV-1a hash (truncated to OCaml's native int),
-      used for in-flight message frames ({!Protocol.frame}) where speed
-      matters and the adversary is random bit rot, not malice;
-    - {!crc32}, the standard reflected CRC-32 (polynomial 0xEDB88320),
-      used for at-rest records (journal entries, checkpoint snapshots)
-      where we mirror what a storage layer would do.
+    A record is digested as its canonical sequence of machine words, never
+    as rendered text: an int is one word, a literal its internal code, a
+    list or an array its length and then its elements, a string its
+    length and then its bytes in 8-byte words, a float the two 32-bit
+    halves of its bit pattern.  The words feed two lanes:
 
-    Records are digested by streaming their canonical bytes into a
-    {!hasher}, never by rendering them to a string first.  Each record
-    format has one byte emitter, written against a {!sink}: the same
-    emitter feeds a hasher for digests and a buffer for the text form.
+    - the {e word lane}, a 63-bit multiply–xorshift hash, used for
+      in-flight message frames ({!Protocol.frame}) and the verdict-cache
+      key, where speed matters and the adversary is random bit rot, not
+      malice;
+    - the {e CRC lane}, the standard reflected CRC-32 (polynomial
+      0xEDB88320) over each word's 8 little-endian bytes (a string's own
+      bytes after its length word), used for at-rest records (journal
+      and job-log entries, checkpoint snapshots), as a storage layer
+      would seal them.
+
+    Every step of the word lane is a bijection of its state for a given
+    word, so changing any one word of a record always changes its word
+    digest.  Punctuation the text form needs ({!put_text}) is not
+    hashed: lengths and constructor tags already delimit every field.
+
+    Each record format has one emitter, written against a {!sink}: the
+    same emitter feeds a hasher for digests and a buffer for the text
+    form.
 
     A digest detects corruption; it does not authenticate.  Certification
     of {e answers} (which must not trust the sender at all) is the job of
     DRUP checking and model re-evaluation, not of this module. *)
 
-(** {1 Incremental hashing} *)
+(** {1 Hashers} *)
 
 type hasher
-(** Running FNV-1a and CRC-32 state over the bytes added so far.  Adding
-    bytes allocates nothing.  Feeding [s1] then [s2] gives the digests of
-    [s1 ^ s2]. *)
+(** Running word-lane and CRC-lane state over the words fed so far. *)
 
-val hasher : unit -> hasher
-(** A hasher that has seen no bytes. *)
-
-val add_char : hasher -> char -> unit
-
-val add_string : hasher -> string -> unit
-
-val add_int : hasher -> int -> unit
-(** Adds the decimal text of the int, exactly the bytes of
-    [string_of_int]. *)
-
-val add_ints : hasher -> sep:char -> int array -> int -> int -> unit
-(** [add_ints h ~sep a pos len] adds the decimal text of each of
-    [a.(pos .. pos + len - 1)], each followed by [sep].
-
-    Every int the stack digests goes through this kernel, {!add_int},
-    {!put_int}, {!put_lit} and {!put_lits} included.  An int under
-    10{^4} in magnitude is packed, sign, digits and separator, into one
-    word by a branch on its digit count (no per-digit loop or recursion),
-    and the word's bytes are folded into FNV-1a, and into CRC-32 when the
-    digest needs it, with the hash state held in locals: the hasher is
-    read and written once per int, never per byte.  A larger magnitude,
-    [min_int] included, is taken in groups of four digits.  It allocates
-    nothing.  [sep] must not be ['\000']. *)
-
-val fnv1a_of : hasher -> int
-(** FNV-1a of the bytes added so far. *)
+val word_of : hasher -> int
+(** The word-lane digest of the words fed so far. *)
 
 val crc32_of : hasher -> int
-(** CRC-32 of the bytes added so far. *)
+(** The CRC-lane digest of the words fed so far, in [0, 2^32). *)
 
-val fnv1a : string -> int
-(** 64-bit FNV-1a over the bytes of the string, truncated to [int]. *)
+val word_digest : int array -> int -> int -> int
+(** [word_digest a pos len] is the word-lane digest of the array slice
+    [a.(pos .. pos + len - 1)]: its length, then its elements.  It
+    allocates nothing. *)
 
-val crc32 : string -> int
-(** CRC-32 (IEEE, reflected) over the bytes of the string, in [0, 2^32). *)
-
-(** {1 Byte emitters} *)
+(** {1 Emitters} *)
 
 type sink
-(** Where an emitter's bytes go: into a hasher ({!hash}) or into a text
-    buffer ({!render}). *)
-
-val put_char : sink -> char -> unit
-
-val put_string : sink -> string -> unit
+(** Where an emitter's output goes: into a hasher ({!hash},
+    {!hash_word}) or into a text buffer ({!render}). *)
 
 val put_int : sink -> int -> unit
-(** The decimal text of the int, as {!add_int}. *)
+(** One word; its decimal text. *)
 
-val put_lit : sink -> sep:char -> Sat.Types.lit -> unit
-(** The literal as its DIMACS int, then [sep]. *)
+val put_length : sink -> int -> unit
+(** The length word of a list whose text form shows no count; no text. *)
+
+val put_string : sink -> string -> unit
+(** Its length, then its bytes; the string itself as text. *)
+
+val put_float : sink -> text:(float -> string) -> float -> unit
+(** The two halves of the float's bit pattern, low half first; [text x]
+    as text. *)
+
+val put_lit : sink -> Sat.Types.lit -> unit
+(** The literal's internal code; its DIMACS int as text. *)
 
 val put_lits : sink -> sep:char -> Sat.Types.lit array -> int -> int -> unit
-(** [put_lits sink ~sep a pos len] is {!put_lit} on each of
-    [a.(pos .. pos + len - 1)], through the kernel of {!add_ints}: the
-    form clause and path writers use. *)
+(** [put_lits sink ~sep a pos len]: the length, then the literals of
+    [a.(pos .. pos + len - 1)]; as text, each literal's DIMACS int
+    followed by [sep].  The form clause writers use. *)
+
+val put_lit_list : sink -> sep:char -> Sat.Types.lit list -> unit
+(** {!put_lits} for a list. *)
+
+val put_text : sink -> string -> unit
+(** Text only: punctuation, which hashers skip. *)
 
 val render : (sink -> 'a -> unit) -> 'a -> string
 (** [render emit x] is the text [emit] writes for [x]. *)
 
 val hash : (sink -> 'a -> unit) -> 'a -> hasher
-(** [hash emit x] streams [emit]'s bytes for [x] into a fresh hasher:
-    its digests equal those of [render emit x]. *)
+(** [hash emit x] feeds [emit]'s words for [x] to both lanes of a fresh
+    hasher: the digests of at-rest seals. *)
 
-val hash_fnv1a : (sink -> 'a -> unit) -> 'a -> int
-(** [fnv1a_of (hash emit x)] without advancing CRC-32 on every byte: the
-    digest of the records that need only FNV-1a (wire frames). *)
+val hash_word : (sink -> 'a -> unit) -> 'a -> int
+(** [word_of (hash emit x)] without advancing the CRC lane: the digest
+    of the records that need only the word lane (wire frames). *)
 
 (** {1 Fault injection} *)
 

@@ -115,30 +115,31 @@ module Record = struct
     | Verdict { answer } -> st.verdict <- Some answer
 
   (* Full-fidelity rendering: every field of every entry is emitted, so the
-     at-rest integrity seal covers the whole record. *)
+     at-rest integrity seal covers the whole record; the punctuation is
+     text only. *)
   let emit sink e =
-    let int = Integrity.put_int sink and str = Integrity.put_string sink in
+    let int = Integrity.put_int sink
+    and str = Integrity.put_string sink
+    and text = Integrity.put_text sink in
     let pid (a, b) =
       int a;
-      str ".";
+      text ".";
       int b
     in
     let held_by p client =
       pid p;
-      str " @ ";
+      text " @ ";
       int client
     in
-    let rec lits_from = function
-      | [] -> ()
-      | [ l ] -> int (T.to_int l)
-      | l :: rest ->
-          Integrity.put_lit sink ~sep:' ' l;
-          lits_from rest
-    in
     let lits ls =
-      str " [";
-      lits_from ls;
-      str "]"
+      text " [";
+      Integrity.put_length sink (List.length ls);
+      List.iteri
+        (fun k l ->
+          if k > 0 then text " ";
+          Integrity.put_lit sink l)
+        ls;
+      text "]"
     in
     match e with
     | Registered { client } ->
@@ -147,7 +148,7 @@ module Record = struct
     | Assigned { pid = p; dst; path } ->
         str "assigned ";
         pid p;
-        str " -> ";
+        text " -> ";
         int dst;
         lits path
     | Started { pid = p; client } ->
@@ -156,13 +157,13 @@ module Record = struct
     | Granted { requester; partner } ->
         str "granted ";
         int requester;
-        str " + ";
+        text " + ";
         int partner
     | Split { donor; donor_pid; donor_path; pid = p; dst; path } ->
         str "split ";
         held_by donor_pid donor;
         lits donor_path;
-        str " -> ";
+        text " -> ";
         held_by p dst;
         lits path
     | Refuted { pid = p } ->

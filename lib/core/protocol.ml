@@ -108,180 +108,166 @@ let critical = function
 
 (* ---------- integrity framing ---------- *)
 
-(* Canonical bytes for digesting: every field that matters is emitted, in
-   a fixed order.  Not a wire format — just a deterministic byte stream
-   two ends can agree on, streamed into the hasher.  [s] writes a literal
-   and [i] an int; the [_sp] forms add the space that follows most
-   numbers in the format. *)
+(* Canonical words for digesting: every field that matters is emitted,
+   in a fixed order, each constructor led by its tag.  Not a wire format
+   and never rendered — just a deterministic word sequence two ends can
+   agree on, streamed into the hasher.  [s] writes a tag or a string, [i]
+   an int, [time] a virtual time. *)
 let s = Integrity.put_string
 
 let i = Integrity.put_int
 
-let int_sp sink n =
-  i sink n;
-  Integrity.put_char sink ' '
-
 let pid sink (o, n) =
   i sink o;
-  Integrity.put_char sink '.';
   i sink n
 
-let pid_sp sink p =
-  pid sink p;
-  Integrity.put_char sink ' '
+let lits sink ls = Integrity.put_lit_list sink ~sep:' ' ls
 
-let lits sink ls = List.iter (Integrity.put_lit sink ~sep:' ') ls
+let time sink x = Integrity.put_float sink ~text:Float.to_string x
 
 let emit_entry sink = function
   | Registered { client } ->
-      s sink "jreg ";
+      s sink "jreg";
       i sink client
-  | Assigned { pid; dst; path } ->
-      s sink "jasn ";
-      pid_sp sink pid;
-      int_sp sink dst;
+  | Assigned { pid = p; dst; path } ->
+      s sink "jasn";
+      pid sink p;
+      i sink dst;
       lits sink path
-  | Started { pid; client } ->
-      s sink "jsta ";
-      pid_sp sink pid;
+  | Started { pid = p; client } ->
+      s sink "jsta";
+      pid sink p;
       i sink client
   | Granted { requester; partner } ->
-      s sink "jgra ";
-      int_sp sink requester;
+      s sink "jgra";
+      i sink requester;
       i sink partner
-  | Split { donor; donor_pid; donor_path; pid; dst; path } ->
-      s sink "jspl ";
-      int_sp sink donor;
-      pid_sp sink donor_pid;
+  | Split { donor; donor_pid; donor_path; pid = p; dst; path } ->
+      s sink "jspl";
+      i sink donor;
+      pid sink donor_pid;
       lits sink donor_path;
-      s sink "-> ";
-      pid_sp sink pid;
-      int_sp sink dst;
+      pid sink p;
+      i sink dst;
       lits sink path
   | Refuted { pid = p } ->
-      s sink "jref ";
+      s sink "jref";
       pid sink p
   | Shared { clauses } ->
-      s sink "jshr ";
+      s sink "jshr";
       i sink clauses
   | Suspected { client } ->
-      s sink "jsus ";
+      s sink "jsus";
       i sink client
   | Died { client } ->
-      s sink "jdie ";
+      s sink "jdie";
       i sink client
-  | Adopted { pid; client; path } ->
-      s sink "jado ";
-      pid_sp sink pid;
-      int_sp sink client;
+  | Adopted { pid = p; client; path } ->
+      s sink "jado";
+      pid sink p;
+      i sink client;
       lits sink path
   | Verdict { answer } ->
-      s sink "jver ";
+      s sink "jver";
       s sink answer
 
 let clauses sink cs =
-  List.iter
-    (fun c ->
-      Integrity.put_lits sink ~sep:' ' c 0 (Array.length c);
-      s sink "/")
-    cs
+  Integrity.put_length sink (List.length cs);
+  List.iter (fun c -> Integrity.put_lits sink ~sep:' ' c 0 (Array.length c)) cs
 
 let rec emit sink = function
   | Register -> s sink "register"
-  | Problem { pid; sp; sent_at } ->
-      s sink "problem ";
-      pid_sp sink pid;
-      s sink (Printf.sprintf "%h " sent_at);
+  | Problem { pid = p; sp; sent_at } ->
+      s sink "problem";
+      pid sink p;
+      time sink sent_at;
       Subproblem.emit sink sp
-  | Problem_received { pid; from; bytes; path } ->
-      s sink "received ";
-      pid_sp sink pid;
-      int_sp sink from;
-      int_sp sink bytes;
+  | Problem_received { pid = p; from; bytes; path } ->
+      s sink "received";
+      pid sink p;
+      i sink from;
+      i sink bytes;
       lits sink path
   | Split_request `Memory -> s sink "split? mem"
   | Split_request `Long_running -> s sink "split? long"
   | Split_partner { partner } ->
-      s sink "partner ";
+      s sink "partner";
       i sink partner
-  | Split_ok { pid; donor_pid; dst; bytes; path; donor_path } ->
-      s sink "split_ok ";
-      pid_sp sink pid;
-      pid_sp sink donor_pid;
-      int_sp sink dst;
-      int_sp sink bytes;
-      s sink "p ";
+  | Split_ok { pid = p; donor_pid; dst; bytes; path; donor_path } ->
+      s sink "split_ok";
+      pid sink p;
+      pid sink donor_pid;
+      i sink dst;
+      i sink bytes;
       lits sink path;
-      s sink "d ";
       lits sink donor_path
   | Split_failed { partner } ->
-      s sink "split_failed ";
+      s sink "split_failed";
       i sink partner
   | Shares { clauses = cs } ->
-      s sink "shares ";
+      s sink "shares";
       clauses sink cs
   | Share_relay { origin; clauses = cs } ->
-      s sink "relay ";
-      int_sp sink origin;
+      s sink "relay";
+      i sink origin;
       clauses sink cs
-  | Finished_unsat { pid; proof } ->
-      s sink "unsat ";
-      pid_sp sink pid;
+  | Finished_unsat { pid = p; proof } ->
+      s sink "unsat";
+      pid sink p;
       Option.iter (s sink) proof
-  | Found_model m -> List.iter (int_sp sink) (Sat.Model.true_literals m)
+  | Found_model m ->
+      let ls = Sat.Model.true_literals m in
+      s sink "model";
+      Integrity.put_length sink (List.length ls);
+      List.iter (i sink) ls
   | Migrate_to { target } ->
-      s sink "migrate ";
+      s sink "migrate";
       i sink target
   | Cancel { pid = p } ->
-      s sink "cancel ";
+      s sink "cancel";
       pid sink p
-  | Orphaned { pid; sp } ->
-      s sink "orphaned ";
-      pid_sp sink pid;
+  | Orphaned { pid = p; sp } ->
+      s sink "orphaned";
+      pid sink p;
       Subproblem.emit sink sp
   | Resync_request -> s sink "resync?"
-  | Resync { pid; path; busy_since } ->
-      (match pid with
-      | None -> s sink "resync idle "
+  | Resync { pid = p; path; busy_since } ->
+      (match p with
+      | None -> s sink "resync idle"
       | Some p ->
-          s sink "resync ";
-          pid_sp sink p);
-      s sink (Printf.sprintf "%h " busy_since);
+          s sink "resync";
+          pid sink p);
+      time sink busy_since;
       lits sink path
   | Stop -> s sink "stop"
   | Heartbeat { decisions } ->
-      s sink "hb ";
+      s sink "hb";
       i sink decisions
   | Ship { seq; entries; log_digest } ->
-      s sink "ship ";
-      int_sp sink seq;
+      s sink "ship";
+      i sink seq;
       s sink log_digest;
-      s sink " ";
-      List.iter
-        (fun e ->
-          emit_entry sink e;
-          s sink "/")
-        entries
+      Integrity.put_length sink (List.length entries);
+      List.iter (emit_entry sink) entries
   | Epoch_notice -> s sink "epoch!"
   | Ack { mid } ->
-      s sink "ack ";
+      s sink "ack";
       i sink mid
   | Nack { mid } ->
-      s sink "nack ";
+      s sink "nack";
       i sink mid
   | Reliable { mid; low = _; payload } ->
-      s sink "rel ";
-      int_sp sink mid;
+      s sink "rel";
+      i sink mid;
       emit sink payload
   | Framed { digest; epoch; payload } ->
-      s sink "frame ";
-      int_sp sink digest;
-      s sink "@";
-      int_sp sink epoch;
+      s sink "frame";
+      i sink digest;
+      i sink epoch;
       emit sink payload
   | Corrupt_payload -> s sink "garbage"
 
-let digest msg = Integrity.hash_fnv1a emit msg
+let digest msg = Integrity.hash_word emit msg
 
 (* The epoch is a header field, not part of the digested payload: like a
    reliable envelope's mid it survives in-flight corruption (it carries

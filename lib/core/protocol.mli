@@ -165,9 +165,9 @@ val critical : msg -> bool
 (** {1 Integrity framing} *)
 
 val digest : msg -> int
-(** FNV-1a digest of the message's canonical bytes (every semantic field,
-    in a fixed order), streamed through {!Integrity.hash_fnv1a} without
-    building the text.  Deterministic across runs. *)
+(** Word-lane digest of the message's canonical words (every semantic
+    field, in a fixed order), streamed through {!Integrity.hash_word}
+    without building any text.  Deterministic across runs. *)
 
 val frame : ?epoch:int -> msg -> msg
 (** Seals a message for the wire:

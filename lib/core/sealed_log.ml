@@ -1,7 +1,7 @@
 (** A sealed append-only log over one record type: the mechanism under the
     master's write-ahead [Journal] and the service's joblog.
 
-    Each record is sealed on append with the CRC-32 of its canonical bytes,
+    Each record is sealed on append with the CRC lane of its canonical words,
     applied at once to the log's [current] state, and chained into a
     rolling [log_digest].  Records rot at rest ([corrupt_tail]); replaying
     or folding first scrubs: every record whose seal no longer matches is
@@ -87,21 +87,17 @@ module type READ = sig
 end
 
 module Make (R : RECORD) = struct
-  (* One step of the rolling log digest: fold a word into a lane with an
-     FNV-style multiply and an xorshift, so every lane bit depends on the
-     word and on everything chained before it. *)
-  let mix lane w =
-    let h = (lane lxor w) * 0x100000001b3 in
-    h lxor (h lsr 29)
-
-  let chain lane ~pos d = mix (mix lane pos) d
+  (* One step of the rolling log digest: the lane, the record's position
+     and one of its digests, through the word lane, so every lane bit
+     depends on the digest and on everything chained before it. *)
+  let chain lane ~pos d = Integrity.word_digest [| lane; pos; d |] 0 3
 
   type t = {
     mutable base : R.state;  (* the last snapshot *)
     mutable current : R.state;  (* base plus every record appended since *)
     mutable pending : (R.entry * int) list;
         (* newest first; records since the snapshot, each sealed with the
-           CRC-32 of its canonical rendering at append time *)
+           CRC lane of its canonical words at append time *)
     mutable pending_n : int;
     mutable base_bytes : int;
     mutable pending_bytes : int;
@@ -111,7 +107,7 @@ module Make (R : RECORD) = struct
     mutable bytes_peak : int;
     mutable degraded : bool;
     degraded_entries : Obs.Metrics.counter;
-    mutable log_fnv : int;
+    mutable log_word : int;
     mutable log_crc : int;  (* the two lanes of the rolling log digest *)
     requota_on_scrub : bool;
     obs : Obs.t;
@@ -135,7 +131,7 @@ module Make (R : RECORD) = struct
       bytes_peak = 0;
       degraded = false;
       degraded_entries = Obs.Metrics.counter m (name ^ ".degraded_entries");
-      log_fnv = 0;
+      log_word = 0;
       log_crc = 0;
       requota_on_scrub;
       obs;
@@ -178,9 +174,9 @@ module Make (R : RECORD) = struct
     end
 
   (* Seal, apply, account.  The hash pass that seals the record also
-     advances the log digest: its FNV-1a and CRC-32 are each chained, with
-     the record's position, into one lane.  The quota check is [settle],
-     so an owner can compact in between. *)
+     advances the log digest: its word and CRC-lane digests are each
+     chained, with the record's position, into one lane.  The quota check
+     is [settle], so an owner can compact in between. *)
   let push t e =
     let h = Integrity.hash R.emit e in
     let crc = Integrity.crc32_of h in
@@ -190,7 +186,7 @@ module Make (R : RECORD) = struct
     t.pending_bytes <- t.pending_bytes + R.entry_bytes e;
     Obs.Metrics.incr t.appended;
     let pos = Obs.Metrics.counter_value t.appended in
-    t.log_fnv <- chain t.log_fnv ~pos (Integrity.fnv1a_of h);
+    t.log_word <- chain t.log_word ~pos (Integrity.word_of h);
     t.log_crc <- chain t.log_crc ~pos crc;
     let b = bytes t in
     if b > t.bytes_peak then t.bytes_peak <- b
@@ -255,5 +251,5 @@ module Make (R : RECORD) = struct
 
   let records_dropped t = Obs.Metrics.counter_value t.records_dropped
 
-  let log_digest t = Printf.sprintf "%016x%016x" t.log_fnv t.log_crc
+  let log_digest t = Printf.sprintf "%016x%016x" t.log_word t.log_crc
 end

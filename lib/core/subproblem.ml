@@ -97,22 +97,24 @@ let capture_pure ~origin solver = prune { origin with facts = []; path = Sat.Sol
      f <facts as DIMACS ints> 0
      a <path as DIMACS ints> 0
      <clause> 0
-     ... *)
+     ...
+   A digest covers the same fields as words: the two counts, then the
+   facts, the path and each clause as a length and literal codes. *)
 let emit sink t =
   let open Integrity in
   let { Sat.Arena.lits; starts } = t.clauses in
-  put_string sink "p subproblem ";
+  put_text sink "p subproblem ";
   put_int sink t.nvars;
-  put_char sink ' ';
+  put_text sink " ";
   put_int sink (nclauses t);
-  put_string sink "\nf ";
-  List.iter (put_lit sink ~sep:' ') t.facts;
-  put_string sink "0\na ";
-  List.iter (put_lit sink ~sep:' ') t.path;
-  put_string sink "0\n";
+  put_text sink "\nf ";
+  put_lit_list sink ~sep:' ' t.facts;
+  put_text sink "0\na ";
+  put_lit_list sink ~sep:' ' t.path;
+  put_text sink "0\n";
   for k = 0 to nclauses t - 1 do
     put_lits sink ~sep:' ' lits starts.(k) (starts.(k + 1) - starts.(k));
-    put_string sink "0\n"
+    put_text sink "0\n"
   done
 
 let to_string t = Integrity.render emit t

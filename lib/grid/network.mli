@@ -23,6 +23,3 @@ val set_link : t -> string -> string -> latency:float -> bandwidth:float -> unit
 
 val transfer_time : t -> src:string -> dst:string -> bytes:int -> float
 (** Time to move [bytes] from a host at [src] to a host at [dst]. *)
-
-val link_parameters : t -> string -> string -> float * float
-(** [(latency, bandwidth)] currently in effect between two sites. *)

@@ -24,8 +24,10 @@ val schedule_at : t -> time:float -> (unit -> unit) -> event_id
 (** Fires at an absolute time (clamped to [now]). *)
 
 val cancel : t -> event_id -> unit
-(** Removes the event from the queue, releasing its closure at once.
-    Cancelling an already-fired or already-cancelled event is a no-op. *)
+(** Cancels the event, releasing its closure at once; the queue drops
+    its entry when it reaches the front, or sooner if cancelled entries
+    come to outnumber pending ones.  Cancelling an already-fired or
+    already-cancelled event is a no-op. *)
 
 val step : t -> bool
 (** Processes the next event.  Returns [false] when no events remain. *)

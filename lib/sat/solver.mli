@@ -180,8 +180,6 @@ type conflict_info = {
 
 val value_of_var : t -> int -> Types.value
 
-val value_of_lit : t -> Types.lit -> Types.value
-
 val level_of_var : t -> int -> int
 (** Decision level of an assigned variable; raises [Invalid_argument] if
     the variable is unassigned. *)

@@ -37,9 +37,6 @@ val lit_value : value -> lit -> value
 (** [lit_value v l] is the value of literal [l] given that its variable has
     value [v]. *)
 
-val pp_lit : Format.formatter -> lit -> unit
-(** Prints a literal in DIMACS form (e.g. [-7]). *)
-
 val pp_clause : Format.formatter -> lit array -> unit
 (** Prints a clause as a disjunction of DIMACS literals, e.g. [(1 | -3 | 4)]. *)
 

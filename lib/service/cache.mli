@@ -20,19 +20,18 @@ type t
 val create : unit -> t
 
 val digest : Sat.Cnf.t -> string
-(** Canonical digest: clauses are normalised (sorted literals, sorted
-    clause list, duplicates removed) before hashing, and the key pairs
-    two independent hashes (FNV-1a and CRC-32) of the canonical bytes to
-    make accidental collisions negligible.  The bytes are streamed into
-    the hasher, never built as a string.
+(** Canonical digest, 25 characters ([%016x-%08x]): the key of the
+    formula's set of clauses and its variable count.  Each clause is
+    hashed as its normalised literals (sorted and free of duplicates, as
+    {!Sat.Cnf} keeps them), duplicates are found by an open-addressed
+    table that compares literals on a hash tie, and the distinct clause
+    hashes are summed into two independent lanes, so clause order,
+    literal order and duplicated clauses do not change the key.
 
-    Cost: linear in the formula's literals plus one int sort of its
-    clauses.  Each clause is sorted by an int that packs its first
-    literals; only clauses whose packed prefixes tie and that run past
-    them are compared literal by literal.  The working arrays are this
-    domain's reused scratch, so a call allocates a constant few dozen
-    words (the hasher and the hex key), whatever the formula's size up to
-    2{^20} literals. *)
+    Cost: linear in the formula's literals, with no sort.  The working
+    arrays are this domain's reused scratch, so a call allocates a
+    constant few dozen words (the key and its seal), whatever the
+    formula's size up to 2{^20} clauses. *)
 
 val find : t -> digest:string -> cnf:Sat.Cnf.t -> Gridsat_core.Master.answer option
 (** A verified verdict for this formula, if one is stored.  SAT hits are

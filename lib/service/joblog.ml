@@ -34,43 +34,48 @@ module Record = struct
 
   type nonrec state = state
 
-  (* Full-fidelity rendering: the at-rest seal covers every field. *)
+  let seconds = Printf.sprintf "%.3f"
+
+  (* Full-fidelity rendering: the at-rest seal covers every field; the
+     separators are text only. *)
   let emit sink e =
-    let int = Integrity.put_int sink and str = Integrity.put_string sink in
+    let int = Integrity.put_int sink
+    and str = Integrity.put_string sink
+    and text = Integrity.put_text sink in
     let record name id =
       str name;
-      str " ";
+      text " ";
       int id;
-      str " "
+      text " "
     in
-    let seconds x = str (Printf.sprintf "%.3f" x) in
     match e with
-    | Submitted { id; tenant; priority; digest; deadline } ->
+    | Submitted { id; tenant; priority; digest; deadline } -> (
         record "submitted" id;
         List.iter
           (fun w ->
             str w;
-            str " ")
+            text " ")
           [ tenant; priority; digest ];
-        (match deadline with None -> str "-" | Some d -> seconds d)
+        match deadline with None -> text "-" | Some d -> Integrity.put_float sink ~text:seconds d)
     | Admitted { id } ->
         str "admitted ";
         int id
     | Shed { id; retry_after } ->
         record "shed" id;
-        seconds retry_after
+        Integrity.put_float sink ~text:seconds retry_after
     | Cache_hit { id; answer } ->
         record "cache-hit" id;
         str answer
     | Started { id; hosts } ->
         record "started" id;
-        str "[";
+        text "[";
+        Integrity.put_length sink (List.length hosts);
         List.iteri
           (fun k h ->
-            if k > 0 then str " ";
+            if k > 0 then text " ";
             int h)
           hosts;
-        str "]"
+        text "]"
     | Requeued { id; reason } ->
         record "requeued" id;
         str reason
@@ -161,19 +166,18 @@ let append t e =
 
 let digest st =
   let ids = Hashtbl.fold (fun id _ acc -> id :: acc) st.jobs [] |> List.sort compare in
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf
-    (Printf.sprintf "sub=%d adm=%d shed=%d hit=%d req=%d;" st.submitted st.admitted st.shed
-       st.cache_hits st.requeues);
-  List.iter
-    (fun id ->
-      let s =
+  let emit sink st =
+    let int = Integrity.put_int sink and str = Integrity.put_string sink in
+    List.iter int [ st.submitted; st.admitted; st.shed; st.cache_hits; st.requeues ];
+    Integrity.put_length sink (List.length ids);
+    List.iter
+      (fun id ->
+        int id;
         match Hashtbl.find st.jobs id with
-        | Queued -> "queued"
-        | Running -> "running"
-        | Done term -> term
-      in
-      Buffer.add_string buf (Printf.sprintf "%d=%s;" id s))
-    ids;
-  let s = Buffer.contents buf in
-  Printf.sprintf "%x-%x" (Integrity.fnv1a s) (Integrity.crc32 s)
+        | Queued -> str "queued"
+        | Running -> str "running"
+        | Done term -> str term)
+      ids
+  in
+  let h = Integrity.hash emit st in
+  Printf.sprintf "%016x-%08x" (Integrity.word_of h) (Integrity.crc32_of h)

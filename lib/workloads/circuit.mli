@@ -23,8 +23,6 @@ val snot : signal -> signal
 
 val sand : t -> signal -> signal -> signal
 
-val sor : t -> signal -> signal -> signal
-
 val sxor : t -> signal -> signal -> signal
 
 val mux : t -> sel:signal -> signal -> signal -> signal

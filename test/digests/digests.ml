@@ -1,7 +1,7 @@
-(* Prints every digest the stack computes over decimal-rendered integers,
-   for a fixed corpus: verdict-cache keys, the FNV-1a frame digest of one
-   message per protocol constructor, the checkpoint seal of a split and
-   the rolling digests of sealed journal and job-log records. *)
+(* Prints every digest the stack computes, for a fixed corpus:
+   verdict-cache keys, the word-lane frame digest of one message per
+   protocol constructor, the checkpoint seal of a split and the rolling
+   digests of sealed journal and job-log records. *)
 
 module T = Sat.Types
 module C = Gridsat_core
@@ -175,9 +175,9 @@ let () =
       | Framed { digest; _ } -> Printf.printf "%s: %x\n" name digest
       | _ -> assert false)
     messages;
-  Printf.printf "6pipe split: %d bytes, fnv1a of its text %x\n"
+  Printf.printf "6pipe split: %d bytes, word digest of its text %x\n"
     (String.length (Sub.to_string pipe_split))
-    (C.Integrity.fnv1a (Sub.to_string pipe_split));
+    (C.Integrity.hash_word C.Integrity.put_string (Sub.to_string pipe_split));
   print_endline "== checkpoint seals";
   Printf.printf "6pipe split: %x\n" (C.Checkpoint.seal_of pipe_split);
   print_endline "== journal seals";

@@ -133,69 +133,32 @@ end
 module Cache = struct
   module Integrity = Gridsat_core.Integrity
 
-  (* Writes clause [c] at [flat.(at)] as its DIMACS literals in ascending
-     order.  A Cnf clause is strictly increasing in the internal encoding,
-     where variable [v] is [2v] and [-v] is [2v + 1]: the DIMACS order is its
-     negative literals by descending variable, then its positive ones by
-     ascending variable. *)
-  let put_dimacs flat at (c : Sat.Types.lit array) =
-    let j = ref at in
-    for k = Array.length c - 1 downto 0 do
-      if not (Sat.Types.is_pos c.(k)) then begin
-        flat.(!j) <- Sat.Types.to_int c.(k);
-        incr j
-      end
-    done;
-    for k = 0 to Array.length c - 1 do
-      if Sat.Types.is_pos c.(k) then begin
-        flat.(!j) <- Sat.Types.to_int c.(k);
-        incr j
-      end
-    done
+  let remix h =
+    let h = (h lxor (h lsr 31)) * 0x1C69B3F74AC4AE35 in
+    h lxor (h lsr 29)
 
-  (* Lexicographic order on the clauses [flat.(i .. ei - 1)] and
-     [flat.(j .. ej - 1)], a proper prefix first: the order the key has
-     always been defined by, so existing keys stay valid. *)
-  let rec compare_from (flat : int array) i ei j ej =
-    if i = ei || j = ej then Int.compare (ei - i) (ej - j)
-    else if flat.(i) < flat.(j) then -1
-    else if flat.(i) > flat.(j) then 1
-    else compare_from flat (i + 1) ei (j + 1) ej
-
-  let compare_clauses flat off a b = compare_from flat off.(a) off.(a + 1) off.(b) off.(b + 1)
-
-  (* Canonical form: each clause as its sorted DIMACS literals (Cnf
-     normalisation already removed duplicate literals), the clause list
-     itself sorted and deduplicated.  The formula's identity is exactly
-     this set-of-sets plus the variable count, streamed as
-     "p <nvars>;" then "<lit> <lit> ... ;" per clause.  The clauses sit in
-     one flat array, clause [k] at [off.(k) .. off.(k + 1) - 1], and only
-     their indices are sorted.  Merge sort only because it compares less
-     than heap sort; any sort gives the same key. *)
+  (* The key from lists: each clause as its sorted literal codes, the
+     clause list sorted and deduplicated by [List.sort_uniq] (where the
+     library finds duplicates with a hash table), then every distinct
+     clause's word digest summed into two lanes, the second remixed, and
+     each sum sealed with its lane number, the variable count and the number of distinct
+     clauses. *)
   let digest cnf =
-    let clauses = Clause_lists.to_list (Sat.Cnf.clauses cnf) in
-    let n = List.length clauses in
-    let off = Array.make (n + 1) 0 in
-    List.iteri (fun k c -> off.(k + 1) <- off.(k) + Array.length c) clauses;
-    let flat = Array.make off.(n) 0 in
-    List.iteri (fun k c -> put_dimacs flat off.(k) c) clauses;
-    let order = Array.init n Fun.id in
-    Array.stable_sort (compare_clauses flat off) order;
-    let h = Integrity.hasher () in
-    Integrity.add_string h "p ";
-    Integrity.add_int h (Sat.Cnf.nvars cnf);
-    Integrity.add_char h ';';
-    for k = 0 to n - 1 do
-      let c = order.(k) in
-      if k = 0 || compare_clauses flat off order.(k - 1) c <> 0 then begin
-        for p = off.(c) to off.(c + 1) - 1 do
-          Integrity.add_int h flat.(p);
-          Integrity.add_char h ' '
-        done;
-        Integrity.add_char h ';'
-      end
-    done;
-    Printf.sprintf "%x-%x" (Integrity.fnv1a_of h) (Integrity.crc32_of h)
+    let clauses =
+      Clause_lists.to_list (Sat.Cnf.clauses cnf)
+      |> List.map (fun c -> List.sort compare (Array.to_list c))
+      |> List.sort_uniq compare
+    in
+    let hashes =
+      List.map
+        (fun c ->
+          let a = Array.of_list c in
+          Integrity.word_digest a 0 (Array.length a))
+        clauses
+    in
+    let sum f = List.fold_left (fun acc h -> acc + f h) 0 hashes in
+    let seal lane s = Integrity.word_digest [| lane; Sat.Cnf.nvars cnf; List.length hashes; s |] 0 4 in
+    Printf.sprintf "%016x-%08x" (seal 0 (sum Fun.id)) (seal 1 (sum remix) land 0xFFFF_FFFF)
 end
 
 (* [Master.result]'s event-counted fields as they were computed before the

@@ -92,6 +92,141 @@ let test_sim_pending_count () =
   check bool "nothing left to step" false (Sim.step sim);
   check int "still drained" 0 (Sim.pending sim)
 
+(* ---------- Sim against a model ---------- *)
+
+type sim_op =
+  | Schedule of float  (** a delay, possibly negative or 0 (a tie) *)
+  | Schedule_at of float  (** an absolute time, possibly past *)
+  | Cancel of int  (** the [k]-th event ever scheduled, fired or not *)
+  | Step
+  | Run_until of float  (** [now] plus this *)
+
+let pp_sim_op = function
+  | Schedule d -> Printf.sprintf "schedule %g" d
+  | Schedule_at t -> Printf.sprintf "schedule_at %g" t
+  | Cancel k -> Printf.sprintf "cancel %d" k
+  | Step -> "step"
+  | Run_until d -> Printf.sprintf "run +%g" d
+
+(* The reference: a list of (time, seq, event) kept sorted by time, then
+   seq, and stepped from its head. *)
+module Model = struct
+  type t = { mutable clock : float; mutable queue : (float * int * int) list; mutable seq : int }
+
+  let create () = { clock = 0.; queue = []; seq = 0 }
+
+  let schedule_at m ~time k =
+    let entry = (Float.max time m.clock, m.seq, k) in
+    m.seq <- m.seq + 1;
+    m.queue <- List.merge compare m.queue [ entry ]
+
+  let cancel m k = m.queue <- List.filter (fun (_, _, k') -> k' <> k) m.queue
+
+  let step m fire =
+    match m.queue with
+    | [] -> false
+    | (time, _, k) :: rest ->
+        m.clock <- time;
+        m.queue <- rest;
+        fire k;
+        true
+
+  let rec run m fire ~until =
+    match m.queue with
+    | (time, _, _) :: _ when time <= until ->
+        ignore (step m fire);
+        run m fire ~until
+    | _ -> ()
+end
+
+let gen_sim_ops =
+  let open QCheck.Gen in
+  let delay = oneofl [ -1.; 0.; 0.; 0.5; 1.; 2.5; 1e9 ] in
+  list_size (int_range 1 60)
+    (frequency
+       [
+         (4, map (fun d -> Schedule d) delay);
+         (2, map (fun t -> Schedule_at t) (oneofl [ 0.; 1.; 2.; 3.5; 1e9 ]));
+         (3, map (fun k -> Cancel k) (int_bound 30));
+         (3, return Step);
+         (1, map (fun d -> Run_until d) (oneofl [ 0.; 0.5; 1.; 3. ]));
+       ])
+
+(* Each closure is created here, in a frame that returns, and put in a
+   weak slot: once the simulator lets go of it, nothing else holds it. *)
+let schedule_logged sim log weak k at =
+  let f () = log := k :: !log in
+  Weak.set weak k (Some (Obj.repr f));
+  at sim f
+
+let prop_sim_matches_model =
+  QCheck.Test.make ~name:"sim matches a sorted-list model" ~count:300
+    (QCheck.make ~print:(fun ops -> String.concat "; " (List.map pp_sim_op ops)) gen_sim_ops)
+    (fun ops ->
+      let sim = Sim.create () and model = Model.create () in
+      let log = ref [] and model_log = ref [] in
+      let weak = Weak.create 64 and ids = Array.make 64 None and issued = ref 0 in
+      let fire k = model_log := k :: !model_log in
+      let schedule at_sim at_model =
+        let k = !issued in
+        incr issued;
+        ids.(k) <- Some (schedule_logged sim log weak k at_sim);
+        at_model k
+      in
+      List.for_all
+        (fun op ->
+          let released =
+            match op with
+            | Schedule d ->
+                schedule (fun sim f -> Sim.schedule sim ~delay:d f) (fun k ->
+                    Model.schedule_at model ~time:(model.Model.clock +. Float.max 0. d) k);
+                true
+            | Schedule_at time ->
+                schedule (fun sim f -> Sim.schedule_at sim ~time f) (Model.schedule_at model ~time);
+                true
+            | Cancel k -> (
+                match if k < !issued then ids.(k) else None with
+                | None -> true
+                | Some id ->
+                    Sim.cancel sim id;
+                    Model.cancel model k;
+                    (* a cancelled or fired closure is already unreachable *)
+                    Gc.full_major ();
+                    Weak.get weak k = None)
+            | Step -> Sim.step sim = Model.step model fire
+            | Run_until d ->
+                let until = model.Model.clock +. d in
+                Sim.run sim ~until;
+                Model.run model fire ~until;
+                true
+          in
+          released && !log = !model_log
+          && Sim.now sim = model.Model.clock
+          && Sim.pending sim = List.length model.Model.queue)
+        ops)
+
+(* Far-future events scheduled and cancelled at once never fire, so only
+   rebuilding can drop their records: storage must track the events
+   still pending, not the ones ever scheduled. *)
+let test_sim_cancel_storage () =
+  let with_pending () =
+    let sim = Sim.create () in
+    for k = 1 to 10 do
+      ignore (Sim.schedule sim ~delay:(float k) ignore)
+    done;
+    sim
+  in
+  let churned = with_pending () in
+  for _ = 1 to 100_000 do
+    Sim.cancel churned (Sim.schedule churned ~delay:1e12 ignore)
+  done;
+  check int "pending" 10 (Sim.pending churned);
+  let words sim = Obj.reachable_words (Obj.repr sim) in
+  let extra = words churned - words (with_pending ()) in
+  check bool (Printf.sprintf "storage O(pending): %d extra words" extra) true (extra < 1_000);
+  Sim.run churned ~until:1e13;
+  check int "the ten fired" 10 (Sim.events_fired churned)
+
 let test_sim_nested_schedule () =
   let sim = Sim.create () in
   let log = ref [] in
@@ -711,6 +846,8 @@ let () =
           Alcotest.test_case "until boundary" `Quick test_sim_until_boundary;
           Alcotest.test_case "negative delay" `Quick test_sim_negative_delay_clamped;
           Alcotest.test_case "determinism" `Quick test_sim_determinism;
+          Alcotest.test_case "cancel storage" `Quick test_sim_cancel_storage;
+          QCheck_alcotest.to_alcotest prop_sim_matches_model;
         ] );
       ( "trace",
         [

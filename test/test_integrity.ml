@@ -1,8 +1,8 @@
-(* Integrity digests: known answers for the two hashes, the incremental
-   hasher against one-shot hashing, and every streamed digest against the
-   render-then-hash definition it replaced.  Frame digests, checkpoint
-   seals and verdict-cache keys must keep their exact values, because
-   cache keys appear in job-log records and reports. *)
+(* Integrity digests: the hasher's two lanes against a reference written
+   from their definition, the text sink's rendering, and what the record
+   digests must guarantee: a flipped bit in any field a frame, a seal or a
+   log digest covers changes it, and the verdict-cache key is a function
+   of the clause set alone. *)
 
 module T = Sat.Types
 module Cnf = Sat.Cnf
@@ -11,22 +11,17 @@ module I = C.Integrity
 module P = C.Protocol
 module Sub = C.Subproblem
 module J = C.Journal
+module Joblog = Gridsat_service.Joblog
+module Cache = Gridsat_service.Cache
 
 let check = Alcotest.check
 let bool = Alcotest.bool
 let int = Alcotest.int
 let str = Alcotest.string
 
-(* ---------- reference: digests by rendering to a string first ---------- *)
+(* ---------- reference: the two lanes from their definition ---------- *)
 
 module Ref = struct
-  let fnv1a s =
-    let h = ref 0xcbf29ce484222325L in
-    String.iter
-      (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-      s;
-    Int64.to_int !h
-
   let crc_table =
     Array.init 256 (fun n ->
         let c = ref n in
@@ -41,6 +36,32 @@ module Ref = struct
       (fun ch -> crc := crc_table.((!crc lxor Char.code ch) land 0xFF) lxor (!crc lsr 8))
       s;
     !crc lxor 0xFFFFFFFF
+
+  let word ws =
+    let step h w =
+      let h = (h lxor w) * 0x1E3779B97F4A7C15 in
+      h lxor (h lsr 32)
+    in
+    let h = List.fold_left step 0x2545F4914F6CDD1D ws in
+    let h = (h lxor (h lsr 29)) * 0x3C79AC492BA7B653 in
+    h lxor (h lsr 32)
+
+  (* A word's 8 little-endian bytes: its 63 bits, zero-extended. *)
+  let le8 n =
+    let b = Bytes.create 8 in
+    Bytes.set_int64_le b 0 (Int64.logand (Int64.of_int n) Int64.max_int);
+    Bytes.to_string b
+
+  (* A string's words after its length: 8-byte little-endian chunks, a
+     chunk's top bit folded into its bottom bit, the last chunk
+     zero-padded. *)
+  let string_words s =
+    let n = String.length s in
+    List.init ((n + 7) / 8) (fun k ->
+        let chunk = Bytes.make 8 '\000' in
+        Bytes.blit_string s (8 * k) chunk 0 (min 8 (n - (8 * k)));
+        let x = Bytes.get_int64_le chunk 0 in
+        Int64.to_int x lxor Int64.to_int (Int64.shift_right_logical x 63))
 
   let subproblem_to_string (t : Sub.t) =
     let buf = Buffer.create 4096 in
@@ -59,271 +80,124 @@ module Ref = struct
         Buffer.add_string buf "0\n")
       (Clause_lists.to_list t.Sub.clauses);
     Buffer.contents buf
-
-  let render_entry buf (e : P.journal_entry) =
-    let pf fmt = Printf.bprintf buf fmt in
-    let lits ls = List.iter (fun l -> pf "%d " (T.to_int l)) ls in
-    match e with
-    | Registered { client } -> pf "jreg %d" client
-    | Assigned { pid = o, n; dst; path } ->
-        pf "jasn %d.%d %d " o n dst;
-        lits path
-    | Started { pid = o, n; client } -> pf "jsta %d.%d %d" o n client
-    | Granted { requester; partner } -> pf "jgra %d %d" requester partner
-    | Split { donor; donor_pid = a, b; donor_path; pid = o, n; dst; path } ->
-        pf "jspl %d %d.%d " donor a b;
-        lits donor_path;
-        pf "-> %d.%d %d " o n dst;
-        lits path
-    | Refuted { pid = o, n } -> pf "jref %d.%d" o n
-    | Shared { clauses } -> pf "jshr %d" clauses
-    | Suspected { client } -> pf "jsus %d" client
-    | Died { client } -> pf "jdie %d" client
-    | Adopted { pid = o, n; client; path } ->
-        pf "jado %d.%d %d " o n client;
-        lits path
-    | Verdict { answer } -> pf "jver %s" answer
-
-  let rec render buf (msg : P.msg) =
-    let pf fmt = Printf.bprintf buf fmt in
-    let lits ls = List.iter (fun l -> pf "%d " (T.to_int l)) ls in
-    let clauses cs =
-      List.iter
-        (fun c ->
-          Array.iter (fun l -> pf "%d " (T.to_int l)) c;
-          Buffer.add_char buf '/')
-        cs
-    in
-    match msg with
-    | Register -> pf "register"
-    | Problem { pid = o, n; sp; sent_at } ->
-        pf "problem %d.%d %h " o n sent_at;
-        Buffer.add_string buf (subproblem_to_string sp)
-    | Problem_received { pid = o, n; from; bytes; path } ->
-        pf "received %d.%d %d %d " o n from bytes;
-        lits path
-    | Split_request `Memory -> pf "split? mem"
-    | Split_request `Long_running -> pf "split? long"
-    | Split_partner { partner } -> pf "partner %d" partner
-    | Split_ok { pid = o, n; donor_pid = o', n'; dst; bytes; path; donor_path } ->
-        pf "split_ok %d.%d %d.%d %d %d p " o n o' n' dst bytes;
-        lits path;
-        pf "d ";
-        lits donor_path
-    | Split_failed { partner } -> pf "split_failed %d" partner
-    | Shares { clauses = cs } ->
-        pf "shares ";
-        clauses cs
-    | Share_relay { origin; clauses = cs } ->
-        pf "relay %d " origin;
-        clauses cs
-    | Finished_unsat { pid = o, n; proof } ->
-        pf "unsat %d.%d " o n;
-        Option.iter (Buffer.add_string buf) proof
-    | Found_model m -> List.iter (pf "%d ") (Sat.Model.true_literals m)
-    | Migrate_to { target } -> pf "migrate %d" target
-    | Cancel { pid = o, n } -> pf "cancel %d.%d" o n
-    | Orphaned { pid = o, n; sp } ->
-        pf "orphaned %d.%d " o n;
-        Buffer.add_string buf (subproblem_to_string sp)
-    | Resync_request -> pf "resync?"
-    | Resync { pid; path; busy_since } ->
-        (match pid with None -> pf "resync idle " | Some (o, n) -> pf "resync %d.%d " o n);
-        pf "%h " busy_since;
-        lits path
-    | Stop -> pf "stop"
-    | Heartbeat { decisions } -> pf "hb %d" decisions
-    | Ship { seq; entries; log_digest } ->
-        pf "ship %d %s " seq log_digest;
-        List.iter
-          (fun e ->
-            render_entry buf e;
-            Buffer.add_char buf '/')
-          entries
-    | Epoch_notice -> pf "epoch!"
-    | Ack { mid } -> pf "ack %d" mid
-    | Nack { mid } -> pf "nack %d" mid
-    | Reliable { mid; low = _; payload } ->
-        pf "rel %d " mid;
-        render buf payload
-    | Framed { digest; epoch; payload } ->
-        pf "frame %d @%d " digest epoch;
-        render buf payload
-    | Corrupt_payload -> pf "garbage"
-
-  let protocol_digest msg =
-    let buf = Buffer.create 256 in
-    render buf msg;
-    fnv1a (Buffer.contents buf)
-
-  let cache_digest cnf =
-    let clause arr = Array.to_list arr |> List.map T.to_int |> List.sort compare in
-    let clauses = List.sort_uniq compare (List.map clause (Clause_lists.to_list (Cnf.clauses cnf))) in
-    let buf = Buffer.create 256 in
-    Buffer.add_string buf (Printf.sprintf "p %d;" (Cnf.nvars cnf));
-    List.iter
-      (fun c ->
-        List.iter
-          (fun l ->
-            Buffer.add_string buf (string_of_int l);
-            Buffer.add_char buf ' ')
-          c;
-        Buffer.add_char buf ';')
-      clauses;
-    let s = Buffer.contents buf in
-    Printf.sprintf "%x-%x" (fnv1a s) (crc32 s)
-
-  (* The streamed key as first written: every clause copied, converted to
-     DIMACS and sorted, the clause arrays then sorted themselves. *)
-  let compare_clauses (a : int array) (b : int array) =
-    let la = Array.length a and lb = Array.length b in
-    let rec from k =
-      if k = la || k = lb then Int.compare la lb
-      else match Int.compare a.(k) b.(k) with 0 -> from (k + 1) | c -> c
-    in
-    from 0
-
-  let cache_digest_streamed cnf =
-    let clauses =
-      Array.of_list (Clause_lists.to_list (Sat.Cnf.clauses cnf))
-      |> Array.map (fun c ->
-             let ints = Array.map Sat.Types.to_int c in
-             Array.stable_sort Int.compare ints;
-             ints)
-    in
-    Array.stable_sort compare_clauses clauses;
-    let h = I.hasher () in
-    I.add_string h "p ";
-    I.add_int h (Sat.Cnf.nvars cnf);
-    I.add_char h ';';
-    Array.iteri
-      (fun k c ->
-        if k = 0 || compare_clauses clauses.(k - 1) c <> 0 then begin
-          Array.iter
-            (fun l ->
-              I.add_int h l;
-              I.add_char h ' ')
-            c;
-          I.add_char h ';'
-        end)
-      clauses;
-    Printf.sprintf "%x-%x" (I.fnv1a_of h) (I.crc32_of h)
 end
 
 (* ---------- known answers ---------- *)
 
 let test_known_answers () =
-  check int "crc32 check value" 0xCBF43926 (I.crc32 "123456789");
-  check int "crc32 of nothing" 0 (I.crc32 "");
-  check int "fnv1a of nothing is the offset basis"
-    (Int64.to_int 0xcbf29ce484222325L)
-    (I.fnv1a "");
-  check int "fnv1a of a" (Int64.to_int 0xaf63dc4c8601ec8cL) (I.fnv1a "a");
-  List.iter
-    (fun s ->
-      check int ("fnv1a matches the Int64 definition on " ^ String.escaped s) (Ref.fnv1a s) (I.fnv1a s))
-    [ ""; "a"; "foobar"; "123456789"; String.make 300 '\xff' ]
+  check int "crc32 check value" 0xCBF43926 (Ref.crc32 "123456789");
+  check int "crc32 of nothing" 0 (Ref.crc32 "");
+  (* the CRC lane of one int is the CRC-32 of its little-endian bytes:
+     "12345678" *)
+  check int "crc lane of an int" (Ref.crc32 "12345678")
+    (I.crc32_of (I.hash I.put_int 0x3837363534333231));
+  check int "crc lane of nothing" 0 (I.crc32_of (I.hash (fun _ () -> ()) ()));
+  (* the word lane pinned: a change of constants moves every digest *)
+  check int "word lane of nothing" 0x2f0f774e54ddb2bb (I.hash_word (fun _ () -> ()) ());
+  check int "word digest of [1; 2; 3]" 0x13e9fc4d42f49ed6 (I.word_digest [| 1; 2; 3 |] 0 3);
+  check int "word digest of nothing" (Ref.word [ 0 ]) (I.word_digest [||] 0 0)
 
-let test_add_int_is_decimal_text () =
-  List.iter
-    (fun n ->
-      let h = I.hasher () in
-      I.add_int h n;
-      let text = string_of_int n in
-      check int ("fnv1a of " ^ text) (I.fnv1a text) (I.fnv1a_of h);
-      check int ("crc32 of " ^ text) (I.crc32 text) (I.crc32_of h);
-      check str ("rendered " ^ text) text (I.render I.put_int n))
-    [ 0; 1; -1; 9; 10; -10; 99; 100; 123456789; max_int; min_int; min_int + 1 ]
-
-type piece = C of char | S of string | N of int
-
-let prop_hasher_streams_concatenation =
-  let gen =
-    QCheck.Gen.(
-      list_size (int_bound 20)
-        (oneof
-           [
-             map (fun c -> C c) char;
-             map (fun s -> S s) (string_size ~gen:char (int_bound 12));
-             map (fun n -> N n) (oneof [ small_signed_int; int ]);
-           ]))
-  in
-  QCheck.Test.make ~name:"hasher equals hashing the concatenated bytes" ~count:300 (QCheck.make gen)
-    (fun pieces ->
-      let h = I.hasher () in
-      let text =
-        String.concat ""
-          (List.map
-             (function
-               | C c ->
-                   I.add_char h c;
-                   String.make 1 c
-               | S s ->
-                   I.add_string h s;
-                   s
-               | N n ->
-                   I.add_int h n;
-                   string_of_int n)
-             pieces)
-      in
-      I.fnv1a_of h = Ref.fnv1a text && I.crc32_of h = Ref.crc32 text)
-
-(* The decimal kernel at the edges of its packing: each change of digit
-   count, the end of the one-word path at 10^4, and the extremes, which
-   take groups of four digits.  Slices are drawn
-   from these and from any int; the hashed bytes must be those of the
-   rendered text, through the hasher (FNV-1a and CRC-32), through an
-   FNV-1a-only sink, and as literals through [put_lits]. *)
 let edge_ints =
   List.concat_map (fun n -> [ n; -n ]) [ 0; 9; 10; 99; 100; 999; 1000; 9999; 10000; max_int ] @ [ min_int ]
 
-let prop_kernel_is_rendered_text =
-  let gen =
-    QCheck.Gen.(
-      triple
-        (list_size (int_bound 12) (oneof [ oneofl edge_ints; int; small_signed_int ]))
-        (oneofl [ ' '; ';'; '\n'; '/' ])
-        (pair (int_bound 3) (int_bound 3)))
-  in
-  QCheck.Test.make ~name:"decimal kernel equals hashing the rendered text" ~count:500
-    (QCheck.make gen) (fun (ns, sep, (drop_front, drop_back)) ->
-      let a = Array.of_list ns in
-      let pos = min drop_front (Array.length a) in
-      let len = max 0 (Array.length a - pos - drop_back) in
-      let slice = Array.to_list (Array.sub a pos len) in
-      let text xs = String.concat "" (List.map (fun n -> string_of_int n ^ String.make 1 sep) xs) in
-      let h = I.hasher () in
-      I.add_ints h ~sep a pos len;
-      let fnv_only =
-        I.hash_fnv1a
-          (fun sink xs ->
-            List.iter
-              (fun n ->
-                I.put_int sink n;
-                I.put_char sink sep)
-              xs)
-          slice
-      in
-      (* literals: every nonzero int that is a variable's DIMACS int *)
-      let dimacs = List.filter (fun n -> n <> 0 && n <> min_int && abs n <= max_int / 2) slice in
-      let lits = Array.of_list (List.map T.lit_of_int dimacs) in
-      let put_lits sink () = I.put_lits sink ~sep lits 0 (Array.length lits) in
-      I.fnv1a_of h = Ref.fnv1a (text slice)
-      && I.crc32_of h = Ref.crc32 (text slice)
-      && fnv_only = Ref.fnv1a (text slice)
-      && I.crc32_of (I.hash put_lits ()) = Ref.crc32 (text dimacs)
-      && I.hash_fnv1a put_lits () = Ref.fnv1a (text dimacs)
-      && I.render put_lits () = text dimacs)
+(* The text sink writes exactly what the text forms have always shown. *)
+let test_ints_as_text () =
+  List.iter
+    (fun n -> check str ("rendered " ^ string_of_int n) (string_of_int n) (I.render I.put_int n))
+    edge_ints;
+  let lits = Array.of_list (List.map T.lit_of_int [ 3; -1; 10_000; -77 ]) in
+  check str "put_lits" "-1;10000;-77;"
+    (I.render (fun sink () -> I.put_lits sink ~sep:';' lits 1 3) ());
+  check str "put_lit_list" "3 -1 10000 -77 "
+    (I.render (fun sink () -> I.put_lit_list sink ~sep:' ' (Array.to_list lits)) ());
+  check str "put_lit" "-77" (I.render I.put_lit lits.(3));
+  check str "punctuation, strings, lengths, floats" "[ab]x 0x1.8p+1"
+    (I.render
+       (fun sink () ->
+         I.put_text sink "[";
+         I.put_string sink "ab";
+         I.put_text sink "]x ";
+         I.put_length sink 7;
+         I.put_float sink ~text:(Printf.sprintf "%h") 3.)
+       ())
 
-(* ---------- random wire messages ---------- *)
+(* ---------- the hasher against the reference ---------- *)
 
-let gen_int = QCheck.Gen.(oneof [ small_signed_int; int; oneofl [ 0; -1; max_int; min_int ] ])
+type piece =
+  | Int of int
+  | Len of int
+  | Str of string
+  | Flt of float
+  | Lits of T.lit list
+  | Slice of T.lit array * int * int
+  | Punct of string
 
 let gen_lit =
   QCheck.Gen.(
     map
       (fun i -> T.lit_of_int (if i = 0 then 1 else i))
       (oneof [ small_signed_int; int_range (-(1 lsl 40)) (1 lsl 40) ]))
+
+let gen_piece =
+  let open QCheck.Gen in
+  let any_int = oneof [ oneofl edge_ints; int; small_signed_int ] in
+  oneof
+    [
+      map (fun n -> Int n) any_int;
+      map (fun n -> Len n) any_int;
+      map (fun s -> Str s) (string_size ~gen:char (int_bound 30));
+      map (fun x -> Flt x) (oneof [ float; oneofl [ 0.; -0.; nan; infinity ] ]);
+      map (fun ls -> Lits ls) (list_size (int_bound 6) gen_lit);
+      ( array_size (int_bound 8) gen_lit >>= fun a ->
+        let n = Array.length a in
+        int_bound n >>= fun pos ->
+        int_bound (n - pos) >|= fun len -> Slice (a, pos, len) );
+      map (fun s -> Punct s) (string_size ~gen:printable (int_bound 4));
+    ]
+
+let emit_piece sink = function
+  | Int n -> I.put_int sink n
+  | Len n -> I.put_length sink n
+  | Str s -> I.put_string sink s
+  | Flt x -> I.put_float sink ~text:string_of_float x
+  | Lits ls -> I.put_lit_list sink ~sep:' ' ls
+  | Slice (a, pos, len) -> I.put_lits sink ~sep:' ' a pos len
+  | Punct s -> I.put_text sink s
+
+(* A piece's words, and the bytes its CRC lane sees. *)
+let words_of = function
+  | Int n | Len n -> [ n ]
+  | Str s -> String.length s :: Ref.string_words s
+  | Flt x ->
+      let b = Int64.bits_of_float x in
+      [ Int64.to_int b land 0xFFFF_FFFF; Int64.to_int (Int64.shift_right_logical b 32) ]
+  | Lits ls -> List.length ls :: ls
+  | Slice (a, pos, len) -> len :: Array.to_list (Array.sub a pos len)
+  | Punct _ -> []
+
+let crc_bytes_of = function
+  | Str s -> Ref.le8 (String.length s) ^ s
+  | p -> String.concat "" (List.map Ref.le8 (words_of p))
+
+let prop_hasher_is_the_word_sequence =
+  QCheck.Test.make ~name:"hasher equals hashing the concatenated words" ~count:500
+    (QCheck.make QCheck.Gen.(list_size (int_bound 12) gen_piece))
+    (fun pieces ->
+      let emit sink ps = List.iter (emit_piece sink) ps in
+      let h = I.hash emit pieces in
+      let words = List.concat_map words_of pieces in
+      I.word_of h = Ref.word words
+      && I.hash_word emit pieces = Ref.word words
+      && I.crc32_of h = Ref.crc32 (String.concat "" (List.map crc_bytes_of pieces))
+      && List.for_all
+           (function
+             | Slice (a, pos, len) as p -> I.word_digest a pos len = Ref.word (words_of p)
+             | _ -> true)
+           pieces)
+
+(* ---------- random wire messages ---------- *)
+
+let gen_int = QCheck.Gen.(oneof [ small_signed_int; int; oneofl [ 0; -1; max_int; min_int ] ])
 
 let gen_lits = QCheck.Gen.(list_size (int_bound 6) gen_lit)
 
@@ -410,19 +284,223 @@ let rec gen_msg depth : P.msg QCheck.Gen.t =
         (1, map3 (fun digest epoch payload -> P.Framed { digest; epoch; payload }) gen_int gen_int inner);
       ]
 
-let prop_protocol_digest =
-  QCheck.Test.make ~name:"Protocol.digest equals the rendered-text digest" ~count:1000
-    (QCheck.make (gen_msg 3))
-    (fun msg -> P.digest msg = Ref.protocol_digest msg)
+(* ---------- single-bit flips ---------- *)
+
+(* [int f n] flips bit [f.bit] of the [f.k]-th value the flipper is
+   applied to, counting from 0, and passes every other value through; a
+   string is one value per byte, a float one value.  Run with [k = -1],
+   it only counts: [seen] is then the number of values a record has. *)
+module Flip = struct
+  type t = { mutable seen : int; k : int; bit : int }
+
+  let make k bit = { seen = 0; k; bit }
+
+  let hit f =
+    let i = f.seen in
+    f.seen <- i + 1;
+    i = f.k
+
+  let int f n = if hit f then n lxor (1 lsl (f.bit mod 63)) else n
+
+  let float f x =
+    if hit f then
+      let mask = Int64.shift_left 1L (f.bit mod 64) in
+      Int64.float_of_bits (Int64.logxor (Int64.bits_of_float x) mask)
+    else x
+
+  let string f s =
+    String.map (fun c -> if hit f then Char.chr (Char.code c lxor (1 lsl (f.bit mod 8))) else c) s
+
+  let pair f (a, b) =
+    let a = int f a in
+    (a, int f b)
+
+  let lits f ls = List.map (int f) ls
+
+  let sp f (sp : Sub.t) =
+    let nvars = int f sp.Sub.nvars in
+    let facts = lits f sp.Sub.facts in
+    let path = lits f sp.Sub.path in
+    let clauses = Clause_lists.to_list sp.Sub.clauses |> List.map (Array.map (int f)) in
+    { Sub.nvars; facts; path; clauses = Clause_lists.of_list clauses }
+
+  let model f m =
+    Sat.Model.of_array
+      (Array.mapi (fun v b -> if v > 0 && hit f then not b else b) (Sat.Model.to_array m))
+
+  let entry f : P.journal_entry -> P.journal_entry = function
+    | Registered { client } -> Registered { client = int f client }
+    | Assigned { pid = p; dst; path } ->
+        let pid = pair f p in
+        let dst = int f dst in
+        Assigned { pid; dst; path = lits f path }
+    | Started { pid = p; client } ->
+        let pid = pair f p in
+        Started { pid; client = int f client }
+    | Granted { requester; partner } ->
+        let requester = int f requester in
+        Granted { requester; partner = int f partner }
+    | Split { donor; donor_pid; donor_path; pid = p; dst; path } ->
+        let donor = int f donor in
+        let donor_pid = pair f donor_pid in
+        let donor_path = lits f donor_path in
+        let pid = pair f p in
+        let dst = int f dst in
+        Split { donor; donor_pid; donor_path; pid; dst; path = lits f path }
+    | Refuted { pid = p } -> Refuted { pid = pair f p }
+    | Shared { clauses } -> Shared { clauses = int f clauses }
+    | Suspected { client } -> Suspected { client = int f client }
+    | Died { client } -> Died { client = int f client }
+    | Adopted { pid = p; client; path } ->
+        let pid = pair f p in
+        let client = int f client in
+        Adopted { pid; client; path = lits f path }
+    | Verdict { answer } -> Verdict { answer = string f answer }
+
+  (* Every field the digest covers: not a reliable envelope's low-water
+     mark, a header outside it.  (An outermost frame's epoch is outside
+     its digest too, being no part of the framed payload.) *)
+  let rec msg f : P.msg -> P.msg = function
+    | (Register | Split_request _ | Resync_request | Stop | Epoch_notice | Corrupt_payload) as m ->
+        m
+    | Problem { pid = p; sp = s; sent_at } ->
+        let pid = pair f p in
+        let sp = sp f s in
+        Problem { pid; sp; sent_at = float f sent_at }
+    | Problem_received { pid = p; from; bytes; path } ->
+        let pid = pair f p in
+        let from = int f from in
+        let bytes = int f bytes in
+        Problem_received { pid; from; bytes; path = lits f path }
+    | Split_partner { partner } -> Split_partner { partner = int f partner }
+    | Split_ok { pid = p; donor_pid; dst; bytes; path; donor_path } ->
+        let pid = pair f p in
+        let donor_pid = pair f donor_pid in
+        let dst = int f dst in
+        let bytes = int f bytes in
+        let path = lits f path in
+        Split_ok { pid; donor_pid; dst; bytes; path; donor_path = lits f donor_path }
+    | Split_failed { partner } -> Split_failed { partner = int f partner }
+    | Shares { clauses } -> Shares { clauses = List.map (Array.map (int f)) clauses }
+    | Share_relay { origin; clauses } ->
+        let origin = int f origin in
+        Share_relay { origin; clauses = List.map (Array.map (int f)) clauses }
+    | Finished_unsat { pid = p; proof } ->
+        let pid = pair f p in
+        Finished_unsat { pid; proof = Option.map (string f) proof }
+    | Found_model m -> Found_model (model f m)
+    | Migrate_to { target } -> Migrate_to { target = int f target }
+    | Cancel { pid = p } -> Cancel { pid = pair f p }
+    | Orphaned { pid = p; sp = s } ->
+        let pid = pair f p in
+        Orphaned { pid; sp = sp f s }
+    | Resync { pid = p; path; busy_since } ->
+        let pid = Option.map (pair f) p in
+        let path = lits f path in
+        Resync { pid; path; busy_since = float f busy_since }
+    | Heartbeat { decisions } -> Heartbeat { decisions = int f decisions }
+    | Ship { seq; entries; log_digest } ->
+        let seq = int f seq in
+        let entries = List.map (entry f) entries in
+        Ship { seq; entries; log_digest = string f log_digest }
+    | Ack { mid } -> Ack { mid = int f mid }
+    | Nack { mid } -> Nack { mid = int f mid }
+    | Reliable { mid; low; payload } ->
+        let mid = int f mid in
+        Reliable { mid; low; payload = msg f payload }
+    | Framed { digest; epoch; payload } ->
+        let digest = int f digest in
+        let epoch = int f epoch in
+        Framed { digest; epoch; payload = msg f payload }
+
+  let job f : Joblog.entry -> Joblog.entry = function
+    | Submitted { id; tenant; priority; digest; deadline } ->
+        let id = int f id in
+        let tenant = string f tenant in
+        let priority = string f priority in
+        let digest = string f digest in
+        Submitted { id; tenant; priority; digest; deadline = Option.map (float f) deadline }
+    | Admitted { id } -> Admitted { id = int f id }
+    | Shed { id; retry_after } ->
+        let id = int f id in
+        Shed { id; retry_after = float f retry_after }
+    | Cache_hit { id; answer } ->
+        let id = int f id in
+        Cache_hit { id; answer = string f answer }
+    | Started { id; hosts } ->
+        let id = int f id in
+        Started { id; hosts = List.map (int f) hosts }
+    | Requeued { id; reason } ->
+        let id = int f id in
+        Requeued { id; reason = string f reason }
+    | Finished { id; terminal } ->
+        let id = int f id in
+        Finished { id; terminal = string f terminal }
+
+  (* Whether [digest] moves under every single-bit flip of [x]: one flip
+     per value, at a bit drawn by [bit k]. *)
+  let all_change ~bit mutate digest x =
+    let counter = make (-1) 0 in
+    ignore (mutate counter x);
+    let d = digest x in
+    List.for_all (fun k -> digest (mutate (make k (bit k)) x) <> d) (List.init counter.seen Fun.id)
+end
+
+let gen_bits = QCheck.Gen.(array_size (return 64) (int_bound 63))
+
+let prop_protocol_digest_bit_flip =
+  QCheck.Test.make ~name:"Protocol.digest changes when any bit of any field flips" ~count:1000
+    (QCheck.make QCheck.Gen.(pair (gen_msg 3) gen_bits))
+    (fun (msg, bits) -> Flip.all_change ~bit:(fun k -> bits.(k mod 64)) Flip.msg P.digest msg)
 
 let prop_subproblem_text_and_seal =
-  QCheck.Test.make ~name:"subproblem text and checkpoint seal unchanged" ~count:300
-    (QCheck.make gen_sp)
-    (fun sp ->
-      let text = Sub.to_string sp in
-      text = Ref.subproblem_to_string sp
-      && C.Checkpoint.seal_of sp = I.crc32 text
-      && C.Checkpoint.seal_of sp = Ref.crc32 text)
+  QCheck.Test.make ~name:"subproblem text and checkpoint seal cover every field" ~count:300
+    (QCheck.make QCheck.Gen.(pair gen_sp gen_bits))
+    (fun (sp, bits) ->
+      Sub.to_string sp = Ref.subproblem_to_string sp
+      && Flip.all_change ~bit:(fun k -> bits.(k mod 64)) Flip.sp C.Checkpoint.seal_of sp)
+
+(* A one-record log's digest: its last 16 hex characters are the CRC
+   lane, a bijection of the record's seal, so they move exactly when the
+   seal does. *)
+let seal_lane log_digest = String.sub log_digest 16 16
+
+let journal_seal e =
+  let j = J.create ~compact_every:1000 () in
+  J.append j e;
+  seal_lane (J.log_digest j)
+
+let joblog_seal e =
+  let l = Joblog.create () in
+  Joblog.append l e;
+  seal_lane (Joblog.log_digest l)
+
+let gen_job : Joblog.entry QCheck.Gen.t =
+  QCheck.Gen.(
+    oneof
+      [
+        map3
+          (fun (id, tenant) (priority, digest) deadline ->
+            Joblog.Submitted { id; tenant; priority; digest; deadline })
+          (pair gen_int gen_text) (pair gen_text gen_text) (opt float);
+        map (fun id -> Joblog.Admitted { id }) gen_int;
+        map2 (fun id retry_after -> Joblog.Shed { id; retry_after }) gen_int float;
+        map2 (fun id answer -> Joblog.Cache_hit { id; answer }) gen_int gen_text;
+        map2
+          (fun id hosts -> Joblog.Started { id; hosts })
+          gen_int
+          (list_size (int_bound 5) gen_int);
+        map2 (fun id reason -> Joblog.Requeued { id; reason }) gen_int gen_text;
+        map2 (fun id terminal -> Joblog.Finished { id; terminal }) gen_int gen_text;
+      ])
+
+let prop_record_seals_bit_flip =
+  QCheck.Test.make ~name:"journal and joblog seals cover every field" ~count:300
+    (QCheck.make QCheck.Gen.(triple gen_entry gen_job gen_bits))
+    (fun (e, job, bits) ->
+      let bit k = bits.(k mod 64) in
+      Flip.all_change ~bit Flip.entry journal_seal e
+      && Flip.all_change ~bit Flip.job joblog_seal job)
 
 (* ---------- verdict-cache keys ---------- *)
 
@@ -444,11 +522,6 @@ let gen_cache_cnf =
   (if base = [] then return [] else list_size (int_bound 10) (oneofl base >>= variant))
   >>= fun extra -> shuffle_l (base @ extra) >|= fun clauses -> Cnf.make ~nvars:nv clauses
 
-let prop_cache_digest =
-  QCheck.Test.make ~name:"Cache.digest equals the rendered-text key" ~count:500
-    (QCheck.make gen_cache_cnf)
-    (fun cnf -> Gridsat_service.Cache.digest cnf = Ref.cache_digest cnf)
-
 (* Bigger formulas too: long clauses (heap-sorted by Cnf), wide
    variable ranges (multi-digit DIMACS ints), and many clauses sharing
    prefixes. *)
@@ -459,10 +532,50 @@ let gen_cache_cnf_wide =
   list_size (int_bound 60) (list_size (int_range 1 30) lit) >|= fun clauses ->
   Cnf.make ~nvars:nv clauses
 
-let prop_cache_digest_streamed =
-  QCheck.Test.make ~name:"Cache.digest equals the sort-every-clause key" ~count:500
-    (QCheck.make (QCheck.Gen.oneof [ gen_cache_cnf; gen_cache_cnf_wide ]))
-    (fun cnf -> Gridsat_service.Cache.digest cnf = Ref.cache_digest_streamed cnf)
+(* A formula's clauses as DIMACS int lists, and as a set of sets. *)
+let dimacs cnf = List.map (fun c -> Array.to_list (Array.map T.to_int c)) (Clause_lists.to_list (Cnf.clauses cnf))
+
+let clause_set cnf = List.sort_uniq compare (List.map (List.sort_uniq compare) (dimacs cnf))
+
+(* The same clause set written another way: clauses shuffled, each
+   clause's literals shuffled, some clauses repeated. *)
+let prop_cache_digest_set_semantics =
+  let gen =
+    let open QCheck.Gen in
+    oneof [ gen_cache_cnf; gen_cache_cnf_wide ] >>= fun cnf ->
+    let cs = dimacs cnf in
+    (if cs = [] then return [] else list_size (int_bound 5) (oneofl cs)) >>= fun again ->
+    flatten_l (List.map shuffle_l (cs @ again)) >>= shuffle_l >|= fun written ->
+    (cnf, Cnf.make ~nvars:(Cnf.nvars cnf) written)
+  in
+  let print (a, b) = Format.asprintf "%a / %a" Cnf.pp a Cnf.pp b in
+  QCheck.Test.make ~name:"Cache.digest ignores clause order, literal order and duplicates"
+    ~count:500 (QCheck.make ~print gen) (fun (cnf, written) ->
+      let key = Cache.digest cnf in
+      String.length key = 25 && key = Cache.digest written)
+
+(* One clause more, one literal flipped, or one variable more: a
+   different formula, a different key.  Adding a clause the formula
+   holds, or a flip that lands on another clause it holds, leaves the
+   clause set as it was, and those cases are skipped. *)
+let prop_cache_digest_sensitive =
+  let gen =
+    let open QCheck.Gen in
+    oneof [ gen_cache_cnf; gen_cache_cnf_wide ] >>= fun cnf ->
+    let lit = map2 (fun v s -> if s then v else -v) (int_range 1 (Cnf.nvars cnf)) bool in
+    triple (return cnf) (list_size (int_range 1 4) lit) (pair nat nat)
+  in
+  QCheck.Test.make ~name:"Cache.digest changes with a clause, a literal or nvars" ~count:500
+    (QCheck.make gen) (fun (cnf, extra, (ci, li)) ->
+      let nv = Cnf.nvars cnf and cs = dimacs cnf and key = Cache.digest cnf in
+      let moves other = clause_set other = clause_set cnf || Cache.digest other <> key in
+      let flip_at k c = List.mapi (fun j l -> if j = k mod List.length c then -l else l) c in
+      let flipped =
+        List.mapi (fun k c -> if k = ci mod List.length cs && c <> [] then flip_at li c else c) cs
+      in
+      Cache.digest (Cnf.make ~nvars:(nv + 1) cs) <> key
+      && moves (Cnf.make ~nvars:nv (extra :: cs))
+      && moves (Cnf.make ~nvars:nv flipped))
 
 (* ---------- journal record text ---------- *)
 
@@ -580,16 +693,17 @@ let () =
       ( "hasher",
         [
           Alcotest.test_case "known answers" `Quick test_known_answers;
-          Alcotest.test_case "ints as decimal text" `Quick test_add_int_is_decimal_text;
+          Alcotest.test_case "ints as decimal text" `Quick test_ints_as_text;
         ]
-        @ qsuite [ prop_hasher_streams_concatenation; prop_kernel_is_rendered_text ] );
+        @ qsuite [ prop_hasher_is_the_word_sequence ] );
       ( "streamed digests",
         qsuite
           [
-            prop_protocol_digest;
+            prop_protocol_digest_bit_flip;
             prop_subproblem_text_and_seal;
-            prop_cache_digest;
-            prop_cache_digest_streamed;
+            prop_record_seals_bit_flip;
+            prop_cache_digest_set_semantics;
+            prop_cache_digest_sensitive;
           ] );
       ( "journal",
         [ Alcotest.test_case "record text" `Quick test_journal_entry_text ]
