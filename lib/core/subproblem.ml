@@ -120,26 +120,27 @@ let emit sink t =
 let to_string t = Integrity.render emit t
 
 (* Each line after the header is the facts ([f ...]), the path ([a ...])
-   or one clause. *)
+   or one clause.  Every line is read straight into the arena buffer
+   after the closed clauses: a clause line is closed there, and a root
+   line is copied out as a list. *)
 let of_string text =
   let module S = Sat.Dimacs.Scan in
   let sc = S.create ~fail:(fun m -> Failure ("Subproblem.of_string: " ^ m)) text in
   if not (S.more sc) then S.error sc "empty document";
   let nvars, nclauses = S.header sc "subproblem" in
-  let lit i = if i > nvars || i < -nvars then S.error sc "literal %d out of range" i else T.lit_of_int i in
-  let lits () =
-    let acc = ref [] in
-    S.line sc (fun i -> acc := lit i :: !acc);
-    List.rev !acc
-  in
   let b = Sat.Arena.buffer ~clauses:(min nclauses (String.length text / 2)) ~lits:(String.length text / 3) in
-  let push i = Sat.Arena.push b (lit i) and facts = ref [] and path = ref [] in
+  let e = ref 0 and facts = ref [] and path = ref [] in
+  let root () =
+    let stop = S.lits sc b !e ~nvars in
+    let data = Sat.Arena.storage b in
+    List.init (stop - !e) (fun k -> data.(!e + k))
+  in
   while S.more sc do
-    if S.word sc "f" then facts := lits ()
-    else if S.word sc "a" then path := lits ()
+    if S.word sc "f" then facts := root ()
+    else if S.word sc "a" then path := root ()
     else begin
-      S.line sc push;
-      Sat.Arena.close b
+      e := S.lits sc b !e ~nvars;
+      Sat.Arena.close_at b !e
     end
   done;
   { nvars; facts = !facts; path = !path; clauses = Sat.Arena.contents b }

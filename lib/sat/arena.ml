@@ -87,6 +87,12 @@ let grow (a : int array) n =
   Array.blit a 0 bigger 0 n;
   bigger
 
+let storage b = b.data
+
+let grow_storage b e =
+  b.data <- grow b.data e;
+  b.data
+
 let push b l =
   if b.len = Array.length b.data then b.data <- grow b.data b.len;
   b.data.(b.len) <- l;
@@ -102,19 +108,25 @@ let push_slice b a pos n =
   done;
   b.len <- b.len + n
 
-let close b =
+let close_at b e =
   if b.count + 1 = Array.length b.ends then b.ends <- grow b.ends (b.count + 1);
   b.count <- b.count + 1;
-  b.ends.(b.count) <- b.len
+  b.ends.(b.count) <- e;
+  b.len <- e
 
-let close_normalised ~nvars b =
-  match normalise_in_place ~nvars b.data b.ends.(b.count) b.len with
+let close b = close_at b b.len
+
+let close_normalised_at ~nvars b e =
+  match normalise_in_place ~nvars b.data b.ends.(b.count) e with
   | -1 ->
       b.len <- b.ends.(b.count);
-      b.dropped <- b.dropped + 1
+      b.dropped <- b.dropped + 1;
+      b.len
   | e ->
-      b.len <- e;
-      close b
+      close_at b e;
+      e
+
+let close_normalised ~nvars b = ignore (close_normalised_at ~nvars b b.len)
 
 let dropped b = b.dropped
 

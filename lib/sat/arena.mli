@@ -53,6 +53,26 @@ val close_normalised : nvars:int -> buf -> unit
 (** {!close} after normalising the clause in place, as {!normalise} does;
     a tautology is discarded and counted in {!dropped}. *)
 
+(** {2 Writing in place}
+
+    A reader that decodes literals itself writes the open clause straight
+    into the buffer's storage, from the end of the closed clauses on, and
+    keeps its end in a local until it closes the clause. *)
+
+val storage : buf -> Types.lit array
+(** The array the literals are stored in; only {!grow_storage} replaces it. *)
+
+val grow_storage : buf -> int -> Types.lit array
+(** [grow_storage b e] doubles the storage, keeping its first [e] literals
+    (the closed clauses and the open one up to [e]), and returns it. *)
+
+val close_at : buf -> int -> unit
+(** [close_at b e] is {!close} of the open clause written up to [e]. *)
+
+val close_normalised_at : nvars:int -> buf -> int -> int
+(** {!close_normalised} of the open clause written up to [e]; returns the
+    new end of the closed clauses, where the next clause starts. *)
+
 val dropped : buf -> int
 
 val contents : buf -> t

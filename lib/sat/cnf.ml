@@ -6,6 +6,8 @@ let builder ~nvars ~clauses ~lits =
   if nvars < 0 then invalid_arg "Cnf: negative nvars";
   { bnvars = nvars; buf = Arena.buffer ~clauses ~lits }
 
+let buffer b = b.buf
+
 let add b l = Arena.push b.buf l
 
 let end_clause b = Arena.close_normalised ~nvars:b.bnvars b.buf

@@ -17,6 +17,10 @@ val builder : nvars:int -> clauses:int -> lits:int -> builder
 (** An empty formula with room for about this many clauses and literals.
     Raises [Invalid_argument] if [nvars] is negative. *)
 
+val buffer : builder -> Arena.buf
+(** The arena the builder fills, for a reader that writes literals in
+    place ({!Arena.close_normalised_at}). *)
+
 val add : builder -> Types.lit -> unit
 
 val end_clause : builder -> unit

@@ -36,39 +36,43 @@ module Scan = struct
 
   let word t w =
     ignore (peek t);
-    let n = String.length w and len = String.length t.s in
-    let rec same i = i = n || (t.pos + i < len && t.s.[t.pos + i] = w.[i] && same (i + 1)) in
-    same 0 && (t.pos + n = len || is_space t.s.[t.pos + n]) && (t.pos <- t.pos + n; true)
+    let n = String.length w and len = String.length t.s and i = ref 0 in
+    while !i < n && t.pos + !i < len && t.s.[t.pos + !i] = w.[!i] do
+      incr i
+    done;
+    !i = n && (t.pos + n = len || is_space t.s.[t.pos + n]) && (t.pos <- t.pos + n; true)
 
-  (* Up to it, [10 * v + d] cannot overflow. *)
-  let cutoff = (max_int - 9) / 10
+  (* Whether [10 * v] plus the digit [c] is at most [max_int], which is
+     [10 * q + r]. *)
+  let q = max_int / 10 and r = max_int mod 10
 
-  (* The hot loops make no calls, so the positions stay in registers; the
-     cursor moves once, past the integer and the blanks after it. *)
+  let[@inline] fits v c = v < q || (v = q && Char.code c - 48 <= r)
+
+  (* The error for the token at [start], which is not an integer: its
+     digits stopped at [stop], on a digit only if the value overflowed. *)
+  let bad_int t start stop =
+    t.pos <- start;
+    if stop < String.length t.s && is_digit t.s.[stop] then
+      error t "integer out of range: %s" (token t)
+    else error t "not an integer: %S" (token t)
+
+  (* The readers below decode integers the same way, in their own loops:
+     a call per integer would cost more than its bytes. *)
   let int t =
     let s = t.s and len = String.length t.s in
     let p = ref t.pos in
     while !p < len && is_blank s.[!p] do
       incr p
     done;
-    t.pos <- !p;
+    let start = !p in
     let neg = !p < len && s.[!p] = '-' in
     if neg || (!p < len && s.[!p] = '+') then incr p;
     let digits = !p and v = ref 0 in
-    while !p < len && is_digit s.[!p] && !v <= cutoff do
+    while !p < len && is_digit s.[!p] && fits !v s.[!p] do
       v := (10 * !v) + Char.code s.[!p] - 48;
       incr p
     done;
-    if !p < len && is_digit s.[!p] then begin
-      (* [v] is past the cutoff: one more digit may still fit, two cannot *)
-      let d = Char.code s.[!p] - 48 in
-      if !v > (max_int - d) / 10 || (!p + 1 < len && is_digit s.[!p + 1]) then
-        error t "integer out of range: %s" (token t);
-      v := (10 * !v) + d;
-      incr p
-    end;
-    if !p = digits || (!p < len && not (is_space s.[!p])) then
-      error t "not an integer: %S" (token t);
+    if !p = digits || (!p < len && not (is_space s.[!p])) then bad_int t start !p;
     while !p < len && is_blank s.[!p] do
       incr p
     done;
@@ -82,49 +86,113 @@ module Scan = struct
     if nvars < 0 || peek t <> '\n' then error t "malformed problem line";
     (nvars, nclauses)
 
-  let rec line t f =
-    if peek t = '\n' then error t "line not terminated by 0";
-    match int t with
-    | 0 -> if peek t <> '\n' then error t "0 inside a line"
-    | i ->
-        f i;
-        line t f
+  (* One loop over the line: the cursor and the clause's end stay in
+     locals, and each literal goes straight into the buffer's storage. *)
+  let lits t b e ~nvars =
+    let s = t.s and len = String.length t.s in
+    let p = ref t.pos and e = ref e and data = ref (Arena.storage b) and ended = ref false in
+    while not !ended do
+      while !p < len && is_blank s.[!p] do
+        incr p
+      done;
+      if !p = len || s.[!p] = '\n' then error t "line not terminated by 0";
+      let start = !p in
+      let neg = s.[!p] = '-' in
+      if neg || s.[!p] = '+' then incr p;
+      let digits = !p and v = ref 0 in
+      while !p < len && is_digit s.[!p] && fits !v s.[!p] do
+        v := (10 * !v) + Char.code s.[!p] - 48;
+        incr p
+      done;
+      if !p = digits || (!p < len && not (is_space s.[!p])) then bad_int t start !p;
+      if !v = 0 then begin
+        while !p < len && is_blank s.[!p] do
+          incr p
+        done;
+        if !p < len && s.[!p] <> '\n' then error t "0 inside a line";
+        ended := true
+      end
+      else begin
+        if !v > nvars then error t "literal %d out of range" (if neg then - !v else !v);
+        if !e = Array.length !data then data := Arena.grow_storage b !e;
+        !data.(!e) <- (!v lsl 1) lor Bool.to_int neg;
+        incr e
+      end
+    done;
+    t.pos <- !p;
+    !e
 end
+
+(* Closes the clause written up to [e], normalising it only if it was
+   not read canonical; returns where the next clause starts. *)
+let close_clause ~nvars b ~canonical e =
+  if canonical then (Arena.close_at b e; e) else Arena.close_normalised_at ~nvars b e
 
 let parse_string s =
   let sc = Scan.create ~fail:(fun m -> Parse_error m) s in
-  let header = ref None and open_clause = ref false in
-  while Scan.more sc do
-    match (Scan.peek sc, !header) with
-    | 'c', _ -> Scan.skip_line sc
-    | '%', _ -> sc.pos <- String.length s
-    | 'p', None ->
-        let nvars, nclauses = Scan.header sc "cnf" in
-        (* a clause takes two bytes at least, a literal about three *)
-        let clauses = min nclauses (String.length s / 2) and lits = String.length s / 3 in
-        header := Some (Cnf.builder ~nvars ~clauses ~lits, nvars)
-    | 'p', Some _ -> Scan.error sc "duplicate problem header"
-    | _, None -> Scan.error sc "clause data before 'p cnf' header"
-    | _, Some (b, nvars) ->
-        (* [Scan.int] leaves the cursor past the blanks after it *)
-        while sc.pos < String.length s && s.[sc.pos] <> '\n' do
-          match Scan.int sc with
-          | 0 ->
-              Cnf.end_clause b;
-              open_clause := false
-          | i ->
-              (* not [abs i > nvars]: [abs min_int] is negative *)
-              if i > nvars || i < -nvars then
-                Scan.error sc "literal %d exceeds declared variable count %d" i nvars;
-              Cnf.add b (Types.lit_of_int i);
-              open_clause := true
-        done
+  while Scan.more sc && Scan.peek sc = 'c' do
+    Scan.skip_line sc
   done;
-  match !header with
-  | None -> Scan.error sc "missing 'p cnf' header"
-  | Some (b, _) ->
-      if !open_clause then Cnf.end_clause b;
-      Cnf.build b
+  (match Scan.peek sc with
+  | 'p' -> ()
+  | '\n' | '%' -> Scan.error sc "missing 'p cnf' header"
+  | _ -> Scan.error sc "clause data before 'p cnf' header");
+  let nvars, nclauses = Scan.header sc "cnf" in
+  let len = String.length s in
+  (* a clause takes two bytes at least, a literal about three *)
+  let cnf = Cnf.builder ~nvars ~clauses:(min nclauses (len / 2)) ~lits:(len / 3) in
+  let b = Cnf.buffer cnf in
+  (* The open clause is [data.(start .. e - 1)].  It is canonical (sorted,
+     distinct, no literal beside its negation, so already normalised)
+     while each literal exceeds [prev lor 1]: [Types] encodes [v] as [2v]
+     and [-v] as [2v + 1]. *)
+  let data = ref (Arena.storage b) and start = ref 0 and e = ref 0 in
+  let prev = ref min_int and canonical = ref true in
+  let p = ref sc.pos and line_start = ref false in
+  while !p < len do
+    match s.[!p] with
+    | ' ' | '\t' | '\r' -> incr p
+    | '\n' ->
+        incr p;
+        line_start := true
+    | 'c' when !line_start ->
+        while !p < len && s.[!p] <> '\n' do
+          incr p
+        done
+    | '%' when !line_start -> p := len
+    | 'p' when !line_start -> Scan.error sc "duplicate problem header"
+    | c ->
+        line_start := false;
+        let token = !p in
+        let neg = c = '-' in
+        if neg || c = '+' then incr p;
+        let digits = !p and v = ref 0 in
+        while !p < len && Scan.is_digit s.[!p] && Scan.fits !v s.[!p] do
+          v := (10 * !v) + Char.code s.[!p] - 48;
+          incr p
+        done;
+        if !p = digits || (!p < len && not (Scan.is_space s.[!p])) then Scan.bad_int sc token !p;
+        if !v = 0 then begin
+          e := close_clause ~nvars b ~canonical:!canonical !e;
+          start := !e;
+          prev := min_int;
+          canonical := true
+        end
+        else begin
+          if !v > nvars then
+            Scan.error sc "literal %d exceeds declared variable count %d" (if neg then - !v else !v)
+              nvars;
+          let l = (!v lsl 1) lor Bool.to_int neg in
+          if l <= !prev lor 1 then canonical := false;
+          prev := l;
+          if !e = Array.length !data then data := Arena.grow_storage b !e;
+          !data.(!e) <- l;
+          incr e
+        end
+  done;
+  (* a last clause without its 0 is kept *)
+  if !e > !start then ignore (close_clause ~nvars b ~canonical:!canonical !e);
+  Cnf.build cnf
 
 let parse_file path = parse_string (In_channel.with_open_bin path In_channel.input_all)
 

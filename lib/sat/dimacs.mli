@@ -29,7 +29,11 @@ val write_file : string -> Cnf.t -> unit
 (** The byte scanner behind every line-structured integer format: DIMACS,
     the subproblem wire format and DRUP text.  It reads the text in place
     with this grammar's whitespace and integers; errors raise the exception
-    its [fail] makes of a message. *)
+    its [fail] makes of a message.  Clause data is read by one loop per
+    reader ({!parse_string}'s, and {!Scan.lits} for a line of the others):
+    each integer is decoded and range-checked where it is read and its
+    literal written straight into an {!Arena.buf}'s storage, with no call
+    per integer or literal. *)
 module Scan : sig
   type t
 
@@ -46,13 +50,14 @@ module Scan : sig
   val word : t -> string -> bool
   (** Whether the next token is the word; if so, moves past it. *)
 
-  val int : t -> int
-
   val header : t -> string -> int * int
   (** Reads the line [p <kind> <vars> <clauses>] with [<vars> >= 0], and
       returns [(<vars>, <clauses>)]. *)
 
-  val line : t -> (int -> unit) -> unit
-  (** Passes each integer of the rest of the line to the function; the
-      line must end with its only [0]. *)
+  val lits : t -> Arena.buf -> int -> nvars:int -> int
+  (** [lits t b e ~nvars] reads the rest of the line, integers in
+      [-nvars .. nvars] ended by the line's only [0], and writes their
+      literals into [b]'s storage from [e] on ({!Arena.storage}); returns
+      their end.  It closes no clause, and leaves the cursor at the end of
+      the line. *)
 end

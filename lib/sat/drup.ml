@@ -175,24 +175,37 @@ let check cnf proof = check_under cnf ~assumptions:[] proof
 
 (* ---------- DRUP text format ---------- *)
 
+(* [n >= 0] in decimal, with no string made for it. *)
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
 let to_string proof =
   let buf = Buffer.create 4096 in
   List.iter
     (fun step ->
-      let lits, prefix = match step with Add l -> (l, "") | Delete l -> (l, "d ") in
-      Buffer.add_string buf prefix;
-      Array.iter (fun l -> Buffer.add_string buf (string_of_int (T.to_int l) ^ " ")) lits;
+      let lits = match step with Add l -> l | Delete l -> Buffer.add_string buf "d "; l in
+      for k = 0 to Array.length lits - 1 do
+        let i = T.to_int lits.(k) in
+        if i < 0 then Buffer.add_char buf '-';
+        add_digits buf (abs i);
+        Buffer.add_char buf ' '
+      done;
       Buffer.add_string buf "0\n")
     proof;
   Buffer.contents buf
 
+(* Each line is read into this domain's arena buffer, as scratch, and
+   copied out as its step's clause. *)
 let of_string text =
   let sc = Dimacs.Scan.create ~fail:(fun m -> Failure ("Drup.of_string: " ^ m)) text in
-  let steps = ref [] in
+  let b = Arena.buffer ~clauses:0 ~lits:0 and steps = ref [] in
   while Dimacs.Scan.more sc do
-    let delete = Dimacs.Scan.word sc "d" and lits = ref [] in
-    Dimacs.Scan.line sc (fun i -> lits := T.lit_of_int i :: !lits);
-    let lits = Array.of_list (List.rev !lits) in
+    let delete = Dimacs.Scan.word sc "d" in
+    let e = Dimacs.Scan.lits sc b 0 ~nvars:max_int in
+    let lits = Array.sub (Arena.storage b) 0 e in
     steps := (if delete then Delete lits else Add lits) :: !steps
   done;
+  (* hands the buffer back for the next build *)
+  ignore (Arena.contents b : Arena.t);
   List.rev !steps

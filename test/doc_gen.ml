@@ -1,4 +1,4 @@
-(* Generators of DIMACS and subproblem documents for the decoder tests:
+(* Generators of DIMACS, subproblem and DRUP documents for the decoder tests:
    valid and invalid documents in every layout the grammar allows, their
    byte mutations, and the view of a document in which the old decoders
    ([Legacy]) must agree with the new ones. *)
@@ -135,6 +135,51 @@ let sub_legacy_view doc =
          done;
          String.sub l !i (n - !i))
   |> String.concat "\n"
+
+(* ---------- DRUP text ---------- *)
+
+(* A proof step's integer: small literals, a sign or leading zeros now
+   and then, and integers beyond [int].  Not [min_int]: the old decoder
+   read it with [int_of_string_opt], the new one finds its magnitude out
+   of range (a divergence the unit tests pin). *)
+let drup_int =
+  frequency
+    [
+      (30, map (fun v -> string_of_int (if v = 0 then 1 else v)) (int_range (-9) 9));
+      (2, oneofl [ "+2"; "-03"; "007" ]);
+      (1, oneofl [ string_of_int max_int; "99999999999999999999"; "-99999999999999999999" ]);
+      (1, oneofl [ "x"; "1a"; "--1"; "d" ]);
+    ]
+
+let drup_line =
+  oneofl [ ""; ""; ""; " "; "\t" ] >>= fun lead ->
+  frequency [ (4, return []); (1, return [ "d" ]) ] >>= fun tag ->
+  list_size (int_bound 4) drup_int >>= fun ints ->
+  frequency
+    [
+      (30, return (ints @ [ "0" ]));
+      (1, return ints);
+      (1, return (ints @ [ "0"; "0" ]));
+      (1, return ("0" :: ints @ [ "0" ]));
+      (1, return [ "d0" ]);
+    ]
+  >>= fun tokens ->
+  spaced (tag @ tokens) >>= fun body ->
+  eol >|= fun e -> lead ^ body ^ e
+
+(* Steps, [d 0] and [0] lines among them, with blank lines between. *)
+let drup_doc =
+  list_size (int_bound 8)
+    (frequency
+       [
+         (10, drup_line);
+         (1, oneofl [ "d 0\n"; "0\n"; " d\t0\r\n"; "\n"; "\t \r\n"; "d\n" ]);
+       ])
+  >>= fun lines ->
+  oneofl [ ""; "0"; "1 0"; " \t" ] >|= fun last -> String.concat "" lines ^ last
+
+(* As {!dimacs_legacy_view}: tabs and CRs become spaces. *)
+let drup_legacy_view doc = String.map (function '\t' | '\r' -> ' ' | c -> c) doc
 
 (* ---------- byte mutations ---------- *)
 

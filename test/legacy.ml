@@ -6,6 +6,8 @@
      [Cnf.make], so its clause lists can be compared before normalisation;
    - [Subproblem.of_string] returns [(nvars, facts, path, clauses)]
      instead of the old list-of-arrays record;
+   - [Drup] is the list-based DRUP decoder from before the byte scanner,
+     and [to_string] from before it stopped making a string per literal;
    - [Cache.digest] reads the formula's clauses through [Clause_lists.to_list].
    [Master_counts], at the end, keeps the master's old event-counted result
    fields the same way, for the run-counter ledger's agreement test. *)
@@ -128,6 +130,50 @@ module Subproblem = struct
             (nvars, !facts, !path, List.rev !clauses)
         | _ -> failwith "Subproblem.of_string: missing header")
     | [] -> failwith "Subproblem.of_string: empty document"
+end
+
+module Drup = struct
+  module T = Sat.Types
+  open Sat.Drup
+
+  let of_string text =
+    let parse_line line =
+      let line = String.trim line in
+      if line = "" then None
+      else begin
+        let is_delete = String.length line >= 2 && line.[0] = 'd' && line.[1] = ' ' in
+        let body = if is_delete then String.sub line 2 (String.length line - 2) else line in
+        let ints =
+          String.split_on_char ' ' body
+          |> List.filter (fun s -> s <> "")
+          |> List.map (fun s ->
+                 match int_of_string_opt s with
+                 | Some i -> i
+                 | None -> failwith ("Drup.of_string: not an integer: " ^ s))
+        in
+        match List.rev ints with
+        | 0 :: rev_lits ->
+            if List.mem 0 rev_lits then
+              failwith "Drup.of_string: 0 inside a clause (truncated or merged lines?)";
+            let lits = Array.of_list (List.rev_map T.lit_of_int rev_lits) in
+            Some (if is_delete then Delete lits else Add lits)
+        | _ -> failwith "Drup.of_string: line not terminated by 0"
+      end
+    in
+    String.split_on_char '\n' text |> List.filter_map parse_line
+
+  (* [Drup.to_string] as it was, a string per literal and a second one
+     for its trailing blank. *)
+  let to_string proof =
+    let buf = Buffer.create 4096 in
+    List.iter
+      (fun step ->
+        let lits, prefix = match step with Add l -> (l, "") | Delete l -> (l, "d ") in
+        Buffer.add_string buf prefix;
+        Array.iter (fun l -> Buffer.add_string buf (string_of_int (T.to_int l) ^ " ")) lits;
+        Buffer.add_string buf "0\n")
+      proof;
+    Buffer.contents buf
 end
 
 module Cache = struct

@@ -135,7 +135,7 @@ let test_subproblem_capture_refuted () =
     (fun () -> ignore (Sub.capture solver))
 
 let prop_subproblem_wire_roundtrip =
-  QCheck.Test.make ~name:"subproblem wire format roundtrips" ~count:100
+  QCheck.Test.make ~name:"subproblem wire format roundtrips" ~count:100 ~long_factor:20
     (QCheck.make (random_cnf_gen ~max_vars:10 ~max_clauses:30 ~max_len:4))
     (fun cnf ->
       let nv = Cnf.nvars cnf in
@@ -201,7 +201,7 @@ let same_as_legacy (sp : Sub.t) (nvars, facts, path, clauses) =
 
 let prop_subproblem_matches_legacy =
   QCheck.Test.make ~name:"wire decoder matches the old one outside the documented divergences"
-    ~count:2000 (QCheck.make ~print:String.escaped Doc_gen.sub_doc) (fun doc ->
+    ~count:2000 ~long_factor:20 (QCheck.make ~print:String.escaped Doc_gen.sub_doc) (fun doc ->
       let fresh = try Some (Sub.of_string doc) with Failure _ -> None in
       let old = try Some (Legacy.Subproblem.of_string (Doc_gen.sub_legacy_view doc)) with _ -> None in
       match (fresh, old) with
@@ -210,7 +210,7 @@ let prop_subproblem_matches_legacy =
       | _ -> false)
 
 let prop_subproblem_mutations =
-  QCheck.Test.make ~name:"wire byte mutations raise only Failure" ~count:2000
+  QCheck.Test.make ~name:"wire byte mutations raise only Failure" ~count:2000 ~long_factor:20
     (QCheck.make ~print:String.escaped QCheck.Gen.(Doc_gen.sub_doc >>= Doc_gen.mutate))
     (fun doc ->
       match Sub.of_string doc with

@@ -455,6 +455,7 @@ let prop_protocol_digest_bit_flip =
 
 let prop_subproblem_text_and_seal =
   QCheck.Test.make ~name:"subproblem text and checkpoint seal cover every field" ~count:300
+    ~long_factor:20
     (QCheck.make QCheck.Gen.(pair gen_sp gen_bits))
     (fun (sp, bits) ->
       Sub.to_string sp = Ref.subproblem_to_string sp

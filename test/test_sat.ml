@@ -350,7 +350,7 @@ let legacy_normalised (raw : int list list) =
 
 let prop_dimacs_matches_legacy =
   QCheck.Test.make ~name:"decoder matches the old one outside the documented divergences"
-    ~count:2000 (QCheck.make ~print:String.escaped Doc_gen.dimacs_doc) (fun doc ->
+    ~count:2000 ~long_factor:20 (QCheck.make ~print:String.escaped Doc_gen.dimacs_doc) (fun doc ->
       let fresh = try Ok (Dimacs.parse_string doc) with Dimacs.Parse_error m -> Error m in
       let old = try Some (Legacy.Dimacs.parse_raw (Doc_gen.dimacs_legacy_view doc)) with _ -> None in
       match (fresh, old) with
@@ -363,15 +363,54 @@ let prop_dimacs_matches_legacy =
       | Error _, None -> true
       | _ -> false)
 
+(* The reader checks each clause as it reads it and normalises only those
+   not already sorted, distinct and tautology-free: each document here
+   sits at that check's boundary, and must read as the old decoder's
+   clauses normalised. *)
+let test_dimacs_canonical_boundary () =
+  let same_as_legacy doc =
+    let cnf = Dimacs.parse_string doc in
+    let nvars, raw = Legacy.Dimacs.parse_raw (Doc_gen.dimacs_legacy_view doc) in
+    let expected = legacy_normalised raw in
+    check int (doc ^ ": nvars") nvars (Cnf.nvars cnf);
+    check bool (doc ^ ": clauses") true (Clause_lists.to_list (Cnf.clauses cnf) = expected);
+    check int (doc ^ ": tautologies") (List.length raw - List.length expected)
+      (Cnf.dropped_tautologies cnf)
+  in
+  List.iter same_as_legacy
+    [
+      "p cnf 4 2\n1 2 4 3 0\n-1 -2 0\n";
+      "p cnf 3 2\n1 2 -3 3 0\n3 -3 0\n";
+      "p cnf 3 2\n-3 3 0\n1 0\n";
+      "p cnf 3 1\n1 2 2 0\n";
+      "p cnf 3 1\n-1 2 -2 0\n";
+      "p cnf 3 2\n1 2\nc a comment\n3 0\n2 1\nc\n0\n";
+      "p cnf 3 2\n1 -2 0\n3 2";
+      "p cnf 3 2\n1 -2 0\n3 3";
+      "p cnf 3 2\n1 2 0\n2 3 0\n%\n0\n";
+      "p cnf 3 2\n1 2 0\n3 1\n%\n0\n";
+      "p cnf 3 1\n0\n";
+    ];
+  let raises doc =
+    (match Legacy.Dimacs.parse_raw (Doc_gen.dimacs_legacy_view doc) with
+    | exception Legacy.Dimacs.Parse_error _ -> ()
+    | _ -> Alcotest.failf "%S: the old decoder accepted it" doc);
+    Alcotest.check_raises doc (Dimacs.Parse_error "literal 4 exceeds declared variable count 3")
+      (fun () -> ignore (Dimacs.parse_string doc))
+  in
+  raises "p cnf 3 1\n1 2 4 0\n";
+  raises "p cnf 3 2\n1 2 0\n-1 3\n4 0\n"
+
 let prop_dimacs_mutations =
-  QCheck.Test.make ~name:"byte mutations raise only Parse_error" ~count:2000
+  QCheck.Test.make ~name:"byte mutations raise only Parse_error" ~count:2000 ~long_factor:20
     (QCheck.make ~print:String.escaped QCheck.Gen.(Doc_gen.dimacs_doc >>= Doc_gen.mutate))
     (fun doc ->
       match Dimacs.parse_string doc with
       | _ | (exception Dimacs.Parse_error _) -> true)
 
 let prop_dimacs_roundtrip =
-  QCheck.Test.make ~name:"dimacs print/parse roundtrip" ~count:100 arbitrary_cnf (fun cnf ->
+  QCheck.Test.make ~name:"dimacs print/parse roundtrip" ~count:100 ~long_factor:20 arbitrary_cnf
+    (fun cnf ->
       let cnf' = Dimacs.parse_string (Dimacs.to_string cnf) in
       Cnf.nvars cnf' = Cnf.nvars cnf
       && Clause_lists.to_list (Cnf.clauses cnf') = Clause_lists.to_list (Cnf.clauses cnf))
@@ -977,12 +1016,44 @@ let prop_drup_mutations =
         bool
         (list_size (int_bound 4) (map (fun v -> if v = 0 then 1 else v) (int_range (-9) 9))))
   in
-  QCheck.Test.make ~name:"text byte mutations raise only Failure" ~count:1000
+  QCheck.Test.make ~name:"text byte mutations raise only Failure" ~count:1000 ~long_factor:20
     (QCheck.make ~print:String.escaped
        QCheck.Gen.(list_size (int_bound 6) step >>= fun p -> Doc_gen.mutate (Drup.to_string p)))
     (fun text ->
       match Drup.of_string text with
       | _ | (exception Failure _) -> true)
+
+let prop_drup_matches_legacy =
+  QCheck.Test.make ~name:"DRUP decoder matches the old one outside the documented divergences"
+    ~count:2000 ~long_factor:20 (QCheck.make ~print:String.escaped Doc_gen.drup_doc) (fun doc ->
+      let fresh = try Some (Drup.of_string doc) with Failure _ -> None in
+      let old =
+        try Some (Legacy.Drup.of_string (Doc_gen.drup_legacy_view doc)) with Failure _ -> None
+      in
+      fresh = old)
+
+(* The one integer the old decoder read that this one refuses. *)
+let test_drup_min_int () =
+  let text = Printf.sprintf "%d 0\n" min_int in
+  check bool "old decoder" true (Legacy.Drup.of_string text <> []);
+  Alcotest.check_raises "new decoder"
+    (Failure (Printf.sprintf "Drup.of_string: integer out of range: %d" min_int))
+    (fun () -> ignore (Drup.of_string text))
+
+let prop_drup_to_string =
+  let lit =
+    QCheck.Gen.(
+      frequency [ (8, map (fun i -> T.lit_of_int (if i = 0 then 1 else i)) (int_range (-300) 300)); (1, int) ])
+  in
+  let step =
+    QCheck.Gen.(
+      map2
+        (fun del lits -> if del then Drup.Delete lits else Drup.Add lits)
+        bool (array_size (int_bound 6) lit))
+  in
+  QCheck.Test.make ~name:"text is the old encoder's, byte for byte" ~count:500 ~long_factor:20
+    (QCheck.make QCheck.Gen.(list_size (int_bound 20) step))
+    (fun proof -> Drup.to_string proof = Legacy.Drup.to_string proof)
 
 (* [check_under] certifies cnf /\ assumptions |= false: a branch's
    refutation must be valid under its guiding path and invalid globally,
@@ -1009,7 +1080,7 @@ let test_drup_check_under () =
   | Ok () -> Alcotest.fail "out-of-range assumption accepted"
 
 let prop_drup_random_unsat_proofs_check =
-  QCheck.Test.make ~name:"random UNSAT proofs check" ~count:120
+  QCheck.Test.make ~name:"random UNSAT proofs check" ~count:120 ~long_factor:20
     (QCheck.make (random_cnf_gen ~max_vars:8 ~max_clauses:40 ~max_len:3))
     (fun cnf ->
       QCheck.assume (Brute.solve cnf = Brute.Unsat);
@@ -1282,6 +1353,7 @@ let () =
           Alcotest.test_case "decimal integers only" `Quick test_dimacs_decimal_only;
           Alcotest.test_case "percent trailer ends the data" `Quick test_dimacs_percent_trailer;
           Alcotest.test_case "one whitespace class" `Quick test_dimacs_whitespace;
+          Alcotest.test_case "canonical-check boundary" `Quick test_dimacs_canonical_boundary;
         ]
         @ qsuite [ prop_dimacs_roundtrip; prop_dimacs_matches_legacy; prop_dimacs_mutations ] );
       ( "brute",
@@ -1353,8 +1425,15 @@ let () =
           Alcotest.test_case "text roundtrip" `Quick test_drup_text_roundtrip;
           Alcotest.test_case "garbage text rejected" `Quick test_drup_of_string_garbage;
           Alcotest.test_case "check under assumptions" `Quick test_drup_check_under;
+          Alcotest.test_case "min_int out of range" `Quick test_drup_min_int;
         ]
-        @ qsuite [ prop_drup_random_unsat_proofs_check; prop_drup_mutations ] );
+        @ qsuite
+            [
+              prop_drup_random_unsat_proofs_check;
+              prop_drup_mutations;
+              prop_drup_matches_legacy;
+              prop_drup_to_string;
+            ] );
       ( "transfer",
         [
           Alcotest.test_case "active clauses pruned" `Quick test_active_clauses_pruned;
