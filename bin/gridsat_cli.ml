@@ -2,7 +2,6 @@
 
    gridsat solve problem.cnf                 sequential CDCL
    gridsat solve -m grid -t grads p.cnf      distributed, simulated testbed
-   gridsat solve -m par -j 8 p.cnf           parallel on OCaml domains
    gridsat solve --proof p.drup p.cnf        emit + self-check a DRUP proof
    gridsat solve --report r.json --trace t.json p.cnf
                                              telemetry: run report + Chrome trace
@@ -381,24 +380,14 @@ let solve_grid shared ~stats ~share_len ~timeout ~chaos_partition ~certify ~stra
                 ~obs result);
           0)
 
-let solve_par ~jobs ~stats ~share_len cnf =
-  let outcome, st = Par.Par_solver.solve ~num_domains:jobs ~share_max_len:share_len cnf in
-  (match outcome with
-  | Par.Par_solver.Sat model -> Format.printf "s SATISFIABLE@.v %a@." Sat.Model.pp model
-  | Par.Par_solver.Unsat -> Format.printf "s UNSATISFIABLE@."
-  | Par.Par_solver.Budget_exhausted -> Format.printf "s UNKNOWN@.");
-  if stats then
-    Format.printf "c domains=%d splits=%d shared=%d subproblems=%d propagations=%d@."
-      st.Par.Par_solver.domains st.Par.Par_solver.splits st.Par.Par_solver.shared_clauses
-      st.Par.Par_solver.subproblems_solved st.Par.Par_solver.propagations;
-  0
-
 let solve_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.cnf") in
   let mode =
-    Arg.(value & opt string "seq" & info [ "m"; "mode" ] ~docv:"MODE" ~doc:"seq, grid or par")
+    Arg.(
+      value
+      & opt (enum [ ("seq", `Seq); ("grid", `Grid) ]) `Seq
+      & info [ "m"; "mode" ] ~docv:"MODE" ~doc:"seq or grid")
   in
-  let jobs = Arg.(value & opt int 4 & info [ "j"; "jobs" ] ~doc:"domains for par mode") in
   let share_len = Arg.(value & opt int 10 & info [ "share-len" ] ~doc:"max shared clause length") in
   let timeout =
     Arg.(
@@ -459,7 +448,7 @@ let solve_cmd =
       & opt (some string) None
       & info [ "trace" ] ~doc:"write a Chrome trace_event file here (chrome://tracing, Perfetto)")
   in
-  let run file mode shared jobs share_len timeout budget proof stats preprocess chaos_partition
+  let run file mode shared share_len timeout budget proof stats preprocess chaos_partition
       certify stragglers health_report report trace =
     match read_cnf file with
     | Error e ->
@@ -467,22 +456,15 @@ let solve_cmd =
         2
     | Ok cnf -> (
         match mode with
-        | "seq" -> solve_sequential ~preprocess ~proof_out:proof ~stats ~budget ~report ~trace cnf
-        | "grid" ->
+        | `Seq -> solve_sequential ~preprocess ~proof_out:proof ~stats ~budget ~report ~trace cnf
+        | `Grid ->
             solve_grid shared ~stats ~share_len ~timeout ~chaos_partition ~certify ~stragglers
-              ~health_report ~report ~trace cnf
-        | "par" ->
-            if report <> None || trace <> None then
-              Format.printf "c note: --report/--trace are not wired into par mode@.";
-            solve_par ~jobs ~stats ~share_len cnf
-        | other ->
-            Printf.eprintf "unknown mode %S (seq|grid|par)\n" other;
-            2)
+              ~health_report ~report ~trace cnf)
   in
   Cmd.v
     (Cmd.info "solve" ~doc:"Solve a DIMACS CNF file")
     Term.(
-      const run $ file $ mode $ shared_term $ jobs $ share_len $ timeout $ budget $ proof $ stats
+      const run $ file $ mode $ shared_term $ share_len $ timeout $ budget $ proof $ stats
       $ preprocess $ chaos_partition $ certify $ stragglers $ health_report $ report $ trace)
 
 (* ---------- serve ---------- *)
@@ -530,7 +512,7 @@ let serve shared ~files ~hosts_per_job ~max_concurrent ~queue_cap ~tenants ~prio
           prerr_endline e;
           2
       | Ok [] ->
-          prerr_endline "empty --priorities";
+          prerr_endline "gridsat: empty --priorities";
           2
       | Ok prios -> (
           let tenants = match split_commas tenants with [] -> [ "default" ] | ts -> ts in

@@ -1,5 +1,5 @@
 (* Quickstart: build a formula, solve it sequentially, then solve a harder
-   one on a small simulated grid, and finally on real domains.
+   one on a small simulated grid, by splitting and as a portfolio.
 
    Run with: dune exec examples/quickstart.exe *)
 
@@ -25,13 +25,9 @@ let () =
   let result = Gridsat_core.Gridsat.solve ~config ~testbed hard in
   Format.printf "%a@." Gridsat_core.Gridsat.pp_result result;
 
-  (* 3. The same instance on real OCaml domains. *)
-  Format.printf "@.--- parallel solve on OCaml domains ---@.";
-  let outcome, stats = Par.Par_solver.solve ~num_domains:4 hard in
-  Format.printf "answer: %s (domains %d, splits %d, shared clauses %d)@."
-    (match outcome with
-    | Par.Par_solver.Sat _ -> "SAT"
-    | Par.Par_solver.Unsat -> "UNSAT"
-    | Par.Par_solver.Budget_exhausted -> "BUDGET")
-    stats.Par.Par_solver.domains stats.Par.Par_solver.splits
-    stats.Par.Par_solver.shared_clauses
+  (* 3. The same instance and grid as a portfolio: every host races a
+     differently seeded copy of the whole problem, and nothing splits. *)
+  Format.printf "@.--- the same grid as a portfolio ---@.";
+  let portfolio = { config with Gridsat_core.Config.portfolio = true } in
+  let raced = Gridsat_core.Gridsat.solve ~config:portfolio ~testbed hard in
+  Format.printf "%a@." Gridsat_core.Gridsat.pp_result raced

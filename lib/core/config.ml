@@ -20,6 +20,7 @@ type t = {
   retry_base : float;
   retry_max_attempts : int;
   hedge : bool;
+  portfolio : bool;
   journal_compact_every : int;
   resync_grace : float;
   certify : bool;
@@ -54,6 +55,7 @@ let default =
     retry_base = 2.;
     retry_max_attempts = 6;
     hedge = false;
+    portfolio = false;
     journal_compact_every = 64;
     resync_grace = 10.;
     certify = false;

@@ -46,6 +46,14 @@ type t = {
           failure-detector lease and the retry base to latency
           percentiles (heartbeat-gap p99, ack p99), never past the
           configured [suspect_timeout]/[retry_base]. *)
+  portfolio : bool;
+      (** portfolio mode, the contrast to search-space splitting: every
+          host that registers after the first assignment receives a copy
+          of the whole problem (the root pid) as a hedge copy, and no
+          split is ever granted, since the pid stays hedged.  Copies
+          differ by their solver seed ([seed + client id]) and share
+          short clauses; the first model or refutation ends the run and
+          the other copies are fenced as hedge losers. *)
   journal_compact_every : int;
       (** fold the master's write-ahead journal into a snapshot every this
           many entries (bounds replay work after a master crash) *)

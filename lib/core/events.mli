@@ -67,9 +67,12 @@ type kind =
           slower ([1.0] restores full speed) *)
   | Hedge_launched of { pid : Protocol.pid; primary : int; backup : int }
       (** the subproblem outlived the fleet's p99 duration with idle
-          capacity available, so a second copy was dispatched *)
+          capacity available, so another copy was dispatched; in
+          portfolio mode, [backup] registered and got a copy of the
+          root *)
   | Hedge_cancelled of { pid : Protocol.pid; loser : int }
-      (** one hedged copy answered; the other was told to stand down *)
+      (** another copy answered and [loser] was told to stand down, or
+          [loser] died while another copy held the pid *)
   | Host_probation of { host : int; until_t : float }
       (** the host's circuit breaker tripped: no work until [until_t] *)
   | Host_readmitted of { host : int }

@@ -54,11 +54,13 @@ type t = {
       (* when the current master outage began (crash or usurpation) —
          closed into the failover histogram at reconciliation *)
   hedged : (Protocol.pid, unit) Hashtbl.t;
-      (* pids currently solved by two hosts at once (straggler hedging).
-         A hedged pid must keep a stable identity until one copy wins:
-         split grants are denied, migration skips it, and losing its
-         entry here (master crash) only costs the loser-cancel
-         optimisation — pid-keyed accounting stays exactly-once *)
+      (* pids raced as copies on several hosts at once (straggler
+         hedging, and the root pid in portfolio mode).  A hedged pid must
+         keep a stable identity until one copy wins: split grants are
+         denied, migration skips it, and losing its entry here (master
+         crash) only costs the loser-cancel optimisation — pid-keyed
+         accounting stays exactly-once.  A refuted pid keeps its entry,
+         so a copy that reports after the win is fenced too *)
   mutable down : bool;  (* the master process is crashed right now *)
   mutable resyncing : bool;  (* restarted; waiting out the resync grace *)
   mutable finished : bool;
@@ -663,7 +665,6 @@ let refute_pid t pid =
      channel) and drop the still-in-flight backup — so the pool returns
      whole and no loser's late answer is ever double-counted. *)
   if Hashtbl.mem t.hedged pid then begin
-    Hashtbl.remove t.hedged pid;
     Pool.iter
       (fun id h ->
         if Pool.is_busy h && h.pid = Some pid then begin
@@ -694,20 +695,34 @@ let absorb_if_refuted t ~holder pid =
     | Some h when h.pid = Some pid ->
         if Pool.is_busy h then h.rstate <- Idle;
         h.pid <- None;
-        (* hedge mode: the loser's copy outraced its own cancellation;
-           tell it to stop instead of letting it grind the dead branch to
-           the end *)
-        if t.cfg.Config.hedge then send t ~dst:holder (Protocol.Cancel { pid })
+        (* a hedge copy outraced its own cancellation: tell it to stop
+           instead of letting it grind the dead branch to the end *)
+        if Hashtbl.mem t.hedged pid then send t ~dst:holder (Protocol.Cancel { pid })
     | _ -> ());
     refute_pid t pid
   end
 
 (* ---------- client death (also the teeth behind quarantine) ---------- *)
 
-let pid_homed t pid =
-  Pool.fold (fun _ h acc -> acc || (Pool.is_busy h && h.pid = Some pid)) t.pool false
-  || holding t (delivering pid)
-  || Queue.fold (fun acc (p, _, _, _) -> acc || p = pid) false t.pending_recovery
+(* The hosts holding a copy of [pid]: busy on it, or receiving it. *)
+let copy_holders t pid =
+  Pool.holders t.pool (delivering pid)
+  @ Pool.fold (fun id h acc -> if Pool.is_busy h && h.pid = Some pid then id :: acc else acc) t.pool []
+  |> List.sort compare
+
+(* The copies of [pid] the master knows of, queued recoveries included. *)
+let copies t pid =
+  List.length (copy_holders t pid)
+  + Queue.fold (fun n (p, _, _, _) -> if p = pid then n + 1 else n) 0 t.pending_recovery
+
+let pid_homed t pid = copies t pid > 0
+
+(* Host [id], which held a copy of hedged [pid], died while another copy
+   still holds the branch: nothing needs re-deriving.  The pid stays
+   hedged while two copies remain. *)
+let drop_copy t pid id =
+  if copies t pid <= 1 then Hashtbl.remove t.hedged pid;
+  log t (Events.Hedge_cancelled { pid; loser = id })
 
 (* Write [id] off and recover whatever it was responsible for.  Shared by
    the failure detector (lease expiry), direct test injection, and the
@@ -741,21 +756,12 @@ let declare_dead t id =
         match prev with
         | Reserved (Delivery (pid, sp)) ->
             (* we still hold the very subproblem we sent it *)
-            if Hashtbl.mem t.hedged pid && pid_homed t pid then begin
-              (* the dead host was the hedge backup; the primary still
-                 holds the branch — the hedge simply collapses *)
-              Hashtbl.remove t.hedged pid;
-              log t (Events.Hedge_cancelled { pid; loser = id })
-            end
+            if Hashtbl.mem t.hedged pid && pid_homed t pid then drop_copy t pid id
             else assign_recovered t ~failed:id ~from_checkpoint:false pid sp
         | Busy -> (
             match prev_pid with
             | None -> ()
-            | Some pid when Hashtbl.mem t.hedged pid && pid_homed t pid ->
-                (* one copy of a hedged pid died; the survivor keeps the
-                   branch homed, so nothing needs re-deriving *)
-                Hashtbl.remove t.hedged pid;
-                log t (Events.Hedge_cancelled { pid; loser = id })
+            | Some pid when Hashtbl.mem t.hedged pid && pid_homed t pid -> drop_copy t pid id
             | Some pid -> (
                 (* a certified run never restores a dead client's
                    checkpoint: the snapshot carries facts and clauses the
@@ -854,12 +860,26 @@ let adopted_path t pid path =
   | Some recorded when t.cfg.Config.certify -> recorded
   | _ -> path
 
+(* Portfolio mode: [dst] races one more copy of the whole problem.  No
+   split is ever granted, because the root pid is hedged. *)
+let copy_root t dst =
+  Hashtbl.replace t.hedged initial_pid ();
+  let primary = match copy_holders t initial_pid with h :: _ -> h | [] -> master_id in
+  log t (Events.Hedge_launched { pid = initial_pid; primary; backup = dst });
+  send_problem t ~dst initial_pid (Subproblem.initial t.cnf)
+
 let on_register t src =
   let h = host t src in
   h.rstate <- Idle;
   jlog t (Journal.Registered { client = src });
   log t (Events.Client_started src);
-  if not (tree t).problem_assigned then assign_initial_problem t src else dispatch t
+  if not (tree t).problem_assigned then assign_initial_problem t src
+  else if
+    t.cfg.Config.portfolio && (not t.resyncing)
+    && Hashtbl.mem (tree t).live initial_pid
+    && Queue.is_empty t.pending_recovery
+  then copy_root t src
+  else dispatch t
 
 let on_problem_received t src ~pid ~from ~bytes ~path =
   let h = host t src in
@@ -1298,6 +1318,10 @@ let inject t ~src msg = handle_payload t ~src msg
 let drop_volatile t =
   Pool.end_holds t.pool ~awaiting:(Some t.active_id);
   Hashtbl.reset t.hedged;
+  (* a portfolio's root copies are hedged by the mode, not by a decision
+     the crash lost: without the entry a replacement master would grant
+     their splits and fence none of them *)
+  if t.cfg.Config.portfolio then Hashtbl.replace t.hedged initial_pid ();
   t.backlog <- [];
   Queue.clear t.pending_recovery
 

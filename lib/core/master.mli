@@ -64,9 +64,11 @@ val counters : result -> (string * int) list
     - [rederivations]: lost subproblems rebuilt from the original CNF
       and the journaled lineage;
     - [master_crashes]: injected master failures survived;
-    - [hedges]: straggling subproblems cloned onto a second host;
+    - [hedges]: straggling subproblems cloned onto a second host, and
+      portfolio copies of the root pid;
       [hedge_cancellations]: losing copies fenced after their pid
-      resolved elsewhere;
+      resolved elsewhere, or written off dead while another copy held
+      it;
     - [checkpoint_bytes]: peak bytes held by the checkpoint store;
     - [corrupt_detected]: wire payloads, at any endpoint, that failed
       their integrity-frame digest and were refused; [nacks]: corrupt

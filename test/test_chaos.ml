@@ -1031,6 +1031,64 @@ let test_probation_on_crash () =
   check bool "crash put the host on probation" true
     (has_event (function C.Events.Host_probation { host = 1; _ } -> true | _ -> false) r)
 
+(* Portfolio mode is hedging at the root: four hosts race copies of the
+   whole problem, and one copy's host crashes mid-run.  The hosts are
+   slow enough that the failure detector writes the dead copy off before
+   the first refutation wins: the pid stays hedged while three copies
+   remain, the win fences the other two, and nothing ever splits. *)
+let test_portfolio_copy_crash () =
+  let cnf = Workloads.Php.instance ~pigeons:7 ~holes:6 in
+  let config = { chaos_config with Cfg.portfolio = true } in
+  let testbed () = C.Testbed.uniform ~n:4 ~speed:100. () in
+  let baseline = solve ~config ~testbed:(testbed ()) cnf in
+  let plan = [ F.Crash_host { host = 2; at = crash_time baseline.C.Master.time } ] in
+  let master = ref None in
+  let r =
+    solve ~config ~fault_plan:plan ~on_master:(fun m -> master := Some m) ~testbed:(testbed ()) cnf
+  in
+  check Alcotest.string "unsat" "UNSAT" (answer_kind r.C.Master.answer);
+  check bool "the crash landed" true
+    (has_event (function C.Events.Host_crashed 2 -> true | _ -> false) r);
+  check Alcotest.int "a portfolio never splits" 0 (C.Master.counter r "splits");
+  let launched, fenced = hedge_ledger r in
+  check Alcotest.int "one copy per host after the first" 3 (List.length launched);
+  check bool "every copy fenced exactly once" true
+    (List.sort compare launched = List.sort compare fenced);
+  let losers =
+    List.filter_map
+      (fun e ->
+        match e.C.Events.kind with C.Events.Hedge_cancelled { loser; _ } -> Some loser | _ -> None)
+      r.C.Master.events
+  in
+  check (Alcotest.list Alcotest.int) "no host fenced twice" (List.sort_uniq compare losers)
+    (List.sort compare losers);
+  check bool "the dead copy is written off before the win" true
+    (has_event (function C.Events.Client_suspected { client = 2 } -> true | _ -> false) r);
+  check bool "the crashed copy is fenced" true (List.mem 2 losers);
+  (match !master with
+  | Some m ->
+      check (Alcotest.list Alcotest.int) "no busy client left" [] (C.Master.busy_client_ids m);
+      check (Alcotest.list Alcotest.int) "no host left reserved" [] (C.Master.reserved_hosts m)
+  | None -> Alcotest.fail "on_master was not called");
+  let again = solve ~config ~fault_plan:plan ~testbed:(testbed ()) cnf in
+  check bool "identical event timeline on replay" true (r.C.Master.events = again.C.Master.events)
+
+(* A master crash loses every volatile hedge, but a portfolio's copies
+   are hedged by the mode: after the journal replay the restarted master
+   still grants no split and still fences every losing copy. *)
+let test_portfolio_master_restart () =
+  let cnf = Workloads.Php.instance ~pigeons:7 ~holes:6 in
+  let config = { chaos_config with Cfg.portfolio = true } in
+  let plan = [ F.Crash_master { at = 10.; restart_after = 4.; by_verdict = false } ] in
+  let r = solve ~config ~fault_plan:plan ~testbed:(C.Testbed.uniform ~n:4 ~speed:100. ()) cnf in
+  check Alcotest.string "unsat" "UNSAT" (answer_kind r.C.Master.answer);
+  check bool "the master restarted mid-run" true
+    (has_event (function C.Events.Master_restarted -> true | _ -> false) r);
+  check Alcotest.int "no split after the restart" 0 (C.Master.counter r "splits");
+  let launched, fenced = hedge_ledger r in
+  check bool "every copy fenced exactly once" true
+    (launched <> [] && List.sort compare launched = List.sort compare fenced)
+
 (* ---------- hot-standby failover ---------- *)
 
 (* Replication on over the chaos base: a one-second ship cadence so the
@@ -1729,6 +1787,8 @@ let () =
           Alcotest.test_case "hedge beats no-hedge" `Slow test_hedge_beats_no_hedge;
           Alcotest.test_case "hedge under certification" `Slow test_hedge_certify_stable;
           Alcotest.test_case "probation on crash" `Slow test_probation_on_crash;
+          Alcotest.test_case "portfolio copy crashed" `Slow test_portfolio_copy_crash;
+          Alcotest.test_case "portfolio master restart" `Slow test_portfolio_master_restart;
         ] );
       (* Alcotest cuts each test's name to fit beside the longest group
          name, so a group name longer than "durability" would shorten
