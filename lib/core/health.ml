@@ -30,7 +30,6 @@ type host = {
 }
 
 type t = {
-  metrics : Obs.Metrics.t;
   h_ack : Obs.Metrics.histogram; (* fleet-wide ack latency *)
   h_gap : Obs.Metrics.histogram; (* fleet-wide heartbeat gaps *)
   h_duration : Obs.Metrics.histogram; (* subproblem solve durations *)
@@ -45,7 +44,6 @@ let ewma prev n x = if n = 0 then x else ((1. -. alpha) *. prev) +. (alpha *. x)
 let create ?(probation_base = 30.) () =
   let metrics = Obs.Metrics.create ~enabled:true in
   {
-    metrics;
     h_ack = Obs.Metrics.histogram metrics "health.ack_latency_s";
     h_gap = Obs.Metrics.histogram metrics "health.heartbeat_gap_s";
     h_duration = Obs.Metrics.histogram metrics "health.subproblem_duration_s";
@@ -294,5 +292,3 @@ let to_json t =
              ("retries", J.Int v.v_retries);
            ])
        (views t))
-
-let metrics t = t.metrics

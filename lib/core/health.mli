@@ -100,6 +100,3 @@ val views : t -> view list
 
 val to_json : t -> Obs.Json.t
 (** The table as a JSON array (the service report's [health] section). *)
-
-val metrics : t -> Obs.Metrics.t
-(** The model's private registry (ack/gap/duration histograms). *)

@@ -7,8 +7,6 @@ module T = Sat.Types
 type entry = Protocol.journal_entry =
   | Registered of { client : int }
   | Assigned of { pid : Protocol.pid; dst : int; path : T.lit list }
-  | Started of { pid : Protocol.pid; client : int }
-  | Granted of { requester : int; partner : int }
   | Split of {
       donor : int;
       donor_pid : Protocol.pid;
@@ -18,8 +16,6 @@ type entry = Protocol.journal_entry =
       path : T.lit list;
     }
   | Refuted of { pid : Protocol.pid }
-  | Shared of { clauses : int }
-  | Suspected of { client : int }
   | Died of { client : int }
   | Adopted of { pid : Protocol.pid; client : int; path : T.lit list }
   | Verdict of { answer : string }
@@ -32,9 +28,6 @@ type state = {
   holder : (Protocol.pid, int) Hashtbl.t;
   refuted : (Protocol.pid, unit) Hashtbl.t;
   mutable problem_assigned : bool;
-  mutable splits : int;
-  mutable share_batches : int;
-  mutable shared_clauses : int;
   mutable verdict : string option;
 }
 
@@ -51,9 +44,6 @@ module Record = struct
       holder = Hashtbl.create 64;
       refuted = Hashtbl.create 64;
       problem_assigned = false;
-      splits = 0;
-      share_batches = 0;
-      shared_clauses = 0;
       verdict = None;
     }
 
@@ -80,10 +70,7 @@ module Record = struct
     | Assigned { pid; dst; path } ->
         st.problem_assigned <- true;
         register st pid path dst
-    | Started { pid; client } -> if not (Hashtbl.mem st.refuted pid) then Hashtbl.replace st.holder pid client
-    | Granted _ -> ()
     | Split { donor; donor_pid; donor_path; pid; dst; path } ->
-        st.splits <- st.splits + 1;
         register st donor_pid donor_path donor;
         (* the child's holder reports to the master on its own stream, so
            its Problem_received — even its own split of the child — can
@@ -94,10 +81,6 @@ module Record = struct
         Hashtbl.remove st.live pid;
         Hashtbl.remove st.holder pid;
         Hashtbl.replace st.refuted pid ()
-    | Shared { clauses } ->
-        st.share_batches <- st.share_batches + 1;
-        st.shared_clauses <- st.shared_clauses + clauses
-    | Suspected _ -> ()
     | Died { client } ->
         Hashtbl.replace st.clients client Dead;
         (* the dead host no longer holds anything; its live pids await
@@ -114,77 +97,7 @@ module Record = struct
         register st pid path client
     | Verdict { answer } -> st.verdict <- Some answer
 
-  (* Full-fidelity rendering: every field of every entry is emitted, so the
-     at-rest integrity seal covers the whole record; the punctuation is
-     text only. *)
-  let emit sink e =
-    let int = Integrity.put_int sink
-    and str = Integrity.put_string sink
-    and text = Integrity.put_text sink in
-    let pid (a, b) =
-      int a;
-      text ".";
-      int b
-    in
-    let held_by p client =
-      pid p;
-      text " @ ";
-      int client
-    in
-    let lits ls =
-      text " [";
-      Integrity.put_length sink (List.length ls);
-      List.iteri
-        (fun k l ->
-          if k > 0 then text " ";
-          Integrity.put_lit sink l)
-        ls;
-      text "]"
-    in
-    match e with
-    | Registered { client } ->
-        str "registered ";
-        int client
-    | Assigned { pid = p; dst; path } ->
-        str "assigned ";
-        pid p;
-        text " -> ";
-        int dst;
-        lits path
-    | Started { pid = p; client } ->
-        str "started ";
-        held_by p client
-    | Granted { requester; partner } ->
-        str "granted ";
-        int requester;
-        text " + ";
-        int partner
-    | Split { donor; donor_pid; donor_path; pid = p; dst; path } ->
-        str "split ";
-        held_by donor_pid donor;
-        lits donor_path;
-        text " -> ";
-        held_by p dst;
-        lits path
-    | Refuted { pid = p } ->
-        str "refuted ";
-        pid p
-    | Shared { clauses } ->
-        str "shared ";
-        int clauses
-    | Suspected { client } ->
-        str "suspected ";
-        int client
-    | Died { client } ->
-        str "died ";
-        int client
-    | Adopted { pid = p; client; path } ->
-        str "adopted ";
-        held_by p client;
-        lits path
-    | Verdict { answer } ->
-        str "verdict ";
-        str answer
+  let emit = Protocol.emit_entry
 
   (* A snapshot's estimated bytes: deterministic, so quota crossings replay
      at the same virtual instants. *)
@@ -197,7 +110,7 @@ end
 
 module Log = Sealed_log.Make (Record)
 
-let pp_entry ppf e = Format.pp_print_string ppf (Integrity.render Record.emit e)
+let pp_entry ppf e = Format.pp_print_string ppf (Integrity.render Protocol.emit_entry e)
 
 type t = {
   log : Log.t;
@@ -265,29 +178,39 @@ let compactions t = Obs.Metrics.counter_value t.compactions
 
 let forced_compactions t = Obs.Metrics.counter_value t.forced_compactions
 
-(* Canonical serialisation: every table is rendered in sorted key order so
-   two replays of the same journal digest identically regardless of
-   hashtable iteration order. *)
+(* The replayed state's canonical words: every table in sorted key
+   order, so two replays of the same journal digest identically whatever
+   the hashtable iteration order.  A holder only ever belongs to a live
+   pid, so the live rows carry it. *)
 let digest st =
-  let buf = Buffer.create 1024 in
-  let lits ls = String.concat "," (List.map (fun l -> string_of_int (T.to_int l)) ls) in
-  let pid (a, b) = Printf.sprintf "%d.%d" a b in
-  Hashtbl.fold (fun id cs acc -> (id, cs) :: acc) st.clients []
-  |> List.sort compare
-  |> List.iter (fun (id, cs) ->
-         Buffer.add_string buf
-           (Printf.sprintf "c %d %s\n" id (match cs with Alive -> "alive" | Dead -> "dead")));
-  Hashtbl.fold (fun p path acc -> (p, path) :: acc) st.live []
-  |> List.sort compare
-  |> List.iter (fun (p, path) ->
-         let h = match Hashtbl.find_opt st.holder p with Some h -> string_of_int h | None -> "-" in
-         Buffer.add_string buf (Printf.sprintf "l %s @%s [%s]\n" (pid p) h (lits path)));
-  Hashtbl.fold (fun p () acc -> p :: acc) st.refuted []
-  |> List.sort compare
-  |> List.iter (fun p -> Buffer.add_string buf (Printf.sprintf "r %s\n" (pid p)));
-  Buffer.add_string buf
-    (Printf.sprintf "s %b %d %d %d %s\n" st.problem_assigned st.splits st.share_batches
-       st.shared_clauses
-       (match st.verdict with Some v -> v | None -> "-"));
-  Digest.to_hex (Digest.string (Buffer.contents buf))
-
+  let sorted tbl = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []) in
+  let emit sink st =
+    let int = Integrity.put_int sink and str = Integrity.put_string sink in
+    let rows tbl f =
+      let kvs = sorted tbl in
+      Integrity.put_length sink (List.length kvs);
+      List.iter f kvs
+    in
+    let pid (a, b) =
+      int a;
+      int b
+    in
+    let opt f = function
+      | None -> Integrity.put_length sink 0
+      | Some x ->
+          Integrity.put_length sink 1;
+          f x
+    in
+    rows st.clients (fun (id, cs) ->
+        int id;
+        str (match cs with Alive -> "alive" | Dead -> "dead"));
+    rows st.live (fun (p, path) ->
+        pid p;
+        opt int (Hashtbl.find_opt st.holder p);
+        Integrity.put_lit_list sink ~sep:' ' path);
+    rows st.refuted (fun (p, ()) -> pid p);
+    int (Bool.to_int st.problem_assigned);
+    opt str st.verdict
+  in
+  let h = Integrity.hash emit st in
+  Printf.sprintf "%016x-%08x" (Integrity.word_of h) (Integrity.crc32_of h)

@@ -1,13 +1,15 @@
 (** The master's write-ahead journal, and the only writer of its split
     tree.
 
-    Every master state transition that matters for recovery — client
-    registration, problem assignment, split grants and completions,
-    clause-share accounting, suspicion, death, adoption, verdict — is
-    appended {e before} the transition's messages go out.  Appending
-    also applies the entry to {!current}: that state {e is} the master's
-    split tree (live pids, their lineages and holders, tombstones), and
-    the master reads it instead of keeping tables of its own.
+    Every master state transition that recovery reads — client
+    registration, problem assignment, completed splits, refutations,
+    deaths, adoptions and the verdict — is appended {e before} the
+    transition's messages go out.  Nothing else is: each record kind
+    changes the replayed state, and run counts live in the master's
+    ledger.  Appending also applies the entry to {!current}: that state
+    {e is} the master's split tree (live pids, their lineages and
+    holders, tombstones), and the master reads it instead of keeping
+    tables of its own.
 
     The journal models stable storage.  A crashed master loses all
     volatile state (reservations, in-flight transfers, backlogs) but the
@@ -25,9 +27,6 @@ type entry = Protocol.journal_entry =
   | Registered of { client : int }
   | Assigned of { pid : Protocol.pid; dst : int; path : Sat.Types.lit list }
       (** the master sent [pid] (with guiding-path lineage [path]) to [dst] *)
-  | Started of { pid : Protocol.pid; client : int }
-      (** [client] confirmed it is working on [pid] *)
-  | Granted of { requester : int; partner : int }
   | Split of {
       donor : int;
       donor_pid : Protocol.pid;
@@ -40,8 +39,6 @@ type entry = Protocol.journal_entry =
           to [donor_path]) and handed the complementary branch [pid] with
           lineage [path] to [dst] *)
   | Refuted of { pid : Protocol.pid }
-  | Shared of { clauses : int }
-  | Suspected of { client : int }
   | Died of { client : int }
   | Adopted of { pid : Protocol.pid; client : int; path : Sat.Types.lit list }
       (** a client reported holding [pid] (on receipt or at resync); in
@@ -62,9 +59,6 @@ type state = {
           a [Refuted] that was journaled before a reordered [Split] or
           [Adopted] entry must not resurrect the subproblem. *)
   mutable problem_assigned : bool;
-  mutable splits : int;
-  mutable share_batches : int;
-  mutable shared_clauses : int;
   mutable verdict : string option;
 }
 
@@ -88,7 +82,8 @@ val set_quota : t -> quota:int -> unit
 include Sealed_log.READ with type t := t and type state := state
 
 val digest : state -> string
-(** Canonical hex digest of a state (order-independent). *)
+(** Canonical digest of a state (order-independent): the word and
+    CRC lanes of its sorted tables, as [Joblog.digest] hashes its own. *)
 
 val compactions : t -> int
 (** Periodic and forced compactions. *)
@@ -96,6 +91,7 @@ val compactions : t -> int
 val forced_compactions : t -> int
 
 val pp_entry : Format.formatter -> entry -> unit
-(** One line per record, e.g. [started 0.1 @ 4] or
-    [split 0.1 @ 2 [1 -3] -> 2.1 @ 5 [1 3]]: the bytes whose CRC-32
-    seals the record at rest. *)
+(** One line per record, e.g. [adopted 0.1 @ 4 []] or
+    [split 0.1 @ 2 [1 -3] -> 2.1 @ 5 [1 3]]: the text form of the
+    words ({!Protocol.emit_entry}) whose CRC lane seals the record at
+    rest. *)

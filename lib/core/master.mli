@@ -53,8 +53,9 @@ val counters : result -> (string * int) list
     - [max_clients]: peak number of simultaneously busy clients;
     - [splits]: completed splits, i.e. [Split_completed] events, across
       failovers;
-    - [share_batches], [shared_clauses]: clause shares relayed (the
-      journal's count);
+    - [share_batches], [shared_clauses]: clause-share batches the
+      master received and relayed, and the clauses in them, across
+      failovers;
     - [messages], [bytes], [dropped_messages], [dropped_bytes]: bus
       traffic, and what injected faults ate;
     - [retries]: reliable-channel retransmissions, all senders;

@@ -7,8 +7,6 @@ type pid = int * int
 type journal_entry =
   | Registered of { client : int }
   | Assigned of { pid : pid; dst : int; path : Sat.Types.lit list }
-  | Started of { pid : pid; client : int }
-  | Granted of { requester : int; partner : int }
   | Split of {
       donor : int;
       donor_pid : pid;
@@ -18,8 +16,6 @@ type journal_entry =
       path : Sat.Types.lit list;
     }
   | Refuted of { pid : pid }
-  | Shared of { clauses : int }
-  | Suspected of { client : int }
   | Died of { client : int }
   | Adopted of { pid : pid; client : int; path : Sat.Types.lit list }
   | Verdict of { answer : string }
@@ -70,9 +66,66 @@ let frame_bytes = 8
 let entry_bytes = function
   | Assigned { path; _ } | Adopted { path; _ } -> 16 + (8 * List.length path)
   | Split { donor_path; path; _ } -> 16 + (8 * (List.length donor_path + List.length path))
-  | Registered _ | Started _ | Granted _ | Refuted _ | Shared _ | Suspected _ | Died _
-  | Verdict _ ->
-      16
+  | Registered _ | Refuted _ | Died _ | Verdict _ -> 16
+
+(* A journal record, full fidelity: every field is emitted, so the
+   at-rest seal and the shipped frame's digest cover the whole record.
+   The leading word names the constructor; the punctuation is text
+   only. *)
+let emit_entry sink e =
+  let int = Integrity.put_int sink
+  and str = Integrity.put_string sink
+  and text = Integrity.put_text sink in
+  let pid (a, b) =
+    int a;
+    text ".";
+    int b
+  in
+  let held_by p client =
+    pid p;
+    text " @ ";
+    int client
+  in
+  let lits ls =
+    text " [";
+    Integrity.put_length sink (List.length ls);
+    List.iteri
+      (fun k l ->
+        if k > 0 then text " ";
+        Integrity.put_lit sink l)
+      ls;
+    text "]"
+  in
+  match e with
+  | Registered { client } ->
+      str "registered ";
+      int client
+  | Assigned { pid = p; dst; path } ->
+      str "assigned ";
+      pid p;
+      text " -> ";
+      int dst;
+      lits path
+  | Split { donor; donor_pid; donor_path; pid = p; dst; path } ->
+      str "split ";
+      held_by donor_pid donor;
+      lits donor_path;
+      text " -> ";
+      held_by p dst;
+      lits path
+  | Refuted { pid = p } ->
+      str "refuted ";
+      pid p
+  | Died { client } ->
+      str "died ";
+      int client
+  | Adopted { pid = p; client; path } ->
+      str "adopted ";
+      held_by p client;
+      lits path
+  | Verdict { answer } ->
+      str "verdict ";
+      str answer
 
 let rec size = function
   | Problem { sp; _ } | Orphaned { sp; _ } -> Subproblem.bytes sp
@@ -124,52 +177,6 @@ let pid sink (o, n) =
 let lits sink ls = Integrity.put_lit_list sink ~sep:' ' ls
 
 let time sink x = Integrity.put_float sink ~text:Float.to_string x
-
-let emit_entry sink = function
-  | Registered { client } ->
-      s sink "jreg";
-      i sink client
-  | Assigned { pid = p; dst; path } ->
-      s sink "jasn";
-      pid sink p;
-      i sink dst;
-      lits sink path
-  | Started { pid = p; client } ->
-      s sink "jsta";
-      pid sink p;
-      i sink client
-  | Granted { requester; partner } ->
-      s sink "jgra";
-      i sink requester;
-      i sink partner
-  | Split { donor; donor_pid; donor_path; pid = p; dst; path } ->
-      s sink "jspl";
-      i sink donor;
-      pid sink donor_pid;
-      lits sink donor_path;
-      pid sink p;
-      i sink dst;
-      lits sink path
-  | Refuted { pid = p } ->
-      s sink "jref";
-      pid sink p
-  | Shared { clauses } ->
-      s sink "jshr";
-      i sink clauses
-  | Suspected { client } ->
-      s sink "jsus";
-      i sink client
-  | Died { client } ->
-      s sink "jdie";
-      i sink client
-  | Adopted { pid = p; client; path } ->
-      s sink "jado";
-      pid sink p;
-      i sink client;
-      lits sink path
-  | Verdict { answer } ->
-      s sink "jver";
-      s sink answer
 
 let clauses sink cs =
   Integrity.put_length sink (List.length cs);

@@ -27,8 +27,6 @@ type pid = int * int
 type journal_entry =
   | Registered of { client : int }
   | Assigned of { pid : pid; dst : int; path : Sat.Types.lit list }
-  | Started of { pid : pid; client : int }
-  | Granted of { requester : int; partner : int }
   | Split of {
       donor : int;
       donor_pid : pid;
@@ -38,8 +36,6 @@ type journal_entry =
       path : Sat.Types.lit list;
     }
   | Refuted of { pid : pid }
-  | Shared of { clauses : int }
-  | Suspected of { client : int }
   | Died of { client : int }
   | Adopted of { pid : pid; client : int; path : Sat.Types.lit list }
   | Verdict of { answer : string }
@@ -152,6 +148,11 @@ val shares_bytes : Sat.Types.lit array list -> int
 val entry_bytes : journal_entry -> int
 (** Serialised size of one journal record — the unit of the journal's
     disk-quota accounting and of [Ship] batch sizing. *)
+
+val emit_entry : Integrity.sink -> journal_entry -> unit
+(** A journal record's one emitter: every field, as words for the
+    at-rest seal and the [Ship] frame digest, and as one readable line
+    ({!Journal.pp_entry}), e.g. [adopted 2.1 @ 6 [1 -3]]. *)
 
 val size : msg -> int
 (** Size charged to the network for a message.  A [Reliable] envelope

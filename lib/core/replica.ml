@@ -15,7 +15,6 @@ type t = {
   on_lease_expired : unit -> unit;
   journal : Journal.t;
   streams : Reliable.streams;
-  mutable applied_entries : int;
   batches : Obs.Metrics.counter;  (* the [standby.ships.applied] series *)
   divergences : Obs.Metrics.counter;
   mutable epoch : int;
@@ -26,7 +25,7 @@ type t = {
 
 let journal t = t.journal
 
-let applied t = t.applied_entries
+let applied t = Journal.appended t.journal
 
 let batches t = Obs.Metrics.counter_value t.batches
 
@@ -51,10 +50,9 @@ let diverged t ~seq =
    longer a prefix of the primary's.  It is a divergence and is not
    applied. *)
 let apply_batch t ~seq ~entries ~log_digest =
-  if seq <> t.applied_entries then diverged t ~seq
+  if seq <> applied t then diverged t ~seq
   else begin
     List.iter (Journal.append t.journal) entries;
-    t.applied_entries <- t.applied_entries + List.length entries;
     Obs.Metrics.incr t.batches;
     (* the continuous consistency check: our shadow log must chain to the
        exact digest the primary's log had when it flushed this batch *)
@@ -111,7 +109,6 @@ let create ?(obs = Obs.disabled) ~sim ~bus ~cfg ~log ~on_lease_expired () =
       on_lease_expired;
       journal = Journal.create ~obs ~compact_every:cfg.Config.journal_compact_every ();
       streams = Reliable.streams ();
-      applied_entries = 0;
       batches = Obs.Metrics.counter m "standby.ships.applied";
       divergences = Obs.Metrics.counter m "standby.divergences";
       epoch = 0;

@@ -69,7 +69,8 @@ val journal : t -> Journal.t
     to its state, so it holds a live copy of the primary's split tree. *)
 
 val applied : t -> int
-(** Journal entries applied so far: the [seq] the next batch must carry. *)
+(** Journal entries applied so far (the shadow journal's append count):
+    the [seq] the next batch must carry. *)
 
 val batches : t -> int
 (** Ship batches applied (including empty liveness ticks). *)

@@ -48,4 +48,4 @@ let pick_backlog entries =
 
 (* Exactly 2x counts: the paper's bar is "at least twice the forecast
    rank", so the boundary itself migrates (>=, not >). *)
-let should_migrate ~enabled ~busy_rank ~idle_rank = enabled && idle_rank >= 2. *. busy_rank
+let should_migrate ~busy_rank ~idle_rank = idle_rank >= 2. *. busy_rank

@@ -26,7 +26,6 @@ val pick_backlog : (int * float) list -> int option
     client that has been working on the same subproblem the longest
     (the paper's backlog rule). *)
 
-val should_migrate :
-  enabled:bool -> busy_rank:float -> idle_rank:float -> bool
+val should_migrate : busy_rank:float -> idle_rank:float -> bool
 (** Migration heuristic: move a subproblem when an idle resource is at
     least twice as powerful as the one it currently runs on. *)

@@ -17,8 +17,3 @@ let make ~id ~name ~site ~speed ~mem_bytes ~kind =
 let min_client_memory = 128 * 1024 * 1024
 
 let usable_memory t = int_of_float (0.6 *. float_of_int t.mem_bytes)
-
-let pp ppf t =
-  Format.fprintf ppf "%s@%s (speed %.0f, mem %d MB%s)" t.name t.site t.speed
-    (t.mem_bytes / (1024 * 1024))
-    (match t.kind with Interactive -> "" | Batch -> ", batch")

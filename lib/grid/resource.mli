@@ -26,5 +26,3 @@ val min_client_memory : int
 val usable_memory : t -> int
 (** The solver memory budget on this host: 60% of capacity, the paper's
     rule for avoiding the Linux out-of-memory killer. *)
-
-val pp : Format.formatter -> t -> unit

@@ -77,10 +77,6 @@ let events t =
     t.rings;
   List.sort (fun (a : event) (b : event) -> compare a.seq b.seq) !acc
 
-let clear t =
-  Hashtbl.reset t.rings;
-  t.evicted <- 0
-
 let json_of_event (e : event) =
   Json.Obj
     ([

@@ -46,9 +46,6 @@ val evicted : t -> int
 val events : t -> event list
 (** Surviving events across all rings, in causal (seq) order. *)
 
-val clear : t -> unit
-(** Drop all rings (e.g. after dumping an incident). *)
-
 val dump : t -> at:float -> trigger:string -> ?detail:string -> unit -> Json.t
 (** Incident document ([gridsat-flight/1]): the trigger, the covered
     time window, recorded/evicted totals, and the surviving events in

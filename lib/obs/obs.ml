@@ -51,5 +51,3 @@ let scope t ~labels =
 let set_clock t clock =
   Span.set_clock t.spans clock;
   Flight.set_clock t.flight clock
-
-let now t = Span.now t.spans

@@ -53,6 +53,3 @@ val scope : t -> labels:(string * string) list -> t
 val set_clock : t -> (unit -> float) -> unit
 (** Point span and flight-event timestamps at a custom time source
     (e.g. virtual simulation time). *)
-
-val now : t -> float
-(** Current time on this context's clock. *)

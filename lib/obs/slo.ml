@@ -141,8 +141,6 @@ type t = {
 let create ?(window_short = 60.0) ?(window_long = 600.0) ?(fast_burn = 6.0) spec =
   { spec; window_short; window_long; fast_burn; streams = []; on_fast_burn = [] }
 
-let spec t = t.spec
-
 let on_fast_burn t f = t.on_fast_burn <- t.on_fast_burn @ [ f ]
 
 let targets_for t tenant =

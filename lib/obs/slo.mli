@@ -36,8 +36,6 @@ val create : ?window_short:float -> ?window_long:float -> ?fast_burn:float -> sp
 (** Rolling windows default to 60s/600s of virtual time; [fast_burn]
     (default 6.0) is the burn-rate both windows must exceed to alert. *)
 
-val spec : t -> spec
-
 val on_fast_burn : t -> (tenant:string -> target:string -> burn:float -> unit) -> unit
 (** Register an alert handler; called once per (tenant, target) edge
     into the fast-burning state (re-armed when burn drops back). *)

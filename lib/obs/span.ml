@@ -87,23 +87,3 @@ let spans t = List.rev t.recorded
 let count t = t.count
 
 let dropped t = t.dropped
-
-let find t sid = if sid = none then None else Hashtbl.find_opt t.by_id sid
-
-let json_of_span s =
-  let base =
-    [
-      ("sid", Json.Int s.sid);
-      ("parent", Json.Int s.parent);
-      ("name", Json.String s.name);
-      ("cat", Json.String s.cat);
-      ("tid", Json.Int s.tid);
-      ("start", Json.Float s.start);
-      ("kind", Json.String (match s.kind with Complete -> "complete" | Instant -> "instant"));
-    ]
-  in
-  let base = if s.kind = Complete then base @ [ ("dur", Json.Float (s.stop -. s.start)) ] else base in
-  let base = if s.args = [] then base else base @ [ ("args", Json.Obj s.args) ] in
-  Json.Obj base
-
-let to_json t = Json.List (List.map json_of_span (spans t))

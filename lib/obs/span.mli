@@ -70,8 +70,3 @@ val count : t -> int
 
 val dropped : t -> int
 (** Spans discarded after the recorder filled up (capacity 200_000). *)
-
-val find : t -> id -> span option
-
-val to_json : t -> Json.t
-(** Span list as JSON (used inside the run report). *)

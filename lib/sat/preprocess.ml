@@ -184,10 +184,3 @@ let extend (result : result) model =
       a.(var) <- forced_true)
     result.elims;
   Model.of_array a
-
-let solve ?config cnf =
-  let result = run cnf in
-  let solver = Solver.create ?config result.cnf in
-  match Solver.solve solver with
-  | Solver.Sat m -> Solver.Sat (extend result m)
-  | other -> other

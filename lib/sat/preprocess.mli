@@ -33,7 +33,3 @@ val run : ?max_rounds:int -> ?elim_growth:int -> Cnf.t -> result
 val extend : result -> Model.t -> Model.t
 (** Completes a model of [result.cnf] into a model of the original
     formula by choosing values for the eliminated variables. *)
-
-val solve : ?config:Solver.config -> Cnf.t -> Solver.outcome
-(** Preprocess-then-solve convenience: runs {!run}, solves the simplified
-    formula, and extends any model back to the original variables. *)

@@ -23,7 +23,6 @@ type config = {
   learned_cap_min : int;
   reduce_db_enabled : bool;
   share_export_max : int;
-  random_decision_freq : float;
   emit_proof : bool;
   minimize_learned : bool;
   phase_saving : bool;
@@ -40,7 +39,6 @@ let default_config =
     learned_cap_min = 5_000;
     reduce_db_enabled = true;
     share_export_max = 16;
-    random_decision_freq = 0.02;
     emit_proof = false;
     minimize_learned = false;
     phase_saving = false;
@@ -956,10 +954,13 @@ let rec heap_unassigned t =
     let v = Heap.remove_max t.order in
     if var_unknown t v then v else heap_unassigned t
 
+(* The share of decisions that pick a random unassigned variable instead
+   of the highest-scoring one. *)
+let random_decision_freq = 0.02
+
 let pick_branch_var t =
   let v =
-    if t.cfg.random_decision_freq > 0. && Random.State.float t.rng 1.0 < t.cfg.random_decision_freq
-    then random_unassigned t 8
+    if Random.State.float t.rng 1.0 < random_decision_freq then random_unassigned t 8
     else 0
   in
   if v = 0 then heap_unassigned t else v

@@ -42,7 +42,6 @@ type config = {
           (the paper's baseline) kept everything until memory ran out; turn
           this off to reproduce its MEM_OUT behaviour. *)
   share_export_max : int;  (** record learned clauses up to this length for export *)
-  random_decision_freq : float;  (** probability of a random decision, in [0,1) *)
   emit_proof : bool;
       (** log a DRUP proof of every clause derivation; check it with
           {!Drup.check}.  Intended for runs without foreign clause

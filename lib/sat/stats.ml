@@ -95,5 +95,3 @@ let wall_json t =
       ("total_seconds", Obs.Json.Float t.total_seconds);
       ("bcp_fraction", Obs.Json.Float (bcp_fraction t));
     ]
-
-let to_json t = Obs.Json.to_string (json t)

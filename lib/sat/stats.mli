@@ -46,6 +46,3 @@ val wall_json : t -> Obs.Json.t
 (** The wall-clock timings, [bcp_seconds], [total_seconds] and
     [bcp_fraction]: a report's [wall] section, which two runs of one
     seed do not share. *)
-
-val to_json : t -> string
-(** [json] rendered compactly. *)

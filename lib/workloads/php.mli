@@ -6,7 +6,3 @@
     the "hand-made" hard UNSAT families of the SAT2002 suite. *)
 
 val instance : pigeons:int -> holes:int -> Sat.Cnf.t
-
-val variable : holes:int -> int -> int -> int
-(** [variable ~holes p h] is the DIMACS variable meaning "pigeon [p] sits
-    in hole [h]" (1-based). *)

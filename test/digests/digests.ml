@@ -87,8 +87,6 @@ let entries : P.journal_entry list =
   [
     Registered { client = 3 };
     Assigned { pid = (0, 0); dst = 4; path = [] };
-    Started { pid = (0, 1); client = 12 };
-    Granted { requester = 7; partner = 9 };
     Split
       {
         donor = 2;
@@ -99,8 +97,6 @@ let entries : P.journal_entry list =
         path = lits [ 1; -3; -10 ];
       };
     Refuted { pid = (5, 100) };
-    Shared { clauses = 1234 };
-    Suspected { client = 99 };
     Died { client = 100 };
     Adopted { pid = (1, 2); client = 3; path = lits [ -4000; 17; 9999 ] };
     Verdict { answer = "UNSAT" };

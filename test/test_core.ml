@@ -412,14 +412,13 @@ let test_scheduler_backlog () =
     (C.Scheduler.pick_backlog [ (1, 20.); (9, 10.) ] = Some 9)
 
 let test_scheduler_migration_rule () =
-  check bool "2x rule fires" true (C.Scheduler.should_migrate ~enabled:true ~busy_rank:10. ~idle_rank:20.);
-  check bool "below 2x no" false (C.Scheduler.should_migrate ~enabled:true ~busy_rank:10. ~idle_rank:19.);
-  check bool "disabled" false (C.Scheduler.should_migrate ~enabled:false ~busy_rank:1. ~idle_rank:100.);
+  check bool "2x rule fires" true (C.Scheduler.should_migrate ~busy_rank:10. ~idle_rank:20.);
+  check bool "below 2x no" false (C.Scheduler.should_migrate ~busy_rank:10. ~idle_rank:19.);
   (* the paper's bar is "at least twice": the exact boundary migrates *)
   check bool "exact 2x boundary migrates" true
-    (C.Scheduler.should_migrate ~enabled:true ~busy_rank:7.5 ~idle_rank:15.);
+    (C.Scheduler.should_migrate ~busy_rank:7.5 ~idle_rank:15.);
   check bool "just under the boundary stays" false
-    (C.Scheduler.should_migrate ~enabled:true ~busy_rank:7.5 ~idle_rank:14.999)
+    (C.Scheduler.should_migrate ~busy_rank:7.5 ~idle_rank:14.999)
 
 (* ---------- Checkpoint ---------- *)
 
@@ -1440,7 +1439,7 @@ let[@inline never] run_owners obs =
   done;
   let journal = C.Journal.create ~obs ~compact_every:2 () in
   List.iter (C.Journal.append journal)
-    C.Journal.[ Registered { client = 1 }; Registered { client = 2 }; Suspected { client = 2 } ];
+    C.Journal.[ Registered { client = 1 }; Registered { client = 2 }; Died { client = 2 } ];
   let store = C.Checkpoint.create ~obs (Cnf.make ~nvars:2 [ [ 1; 2 ] ]) in
   let sp = { Sub.nvars = 2; facts = []; path = []; clauses = Clause_lists.of_list [ [| T.pos 1 |] ] } in
   ignore (C.Checkpoint.save store ~client:1 ~mode:Cfg.Heavy sp);

@@ -220,15 +220,11 @@ let gen_entry : P.journal_entry QCheck.Gen.t =
       [
         map (fun client -> P.Registered { client }) gen_int;
         map3 (fun pid dst path -> P.Assigned { pid; dst; path }) gen_pid gen_int gen_lits;
-        map2 (fun pid client -> P.Started { pid; client }) gen_pid gen_int;
-        map2 (fun requester partner -> P.Granted { requester; partner }) gen_int gen_int;
         map3
           (fun (donor, donor_pid, donor_path) (pid, dst) path ->
             P.Split { donor; donor_pid; donor_path; pid; dst; path })
           (triple gen_int gen_pid gen_lits) (pair gen_pid gen_int) gen_lits;
         map (fun pid -> P.Refuted { pid }) gen_pid;
-        map (fun clauses -> P.Shared { clauses }) gen_int;
-        map (fun client -> P.Suspected { client }) gen_int;
         map (fun client -> P.Died { client }) gen_int;
         map3 (fun pid client path -> P.Adopted { pid; client; path }) gen_pid gen_int gen_lits;
         map (fun answer -> P.Verdict { answer }) gen_text;
@@ -334,12 +330,6 @@ module Flip = struct
         let pid = pair f p in
         let dst = int f dst in
         Assigned { pid; dst; path = lits f path }
-    | Started { pid = p; client } ->
-        let pid = pair f p in
-        Started { pid; client = int f client }
-    | Granted { requester; partner } ->
-        let requester = int f requester in
-        Granted { requester; partner = int f partner }
     | Split { donor; donor_pid; donor_path; pid = p; dst; path } ->
         let donor = int f donor in
         let donor_pid = pair f donor_pid in
@@ -348,8 +338,6 @@ module Flip = struct
         let dst = int f dst in
         Split { donor; donor_pid; donor_path; pid; dst; path = lits f path }
     | Refuted { pid = p } -> Refuted { pid = pair f p }
-    | Shared { clauses } -> Shared { clauses = int f clauses }
-    | Suspected { client } -> Suspected { client = int f client }
     | Died { client } -> Died { client = int f client }
     | Adopted { pid = p; client; path } ->
         let pid = pair f p in
@@ -588,8 +576,6 @@ let test_journal_entry_text () =
     [
       ("registered 3", J.Registered { client = 3 });
       ("assigned 0.1 -> 4 [1 -3]", J.Assigned { pid = (0, 1); dst = 4; path = lits [ 1; -3 ] });
-      ("started 0.1 @ 4", J.Started { pid = (0, 1); client = 4 });
-      ("granted 2 + 5", J.Granted { requester = 2; partner = 5 });
       ( "split 0.1 @ 2 [1 -3] -> 2.1 @ 5 [1 3]",
         J.Split
           {
@@ -601,8 +587,6 @@ let test_journal_entry_text () =
             path = lits [ 1; 3 ];
           } );
       ("refuted 2.1", J.Refuted { pid = (2, 1) });
-      ("shared 7", J.Shared { clauses = 7 });
-      ("suspected 4", J.Suspected { client = 4 });
       ("died 4", J.Died { client = 4 });
       ("adopted 2.1 @ 6 []", J.Adopted { pid = (2, 1); client = 6; path = [] });
       ("verdict UNSAT", J.Verdict { answer = "UNSAT" });
@@ -618,12 +602,8 @@ let test_journal_entry_text () =
 let alter_entry : P.journal_entry -> P.journal_entry = function
   | Registered { client } -> Registered { client = client + 1 }
   | Assigned a -> Assigned { a with dst = a.dst + 1 }
-  | Started s -> Started { s with client = s.client + 1 }
-  | Granted g -> Granted { g with partner = g.partner + 1 }
   | Split s -> Split { s with dst = s.dst + 1 }
   | Refuted { pid = a, b } -> Refuted { pid = (a, b + 1) }
-  | Shared { clauses } -> Shared { clauses = clauses + 1 }
-  | Suspected { client } -> Suspected { client = client + 1 }
   | Died { client } -> Died { client = client + 1 }
   | Adopted a -> Adopted { a with client = a.client + 1 }
   | Verdict { answer } -> Verdict { answer = answer ^ "!" }
@@ -686,6 +666,17 @@ let prop_log_digest =
               (List.mapi (fun x e -> if x = i then arr.(j) else if x = j then arr.(i) else e) es)
             <> full))
 
+(* Every record kind is there for recovery: appended to an empty
+   journal, any entry changes the replayed state.  An audit-only kind,
+   one that a replay ignores, fails here. *)
+let prop_every_entry_changes_state =
+  let print e = Format.asprintf "%a" J.pp_entry e in
+  QCheck.Test.make ~name:"every journal entry changes the replayed state" ~count:300
+    (QCheck.make ~print gen_entry) (fun e ->
+      let empty = J.create ~compact_every:1000 () and one = J.create ~compact_every:1000 () in
+      J.append one e;
+      J.digest (J.replay one) <> J.digest (J.replay empty))
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -708,5 +699,5 @@ let () =
           ] );
       ( "journal",
         [ Alcotest.test_case "record text" `Quick test_journal_entry_text ]
-        @ qsuite [ prop_log_digest ] );
+        @ qsuite [ prop_log_digest; prop_every_entry_changes_state ] );
     ]

@@ -334,10 +334,20 @@ let test_disk_full_degrades_and_recovers () =
   let cnf = Workloads.Php.instance ~pigeons:6 ~holes:5 in
   let baseline = solve cnf in
   let t = baseline.C.Master.time in
-  (* quota 1: no compaction can satisfy it, so degraded mode is certain;
-     relief lands mid-run (Disk_full perturbs no messages, so the faulted
-     run keeps the baseline's timeline) *)
-  let plan = [ F.Disk_full { at = 0.3 *. t; quota = 1; until_t = 0.6 *. t } ] in
+  let split_at =
+    (List.find
+       (fun e -> match e.C.Events.kind with C.Events.Split_completed _ -> true | _ -> false)
+       baseline.C.Master.events)
+      .C.Events.time
+  in
+  (* quota 1: no compaction can satisfy it, so degraded mode is certain.
+     Disk_full perturbs no messages, so the faulted run keeps the
+     baseline's timeline: the window opens before its first completed
+     split, whose journal appends land degraded, and relief lands
+     mid-run, before the verdict *)
+  let plan =
+    [ F.Disk_full { at = 0.5 *. split_at; quota = 1; until_t = 0.5 *. (split_at +. t) } ]
+  in
   let r = solve ~fault_plan:plan cnf in
   check Alcotest.string "verdict survives a full disk" "UNSAT" (answer_kind r.C.Master.answer);
   check bool "quota crossing forced an emergency compaction" true
