@@ -294,6 +294,13 @@ let solve_grid shared ~stats ~share_len ~timeout ~chaos_partition ~certify ~stra
       Printf.eprintf "gridsat: --chaos-partition requires both --chaos and --standby\n";
       2
   | Ok testbed -> (
+      (* --chaos-partition cuts the primary's site: alone there, the
+         primary loses every client and the standby *)
+      let testbed =
+        if chaos_partition then
+          { testbed with Gridsat_core.Testbed.master_site = Gridsat_core.Gridsat.primary_site }
+        else testbed
+      in
       let obs = obs_of ~report ~trace in
       let config = { shared.config with Config.share_max_len = share_len; overall_timeout = timeout } in
       (* --certify implies its own precondition: clause sharing off
@@ -412,7 +419,8 @@ let solve_cmd =
       & info [ "chaos-partition" ]
           ~doc:
             "with --chaos --standby: swap the canned master crash for a partition of the \
-             standby's site.  The lease still expires and promotes the replica, but the old \
+             primary, which gets a site of its own.  Cut off from every client, it cannot \
+             finish, so the standby's lease expires and promotes the replica, but the old \
              primary survives as a dueling master — after the heal its stale-epoch frames must \
              be rejected and the zombie fenced")
   in

@@ -1,9 +1,11 @@
 module F = Grid.Fault
 
+let primary_site = "primary"
+
 let chaos_plan ~standby ~partition =
   [
     F.Crash_host { host = 1; at = 2. };
-    (if partition then F.Partition_site { site = Replica.site; from_t = 6.; until_t = 18. }
+    (if partition then F.Partition_site { site = primary_site; from_t = 6.; until_t = 18. }
      else
        F.Crash_master
          { at = 6.; restart_after = (if standby then infinity else 4.); by_verdict = standby });

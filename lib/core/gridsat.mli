@@ -19,16 +19,21 @@
     The canned plans behind the CLI's fault flags.  Each is a pure
     function of its arguments. *)
 
+val primary_site : string
+(** The site [--chaos-partition] puts the primary on, alone. *)
+
 val chaos_plan : standby:bool -> partition:bool -> Grid.Fault.spec list
 (** [--chaos]: host 1 crashes at 2 s, the master crashes at 6 s, and 10%
     message loss plus 5% duplication run all along.  The master restarts
     4 s later, or never with [standby] (the standby's lease expiry
     promotes it instead); with [standby] the crash is due by the verdict,
-    so a run that would end before 6 s fails over too.  [partition] replaces the master crash with a
-    partition of the standby's site from 6 s to 18 s: the promoted
-    standby leaves a usurped primary whose stale-epoch frames must be
-    fenced after the heal.  Times are absolute virtual seconds, early
-    enough to fire on small instances. *)
+    so a run that would end before 6 s fails over too.  [partition]
+    replaces the master crash with a partition of {!primary_site} from
+    6 s to 18 s.  A primary alone on that site is cut off from every
+    client and cannot finish, so a run still open at 6 s must promote
+    the standby, which leaves a usurped primary whose stale-epoch frames
+    must be fenced after the heal.  Times are absolute virtual seconds,
+    early enough to fire on small instances. *)
 
 val straggler_plan : n:int -> flaky:bool -> seed:int -> Grid.Fault.spec list
 (** [--stragglers n]: hosts 1..n slow down 6-10x at a seeded instant in

@@ -1054,7 +1054,7 @@ let gridsat_chaos_expected =
     ( (false, true),
       [
         F.Crash_host { host = 1; at = 2. };
-        F.Partition_site { site = "standby"; from_t = 6.; until_t = 18. };
+        F.Partition_site { site = "primary"; from_t = 6.; until_t = 18. };
         F.Drop_messages
           { src_site = None; dst_site = None; p = 0.1; from_t = 0.; until_t = infinity };
         F.Duplicate_messages { p = 0.05; extra = 0.5; from_t = 0.; until_t = infinity };
@@ -1062,7 +1062,7 @@ let gridsat_chaos_expected =
     ( (true, true),
       [
         F.Crash_host { host = 1; at = 2. };
-        F.Partition_site { site = "standby"; from_t = 6.; until_t = 18. };
+        F.Partition_site { site = "primary"; from_t = 6.; until_t = 18. };
         F.Drop_messages
           { src_site = None; dst_site = None; p = 0.1; from_t = 0.; until_t = infinity };
         F.Duplicate_messages { p = 0.05; extra = 0.5; from_t = 0.; until_t = infinity };
