@@ -247,8 +247,9 @@ let shared_term =
       value & opt int 32
       & info [ "outbox-cap" ]
           ~doc:
-            "high watermark of each client's master-outage outbox.  Above it the biggest buffered \
-             clause-share batches are shed first; control messages are never shed")
+            "high watermark of each client's master-outage outbox, which holds clause-share \
+             batches only.  Above it the biggest buffered batches are shed first; control \
+             messages wait on the reliable stream to the master instead")
   in
   let choke =
     Arg.(

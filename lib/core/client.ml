@@ -47,8 +47,7 @@ type t = {
   mutable next_branch : int;  (* stamps pids of branches this client donates *)
   mutable rel : Reliable.t option;  (* set once in create; never None afterwards *)
   mutable master_down : bool;  (* retry exhaustion toward the master flipped this *)
-  outbox : Protocol.msg Flow.queue;  (* master-bound traffic parked during the outage *)
-  mutable probing : bool;  (* the outage probe loop is armed *)
+  outbox : Protocol.msg Flow.queue;  (* share batches parked during the outage *)
   seen_shares : (Sat.Types.lit array, unit) Hashtbl.t;
       (* every foreign clause already enqueued into a solver here, as its
          sorted literals: a clause relayed twice (duplicate delivery, or
@@ -93,13 +92,11 @@ let reliable t = match t.rel with Some r -> r | None -> assert false
 
 let outbox_pressured t = Flow.under_pressure t.outbox
 
-(* During a master outage the client keeps solving autonomously and parks
-   its master-bound traffic in a watermark-bounded outbox instead of
-   burning retries into a void.  Crossing the high watermark
-   ([Config.outbox_cap]) sheds the biggest buffered share batches first
-   (they are only accelerants and accrue every flush interval); control
-   messages are unsheddable by construction and always survive the
-   outage. *)
+(* During a master outage the client keeps solving autonomously.  Its
+   control messages wait on the reliable stream to the master; its share
+   batches park in a watermark-bounded outbox, which past its high
+   watermark ([Config.outbox_cap]) sheds the biggest batches first (they
+   are only accelerants and accrue every flush interval). *)
 let report_shed t shed =
   let n = List.length shed in
   if n > 0 then t.callbacks.log (Events.Outbox_shed { client = t.cid; shed = n });
@@ -109,20 +106,12 @@ let report_shed t shed =
     Obs.Metrics.set t.g_outbox (float_of_int (Flow.depth t.outbox))
   end
 
-let buffer_for_master t msg = report_shed t (Flow.push t.outbox msg)
-
-(* Critical control messages ride the ack/retry channel; shares and other
-   safe-to-lose traffic goes straight out.  Anything aimed at a downed
-   master is buffered for redelivery instead, except critical traffic
-   while a probe is in flight: it joins the probe's stream, so a probe
-   given up comes back to the outbox ahead of it. *)
+(* Critical control messages ride the reliable stream, outage or not;
+   shares and other safe-to-lose traffic go straight out, or into the
+   outbox while the master is down. *)
 let send t ~dst msg =
-  let critical = Protocol.critical msg in
-  if
-    dst = t.master && t.master_down
-    && not (critical && Reliable.outstanding_to (reliable t) ~dst > 0)
-  then buffer_for_master t msg
-  else if critical then Reliable.send (reliable t) ~dst msg
+  if Protocol.critical msg then Reliable.send (reliable t) ~dst msg
+  else if dst = t.master && t.master_down then report_shed t (Flow.push t.outbox msg)
   else send_raw t ~dst msg
 
 let flush_outbox t =
@@ -131,46 +120,23 @@ let flush_outbox t =
   List.iter (fun m -> send t ~dst:t.master m) pending
 
 (* Any delivery from the master is proof of life: end the outage and
-   redeliver everything that accumulated during it. *)
+   send the share batches parked during it. *)
 let master_reachable t =
   if t.master_down then begin
     t.master_down <- false;
     flush_outbox t
   end
 
-(* While the master is down, periodically re-offer the buffered control
-   messages through the reliable channel, oldest first (one probe at a
-   time).  If the master is still gone the probe exhausts its retries and
-   its messages return to the outbox in their order; once a replacement
-   master acks or sends anything, [master_reachable] flushes the rest. *)
-let rec probe_master t =
-  if t.alive && (not t.hung) && t.master_down then begin
-    (if Reliable.outstanding_to (reliable t) ~dst:t.master = 0 then
-       let rec offer () =
-         match Flow.take_first t.outbox Protocol.critical with
-         | Some m ->
-             Reliable.send (reliable t) ~dst:t.master m;
-             offer ()
-         | None -> ()
-       in
-       offer ());
-    ignore (Grid.Sim.schedule t.sim ~delay:t.cfg.Config.heartbeat_period (fun () -> probe_master t))
-  end
-  else t.probing <- false
-
 (* A give-up hands back the whole unacked tail of the stream to the
-   master, oldest first, and the outbox then holds no critical message
-   older than it: appending keeps the stream's order. *)
-let note_master_down t msg =
+   master, oldest first.  Re-sending each one at once on the same stream
+   keeps their order ahead of anything sent later, and the stream's own
+   backoff probes the master until it answers. *)
+let master_gave_up t msg =
   if not t.master_down then begin
     t.master_down <- true;
     t.callbacks.log (Events.Master_outage_detected { client = t.cid })
   end;
-  report_shed t (Flow.push t.outbox msg);
-  if not t.probing then begin
-    t.probing <- true;
-    ignore (Grid.Sim.schedule t.sim ~delay:t.cfg.Config.heartbeat_period (fun () -> probe_master t))
-  end
+  Reliable.send (reliable t) ~dst:t.master msg
 
 let now t = Grid.Sim.now t.sim
 
@@ -520,8 +486,9 @@ let handle_payload t ~src msg =
 
 (* Around [Reliable.receive]: a newer epoch from a master endpoint
    (id <= 0) is a promoted standby, so the client re-points [t.master]
-   (failover redirects clients, it never restarts them), and any word
-   from the master ends an outage. *)
+   (failover redirects clients, it never restarts them) and moves the
+   unacked tail of its stream to the old endpoint, in order, onto the
+   stream to the new one.  Any word from the master ends an outage. *)
 let handle t ~src msg =
   if t.alive && not t.hung then
     Reliable.receive ~rel:(reliable t)
@@ -529,7 +496,11 @@ let handle t ~src msg =
       ~me:t.cid ~epoch:t.epoch ~reply:(send_raw t) ~log:t.callbacks.log
       ~succession:(fun ~src ~epoch ->
         t.epoch <- epoch;
-        if src <= 0 && src <> t.master then t.master <- src;
+        if src <= 0 && src <> t.master then begin
+          let old = t.master in
+          t.master <- src;
+          List.iter (Reliable.send (reliable t) ~dst:src) (Reliable.stop_to (reliable t) ~dst:old)
+        end;
         true)
       ~accept:(fun ~src _ ->
         if src = t.master then master_reachable t;
@@ -572,12 +543,8 @@ let create ?(obs = Obs.disabled) ~sim ~bus ~cfg ~resource ~trace ~master callbac
       rel = None;
       master_down = false;
       outbox =
-        (* the biggest buffered share batch is the least valuable message:
-           shares are accelerants, control messages are the run *)
-        Flow.queue ~high:cfg.Config.outbox_cap ~critical:Protocol.critical
-          ~value:(fun m -> -Protocol.size m)
-          ();
-      probing = false;
+        (* the biggest buffered share batch is the least valuable one *)
+        Flow.queue ~high:cfg.Config.outbox_cap ~value:(fun m -> -Protocol.size m) ();
       seen_shares = Hashtbl.create 64;
       dup_suppressed = Obs.Metrics.counter m ~labels "client.shares.dup_suppressed";
       stats_acc = Sat.Stats.create ();
@@ -606,8 +573,8 @@ let create ?(obs = Obs.disabled) ~sim ~bus ~cfg ~resource ~trace ~master callbac
         callbacks.log (Events.Message_given_up { src = t.cid; dst });
         if dst = t.master then
           (* retry exhaustion toward the master is how a client detects a
-             master outage: keep the message and switch to buffering *)
-          note_master_down t msg
+             master outage: keep the message on the stream *)
+          master_gave_up t msg
         else
           (* a lost peer-to-peer handoff must not swallow the branch: hand
              the subproblem back to the master for re-homing *)

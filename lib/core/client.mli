@@ -17,15 +17,18 @@
     fire-and-forget.
 
     Master outages: when a reliable send toward the master exhausts its
-    retry budget the client concludes the master is down, keeps solving
-    autonomously, and buffers its master-bound traffic (results, split
-    requests, orphan returns, a bounded number of clause-share batches)
-    in the order it was sent, starting with the stream's given-up tail.
-    It periodically re-offers the buffered control messages, oldest
-    first; the moment anything arrives from a (restarted) master the
-    buffer is flushed, and a {!Protocol.Resync_request} is answered with
+    retry budget the client concludes the master is down, flags it once
+    ({!Events.Master_outage_detected}) and keeps solving autonomously.
+    Its control messages (results, split requests, orphan returns) wait
+    on the reliable stream to the master: the given-up tail is re-sent
+    on it at once, oldest first, later ones join behind it, and the
+    stream's own backoff probes the master.  Only clause-share batches
+    wait in a bounded outbox, flushed the moment anything arrives from
+    a (restarted) master; a {!Protocol.Resync_request} is answered with
     the client's current pid and guiding-path lineage so the new master
-    can adopt the work. *)
+    can adopt the work.  A frame from a promoted standby re-points the
+    client, and the unacked tail of its stream to the old endpoint
+    moves, in order, to the stream to the new one. *)
 
 type t
 
@@ -36,7 +39,7 @@ type callbacks = {
       (** [n] foreign clauses were suppressed as duplicates on ingestion *)
   note_outbox : depth:int -> shed:int -> unit;
       (** outage-outbox occupancy changed: current [depth] and how many
-          buffered messages the watermark policy just [shed] *)
+          buffered share batches the watermark policy just [shed] *)
 }
 
 val create :
@@ -83,6 +86,7 @@ val solver_stats : t -> Sat.Stats.t
 (** Accumulated statistics over every subproblem this client worked on. *)
 
 val outbox_pressured : t -> bool
-(** Whether the outbox is latched above its high watermark (releases at
-    the low watermark) — a resource-pressure input to service brownout. *)
+(** Whether the share outbox is latched above its high watermark
+    (releases at the low watermark) — a resource-pressure input to
+    service brownout. *)
 

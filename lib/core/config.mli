@@ -103,9 +103,9 @@ type t = {
           mode (durability alert, replica shipping paused) instead of
           raising.  0 disables the quota. *)
   outbox_cap : int;
-      (** high watermark of a client's master-outage outbox: beyond this
-          depth buffered share batches are shed (control-plane envelopes
-          are unsheddable and may exceed the cap) *)
+      (** high watermark of a client's master-outage outbox, which holds
+          share batches only: beyond this depth the biggest are shed
+          (control messages wait on the reliable stream instead) *)
   solver_config : Sat.Solver.config;
   seed : int;
 }

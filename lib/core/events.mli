@@ -39,8 +39,9 @@ type kind =
   | Master_crashed  (** fault injection ground truth: the master process died *)
   | Master_restarted  (** a fresh master came up and replayed the journal *)
   | Master_outage_detected of { client : int }
-      (** a client exhausted its retries toward the master and switched to
-          buffering its master-bound traffic *)
+      (** a client exhausted its retries toward the master: flagged once
+          per outage; its control messages stay on the reliable stream
+          and its share batches wait in the outbox *)
   | Client_resynced of { client : int; busy : bool }
       (** reconciliation: the client reported its state to the new master *)
   | Batch_job_submitted of { nodes : int }
@@ -98,7 +99,7 @@ type kind =
           first); they were dropped, not queued *)
   | Outbox_shed of { client : int; shed : int }
       (** a client's master-outage outbox crossed its high watermark and
-          shed buffered share batches (control envelopes are kept) *)
+          shed buffered share batches (the only thing it holds) *)
   | Forced_compaction of { occupancy : int; quota : int }
       (** an append pushed the journal past its disk quota; an emergency
           snapshot compaction was forced *)

@@ -9,7 +9,6 @@
 type 'a queue = {
   low : int;
   high : int;
-  critical : 'a -> bool;
   value : 'a -> int;
   (* oldest first; the int is an admission sequence number used as the
      deterministic tie-break of the shed policy *)
@@ -21,7 +20,7 @@ type 'a queue = {
   mutable pressured : bool;
 }
 
-let queue ?low ~high ~critical ~value () =
+let queue ?low ~high ~value () =
   if high < 1 then invalid_arg "Flow.queue: high watermark must be >= 1";
   let low = match low with Some l -> l | None -> high / 2 in
   if low < 0 || low > high then
@@ -29,7 +28,6 @@ let queue ?low ~high ~critical ~value () =
   {
     low;
     high;
-    critical;
     value;
     items = [];
     seq = 0;
@@ -51,35 +49,24 @@ let update_pressure t =
   if t.depth >= t.high then t.pressured <- true
   else if t.depth <= t.low then t.pressured <- false
 
-(* Shed the lowest-value non-critical item; among equal values the oldest
-   goes first (stale data-plane traffic is the least useful).  Critical
-   items are unsheddable by construction: a queue holding only critical
-   items is allowed to exceed the high watermark. *)
+(* Shed the lowest-value item; among equal values the oldest goes first
+   (stale data-plane traffic is the least useful).  Only a queue past its
+   high watermark sheds, so it is never empty here. *)
 let shed_one t =
-  let victim =
-    List.fold_left
-      (fun acc (seq, x) ->
-        if t.critical x then acc
-        else
-          match acc with
-          | None -> Some (seq, x)
-          | Some (_, best) -> if t.value x < t.value best then Some (seq, x) else acc)
-      None t.items
-  in
-  match victim with
-  | None -> None
-  | Some (vseq, x) ->
+  match t.items with
+  | [] -> assert false
+  | first :: rest ->
+      let vseq, x =
+        List.fold_left
+          (fun ((_, best) as acc) ((_, x) as it) -> if t.value x < t.value best then it else acc)
+          first rest
+      in
       t.items <- List.filter (fun (s, _) -> s <> vseq) t.items;
       t.depth <- t.depth - 1;
       t.shed <- t.shed + 1;
-      Some x
+      x
 
-let rec enforce t acc =
-  if t.depth > t.high then
-    match shed_one t with
-    | Some x -> enforce t (x :: acc)
-    | None -> List.rev acc
-  else List.rev acc
+let rec enforce t acc = if t.depth > t.high then enforce t (shed_one t :: acc) else List.rev acc
 
 let push t x =
   let seq = t.seq in
@@ -106,18 +93,6 @@ let drain t =
   t.depth <- 0;
   update_pressure t;
   out
-
-let take_first t pred =
-  let rec go acc = function
-    | [] -> None
-    | (_, x) :: rest when pred x ->
-        t.items <- List.rev_append acc rest;
-        t.depth <- t.depth - 1;
-        update_pressure t;
-        Some x
-    | it :: rest -> go (it :: acc) rest
-  in
-  go [] t.items
 
 
 (* ---------- windowed byte budget ---------- *)

@@ -1,7 +1,7 @@
 (** Watermark-bounded queues and windowed byte budgets.
 
-    The resource-exhaustion primitives shared by the reliable-channel
-    outbox (bounded buffering during a master outage), clause sharing
+    The resource-exhaustion primitives shared by the client's outage
+    outbox (share batches parked while the master is down), clause sharing
     (per-link bandwidth budgets) and, indirectly, the service brownout
     (queue-pressure signals).  Everything here is deterministic: shed
     decisions are a function of queue content, the configured watermarks
@@ -11,16 +11,15 @@
 
 type 'a queue
 (** A FIFO bounded by a high watermark.  Pushing past the high watermark
-    sheds the lowest-value non-critical item (ties broken oldest-first);
-    items satisfying the [critical] predicate are unsheddable by
-    construction — a queue holding only critical items may exceed the
-    watermark rather than drop one.  [under_pressure] latches when depth
-    reaches the high watermark and releases once it drains to the low
-    watermark (hysteresis, so an oscillating producer cannot flap
-    downstream policy). *)
+    sheds the lowest-value item (ties broken oldest-first), so every item
+    it holds must be safe to lose: the client's outbox holds share
+    batches only, and its control messages wait on the reliable stream
+    instead.  [under_pressure] latches when depth reaches the high
+    watermark and releases once it drains to the low watermark
+    (hysteresis, so an oscillating producer cannot flap downstream
+    policy). *)
 
-val queue :
-  ?low:int -> high:int -> critical:('a -> bool) -> value:('a -> int) -> unit -> 'a queue
+val queue : ?low:int -> high:int -> value:('a -> int) -> unit -> 'a queue
 (** [low] defaults to [high / 2].  Raises [Invalid_argument] when
     [high < 1] or [low] lies outside [[0, high]].  Higher [value] means
     more worth keeping. *)
@@ -34,9 +33,6 @@ val pop : 'a queue -> 'a option
 
 val drain : 'a queue -> 'a list
 (** Remove and return everything, oldest first. *)
-
-val take_first : 'a queue -> ('a -> bool) -> 'a option
-(** Remove and return the first (oldest) item satisfying the predicate. *)
 
 val depth : 'a queue -> int
 

@@ -45,6 +45,10 @@ type t = {
       (* bus endpoint this master speaks from: [master_id], or
          [Replica.standby_id] once the standby has been promoted *)
   mutable promoted : bool;  (* the standby took over this run *)
+  inherited : (Protocol.pid, unit) Hashtbl.t;
+      (* live pids whose lineage a promoted master took over from the
+         shadow journal and has not journaled since (by assigning or
+         splitting them): the shadow can miss the claimant's last split *)
   mutable ship_buffer : Protocol.journal_entry list;
       (* journal entries appended since the last shipment, newest first:
          the oldest one's index is the journal's append count minus the
@@ -331,6 +335,11 @@ let set_repl_lag t =
 
 let jlog t entry =
   watch_journal t (fun () -> Journal.append t.journal entry);
+  (if t.promoted then
+     match entry with
+     | Journal.Assigned { pid; _ } | Journal.Split { donor_pid = pid; _ } ->
+         Hashtbl.remove t.inherited pid
+     | _ -> ());
   if t.replica <> None && not t.promoted then begin
     t.ship_buffer <- entry :: t.ship_buffer;
     (* degraded storage pauses shipment (the standby must not ack a prefix
@@ -854,6 +863,15 @@ let settle_certification t ~src pid ~path proof =
         "certify.ok";
       free_finisher t src;
       refute_pid t pid
+  | Error reason when Hashtbl.mem t.inherited pid ->
+      (* the lineage may predate a split the primary journaled but never
+         shipped, so the failure is no evidence against the claimant:
+         reject the claim and re-derive the branch unless another copy
+         holds it *)
+      log t (Events.Certification_failed { pid; client = src; reason });
+      free_finisher t src;
+      rederive_unhomed t [ (pid, src) ];
+      conclude_or_dispatch t
   | Error reason -> quarantine t ~client:src ~pid ~reason
 
 (* ---------- message handling ---------- *)
@@ -1500,6 +1518,7 @@ let promote t =
         t.resyncing <- false;
         t.active_id <- Replica.standby_id;
         t.journal <- Replica.journal r;
+        Hashtbl.iter (fun pid _ -> Hashtbl.replace t.inherited pid ()) (tree t).live;
         t.ship_buffer <- [];
         Grid.Everyware.register t.bus ~id:Replica.standby_id ~site:Replica.site
           ~handler:(fun ~src msg -> handle t ~src msg);
@@ -1709,6 +1728,7 @@ let create ?(obs = Obs.disabled) ?health ~sim ~net ~bus ~cfg ~testbed cnf =
       before_verdict = ignore;
       outage_started = None;
       hedged = Hashtbl.create 8;
+      inherited = Hashtbl.create 8;
       down = false;
       resyncing = false;
       finished = false;
@@ -1770,12 +1790,12 @@ let create ?(obs = Obs.disabled) ?health ~sim ~net ~bus ~cfg ~testbed cnf =
          ~retry_base:cfg.Config.retry_base ~max_attempts:cfg.Config.retry_max_attempts
          ~on_retry:(fun ~dst ~attempt ->
            note_incident t dst `Retry;
-           log t (Events.Message_retried { src = master_id; dst; attempt }))
+           log t (Events.Message_retried { src = t.active_id; dst; attempt }))
          ~on_exhausted:(fun ~dst ~attempts ->
            note_incident t dst `Exhausted;
-           log t (Events.Retries_exhausted { src = master_id; dst; attempts }))
+           log t (Events.Retries_exhausted { src = t.active_id; dst; attempts }))
          ~on_give_up:(fun ~dst msg ->
-           log t (Events.Message_given_up { src = master_id; dst });
+           log t (Events.Message_given_up { src = t.active_id; dst });
            if not t.finished then
              match msg with
              | Protocol.Problem { pid; sp; _ } -> (

@@ -283,12 +283,16 @@ let receive ?rel rx ~me ~epoch ~reply ~log ?(report = fun ~src:_ -> true)
           | Protocol.Nack { mid } -> Option.iter (fun r -> handle_nack r ~src ~mid) rel
           | msg -> deliver ~src msg)
 
-let stop t =
-  Hashtbl.iter
-    (fun _ o ->
-      List.iter (cancel_timer t) o.unacked;
-      o.unacked <- [])
-    t.outbound
+let stop_to t ~dst =
+  match Hashtbl.find_opt t.outbound dst with
+  | None -> []
+  | Some o ->
+      let tail = o.unacked in
+      o.unacked <- [];
+      List.iter (cancel_timer t) tail;
+      List.map (fun p -> p.msg) tail
+
+let stop t = Hashtbl.iter (fun dst _ -> ignore (stop_to t ~dst)) t.outbound
 
 let reset t =
   stop t;
@@ -296,9 +300,6 @@ let reset t =
   Hashtbl.reset t.inbound
 
 let outstanding t = Hashtbl.fold (fun _ o acc -> acc + List.length o.unacked) t.outbound 0
-
-let outstanding_to t ~dst =
-  match Hashtbl.find_opt t.outbound dst with Some o -> List.length o.unacked | None -> 0
 
 let retries t = Obs.Metrics.counter_value t.retries
 

@@ -14,7 +14,9 @@
     - acks are cumulative: [Ack {mid}] settles every envelope up to [mid];
     - every envelope not abandoned is delivered;
     - an envelope that exhausts its attempts is abandoned with every later
-      unacked one on its stream, and all go to [on_give_up] oldest first;
+      unacked one on its stream, and all go to [on_give_up] oldest first
+      (a client re-sends a tail given up toward its master on the same
+      stream, so its control messages wait out an outage there);
     - each transmission carries the stream's lowest unacked number, so the
       receiver skips abandoned numbers instead of waiting for them.
 
@@ -139,6 +141,11 @@ val stop : t -> unit
     crashed).  Stream numbers carry on, so a receiver skips the abandoned
     ones on the next envelope. *)
 
+val stop_to : t -> dst:int -> Protocol.msg list
+(** {!stop} for the stream to [dst] alone, returning its abandoned
+    payloads oldest first: a client whose master moved to a promoted
+    standby re-sends them, in order, on the stream to the new endpoint. *)
+
 val reset : t -> unit
 (** {!stop}, then forgets every stream, both directions: the owner
     starts afresh at a new epoch (a promoted standby speaks from a new
@@ -146,10 +153,6 @@ val reset : t -> unit
 
 val outstanding : t -> int
 (** Envelopes still awaiting an ack. *)
-
-val outstanding_to : t -> dst:int -> int
-(** Envelopes still awaiting an ack from one destination (clients probe a
-    downed master only when no envelope toward it is already in flight). *)
 
 val retries : t -> int
 (** Total retransmissions performed. *)

@@ -109,15 +109,15 @@ let subsumption_round st =
   !changed
 
 (* Bounded variable elimination: replace a variable's clauses by their
-   resolvents when that does not grow the database by more than [growth]. *)
-let elimination_round st ~growth =
+   resolvents when that does not grow the database. *)
+let elimination_round st =
   let changed = ref false in
   let occ = ref (occurrences st) in
   for v = 1 to st.nvars do
     let live lit = List.filter (fun j -> st.clauses.(j) <> None) !occ.(lit) in
     let pos = live (T.pos v) and neg = live (T.neg v) in
     let npos = List.length pos and nneg = List.length neg in
-    if npos + nneg > 0 && npos * nneg <= npos + nneg + growth && npos + nneg <= 20 then begin
+    if npos + nneg > 0 && npos * nneg <= npos + nneg && npos + nneg <= 20 then begin
       let clause j = match st.clauses.(j) with Some c -> c | None -> assert false in
       let resolve cp cn =
         let c = Array.of_list (List.filter (fun l -> T.var l <> v) (Array.to_list cp @ Array.to_list cn)) in
@@ -136,7 +136,10 @@ let elimination_round st ~growth =
   done;
   !changed
 
-let run ?(max_rounds = 3) ?(elim_growth = 0) cnf =
+(* At most three rounds of subsumption then elimination. *)
+let max_rounds = 3
+
+let run cnf =
   let st =
     {
       nvars = Cnf.nvars cnf;
@@ -154,7 +157,7 @@ let run ?(max_rounds = 3) ?(elim_growth = 0) cnf =
   let rec rounds k =
     if k > 0 then begin
       let a = subsumption_round st in
-      let b = elimination_round st ~growth:elim_growth in
+      let b = elimination_round st in
       if a || b then rounds (k - 1)
     end
   in

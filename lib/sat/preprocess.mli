@@ -26,9 +26,9 @@ type result = {
   elims : elimination list;  (** consumed by {!extend} *)
 }
 
-val run : ?max_rounds:int -> ?elim_growth:int -> Cnf.t -> result
-(** [run cnf] simplifies.  [elim_growth] (default 0) is how many extra
-    clauses variable elimination may introduce net. *)
+val run : Cnf.t -> result
+(** [run cnf] simplifies, in at most three rounds of subsumption then
+    variable elimination; an elimination never adds clauses net. *)
 
 val extend : result -> Model.t -> Model.t
 (** Completes a model of [result.cnf] into a model of the original

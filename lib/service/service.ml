@@ -10,8 +10,6 @@ type config = {
   max_concurrent : int;
   starvation_after : float;
   retry_after_base : float;
-  pump_period : float;
-  preemption : bool;
   brownout_threshold : float;
   brownout_stretch : float;
   run : Config.t;
@@ -26,8 +24,6 @@ let default_config =
     max_concurrent = 4;
     starvation_after = 120.;
     retry_after_base = 30.;
-    pump_period = 1.;
-    preemption = true;
     brownout_threshold = 0.;
     brownout_stretch = 1.5;
     run = Config.default;
@@ -132,7 +128,6 @@ type t = {
   slo : Obs.Slo.t option;
   on_flight : (name:string -> J.t -> unit) option;
   on_expo : (string -> unit) option;
-  expo_period : float;
   mutable flight_dumps : (string * J.t) list;  (* newest first *)
   d_cache_hit : Obs.Anomaly.detector;  (* 0/1 stream; fires on hit-rate collapse *)
   cfg : config;
@@ -162,13 +157,10 @@ let host_id (h : Testbed.host) = h.Testbed.resource.Grid.Resource.id
 
 let by_id a b = compare (host_id a) (host_id b)
 
-let create ?(obs = Obs.disabled) ?slo ?on_flight ?on_expo ?(expo_period = 30.) ~cfg
-    ~testbed () =
-  if expo_period <= 0. then invalid_arg "Service.create: expo_period must be positive";
+let create ?(obs = Obs.disabled) ?slo ?on_flight ?on_expo ~cfg ~testbed () =
   Config.validate_exn cfg.run;
   if cfg.queue_capacity < 1 then invalid_arg "Service.create: queue_capacity must be >= 1";
   if cfg.max_concurrent < 1 then invalid_arg "Service.create: max_concurrent must be >= 1";
-  if cfg.pump_period <= 0. then invalid_arg "Service.create: pump_period must be positive";
   if cfg.retry_after_base <= 0. then invalid_arg "Service.create: retry_after_base must be positive";
   let pool = List.sort by_id testbed.Testbed.hosts in
   let n = List.length pool in
@@ -192,7 +184,6 @@ let create ?(obs = Obs.disabled) ?slo ?on_flight ?on_expo ?(expo_period = 30.) ~
     slo = Option.map Obs.Slo.create slo;
     on_flight;
     on_expo;
-    expo_period;
     flight_dumps = [];
     d_cache_hit =
       Obs.Anomaly.detector (Obs.anomaly obs) ~name:"cache-hit-rate" ~direction:`Low
@@ -396,7 +387,7 @@ let admit t =
    priority, not aging) the weakest running one, cancel that victim and
    requeue it.  One victim per tick keeps the policy gradual and cheap. *)
 let maybe_preempt t =
-  if t.cfg.preemption && not (can_dispatch t) then
+  if not (can_dispatch t) then
     match Admission.peek t.adm ~now:(now t) ~tenant_load:(tenant_load t) with
     | None -> ()
     | Some waiting -> (
@@ -517,6 +508,9 @@ let finalize_finished t =
   List.iter (finalize_run t)
     (List.sort (fun a b -> compare a.rjob.Job.id b.rjob.Job.id) done_)
 
+(* The scheduler's tick, in virtual seconds. *)
+let pump_period = 1.
+
 let rec pump t =
   t.pump_armed <- false;
   finalize_finished t;
@@ -529,7 +523,7 @@ let rec pump t =
 and arm_pump t =
   if (not t.pump_armed) && outstanding t then begin
     t.pump_armed <- true;
-    ignore (Grid.Sim.schedule t.sim ~delay:t.cfg.pump_period (fun () -> pump t))
+    ignore (Grid.Sim.schedule t.sim ~delay:pump_period (fun () -> pump t))
   end
 
 let rec arm_deadline t (job : Job.t) =
@@ -641,6 +635,9 @@ let cancel_job t ~id ~reason =
               finalize_run t r;
               true))
 
+(* How often [on_expo] gets the exposition, in virtual seconds. *)
+let expo_period = 30.
+
 let render_expo t =
   match t.on_expo with
   | None -> ()
@@ -649,7 +646,7 @@ let render_expo t =
 let rec arm_expo t =
   if t.on_expo <> None then
     ignore
-      (Grid.Sim.schedule t.sim ~delay:t.expo_period (fun () ->
+      (Grid.Sim.schedule t.sim ~delay:expo_period (fun () ->
            render_expo t;
            if outstanding t then arm_expo t))
 

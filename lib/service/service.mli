@@ -39,8 +39,6 @@ type config = {
   starvation_after : float;
       (** queued jobs gain one priority level per this many seconds *)
   retry_after_base : float;  (** base of the shed retry-after hint *)
-  pump_period : float;  (** scheduler tick, virtual seconds *)
-  preemption : bool;
   brownout_threshold : float;
       (** enter brownout when the healthy fraction of the pool drops
           below this ([0.] disables the policy, the default).  Exit has
@@ -114,15 +112,14 @@ val create :
   ?slo:Obs.Slo.spec ->
   ?on_flight:(name:string -> Obs.Json.t -> unit) ->
   ?on_expo:(string -> unit) ->
-  ?expo_period:float ->
   cfg:config ->
   testbed:Gridsat_core.Testbed.t ->
   unit ->
   t
 (** Validates the configuration ([Invalid_argument] on nonsense: empty
     pool, [hosts_per_job] larger than the pool, non-positive capacities
-    or periods, invalid [run] config) and sets up the shared simulator,
-    network and host pool.
+    or [retry_after_base], invalid [run] config) and sets up the shared
+    simulator, network and host pool.
 
     Observability wiring (all optional):
     - [slo]: a parsed {!Obs.Slo} spec; the service feeds it at
@@ -132,7 +129,7 @@ val create :
       time an anomaly trigger dumps the flight recorder of [obs] (the
       dumps are also retained, see {!flight_dumps});
     - [on_expo]: called with the Prometheus-style exposition of the
-      metrics registry every [expo_period] (default 30) virtual seconds
+      metrics registry every 30 virtual seconds
       while jobs are outstanding, and once more when {!run} returns. *)
 
 val submit :

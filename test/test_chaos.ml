@@ -696,14 +696,15 @@ let test_certify_loss_no_quarantine () =
       ("php-8-7 chaos", php87, C.Gridsat.chaos_plan ~standby:false ~partition:false, [ 4; 5; 6; 12 ]);
     ]
 
-(* FOUND, pinned until mended: a promoted standby checks a claim under the
-   lineage its shadow journal has, which can predate the claimant's last
-   split.  At php-8-7 certify chaos standby seed 127 the primary journaled
-   client 4's split of pid 3.0 (5.8 s) and crashed before shipping it
-   (6.0 s); the standby promoted with 3.0 at its pre-split path, kept
-   that path against client 4's Resync, and client 4's fragment for the
-   narrowed branch failed.  The verdict still lands; mending this makes
-   the count 0. *)
+(* A promoted standby checks a claim under the lineage its shadow journal
+   has, which can predate the claimant's last split.  At php-8-7 certify
+   chaos standby seed 127 the primary journaled client 4's split of pid
+   3.0 (5.8 s) and crashed before shipping it (6.0 s); the standby
+   promoted with 3.0 at its pre-split path, kept that path against client
+   4's Resync, and client 4's fragment for the narrowed branch fails.
+   The lineage was inherited from the shadow, so the claim is rejected
+   and the branch re-derived, but the honest claimant is not
+   quarantined. *)
 let test_shadow_misses_a_split () =
   let config =
     {
@@ -731,7 +732,8 @@ let test_shadow_misses_a_split () =
   in
   check Alcotest.string "verdict" "UNSAT" (answer_kind r.C.Master.answer);
   check Alcotest.int "the standby took over" 1 (C.Master.counter r "promotions");
-  check bool "the one quarantine is client 4's claim on pid 3.0" true
+  check Alcotest.int "no quarantine" 0 (C.Master.counter r "quarantines");
+  check bool "the one failed check is client 4's claim on pid 3.0" true
     (List.filter_map
        (fun e ->
          match e.C.Events.kind with
@@ -739,6 +741,25 @@ let test_shadow_misses_a_split () =
          | _ -> None)
        r.C.Master.events
     = [ ((3, 0), 4) ])
+
+(* The config of the CLI's [solve -m grid --chaos --standby --ship S
+   --seed N], with a shorter overall timeout. *)
+let cli_standby_config ~ship_sync ~seed =
+  {
+    Cfg.default with
+    Cfg.overall_timeout = 5_000.;
+    split_timeout = 1.;
+    checkpoint = Cfg.Light;
+    checkpoint_period = 2.;
+    heartbeat_period = 2.;
+    suspect_timeout = 8.;
+    slice = 0.5;
+    standby = true;
+    ship_sync;
+    standby_lease = 6.;
+    ship_interval = 1.;
+    seed;
+  }
 
 (* Dueling masters: the promoted standby pairs a donor with a partner
    whose Problem_received still goes to the superseded primary, then
@@ -749,23 +770,7 @@ let test_shadow_misses_a_split () =
    the standby's site, with the primary on the pool's; both ended
    UNKNOWN that way. *)
 let test_dead_partner_keeps_branch () =
-  let config ~ship_sync ~seed =
-    {
-      Cfg.default with
-      Cfg.overall_timeout = 5_000.;
-      split_timeout = 1.;
-      checkpoint = Cfg.Light;
-      checkpoint_period = 2.;
-      heartbeat_period = 2.;
-      suspect_timeout = 8.;
-      slice = 0.5;
-      standby = true;
-      ship_sync;
-      standby_lease = 6.;
-      ship_interval = 1.;
-      seed;
-    }
-  in
+  let config = cli_standby_config in
   (* the preset's partition, moved to the standby's site *)
   let plan =
     List.map
@@ -783,6 +788,90 @@ let test_dead_partner_keeps_branch () =
       check Alcotest.string (cell ^ ": verdict") "UNSAT" (answer_kind r.C.Master.answer);
       check Alcotest.int (cell ^ ": the standby took over") 1 (C.Master.counter r "promotions"))
     [ (true, 0); (false, 13) ]
+
+(* The CLI's [gridsat solve -m grid --hosts 6 --chaos --chaos-partition
+   --standby --ship sync --seed 21] on php-7-6.  Client 3 finishes its
+   branch at 5.3 s, inside the partition, so its Finished_unsat is still
+   unacked toward endpoint 0 when the promoted standby's frames re-point
+   it.  That tail moves to the stream to the new endpoint: no retry goes
+   to endpoint 0 after the client's succession (its resync reply comes
+   later still), and the finished branch is not re-derived onto another
+   host.  The promoted master's own retries are logged from the endpoint
+   it speaks from. *)
+let test_promoted_master_gets_the_stream () =
+  let testbed =
+    { (C.Testbed.uniform ~n:6 ~speed:2000. ()) with C.Testbed.master_site = C.Gridsat.primary_site }
+  in
+  let r =
+    C.Gridsat.solve
+      ~config:(cli_standby_config ~ship_sync:true ~seed:21)
+      ~fault_plan:(C.Gridsat.chaos_plan ~standby:true ~partition:true)
+      ~testbed
+      (Workloads.Php.instance ~pigeons:7 ~holes:6)
+  in
+  check Alcotest.string "verdict" "UNSAT" (answer_kind r.C.Master.answer);
+  check Alcotest.int "the standby took over" 1 (C.Master.counter r "promotions");
+  check bool "a stale frame was rejected after the heal" true
+    (C.Master.counter r "stale_epoch_rejections" > 0);
+  let events = List.map (fun e -> (e.C.Events.time, e.C.Events.kind)) r.C.Master.events in
+  let resynced = Hashtbl.create 8 in
+  List.iter
+    (fun (time, k) ->
+      match k with
+      | C.Events.Client_resynced { client; _ } when not (Hashtbl.mem resynced client) ->
+          Hashtbl.replace resynced client time
+      | _ -> ())
+    events;
+  check bool "clients resynced with the promoted master" true (Hashtbl.length resynced > 0);
+  List.iter
+    (fun (time, k) ->
+      match k with
+      | C.Events.Message_retried { src; dst = 0; _ } when src > 0 -> (
+          match Hashtbl.find_opt resynced src with
+          | Some t0 when time >= t0 ->
+              Alcotest.failf "client %d retried to endpoint 0 at %.1f s, after its succession" src
+                time
+          | _ -> ())
+      | _ -> ())
+    events;
+  (* what each client last did with a branch, oldest event first: a
+     recovery of a client's work must find it holding one, not finished *)
+  let finished = Hashtbl.create 8 in
+  List.iter
+    (fun (time, k) ->
+      match k with
+      | C.Events.Recovered_from_checkpoint { client = c; _ }
+      | C.Events.Rederived_from_lineage { holder = Some c; _ }
+        when Hashtbl.find_opt finished c = Some true ->
+          Alcotest.failf "client %d's finished branch was assigned again at %.1f s" c time
+      | C.Events.Client_finished_unsat c -> Hashtbl.replace finished c true
+      | C.Events.Problem_assigned { dst = c; _ }
+      | C.Events.Split_completed { dst = c; _ }
+      | C.Events.Recovered_from_checkpoint { onto = c; _ } ->
+          Hashtbl.replace finished c false
+      | _ -> ())
+    events;
+  let promoted_at =
+    List.find_map
+      (function time, C.Events.Standby_promoted _ -> Some time | _ -> None)
+      events
+    |> Option.get
+  in
+  let master_resends =
+    List.filter_map
+      (fun (time, k) ->
+        match k with
+        | C.Events.Message_retried { src; _ }
+        | C.Events.Retries_exhausted { src; _ }
+        | C.Events.Message_given_up { src; _ }
+          when time >= promoted_at && src <= 0 ->
+            Some src
+        | _ -> None)
+      events
+  in
+  check bool "the promoted master resent something" true (master_resends <> []);
+  check bool "from the standby's endpoint" true
+    (List.for_all (fun src -> src = C.Replica.standby_id) master_resends)
 
 (* A partner that dies between the donor's Split_ok and its own
    Problem_received: the journal already has it hold the child, so its
@@ -1822,6 +1911,73 @@ let prop_shadow_digest_matches =
       && r.C.Master.ships > 0
       && C.Master.counter r "replication_divergences" = 0)
 
+(* A client whose master stays down past its retry budget.  An idle
+   client answers each Split_partner from a peer with a Split_failed to
+   the master, so the test chooses when it sends a control message:
+   one before the give-up and three after it.  Every one waits on the
+   stream, none in the outbox, and the master that comes back at the
+   same endpoint receives each once, in send order. *)
+let test_outage_keeps_control_order () =
+  let sim = Grid.Sim.create () in
+  let bus = Grid.Everyware.create sim (Grid.Network.create ()) in
+  let host = List.hd (C.Testbed.uniform ~n:1 ~speed:500. ()).C.Testbed.hosts in
+  let site = host.C.Testbed.resource.Grid.Resource.site in
+  let cfg = { Cfg.default with Cfg.retry_base = 0.25; retry_max_attempts = 3 } in
+  let logged = ref [] and outbox_peak = ref 0 in
+  let c =
+    C.Client.create ~sim ~bus ~cfg ~resource:host.C.Testbed.resource ~trace:host.C.Testbed.trace
+      ~master:0
+      {
+        C.Client.log = (fun k -> logged := k :: !logged);
+        save_checkpoint = (fun ~client:_ _ -> ());
+        note_dup = ignore;
+        note_outbox = (fun ~depth ~shed:_ -> outbox_peak := max !outbox_peak depth);
+      }
+  in
+  let cid = C.Client.id c in
+  let peer = cid + 1 in
+  Grid.Everyware.register bus ~id:peer ~site ~handler:(fun ~src:_ _ -> ());
+  (* the simulator's clock stops at its last event, so wait to absolute times *)
+  let clock = ref 0. in
+  let wait seconds =
+    clock := !clock +. seconds;
+    Grid.Sim.run sim ~until:!clock
+  in
+  let ask partner =
+    C.Protocol.send bus ~src:peer ~dst:cid ~epoch:0 (C.Protocol.Split_partner { partner });
+    wait 0.5
+  in
+  let outages () =
+    count (function C.Events.Master_outage_detected _ -> true | _ -> false) !logged
+  in
+  wait 1.5 (* the client registers at 1 s, into the void *);
+  ask 0;
+  while outages () = 0 && !clock < 60. do
+    wait 0.5
+  done;
+  check Alcotest.int "the stream gave up toward the master" 1 (outages ());
+  ask 1;
+  ask 2;
+  wait 20. (* the re-sent tail gives up again, and is re-sent again *);
+  ask 3;
+  check bool "the tail gave up more than once" true
+    (count (function C.Events.Retries_exhausted _ -> true | _ -> false) !logged > 1);
+  check Alcotest.int "the outage was flagged once" 1 (outages ());
+  let delivered = ref [] in
+  let rx = C.Reliable.streams () in
+  Grid.Everyware.register bus ~id:0 ~site ~handler:(fun ~src msg ->
+      C.Reliable.receive rx ~me:0 ~epoch:0
+        ~reply:(fun ~dst m -> C.Protocol.send bus ~src:0 ~dst ~epoch:0 m)
+        ~log:ignore
+        ~deliver:(fun ~src:_ m -> if C.Protocol.critical m then delivered := m :: !delivered)
+        ~src msg);
+  wait 60.;
+  check bool "each control message arrived once, in send order" true
+    (List.rev !delivered
+    = C.Protocol.Register
+      :: List.init 4 (fun partner -> C.Protocol.Split_failed { partner }));
+  check Alcotest.int "the outbox never held a control message" 0 !outbox_peak
+
 let () =
   let matrix =
     List.concat_map
@@ -1845,6 +2001,8 @@ let () =
           Alcotest.test_case "journal replay deterministic" `Slow test_journal_replay_deterministic;
           Alcotest.test_case "client dies during outage, no checkpoint" `Slow
             test_client_dies_during_outage_no_checkpoint;
+          Alcotest.test_case "control messages keep their order across a give-up" `Quick
+            test_outage_keeps_control_order;
           Alcotest.test_case "refutation tombstone survives reorder" `Quick
             test_refutation_tombstone_survives_reorder;
           Alcotest.test_case "late creating split keeps the child" `Quick
@@ -1880,6 +2038,8 @@ let () =
             test_double_grant_closes_by_name;
           Alcotest.test_case "promoted shadow misses a split" `Slow test_shadow_misses_a_split;
           Alcotest.test_case "dead partner keeps its branch" `Slow test_dead_partner_keeps_branch;
+          Alcotest.test_case "promoted master gets the stream" `Slow
+            test_promoted_master_gets_the_stream;
           Alcotest.test_case "partner dead before receipt: one copy" `Slow
             test_partner_dead_before_receipt_one_copy;
         ] );

@@ -1148,7 +1148,7 @@ let test_reliable_exhaustion_signal () =
       ~sent ~gave ()
   in
   C.Reliable.send rel ~dst:9 C.Protocol.Stop;
-  check int "one in flight" 1 (C.Reliable.outstanding_to rel ~dst:9);
+  check int "one in flight" 1 (C.Reliable.outstanding rel);
   drain sim (* nobody ever acks *);
   check (Alcotest.list (Alcotest.pair int int)) "exhaustion fired with the attempt count"
     [ (9, 3) ] !exhausted;
@@ -1157,6 +1157,25 @@ let test_reliable_exhaustion_signal () =
   check int "initial + 3 retries transmitted" 4 (List.length !sent);
   check int "nothing left outstanding" 0 (C.Reliable.outstanding rel);
   check int "give-up counted" 1 (C.Reliable.gave_up rel)
+
+(* A client whose master moved takes back the unacked tail of its stream
+   to the old endpoint: in send order, without a give-up, and with no
+   retry left armed toward that endpoint. *)
+let test_reliable_stop_to () =
+  let sim = Grid.Sim.create () in
+  let sent = ref [] and gave = ref [] in
+  let rel = make_reliable ~sim ~sent ~gave () in
+  let msgs = List.init 3 (fun k -> C.Protocol.Split_failed { partner = k }) in
+  List.iter (C.Reliable.send rel ~dst:9) msgs;
+  C.Reliable.send rel ~dst:5 C.Protocol.Stop;
+  check bool "the stream to 9 comes back in send order" true (C.Reliable.stop_to rel ~dst:9 = msgs);
+  check int "the stream to 5 is untouched" 1 (C.Reliable.outstanding rel);
+  check bool "a stream taken twice is empty" true (C.Reliable.stop_to rel ~dst:9 = []);
+  sent := [];
+  drain sim;
+  check bool "no retry toward 9 afterwards" true (List.for_all (fun (dst, _) -> dst <> 9) !sent);
+  check bool "no give-up for what was taken back" true
+    (List.for_all (fun (dst, _) -> dst <> 9) !gave)
 
 (* ---------- Config validation ---------- *)
 
@@ -1564,6 +1583,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_reliable_streams;
           Alcotest.test_case "receive state bounded" `Quick test_reliable_receive_state_bounded;
           Alcotest.test_case "retry exhaustion signal" `Quick test_reliable_exhaustion_signal;
+          Alcotest.test_case "stop_to takes one stream back" `Quick test_reliable_stop_to;
         ] );
       ( "protocol",
         [

@@ -2,8 +2,9 @@
    disk quotas and the faults that exercise them.
 
    The layer's contract has three legs, each tested here:
-   - bounded queues shed the least valuable traffic and never a control
-     (critical) envelope — exhaustion degrades sharing, not correctness;
+   - bounded queues shed the least valuable traffic and lose nothing
+     silently; they hold share batches only, so exhaustion degrades
+     sharing, not correctness;
    - per-link share budgets bound the bytes any link carries inside one
      virtual-time window, deterministically;
    - disk quotas force emergency compaction, then an explicit degraded
@@ -54,7 +55,7 @@ let solve ?(config = run_config) ?(fault_plan = []) ?on_master ?(n = 6) cnf =
 (* ---------- watermark queue ---------- *)
 
 let test_queue_shed_lowest_value () =
-  let q = Flow.queue ~high:3 ~critical:(fun _ -> false) ~value:(fun x -> x) () in
+  let q = Flow.queue ~high:3 ~value:(fun x -> x) () in
   check (Alcotest.list int) "no shed below the watermark" [] (Flow.push q 5);
   ignore (Flow.push q 1);
   ignore (Flow.push q 3);
@@ -65,26 +66,14 @@ let test_queue_shed_lowest_value () =
   check (Alcotest.list int) "FIFO order preserved for survivors" [ 5; 3; 4 ] (Flow.drain q)
 
 let test_queue_shed_ties_oldest_first () =
-  let q = Flow.queue ~high:2 ~critical:(fun _ -> false) ~value:(fun _ -> 0) () in
+  let q = Flow.queue ~high:2 ~value:(fun _ -> 0) () in
   ignore (Flow.push q 10);
   ignore (Flow.push q 20);
   check (Alcotest.list int) "oldest among equals goes first" [ 10 ] (Flow.push q 30);
   check (Alcotest.list int) "younger equals survive" [ 20; 30 ] (Flow.drain q)
 
-let test_queue_critical_unsheddable () =
-  let q = Flow.queue ~high:2 ~critical:snd ~value:fst () in
-  ignore (Flow.push q (0, true));
-  ignore (Flow.push q (0, true));
-  check (Alcotest.list (Alcotest.pair int bool)) "an all-critical queue exceeds the watermark" []
-    (Flow.push q (0, true));
-  check int "critical items pile up past high" 3 (Flow.depth q);
-  (* a sheddable newcomer over the watermark is itself the victim *)
-  check (Alcotest.list (Alcotest.pair int bool)) "the sheddable newcomer is shed" [ (5, false) ]
-    (Flow.push q (5, false));
-  check int "nothing critical was lost" 3 (Flow.depth q)
-
 let test_queue_pressure_hysteresis () =
-  let q = Flow.queue ~low:1 ~high:3 ~critical:(fun _ -> true) ~value:(fun _ -> 0) () in
+  let q = Flow.queue ~low:1 ~high:3 ~value:(fun _ -> 0) () in
   ignore (Flow.push q 1);
   ignore (Flow.push q 2);
   check bool "below high: no pressure" false (Flow.under_pressure q);
@@ -95,32 +84,20 @@ let test_queue_pressure_hysteresis () =
   ignore (Flow.pop q);
   check bool "released at the low watermark" false (Flow.under_pressure q)
 
-let test_queue_take_first () =
-  let q = Flow.queue ~high:5 ~critical:(fun _ -> false) ~value:(fun x -> x) () in
-  ignore (Flow.push q 1);
-  ignore (Flow.push q 2);
-  ignore (Flow.push q 4);
-  check (Alcotest.option int) "take_first finds the oldest match" (Some 2)
-    (Flow.take_first q (fun x -> x mod 2 = 0));
-  check (Alcotest.list int) "the rest keeps its order" [ 1; 4 ] (Flow.drain q)
-
-(* Property: no push sequence can make the queue drop a critical item,
-   and nothing is silently lost — every pushed item is either still
-   queued or was returned to the caller as shed. *)
-let prop_shed_never_drops_critical =
-  let gen = QCheck.Gen.(list_size (int_bound 40) (pair (int_bound 100) bool)) in
-  let print items =
-    String.concat ";"
-      (List.map (fun (v, c) -> Printf.sprintf "(%d,%b)" v c) items)
-  in
-  QCheck.Test.make ~count:300 ~name:"watermark shed never drops a critical item"
-    (QCheck.make ~print gen) (fun items ->
-      let q = Flow.queue ~high:4 ~critical:snd ~value:fst () in
+(* Property: nothing is silently lost — every pushed item is either still
+   queued, in its push order, or was returned to the caller as shed, and
+   the queue ends no deeper than its watermark. *)
+let prop_shed_conserves_items =
+  let gen = QCheck.Gen.(list_size (int_bound 40) (int_bound 100)) in
+  let print items = String.concat ";" (List.map string_of_int items) in
+  QCheck.Test.make ~count:300 ~name:"watermark shed conserves every item"
+    (QCheck.make ~print gen) (fun values ->
+      let items = List.mapi (fun i v -> (v, i)) values in
+      let q = Flow.queue ~high:4 ~value:fst () in
       let shed = List.concat_map (fun it -> Flow.push q it) items in
       let kept = Flow.drain q in
-      List.for_all (fun (_, critical) -> not critical) shed
-      && List.length kept + List.length shed = List.length items
-      && List.length (List.filter snd kept) = List.length (List.filter snd items))
+      let in_push_order = List.sort (fun (_, a) (_, b) -> compare a b) in
+      List.length kept <= 4 && in_push_order (kept @ shed) = items && in_push_order kept = kept)
 
 (* ---------- windowed byte budget ---------- *)
 
@@ -395,10 +372,8 @@ let () =
         [
           Alcotest.test_case "shed lowest value first" `Quick test_queue_shed_lowest_value;
           Alcotest.test_case "shed ties oldest first" `Quick test_queue_shed_ties_oldest_first;
-          Alcotest.test_case "critical unsheddable" `Quick test_queue_critical_unsheddable;
           Alcotest.test_case "pressure hysteresis" `Quick test_queue_pressure_hysteresis;
-          Alcotest.test_case "take_first" `Quick test_queue_take_first;
-          QCheck_alcotest.to_alcotest prop_shed_never_drops_critical;
+          QCheck_alcotest.to_alcotest prop_shed_conserves_items;
         ] );
       ( "flow-budget",
         [

@@ -468,7 +468,6 @@ let chaos_scenario ~seed =
       queue_capacity = 8;
       starvation_after = 30.;
       retry_after_base = 15.;
-      preemption = true;
       seed;
       faults = Svc.chaos_plan ~master_crash:true ~corrupt_p:0.03 ~crash_hosts:1 ();
     }
