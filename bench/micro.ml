@@ -139,6 +139,21 @@ let test_sub_to_solver_kept =
                 (Lazy.force branch_medium));
          next := (!next + 1) land 63))
 
+(* The service batch's shape: a 22-variable planted 3-SAT formula at
+   ratio 5 (110 canonical clauses), built and then released as a client
+   releases its solver when the run ends, so each build after the first
+   reuses the storage the last one left. *)
+let test_sub_to_solver_small =
+  let sp =
+    lazy
+      (Gridsat_core.Subproblem.initial
+         (Workloads.Random_sat.planted ~nvars:22 ~ratio:5.0 ~seed:1 ()))
+  in
+  Test.make ~name:"subproblem:to_solver-small"
+    (Staged.stage (fun () ->
+         Sat.Solver.release
+           (Gridsat_core.Subproblem.to_solver ~config:Sat.Solver.default_config (Lazy.force sp))))
+
 (* A refutation of PHP(7,6) as the solver logs it: the DRUP text a
    certified fragment travels as, written by the client and read by the
    master. *)
@@ -186,6 +201,7 @@ let all_tests =
   [
     test_table1; test_table2; test_bcp; test_bcp_obs_enabled; test_dimacs; test_sub_of_string;
     test_drup_of_string; test_drup_to_string; test_sub_to_solver; test_sub_to_solver_kept;
+    test_sub_to_solver_small;
     test_cache_digest; test_heap; test_network; test_sim; test_subproblem; test_ship_check;
   ]
 

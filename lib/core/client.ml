@@ -148,6 +148,8 @@ let finish_problem ?(outcome = "done") t =
   (match t.state with
   | Solving s ->
       Sat.Stats.add t.stats_acc (Solver.stats s.solver);
+      (* nothing reads the solver after this: its arena goes to the next *)
+      Solver.release s.solver;
       if t.flight_on then
         Obs.Flight.note t.flight ~sub:"client"
           ~args:
@@ -173,6 +175,7 @@ let die t =
     | Solving s ->
         (* the search done so far still counts in the run's totals *)
         Sat.Stats.add t.stats_acc (Solver.stats s.solver);
+        Solver.release s.solver;
         if t.obs_on then
           Obs.Span.exit (Obs.spans t.obs) s.span ~args:[ ("outcome", Obs.Json.String "died") ]
     | Idle -> ());
@@ -521,7 +524,7 @@ let rec heartbeat_loop t =
 
 let create ?(obs = Obs.disabled) ~sim ~bus ~cfg ~resource ~trace ~master callbacks =
   let m = Obs.metrics obs in
-  let labels = [ ("client", string_of_int resource.R.id) ] in
+  let labels = if Obs.Metrics.is_enabled m then [ ("client", string_of_int resource.R.id) ] else [] in
   let t =
     {
       cid = resource.R.id;
@@ -545,7 +548,7 @@ let create ?(obs = Obs.disabled) ~sim ~bus ~cfg ~resource ~trace ~master callbac
       outbox =
         (* the biggest buffered share batch is the least valuable one *)
         Flow.queue ~high:cfg.Config.outbox_cap ~value:(fun m -> -Protocol.size m) ();
-      seen_shares = Hashtbl.create 64;
+      seen_shares = Hashtbl.create 8 (* never iterated: it grows as shares come *);
       dup_suppressed = Obs.Metrics.counter m ~labels "client.shares.dup_suppressed";
       stats_acc = Sat.Stats.create ();
       obs;

@@ -33,16 +33,21 @@ type state = {
 
 (* The record: what each entry means, its bytes and its size. *)
 module Record = struct
+  let name = "journal"
+
   type nonrec entry = entry
 
   type nonrec state = state
 
+  (* [live] keeps its 64 buckets: the master walks it into lists whose
+     order it acts on.  The walks of [holder] sort or only remove, and
+     nothing walks [refuted], so both start small and grow with the run. *)
   let empty () =
     {
       clients = Hashtbl.create 16;
       live = Hashtbl.create 64;
-      holder = Hashtbl.create 64;
-      refuted = Hashtbl.create 64;
+      holder = Hashtbl.create 8;
+      refuted = Hashtbl.create 8;
       problem_assigned = false;
       verdict = None;
     }
@@ -122,7 +127,7 @@ type t = {
 let create ?(obs = Obs.disabled) ?quota ~compact_every () =
   let m = Obs.metrics obs in
   {
-    log = Log.create ~obs ?quota ~name:"journal" ();
+    log = Log.create ~obs ?quota ();
     compact_every = max 1 compact_every;
     compactions = Obs.Metrics.counter m "journal.compactions";
     forced_compactions = Obs.Metrics.counter m "journal.forced_compactions";

@@ -83,7 +83,7 @@ type t = {
       (* the overall-timeout event, cancelled at termination: queued, its
          closure would keep this whole finished run reachable *)
   mutable next_batch_id : int;
-  rng : Random.State.t;
+  rng : Random.State.t Lazy.t;  (* made at the first draw: [Scheduler.pick] *)
   started_at : float;
   obs : Obs.t;
   obs_on : bool;
@@ -527,7 +527,7 @@ let send_problem t ~dst pid sp =
   (match health t with Some hm -> Health.note_assigned hm ~host:dst | None -> ());
   Pool.reserve t.pool dst (Delivery (pid, sp));
   jlog t (Journal.Assigned { pid; dst; path = sp.Subproblem.path });
-  minstant t ~cat:"master"
+  if t.obs_on then minstant t ~cat:"master"
     ~args:
       [
         ("pid", Obs.Json.String (Printf.sprintf "%d.%d" (fst pid) (snd pid)));
@@ -574,7 +574,7 @@ let rederive_lost t ~holder pid =
   | Some path ->
       let sp = Subproblem.of_lineage t.cnf path in
       log t (Events.Rederived_from_lineage { holder; depth = List.length path });
-      minstant t ~cat:"master"
+      if t.obs_on then minstant t ~cat:"master"
         ~args:
           [
             ("pid", Obs.Json.String (Printf.sprintf "%d.%d" (fst pid) (snd pid)));
@@ -633,7 +633,7 @@ let consider_migration t =
         then begin
           Pool.reserve t.pool dst (Migration src.resource.R.id);
           bump t Migrations 1;
-          minstant t ~cat:"master"
+          if t.obs_on then minstant t ~cat:"master"
             ~args:[ ("src", Obs.Json.Int src.resource.R.id); ("dst", Obs.Json.Int dst) ]
             "migrate";
           send t ~dst:src.resource.R.id (Protocol.Migrate_to { target = dst })
@@ -766,7 +766,7 @@ let declare_dead t id =
       jlog t (Journal.Died { client = id });
       note_incident t id `Crash;
       bump t Client_deaths 1;
-      minstant t ~cat:"master" ~args:[ ("client", Obs.Json.Int id) ] "client.dead";
+      if t.obs_on then minstant t ~cat:"master" ~args:[ ("client", Obs.Json.Int id) ] "client.dead";
       t.backlog <- List.filter (fun (c, _) -> c <> id) t.backlog;
       release_holds_for t id "requester-died";
       (* partners awaiting the dead donor's hand-off will never get it:
@@ -840,7 +840,7 @@ let check_fragment t ~path proof =
 let quarantine t ~client ~pid ~reason =
   log t (Events.Certification_failed { pid; client; reason });
   log t (Events.Client_quarantined { client });
-  minstant t ~cat:"master"
+  if t.obs_on then minstant t ~cat:"master"
     ~args:[ ("client", Obs.Json.Int client); ("reason", Obs.Json.String reason) ]
     "quarantine";
   note_incident t client `Quarantine;
@@ -853,7 +853,7 @@ let settle_certification t ~src pid ~path proof =
   match check_fragment t ~path proof with
   | Ok steps ->
       log t (Events.Unsat_fragment_certified { pid; client = src; steps });
-      minstant t ~cat:"master"
+      if t.obs_on then minstant t ~cat:"master"
         ~args:
           [
             ("pid", Obs.Json.String (Printf.sprintf "%d.%d" (fst pid) (snd pid)));
@@ -964,12 +964,15 @@ let split_covers ~donor_path ~path =
 
 let on_split_ok t src ~pid ~donor_pid ~dst ~bytes ~path ~donor_path =
   close_split t src ~partner:dst ~confirmed:true
-    ~args:
-      [
-        ("pid", Obs.Json.String (Printf.sprintf "%d.%d" (fst pid) (snd pid)));
-        ("dst", Obs.Json.Int dst);
-        ("bytes", Obs.Json.Int bytes);
-      ]
+    ?args:
+      (if t.obs_on then
+         Some
+           [
+             ("pid", Obs.Json.String (Printf.sprintf "%d.%d" (fst pid) (snd pid)));
+             ("dst", Obs.Json.Int dst);
+             ("bytes", Obs.Json.Int bytes);
+           ]
+       else None)
     "ok";
   let st = tree t in
   let completed () = log t (Events.Split_completed { src; dst; bytes }) in
@@ -1625,7 +1628,7 @@ let consider_hedge t ~now =
                     let sp = Subproblem.of_lineage t.cnf (Hashtbl.find (tree t).live pid) in
                     Hashtbl.replace t.hedged pid ();
                     log t (Events.Hedge_launched { pid; primary; backup });
-                    minstant t ~cat:"master"
+                    if t.obs_on then minstant t ~cat:"master"
                       ~args:
                         [
                           ("pid", Obs.Json.String (Printf.sprintf "%d.%d" (fst pid) (snd pid)));
@@ -1745,7 +1748,7 @@ let create ?(obs = Obs.disabled) ?health ~sim ~net ~bus ~cfg ~testbed cnf =
       batch_job = None;
       timeout = None;
       next_batch_id = 1000;
-      rng = Random.State.make [| cfg.Config.seed; 77 |];
+      rng = lazy (Random.State.make [| cfg.Config.seed; 77 |]);
       started_at = Grid.Sim.now sim;
       obs;
       obs_on = Obs.enabled obs;
@@ -1768,9 +1771,10 @@ let create ?(obs = Obs.disabled) ?health ~sim ~net ~bus ~cfg ~testbed cnf =
     }
   in
   (let tally = t.tally in
-   Array.iteri
-     (fun i (_, _, name, _) -> if name <> "" then Obs.Metrics.view m name (fun () -> tally.(i)))
-     rows);
+   if Obs.Metrics.is_enabled m then
+     Array.iteri
+       (fun i (_, _, name, _) -> if name <> "" then Obs.Metrics.view m name (fun () -> tally.(i)))
+       rows);
   (match health with Some hm -> Pool.set_health t.pool hm | None -> ());
   Pool.set_reliable t.pool
     (Reliable.create ~obs ~obs_tid:Obs.Span.master_tid ~seed:cfg.Config.seed

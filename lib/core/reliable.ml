@@ -27,7 +27,9 @@ type t = {
   retry_base : float;
   mutable base_override : float option;  (* adaptive base from Health, ≤ retry_base *)
   jitter : float;  (* relative spread in [0, 1]; 0 = the old fixed schedule *)
-  rng : Random.State.t;  (* private, seeded: jitter draws replay identically *)
+  rng : Random.State.t Lazy.t;
+      (* private, seeded: jitter draws replay identically; made at the
+         first draw, since most endpoints never retry *)
   max_attempts : int;
   on_retry : dst:int -> attempt:int -> unit;
   on_exhausted : dst:int -> attempts:int -> unit;
@@ -53,7 +55,7 @@ let create ?(obs = Obs.disabled) ?(obs_tid = Obs.Span.run_tid) ?(seed = 0) ?(jit
     ?(on_ack = fun ~dst:_ ~latency:_ _ -> ()) ~sim ~send_raw ~active ~retry_base ~max_attempts
     ~on_retry ?(on_exhausted = fun ~dst:_ ~attempts:_ -> ()) ~on_give_up () =
   let m = Obs.metrics obs in
-  let labels = [ ("owner", string_of_int obs_tid) ] in
+  let labels = if Obs.Metrics.is_enabled m then [ ("owner", string_of_int obs_tid) ] else [] in
   {
     sim;
     send_raw;
@@ -61,7 +63,7 @@ let create ?(obs = Obs.disabled) ?(obs_tid = Obs.Span.run_tid) ?(seed = 0) ?(jit
     retry_base = Float.max 0.001 retry_base;
     base_override = None;
     jitter = Float.max 0. (Float.min 1. jitter);
-    rng = Random.State.make [| seed; obs_tid; 0xbac0ff |];
+    rng = lazy (Random.State.make [| seed; obs_tid; 0xbac0ff |]);
     max_attempts = max 1 max_attempts;
     on_retry;
     on_exhausted;
@@ -96,7 +98,7 @@ let backoff t attempt =
      master outage do not retransmit in lockstep at its recovery *)
   let d = base t *. Float.min 32. (Float.pow 2. (float_of_int attempt)) in
   if t.jitter <= 0. then d
-  else d *. (1. -. t.jitter +. (2. *. t.jitter *. Random.State.float t.rng 1.0))
+  else d *. (1. -. t.jitter +. (2. *. t.jitter *. Random.State.float (Lazy.force t.rng) 1.0))
 
 let find_or_add tbl key fresh =
   match Hashtbl.find_opt tbl key with
@@ -165,7 +167,7 @@ let send t ~dst msg =
   o.next <- p.seq + 1;
   o.unacked <- o.unacked @ [ p ];
   if t.obs_on then Obs.Metrics.incr t.c_sends;
-  flight t ~dst "send" [ ("mid", Obs.Json.Int p.seq) ];
+  if t.flight_on then flight t ~dst "send" [ ("mid", Obs.Json.Int p.seq) ];
   transmit t ~dst o p;
   arm_timer t ~dst o p
 
@@ -183,7 +185,8 @@ let handle_ack t ~src ~mid =
           let latency = Grid.Sim.now t.sim -. p.sent_at in
           if t.obs_on then Obs.Metrics.observe t.h_ack latency;
           Obs.Anomaly.observe t.d_ack ~at:(Grid.Sim.now t.sim) latency;
-          flight t ~dst:src "ack" [ ("mid", Obs.Json.Int p.seq); ("latency", Obs.Json.Float latency) ];
+          if t.flight_on then
+            flight t ~dst:src "ack" [ ("mid", Obs.Json.Int p.seq); ("latency", Obs.Json.Float latency) ];
           t.on_ack ~dst:src ~latency p.msg)
         settled
 

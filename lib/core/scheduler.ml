@@ -22,7 +22,7 @@ let pick policy ~rng candidates =
                (fun best c -> if rank c > rank best then c else best)
                first candidates)
       | Config.Random_pick ->
-          Some (List.nth candidates (Random.State.int rng (List.length candidates)))
+          Some (List.nth candidates (Random.State.int (Lazy.force rng) (List.length candidates)))
       | Config.First_fit ->
           Some
             (List.fold_left

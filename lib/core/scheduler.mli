@@ -16,10 +16,11 @@ val rank : candidate -> float
     observed health score. *)
 
 val pick :
-  Config.scheduler_policy -> rng:Random.State.t -> candidate list -> candidate option
+  Config.scheduler_policy -> rng:Random.State.t Lazy.t -> candidate list -> candidate option
 (** Chooses the resource to receive the next subproblem among idle
     candidates.  [Nws_rank] takes the best {!rank}; the other policies are
-    benchmark ablations. *)
+    benchmark ablations.  Only [Random_pick] draws from [rng], so a run
+    under the others never makes it. *)
 
 val pick_backlog : (int * float) list -> int option
 (** Given [(client, busy-since)] backlogged split requests, returns the

@@ -17,11 +17,14 @@
     counted, and the owner is expected to alarm.  Degraded mode exits as
     soon as the log is back under quota.
 
-    Metrics, under the [name] given to [create]: [<name>.appends],
+    Metrics, under the record's [name]: [<name>.appends],
     [<name>.records.dropped], [<name>.degraded_entries] and the
     [<name>.bytes] occupancy gauge. *)
 
 module type RECORD = sig
+  val name : string
+  (** The prefix of the log's metric names. *)
+
   type entry
 
   type state
@@ -93,7 +96,7 @@ module Make (R : RECORD) = struct
   let chain lane ~pos d = Integrity.word_digest [| lane; pos; d |] 0 3
 
   type t = {
-    mutable base : R.state;  (* the last snapshot *)
+    mutable base : R.state option;  (* the last snapshot; [None] is empty *)
     mutable current : R.state;  (* base plus every record appended since *)
     mutable pending : (R.entry * int) list;
         (* newest first; records since the snapshot, each sealed with the
@@ -115,28 +118,40 @@ module Make (R : RECORD) = struct
     g_bytes : Obs.Metrics.gauge;
   }
 
-  let create ?(obs = Obs.disabled) ?(quota = 0) ?(requota_on_scrub = false) ~name () =
+  let appends_name = R.name ^ ".appends"
+
+  let dropped_name = R.name ^ ".records.dropped"
+
+  let degraded_name = R.name ^ ".degraded_entries"
+
+  let bytes_name = R.name ^ ".bytes"
+
+  let empty_bytes = R.state_bytes (R.empty ())
+
+  (* A log starts with no snapshot: until its first [fold] the snapshot
+     is the empty state, made only when something is folded into it or
+     replayed over it. *)
+  let create ?(obs = Obs.disabled) ?(quota = 0) ?(requota_on_scrub = false) () =
     let m = Obs.metrics obs in
-    let base = R.empty () in
     {
-      base;
+      base = None;
       current = R.empty ();
       pending = [];
       pending_n = 0;
-      base_bytes = R.state_bytes base;
+      base_bytes = empty_bytes;
       pending_bytes = 0;
-      appended = Obs.Metrics.counter m (name ^ ".appends");
-      records_dropped = Obs.Metrics.counter m (name ^ ".records.dropped");
+      appended = Obs.Metrics.counter m appends_name;
+      records_dropped = Obs.Metrics.counter m dropped_name;
       quota = max 0 quota;
       bytes_peak = 0;
       degraded = false;
-      degraded_entries = Obs.Metrics.counter m (name ^ ".degraded_entries");
+      degraded_entries = Obs.Metrics.counter m degraded_name;
       log_word = 0;
       log_crc = 0;
       requota_on_scrub;
       obs;
       obs_on = Obs.enabled obs;
-      g_bytes = Obs.Metrics.gauge m (name ^ ".bytes");
+      g_bytes = Obs.Metrics.gauge m bytes_name;
     }
 
   let seal e = Integrity.crc32_of (Integrity.hash R.emit e)
@@ -209,16 +224,18 @@ module Make (R : RECORD) = struct
   let fold t =
     scrub t;
     let folded = t.pending_n in
-    List.iter (fun (e, _) -> R.apply t.base e) (List.rev t.pending);
+    let base = match t.base with Some b -> b | None -> R.empty () in
+    List.iter (fun (e, _) -> R.apply base e) (List.rev t.pending);
+    t.base <- Some base;
     t.pending <- [];
     t.pending_n <- 0;
     t.pending_bytes <- 0;
-    t.base_bytes <- R.state_bytes t.base;
+    t.base_bytes <- R.state_bytes base;
     folded
 
   let replay t =
     scrub t;
-    let st = R.copy t.base in
+    let st = match t.base with Some b -> R.copy b | None -> R.empty () in
     List.iter (fun (e, _) -> R.apply st e) (List.rev t.pending);
     st
 

@@ -35,9 +35,12 @@ val depth : t -> int
 (** Length of the guiding path (number of splits on this branch). *)
 
 val to_solver : config:Sat.Solver.config -> ?obs:Obs.t -> ?obs_tid:int -> t -> Sat.Solver.t
-(** Instantiates a solver for the subproblem.  The subproblem's arena is
-    only read: the solver copies the clauses into its own clause arena
-    and normalises each there. *)
+(** Instantiates a solver for the subproblem
+    ({!Sat.Solver.create_with_roots}).  The subproblem's arena is only
+    read: the solver copies the clauses into its own clause arena,
+    normalises there only a clause that is not canonical, and installs
+    the others as it copies them.  The solver's storage is what the last
+    {!Sat.Solver.release} in this domain left, when it fits. *)
 
 val capture : Sat.Solver.t -> t
 (** Snapshot of a solver's current problem (for migration or

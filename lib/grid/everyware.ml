@@ -2,11 +2,35 @@ type fault_decision = Deliver | Drop | Delay of float | Duplicate of float | Cor
 
 type 'msg endpoint = { site : string; handler : src:int -> 'msg -> unit }
 
+(* What a send on the (src, dst) link reads, resolved once: both sites,
+   the network link between them and the endpoint [dst] had, as of the
+   bus's [gen] and the network's version.  A (re-)registration moves
+   [gen], so a link resolved before it is resolved again on its next
+   use. *)
+type 'msg link = {
+  mutable gen : int;
+  mutable net_version : int;
+  mutable src_site : string;
+  mutable dst_site : string;
+  mutable params : Network.link;
+  mutable dst_ep : 'msg endpoint option;
+  mutable last : float;  (* the latest delivery time scheduled *)
+}
+
+module Pair = Hashtbl.Make (struct
+  type t = int * int
+
+  let equal ((a, b) : t) (c, d) = a = c && b = d
+
+  let hash ((a, b) : t) = ((a * 65599) + b) land max_int
+end)
+
 type 'msg t = {
   sim : Sim.t;
   net : Network.t;
   endpoints : (int, 'msg endpoint) Hashtbl.t;
-  last_delivery : (int * int, float) Hashtbl.t;  (* (src, dst) -> latest delivery time scheduled *)
+  mutable gen : int;  (* moves with every (un)registration *)
+  links : 'msg link Pair.t;
   mutable bytes : int;
   mutable dropped_bytes : int;
   mutable fault : (src_site:string -> dst_site:string -> bytes:int -> fault_decision) option;
@@ -26,8 +50,9 @@ let create ?(obs = Obs.disabled) sim net =
   {
     sim;
     net;
-    endpoints = Hashtbl.create 64;
-    last_delivery = Hashtbl.create 64;
+    endpoints = Hashtbl.create 8;
+    gen = 0;
+    links = Pair.create 8;
     bytes = 0;
     dropped_bytes = 0;
     fault = None;
@@ -38,12 +63,16 @@ let create ?(obs = Obs.disabled) sim net =
     dropped = Obs.Metrics.counter m "net.messages.dropped";
     c_duplicated = Obs.Metrics.counter m "net.messages.duplicated";
     c_corrupted = Obs.Metrics.counter m "net.messages.corrupted";
-    pair_hists = Hashtbl.create 16;
+    pair_hists = Hashtbl.create 1;
   }
 
-let register t ~id ~site ~handler = Hashtbl.replace t.endpoints id { site; handler }
+let register t ~id ~site ~handler =
+  Hashtbl.replace t.endpoints id { site; handler };
+  t.gen <- t.gen + 1
 
-let unregister t ~id = Hashtbl.remove t.endpoints id
+let unregister t ~id =
+  Hashtbl.remove t.endpoints id;
+  t.gen <- t.gen + 1
 
 let registered t ~id = Hashtbl.mem t.endpoints id
 
@@ -71,12 +100,46 @@ let pair_hists t ~src_site ~dst_site =
       Hashtbl.replace t.pair_hists (src_site, dst_site) pair;
       pair
 
-let send t ~src ~dst ~bytes msg =
-  let src_site = site_of t src in
-  let dst_site =
-    match Hashtbl.find_opt t.endpoints dst with Some e -> e.site | None -> src_site
+(* The (src, dst) link, resolved as of now. *)
+let link t ~src ~dst =
+  let resolve (l : _ link) =
+    let src_site = site_of t src in
+    let dst_ep = Hashtbl.find_opt t.endpoints dst in
+    let dst_site = match dst_ep with Some e -> e.site | None -> src_site in
+    l.gen <- t.gen;
+    l.net_version <- Network.version t.net;
+    l.src_site <- src_site;
+    l.dst_site <- dst_site;
+    l.params <- Network.link t.net src_site dst_site;
+    l.dst_ep <- dst_ep
   in
-  let delay = Network.transfer_time t.net ~src:src_site ~dst:dst_site ~bytes in
+  match Pair.find_opt t.links (src, dst) with
+  | Some l ->
+      if l.gen <> t.gen || l.net_version <> Network.version t.net then resolve l;
+      l
+  | None ->
+      let l =
+        {
+          gen = 0;
+          net_version = 0;
+          src_site = "";
+          dst_site = "";
+          params = Network.link t.net "" "";
+          dst_ep = None;
+          last = neg_infinity;
+        }
+      in
+      resolve l;
+      Pair.replace t.links (src, dst) l;
+      l
+
+(* [dst]'s endpoint now: the link's, unless a registration moved since. *)
+let endpoint t (l : _ link) ~dst = if l.gen = t.gen then l.dst_ep else Hashtbl.find_opt t.endpoints dst
+
+let send t ~src ~dst ~bytes msg =
+  let l = link t ~src ~dst in
+  let src_site = l.src_site and dst_site = l.dst_site in
+  let delay = Network.link_time l.params ~bytes in
   Obs.Metrics.incr t.sent;
   t.bytes <- t.bytes + bytes;
   if t.obs_on then begin
@@ -89,15 +152,11 @@ let send t ~src ~dst ~bytes msg =
      same-instant events in scheduling order, so no fault reorders a link. *)
   let deliver_msg extra m =
     let at = Sim.now t.sim +. Float.max 0. (delay +. extra) in
-    let at =
-      match Hashtbl.find_opt t.last_delivery (src, dst) with
-      | Some last when last > at -> last
-      | _ -> at
-    in
-    Hashtbl.replace t.last_delivery (src, dst) at;
+    let at = if l.last > at then l.last else at in
+    l.last <- at;
     ignore
       (Sim.schedule_at t.sim ~time:at (fun () ->
-           match Hashtbl.find_opt t.endpoints dst with
+           match endpoint t l ~dst with
            | Some e -> e.handler ~src m
            | None -> () (* endpoint vanished while the message was in flight *)))
   in

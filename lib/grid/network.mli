@@ -23,3 +23,16 @@ val set_link : t -> string -> string -> latency:float -> bandwidth:float -> unit
 
 val transfer_time : t -> src:string -> dst:string -> bytes:int -> float
 (** Time to move [bytes] from a host at [src] to a host at [dst]. *)
+
+type link
+(** The parameters of the link between two sites, as they are now. *)
+
+val link : t -> string -> string -> link
+
+val link_time : link -> bytes:int -> float
+(** [transfer_time] over this link: [link_time (link t src dst) ~bytes]
+    is [transfer_time t ~src ~dst ~bytes]. *)
+
+val version : t -> int
+(** Moves with every {!set_link}: a {!link} kept from an older version
+    may be out of date. *)

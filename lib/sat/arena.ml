@@ -37,49 +37,72 @@ let normalise ~nvars src pos len =
   | -1 -> None
   | n -> Some (if n = len then a else Array.sub a 0 n)
 
+(* ---------- spare storage ---------- *)
+
+(* Each domain keeps, per slot, a few spare values for the next builds
+   that take from that slot, newest first.  A slot holds at most
+   [keep_count] spares of [keep_words] words in all: the clause sets of
+   the benchmark workloads stay under 30,000 literals, and a handful of
+   solvers are alive at once. *)
+type 'a spares = { mutable items : 'a list; mutable count : int; mutable words : int }
+
+type 'a slot = { key : 'a spares Domain.DLS.key; words : 'a -> int }
+
+let keep_words = 1 lsl 20
+
+let keep_count = 2
+
+let slot words = { key = Domain.DLS.new_key (fun () -> { items = []; count = 0; words = 0 }); words }
+
+let take s fits =
+  let sp = Domain.DLS.get s.key in
+  let rec pick = function
+    | [] -> None
+    | x :: rest when fits x -> Some (x, rest)
+    | x :: rest -> Option.map (fun (y, rest) -> (y, x :: rest)) (pick rest)
+  in
+  match pick sp.items with
+  | None -> None
+  | Some (x, rest) ->
+      sp.items <- rest;
+      sp.count <- sp.count - 1;
+      sp.words <- sp.words - s.words x;
+      Some x
+
+let give s x =
+  let sp = Domain.DLS.get s.key and w = s.words x in
+  if sp.count < keep_count && sp.words + w <= keep_words then begin
+    sp.items <- x :: sp.items;
+    sp.count <- sp.count + 1;
+    sp.words <- sp.words + w
+  end
+
+let ints () = slot Array.length
+
+let take_ints s n =
+  match take s (fun a -> Array.length a >= n) with Some a -> a | None -> Array.make n 0
+
+(* ---------- building ---------- *)
+
 type buf = {
   mutable data : Types.lit array;
   mutable len : int;
   mutable ends : int array;  (* [ends.(0 .. count)] are the closed clauses' starts *)
   mutable count : int;
   mutable dropped : int;
-  mutable busy : bool;  (* between {!buffer} and {!contents} *)
 }
 
-let fresh ~clauses ~lits =
-  {
-    data = Array.make (max 256 lits) 0;
-    len = 0;
-    ends = Array.make (max 64 (clauses + 1)) 0;
-    count = 0;
-    dropped = 0;
-    busy = true;
-  }
+let data_slot = ints ()
 
-(* The largest buffer a domain keeps for its next build.  The clause sets
-   of the benchmark workloads stay under 30,000 literals. *)
-let keep_lits = 1 lsl 20
+let ends_slot = ints ()
 
-let kept = Domain.DLS.new_key (fun () -> { (fresh ~clauses:0 ~lits:0) with busy = false })
-
+(* A buffer's arrays come from the spare slots and go back at
+   [contents]; a build that stops half way keeps them, and the next build
+   makes new ones. *)
 let buffer ~clauses ~lits =
-  let b = Domain.DLS.get kept in
-  if lits > keep_lits then fresh ~clauses ~lits
-  else if b.busy || Array.length b.data > keep_lits || lits > Array.length b.data || clauses >= Array.length b.ends
-  then begin
-    (* a build still holds [b] (or abandoned it), or [b] is the wrong
-       size: this one gets a new buffer, kept in its place *)
-    let b = fresh ~clauses ~lits in
-    Domain.DLS.set kept b;
-    b
-  end
-  else begin
-    b.busy <- true;
-    b.len <- 0;
-    b.count <- 0;
-    b.dropped <- 0;
-    b
-  end
+  let ends = take_ints ends_slot (max 64 (clauses + 1)) in
+  ends.(0) <- 0;
+  { data = take_ints data_slot (max 256 lits); len = 0; ends; count = 0; dropped = 0 }
 
 (* [a], used up to [n], with twice the room. *)
 let grow (a : int array) n =
@@ -131,5 +154,9 @@ let close_normalised ~nvars b = ignore (close_normalised_at ~nvars b b.len)
 let dropped b = b.dropped
 
 let contents b =
-  b.busy <- false;
-  { lits = Array.sub b.data 0 b.len; starts = Array.sub b.ends 0 (b.count + 1) }
+  let t = { lits = Array.sub b.data 0 b.len; starts = Array.sub b.ends 0 (b.count + 1) } in
+  give data_slot b.data;
+  give ends_slot b.ends;
+  b.data <- [||];
+  b.ends <- [||];
+  t

@@ -29,6 +29,35 @@ val normalise_in_place : nvars:int -> Types.lit array -> int -> int -> int
     increasing order, end up in [a.(s .. r - 1)] and [r] is returned, or
     [-1] for a tautology.  Raises as {!normalise} does. *)
 
+(** {1 Spare storage}
+
+    Builds that make the same arrays over and over (the build buffer
+    below, a solver's clause arena and per-variable arrays, the verdict
+    cache's digest scratch) lend them to each other through one store
+    per domain.  A slot holds at most 8 spares, of at most 2{^20} words
+    in all; a spare's contents are whatever its last user left. *)
+
+type 'a slot
+
+val slot : ('a -> int) -> 'a slot
+(** A new slot whose spares weigh this many words each, empty in every
+    domain; made once, at module initialisation. *)
+
+val take : 'a slot -> ('a -> bool) -> 'a option
+(** The newest of this domain's spares in the slot that passes the test,
+    taken out of the slot, if there is one. *)
+
+val give : 'a slot -> 'a -> unit
+(** Adds a spare to the slot, unless the slot is full.  Whoever gives a
+    value no longer reads or writes it. *)
+
+val ints : unit -> int array slot
+(** A slot of int arrays, weighed by their length. *)
+
+val take_ints : int array slot -> int -> int array
+(** [take_ints s n] is a spare of at least [n] words from [s], or else a
+    new array of [n] zeros. *)
+
 (** {1 Building} *)
 
 type buf
@@ -37,9 +66,9 @@ type buf
 
 val buffer : clauses:int -> lits:int -> buf
 (** An empty buffer with room for this many clauses and literals; it
-    grows past them.  Up to 2{^20} literals it is this domain's one
-    reused buffer whenever no unfinished build holds it, so a build
-    allocates little more than the two arrays {!contents} copies out. *)
+    grows past them.  Its two arrays are taken from spare slots and given
+    back by {!contents}, so a build allocates little more than the two
+    arrays {!contents} copies out. *)
 
 val push : buf -> Types.lit -> unit
 
@@ -76,4 +105,5 @@ val close_normalised_at : nvars:int -> buf -> int -> int
 val dropped : buf -> int
 
 val contents : buf -> t
-(** The closed clauses, copied out.  The buffer must not be used again. *)
+(** The closed clauses, copied out.  The buffer must not be used again:
+    its arrays are given back to the spare slots. *)

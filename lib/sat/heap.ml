@@ -8,6 +8,10 @@ type t = {
 let create ~nvars ~key =
   { heap = Array.make (max 16 (nvars + 1)) 0; sz = 0; pos = Array.make (nvars + 1) (-1); key }
 
+let clear t =
+  t.sz <- 0;
+  Array.fill t.pos 0 (Array.length t.pos) (-1)
+
 let mem t v = t.pos.(v) >= 0
 
 let is_empty t = t.sz = 0

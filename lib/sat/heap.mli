@@ -14,6 +14,9 @@ val create : nvars:int -> key:float array -> t
     particular order, but the same operations on the same keys always
     pop the same sequence. *)
 
+val clear : t -> unit
+(** Empties the heap, which then holds what {!create} would give. *)
+
 val insert : t -> int -> unit
 (** Inserts a variable; no-op if already present. *)
 

@@ -167,6 +167,7 @@ type t = {
   clauses : ints; (* original problem clauses, in arena order *)
   learnts : ints; (* learned and merged clauses, in arena order *)
   mutable ok : bool;
+  mutable released : bool; (* see [release] *)
   seen : bool array;
   phase : bool array; (* var -> last assigned polarity (for phase saving) *)
   mutable var_inc : float;
@@ -181,7 +182,7 @@ type t = {
   fresh_shares : T.lit array Queue.t;
   mutable last_simplify_trail : int; (* root trail size at last simplification *)
   mutable proof_rev : Drup.step list; (* DRUP proof, newest step first *)
-  rng : Random.State.t;
+  mutable rng : Random.State.t; (* seeded once the clauses are counted *)
   learnt_buf : ints; (* [analyze] scratch: the clause being learned *)
   to_clear : ints; (* [analyze] scratch: variables marked [seen] *)
   root_buf : ints; (* [strip_root] scratch: the kept false literals *)
@@ -345,14 +346,18 @@ let rescale_scores t =
 
 (* Scores only grow between rescales, so a variable's activity is the
    larger of its old activity and the bumped score, and its heap key never
-   falls. *)
+   falls.  A bump that leaves the activity as it was cannot move the
+   variable in the heap, and its score stays below 1e100, as every score
+   does between bumps. *)
 let bump_lit t l =
   let s = t.score.(l) +. t.var_inc in
   t.score.(l) <- s;
   let v = var l in
-  if s > t.var_activity.(v) then t.var_activity.(v) <- s;
-  if s > 1e100 then rescale_scores t;
-  Heap.increase t.order v
+  if s > t.var_activity.(v) then begin
+    t.var_activity.(v) <- s;
+    if s > 1e100 then rescale_scores t;
+    Heap.increase t.order v
+  end
 
 let bump_lits t cr =
   for k = 1 to size t.arena cr do
@@ -1011,83 +1016,170 @@ let restart t =
 
 (* ---------- construction ---------- *)
 
-(* The one construction path.  The input's clauses are copied into an
-   arena of their size and a quarter more, each then range-checked,
-   sorted and de-duplicated in place with [normalise]
-   ({!Arena.normalise_in_place}), a tautology dropped; a formula's
-   clauses are normalised already.  The RNG is seeded with the number of
-   clauses kept.  The install pass then moves each installed clause down
-   over the dropped ones and counts its two watches, so each watch list
-   is made once, at its size.
+(* A solver's RNG until its clauses are counted. *)
+let unseeded = Random.State.make [||]
+
+(* The solver's arena comes from, and goes back to, this spare slot. *)
+let arena_slot = Arena.ints ()
+
+(* What a released solver leaves for the next build over as many
+   variables: its per-variable arrays and its stacks, which that build
+   fills afresh instead of making its own.  Every watch list keeps its
+   room, and every stack its capacity: neither steers search, they only
+   save growing. *)
+type vars = {
+  v_nvars : int;
+  v_vals : Bytes.t;
+  v_tainted : bool array;
+  v_levels : int array;
+  v_reasons : int array;
+  v_score : float array;
+  v_activity : float array;
+  v_watches : int array array;
+  v_watch_n : int array;
+  v_order : Heap.t;
+  v_trail : T.lit array;
+  v_trail_lim : int array;
+  v_clauses : ints;
+  v_learnts : ints;
+  v_seen : bool array;
+  v_phase : bool array;
+  v_learnt_buf : ints;
+  v_to_clear : ints;
+  v_root_buf : ints;
+}
+
+let vars_words v =
+  let stacks = [ v.v_clauses; v.v_learnts; v.v_learnt_buf; v.v_to_clear; v.v_root_buf ] in
+  (14 * (v.v_nvars + 1))
+  + Array.fold_left (fun n ws -> n + Array.length ws) 0 v.v_watches
+  + List.fold_left (fun n s -> n + Array.length s.items) 0 stacks
+
+let vars_slot = Arena.slot vars_words
+
+let new_vars nvars ~clauses =
+  let v_activity = Array.make (nvars + 1) 0. in
+  {
+    v_nvars = nvars;
+    v_vals = Bytes.make (2 * (nvars + 1)) v_unknown;
+    v_tainted = Array.make (nvars + 1) false;
+    v_levels = Array.make (nvars + 1) 0;
+    v_reasons = Array.make (nvars + 1) no_reason;
+    v_score = Array.make (2 * (nvars + 1)) 0.;
+    v_activity;
+    v_watches = Array.make (2 * (nvars + 1)) [||];
+    v_watch_n = Array.make (2 * (nvars + 1)) 0;
+    v_order = Heap.create ~nvars ~key:v_activity;
+    v_trail = Array.make (nvars + 1) 0;
+    v_trail_lim = Array.make (nvars + 1) 0;
+    v_clauses = ints clauses;
+    v_learnts = ints 16;
+    v_seen = Array.make (nvars + 1) false;
+    v_phase = Array.make (nvars + 1) false;
+    v_learnt_buf = ints 16;
+    v_to_clear = ints 16;
+    v_root_buf = ints 16;
+  }
+
+(* A spare's arrays, holding what [new_vars] would put there. *)
+let refill v =
+  let fill a x = Array.fill a 0 (Array.length a) x in
+  Bytes.fill v.v_vals 0 (Bytes.length v.v_vals) v_unknown;
+  fill v.v_tainted false;
+  fill v.v_levels 0;
+  fill v.v_reasons no_reason;
+  fill v.v_score 0.;
+  fill v.v_activity 0.;
+  fill v.v_watch_n 0;
+  Heap.clear v.v_order;
+  fill v.v_trail 0;
+  fill v.v_trail_lim 0;
+  fill v.v_seen false;
+  fill v.v_phase false;
+  List.iter (fun s -> s.len <- 0) [ v.v_clauses; v.v_learnts; v.v_learnt_buf; v.v_to_clear; v.v_root_buf ];
+  v
+
+let take_vars nvars ~clauses =
+  match Arena.take vars_slot (fun v -> v.v_nvars = nvars) with
+  | Some v -> refill v
+  | None -> new_vars nvars ~clauses
+
+(* Installs the clause just written at [arena_top] whose literals are
+   canonical (in increasing order, one per variable, all in range) and
+   all unknown, with at least two of them: nothing to strip, no proof
+   step owed, so it is counted, its literals are bumped, and its two
+   watches counted, in one pass over it. *)
+let install_fresh t cr =
+  let a = t.arena in
+  let n = size a cr in
+  t.n_active_clauses <- t.n_active_clauses + 1;
+  t.db_lits <- t.db_lits + n;
+  for k = cr + 1 to cr + n do
+    bump_lit t a.(k)
+  done;
+  t.watch_n.(a.(cr + 1)) <- t.watch_n.(a.(cr + 1)) + 1;
+  t.watch_n.(a.(cr + 2)) <- t.watch_n.(a.(cr + 2)) + 1;
+  push t.clauses cr;
+  commit t cr
+
+(* The one construction path.  Every input clause is copied to the top of
+   an arena of the input's size and a quarter more, and checked on the
+   way: a clause whose literals increase by more than one code each
+   ([Types] encodes [v] as [2v], [-v] as [2v + 1]) and end in range is
+   canonical, what {!Arena.normalise_in_place} would leave it; any other
+   is normalised there, a tautology dropped.  It is installed where it
+   was copied, so the kept clauses end up packed in input order.  The RNG
+   is seeded with the number of clauses left after normalising, counted
+   after a refutation too, as is the range of every clause.  Each watch
+   list is made once, at its size, after the last clause.
 
    The spare quarter is for learned clauses.  An arena past 256 words is
    made on the major heap, and where the live heap is large each word
    made there costs collector work at once: on the 10,000-job service
    batch, where most searches learn a few clauses, growing an exactly
-   sized arena made conflict handling three times as slow. *)
-let create_internal cfg ~nvars ~obs ~obs_tid ~facts ~assumptions ~normalise (clauses : Arena.t) =
+   sized arena made conflict handling three times as slow.  So the arena
+   is taken from the spare slot, where {!release} leaves one; its length
+   never steers search (growth only copies, and [maybe_compact] reads
+   [arena_top]), so a longer one does as well as a new one. *)
+let create_internal cfg ~nvars ~obs ~obs_tid ~facts ~assumptions (clauses : Arena.t) =
   let src = clauses.lits and starts = clauses.starts in
-  let slots = Arena.nclauses clauses + Arena.nlits clauses in
-  let a = Array.make (slots + (slots / 4)) 0 in
-  let top = ref 0 and n = ref 0 and has_empty = ref false in
-  for k = 0 to Arena.nclauses clauses - 1 do
-    let s = starts.(k) and cr = !top in
-    let len = starts.(k + 1) - s in
-    for i = 0 to len - 1 do
-      a.(cr + 1 + i) <- src.(s + i)
-    done;
-    let e =
-      if normalise then Arena.normalise_in_place ~nvars a (cr + 1) (cr + 1 + len)
-      else cr + 1 + len
-    in
-    if e > 0 then begin
-      a.(cr) <- (e - cr - 1) lsl 2;
-      if e = cr + 1 then has_empty := true;
-      top := e;
-      incr n
-    end
+  let nc = Arena.nclauses clauses in
+  let slots = nc + Arena.nlits clauses in
+  let a = Arena.take_ints arena_slot (slots + (slots / 4)) in
+  (* normalising never empties a clause, so an empty one is empty here *)
+  let has_empty = ref false in
+  for k = 0 to nc - 1 do
+    if starts.(k) = starts.(k + 1) then has_empty := true
   done;
-  let n = !n in
-  let var_activity = Array.make (nvars + 1) 0. in
-  let order = Heap.create ~nvars ~key:var_activity in
+  let v = take_vars nvars ~clauses:nc in
   let stats = Stats.create () in
-  (let m = Obs.metrics obs in
-   if Obs.Metrics.is_enabled m then
-     let labels = [ ("client", string_of_int obs_tid) ] in
-     List.iter
-       (fun (name, read) -> Obs.Metrics.view m ~labels name read)
-       [
-         ("solver.decisions", fun () -> stats.decisions);
-         ("solver.conflicts", fun () -> stats.conflicts);
-         ("solver.learned", fun () -> stats.learned);
-         ("solver.restarts", fun () -> stats.restarts);
-       ]);
   let t =
     {
       cfg;
       nvars;
-      vals = Bytes.make (2 * (nvars + 1)) v_unknown;
-      tainted = Array.make (nvars + 1) false;
-      levels = Array.make (nvars + 1) 0;
-      reasons = Array.make (nvars + 1) no_reason;
-      score = Array.make (2 * (nvars + 1)) 0.;
-      var_activity;
+      vals = v.v_vals;
+      tainted = v.v_tainted;
+      levels = v.v_levels;
+      reasons = v.v_reasons;
+      score = v.v_score;
+      var_activity = v.v_activity;
       arena = a;
       arena_top = 0;
       arena_dead = 0;
-      watches = Array.make (2 * (nvars + 1)) [||];
-      watch_n = Array.make (2 * (nvars + 1)) 0;
-      order;
-      trail = Array.make (nvars + 1) 0;
+      watches = v.v_watches;
+      watch_n = v.v_watch_n;
+      order = v.v_order;
+      trail = v.v_trail;
       trail_n = 0;
-      trail_lim = Array.make (nvars + 1) 0;
+      trail_lim = v.v_trail_lim;
       lim_n = 0;
       qhead = 0;
-      clauses = ints n;
-      learnts = ints 16;
+      clauses = v.v_clauses;
+      learnts = v.v_learnts;
       ok = not !has_empty;
-      seen = Array.make (nvars + 1) false;
-      phase = Array.make (nvars + 1) false;
+      released = false;
+      seen = v.v_seen;
+      phase = v.v_phase;
       var_inc = 1.0;
       cla_inc = 1.0;
       stats;
@@ -1100,10 +1192,10 @@ let create_internal cfg ~nvars ~obs ~obs_tid ~facts ~assumptions ~normalise (cla
       fresh_shares = Queue.create ();
       last_simplify_trail = 0;
       proof_rev = [];
-      rng = Random.State.make [| cfg.seed; nvars; n |];
-      learnt_buf = ints 16;
-      to_clear = ints 16;
-      root_buf = ints 16;
+      rng = unseeded;
+      learnt_buf = v.v_learnt_buf;
+      to_clear = v.v_to_clear;
+      root_buf = v.v_root_buf;
       root_unknown = 0;
       root_kept = 0;
       bcp_ns = 0;
@@ -1115,7 +1207,7 @@ let create_internal cfg ~nvars ~obs ~obs_tid ~facts ~assumptions ~normalise (cla
     }
   in
   for v = 1 to nvars do
-    Heap.insert order v
+    Heap.insert t.order v
   done;
   let assert_root taint l =
     match value_of_lit t l with
@@ -1125,26 +1217,51 @@ let create_internal cfg ~nvars ~obs ~obs_tid ~facts ~assumptions ~normalise (cla
   in
   List.iter (assert_root false) facts;
   List.iter (assert_root true) assumptions;
-  let cr = ref 0 and k = ref 0 in
-  while t.ok && !k < n do
-    let next = !cr + extent a !cr in
-    (match install_clause_root t !cr with
-    | `Added ->
-        let kept = t.arena_top in
-        for i = 0 to extent a !cr - 1 do
-          a.(kept + i) <- a.(!cr + i)
-        done;
-        push t.clauses kept;
-        t.watch_n.(a.(kept + 1)) <- t.watch_n.(a.(kept + 1)) + 1;
-        t.watch_n.(a.(kept + 2)) <- t.watch_n.(a.(kept + 2)) + 1;
-        commit t kept
-    | `Satisfied | `Conflict | `Implication -> ());
-    cr := next;
-    incr k
+  let n = ref 0 and last = (2 * nvars) + 1 in
+  for k = 0 to nc - 1 do
+    let s = starts.(k) and cr = t.arena_top in
+    let len = starts.(k + 1) - s in
+    let prev = ref 1 and canonical = ref true in
+    for i = 0 to len - 1 do
+      let l = src.(s + i) in
+      a.(cr + 1 + i) <- l;
+      if l <= !prev lor 1 then canonical := false;
+      prev := l
+    done;
+    let canonical = !canonical && !prev <= last in
+    let e = if canonical then cr + 1 + len else Arena.normalise_in_place ~nvars a (cr + 1) (cr + 1 + len) in
+    if e > 0 then begin
+      incr n;
+      a.(cr) <- (e - cr - 1) lsl 2;
+      if t.ok then
+        if canonical && len >= 2 && (t.trail_n = 0 || unknown_upto t a (cr + 1) (e - 1)) then
+          install_fresh t cr
+        else
+          match install_clause_root t cr with
+          | `Added ->
+              push t.clauses cr;
+              t.watch_n.(a.(cr + 1)) <- t.watch_n.(a.(cr + 1)) + 1;
+              t.watch_n.(a.(cr + 2)) <- t.watch_n.(a.(cr + 2)) + 1;
+              commit t cr
+          | `Satisfied | `Conflict | `Implication -> ()
+    end
   done;
+  t.rng <- Random.State.make [| cfg.seed; nvars; !n |];
+  (let m = Obs.metrics obs in
+   if Obs.Metrics.is_enabled m then
+     let labels = [ ("client", string_of_int obs_tid) ] in
+     List.iter
+       (fun (name, read) -> Obs.Metrics.view m ~labels name read)
+       [
+         ("solver.decisions", fun () -> stats.decisions);
+         ("solver.conflicts", fun () -> stats.conflicts);
+         ("solver.learned", fun () -> stats.learned);
+         ("solver.restarts", fun () -> stats.restarts);
+       ]);
   for l = 0 to Array.length t.watch_n - 1 do
     if t.watch_n.(l) > 0 then begin
-      t.watches.(l) <- Array.make (2 * t.watch_n.(l)) 0;
+      if 2 * t.watch_n.(l) > Array.length t.watches.(l) then
+        t.watches.(l) <- Array.make (2 * t.watch_n.(l)) 0;
       t.watch_n.(l) <- 0
     end
   done;
@@ -1154,12 +1271,43 @@ let create_internal cfg ~nvars ~obs ~obs_tid ~facts ~assumptions ~normalise (cla
 
 let create ?(config = default_config) ?(obs = Obs.disabled) ?(obs_tid = Obs.Span.run_tid) cnf =
   create_internal config ~nvars:(Cnf.nvars cnf) ~obs ~obs_tid ~facts:[] ~assumptions:[]
-    ~normalise:false (Cnf.clauses cnf)
+    (Cnf.clauses cnf)
 
 let create_with_roots ?(config = default_config) ?(obs = Obs.disabled)
     ?(obs_tid = Obs.Span.run_tid) ?(facts = []) ~nvars clauses assumptions =
   if nvars < 0 then invalid_arg "Cnf: negative nvars";
-  create_internal config ~nvars ~obs ~obs_tid ~facts ~assumptions ~normalise:true clauses
+  create_internal config ~nvars ~obs ~obs_tid ~facts ~assumptions clauses
+
+(* The arena goes back to the spare slot, so any later call on [t] must
+   fail before it reads the arena. *)
+let release t =
+  if not t.released then begin
+    t.released <- true;
+    Arena.give arena_slot t.arena;
+    t.arena <- [||];
+    Arena.give vars_slot
+      {
+        v_nvars = t.nvars;
+        v_vals = t.vals;
+        v_tainted = t.tainted;
+        v_levels = t.levels;
+        v_reasons = t.reasons;
+        v_score = t.score;
+        v_activity = t.var_activity;
+        v_watches = t.watches;
+        v_watch_n = t.watch_n;
+        v_order = t.order;
+        v_trail = t.trail;
+        v_trail_lim = t.trail_lim;
+        v_clauses = t.clauses;
+        v_learnts = t.learnts;
+        v_seen = t.seen;
+        v_phase = t.phase;
+        v_learnt_buf = t.learnt_buf;
+        v_to_clear = t.to_clear;
+        v_root_buf = t.root_buf;
+      }
+  end
 
 (* ---------- model extraction ---------- *)
 
@@ -1368,3 +1516,36 @@ let propagate_manual t =
             backjump_level = blevel;
           }
       end
+
+(* ---------- the calls from outside ---------- *)
+
+(* Each fails on a released solver before it reads anything: {!release}
+   gave the arena away. *)
+let live t = if t.released then invalid_arg "Solver: released solver"
+
+let run t ~budget = live t; run t ~budget
+let solve ?budget t = live t; solve ?budget t
+let stats t = live t; stats t
+let set_obs_parent t sid = live t; set_obs_parent t sid
+let nvars t = live t; nvars t
+let decision_level t = live t; decision_level t
+let n_learned t = live t; n_learned t
+let db_bytes t = live t; db_bytes t
+let is_ok t = live t; is_ok t
+let drain_shares t ~max_len = live t; drain_shares t ~max_len
+let queue_foreign_clauses t cs = live t; queue_foreign_clauses t cs
+let pending_foreign t = live t; pending_foreign t
+let root_lits t = live t; root_lits t
+let root_facts t = live t; root_facts t
+let root_path t = live t; root_path t
+let split t = live t; split t
+let active_clauses t = live t; active_clauses t
+let split_clauses t = live t; split_clauses t
+let transfer_bytes t = live t; transfer_bytes t
+let value_of_var t v = live t; value_of_var t v
+let level_of_var t v = live t; level_of_var t v
+let antecedent_of_var t v = live t; antecedent_of_var t v
+let trail_literals t = live t; trail_literals t
+let decide_manual t l = live t; decide_manual t l
+let propagate_manual t = live t; propagate_manual t
+let proof t = live t; proof t

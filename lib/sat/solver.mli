@@ -63,7 +63,9 @@ val create : ?config:config -> ?obs:Obs.t -> ?obs_tid:int -> Cnf.t -> t
     root level and propagated immediately.  [obs] (default
     [Obs.disabled]) receives per-solver metrics and phase spans; [obs_tid]
     is the telemetry track — the owning client's id in grid runs.  The
-    formula's clauses are normalised already, so each is only copied. *)
+    formula's clauses are canonical already, so each is only copied
+    (and checked on the way, as {!create_with_roots} does); storage is
+    reused as there. *)
 
 val create_with_roots :
   ?config:config ->
@@ -76,9 +78,13 @@ val create_with_roots :
   t
 (** [create_with_roots ~facts ~nvars clauses path] builds a solver over
     the formula of [clauses] without building it: each clause is
-    copied into the solver's own clause arena and normalised there
-    ({!Arena.normalise_in_place}).  [clauses] is only read, so it may be
-    shared (a received subproblem's is).
+    copied into the solver's own clause arena and checked on the way.  A
+    clause whose literals are in strictly increasing order, one per
+    variable, all in [1 .. nvars], is taken as it is; any other is
+    normalised there ({!Arena.normalise_in_place}, which raises on a
+    literal out of range).  Both give the solver the same clause, so
+    raw and canonical input solve alike.  [clauses] is only read, so it
+    may be shared (a received subproblem's is).
     It asserts two kinds of literals at decision level 0 — this is how a
     client instantiates a received subproblem (root assignments + clause
     set):
@@ -87,7 +93,22 @@ val create_with_roots :
     - [path] are {e guiding-path assumptions} created by splits: they are
       tracked as tainted, kept inside clauses, and re-introduced into
       learned clauses so that every clause this solver learns — and hence
-      every clause it shares — remains valid for the global problem. *)
+      every clause it shares — remains valid for the global problem.
+
+    A canonical clause none of whose literals the roots assign is
+    installed in the same pass that copies it.  The arena and the
+    per-variable arrays come from spare slots ({!Arena.take}) where
+    {!release} leaves them: after a release in this domain, a build over
+    as many variables and no more clauses makes neither. *)
+
+val release : t -> unit
+(** Ends the solver's life: its clause arena, per-variable arrays and
+    stacks go to spare slots for the next builds in this domain.  Every
+    later call on it, but [release], raises [Invalid_argument].  Only
+    the solver's owner may release it, once nothing will read it again
+    (a client does, when it finishes or loses its subproblem).  What the
+    solver handed out (clause sets, models, proofs, shares, its
+    {!stats}) stays valid. *)
 
 type outcome =
   | Sat of Model.t

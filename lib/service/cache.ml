@@ -11,24 +11,12 @@ type t = {
 
 let create () = { table = Hashtbl.create 16; hits = 0; stores = 0 }
 
-(* This domain's scratch arrays, reused by every digest of up to [keep]
-   clauses, as [Sat.Arena.buffer] reuses its buffer: [hashes] holds each
-   clause's word digest, [set] the open-addressed set of distinct
-   clauses, as clause index + 1 (0 is an empty slot). *)
-type scratch = { mutable hashes : int array; mutable set : int array }
+(* The digest's scratch arrays, from spare slots ([Sat.Arena.take_ints]):
+   [hashes] holds each clause's word digest, [set] the open-addressed set
+   of distinct clauses, as clause index + 1 (0 is an empty slot). *)
+let hashes_slot = Sat.Arena.ints ()
 
-let keep = 1 lsl 20
-
-let kept = Domain.DLS.new_key (fun () -> { hashes = [||]; set = [||] })
-
-let scratch ~clauses ~slots =
-  if clauses > keep then { hashes = Array.make clauses 0; set = Array.make slots 0 }
-  else begin
-    let s = Domain.DLS.get kept in
-    if Array.length s.hashes < clauses then s.hashes <- Array.make (max clauses 64) 0;
-    if Array.length s.set < slots then s.set <- Array.make slots 0;
-    s
-  end
+let set_slot = Sat.Arena.ints ()
 
 (* The second lane's mix of a clause digest: a bijection unrelated to the
    word lane's own steps, so that the two sums below are independent. *)
@@ -62,7 +50,7 @@ let digest cnf =
     slots := 2 * !slots
   done;
   let slots = !slots in
-  let { hashes; set } = scratch ~clauses:n ~slots in
+  let hashes = Sat.Arena.take_ints hashes_slot (max n 64) and set = Sat.Arena.take_ints set_slot slots in
   Array.fill set 0 slots 0;
   let mask = slots - 1 and distinct = ref 0 and a = ref 0 and b = ref 0 in
   for c = 0 to n - 1 do
@@ -82,6 +70,8 @@ let digest cnf =
       else slot := (!slot + 1) land mask
     done
   done;
+  Sat.Arena.give hashes_slot hashes;
+  Sat.Arena.give set_slot set;
   let seal lane sum = Integrity.word_digest [| lane; nvars; !distinct; sum |] 0 4 in
   Printf.sprintf "%016x-%08x" (seal 0 !a) (seal 1 !b land 0xFFFF_FFFF)
 

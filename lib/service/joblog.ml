@@ -30,6 +30,8 @@ type state = {
 }
 
 module Record = struct
+  let name = "service.joblog"
+
   type nonrec entry = entry
 
   type nonrec state = state
@@ -153,7 +155,7 @@ let flight_view e : string * (string * Obs.Json.t) list =
   | Requeued { id; reason } -> ("job_requeued", [ i "job" id; s "reason" reason ])
   | Finished { id; terminal } -> ("job_finished", [ i "job" id; s "terminal" terminal ])
 
-let create ?obs ?quota () = create ?obs ?quota ~requota_on_scrub:true ~name:"service.joblog" ()
+let create ?obs ?quota () = create ?obs ?quota ~requota_on_scrub:true ()
 
 let set_quota t ~quota = set_quota t ~quota
 

@@ -386,7 +386,7 @@ let test_scheduler_rank_monotone () =
   check bool "memory raises rank" true (C.Scheduler.rank bigger > C.Scheduler.rank base)
 
 let test_scheduler_pick_policies () =
-  let rng = Random.State.make [| 1 |] in
+  let rng = lazy (Random.State.make [| 1 |]) in
   let cands =
     [ cand ~id:1 ~speed:100. ~mem_gb:1. ~forecast:0.9 (); cand ~id:2 ~speed:300. ~mem_gb:1. ~forecast:0.9 () ]
   in

@@ -1270,6 +1270,79 @@ let prop_compaction_oracle =
       | Solver.Unsat, Brute.Unsat -> Drup.check cnf (Solver.proof s) = Ok ()
       | _ -> false)
 
+(* ---------- construction fast paths ---------- *)
+
+(* A raw clause set over [nvars] variables: literals in any order,
+   repeated, a clause now and then a tautology or empty, with a few
+   facts and a guiding path. *)
+let raw_roots_gen =
+  let open QCheck.Gen in
+  int_range 1 10 >>= fun nvars ->
+  let lit = map2 (fun v s -> T.lit_of_int (if s then v else -v)) (int_range 1 nvars) bool in
+  let clause = frequency [ (1, return []); (25, list_size (int_range 1 6) lit) ] in
+  map3
+    (fun clauses facts path -> (nvars, clauses, facts, path))
+    (list_size (int_range 0 45) clause)
+    (list_size (int_bound 3) lit)
+    (list_size (int_bound 3) lit)
+
+let arena_of clauses =
+  let lits = Array.of_list (List.concat clauses) in
+  let starts = Array.make (List.length clauses + 1) 0 in
+  List.iteri (fun k c -> starts.(k + 1) <- starts.(k) + List.length c) clauses;
+  { Sat.Arena.lits; starts }
+
+(* What a solve shows: the verdict and model, the search counters and
+   the proof text.  The solver is released after, as a client does. *)
+let solve_view ~nvars ~facts ~path clauses =
+  let config = { Solver.default_config with Solver.emit_proof = true } in
+  let s = Solver.create_with_roots ~config ~facts ~nvars clauses path in
+  let verdict =
+    match Solver.solve s with
+    | Solver.Sat m -> Some (Model.to_array m)
+    | _ -> None
+  in
+  let view = (verdict, search_counters s, Drup.to_string (Solver.proof s)) in
+  Solver.release s;
+  view
+
+(* A build on storage that a released solver over as many variables
+   left full of its own clauses and assignments: its formula is twice
+   the raw one and more, so its arena is long enough to be taken. *)
+let solve_view_on_junk ~nvars ~facts ~path ~raw clauses =
+  let more = Cnf.clauses (Workloads.Random_sat.instance ~k:(min 3 nvars) ~nvars ~ratio:4.26 ~seed:nvars ()) in
+  let more = List.init (Sat.Arena.nclauses more) (fun k -> Array.to_list (Sat.Arena.clause more k)) in
+  let junk = Solver.create_with_roots ~nvars (arena_of (raw @ raw @ more)) [] in
+  ignore (Solver.run junk ~budget:200);
+  Solver.release junk;
+  solve_view ~nvars ~facts ~path clauses
+
+(* Raw input and its normalised form solve alike, whether the solver is
+   built on new storage (a new domain has no spares) or on reused
+   storage filled with junk; a released solver refuses to run. *)
+let prop_raw_and_canonical_solve_alike =
+  QCheck.Test.make ~name:"raw and canonical input, new and reused storage, solve alike" ~count:100
+    (QCheck.make raw_roots_gen)
+    (fun (nvars, clauses, facts, path) ->
+      let canonical =
+        List.filter_map
+          (fun c ->
+            let a = Array.of_list c in
+            Option.map Array.to_list (Sat.Arena.normalise ~nvars a 0 (Array.length a)))
+          clauses
+      in
+      let raw = arena_of clauses and canonical = arena_of canonical in
+      let fresh = Domain.join (Domain.spawn (fun () -> solve_view ~nvars ~facts ~path raw)) in
+      let released = Solver.create_with_roots ~nvars raw path in
+      Solver.release released;
+      fresh = solve_view ~nvars ~facts ~path canonical
+      && fresh = solve_view_on_junk ~nvars ~facts ~path ~raw:clauses raw
+      && fresh = solve_view_on_junk ~nvars ~facts ~path ~raw:clauses canonical
+      &&
+      match Solver.run released ~budget:10 with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
+
 (* ---------- memory ---------- *)
 
 (* [Array.make] and [Array.init] force a minor collection when they build
@@ -1448,6 +1521,7 @@ let () =
           Alcotest.test_case "long search to its verdict" `Quick test_pinned_long;
         ] );
       ("arena", qsuite [ prop_compaction_oracle ]);
+      ("fast paths", qsuite [ prop_raw_and_canonical_solve_alike ]);
       ( "memory",
         [
           Alcotest.test_case "create forces no minor collection" `Quick test_create_no_minor_gc;
