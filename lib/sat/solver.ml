@@ -1104,11 +1104,21 @@ let take_vars nvars ~clauses =
   | Some v -> refill v
   | None -> new_vars nvars ~clauses
 
+(* Keeps the installed clause at [arena_top]: listed, its two watches
+   counted (the lists are made after the last clause), the top moved
+   past it. *)
+let keep_installed t cr =
+  let a = t.arena in
+  t.watch_n.(a.(cr + 1)) <- t.watch_n.(a.(cr + 1)) + 1;
+  t.watch_n.(a.(cr + 2)) <- t.watch_n.(a.(cr + 2)) + 1;
+  push t.clauses cr;
+  commit t cr
+
 (* Installs the clause just written at [arena_top] whose literals are
    canonical (in increasing order, one per variable, all in range) and
    all unknown, with at least two of them: nothing to strip, no proof
-   step owed, so it is counted, its literals are bumped, and its two
-   watches counted, in one pass over it. *)
+   step owed, so it is counted and its literals are bumped in one pass
+   over it. *)
 let install_fresh t cr =
   let a = t.arena in
   let n = size a cr in
@@ -1117,10 +1127,7 @@ let install_fresh t cr =
   for k = cr + 1 to cr + n do
     bump_lit t a.(k)
   done;
-  t.watch_n.(a.(cr + 1)) <- t.watch_n.(a.(cr + 1)) + 1;
-  t.watch_n.(a.(cr + 2)) <- t.watch_n.(a.(cr + 2)) + 1;
-  push t.clauses cr;
-  commit t cr
+  keep_installed t cr
 
 (* The one construction path.  Every input clause is copied to the top of
    an arena of the input's size and a quarter more, and checked on the
@@ -1238,11 +1245,7 @@ let create_internal cfg ~nvars ~obs ~obs_tid ~facts ~assumptions (clauses : Aren
           install_fresh t cr
         else
           match install_clause_root t cr with
-          | `Added ->
-              push t.clauses cr;
-              t.watch_n.(a.(cr + 1)) <- t.watch_n.(a.(cr + 1)) + 1;
-              t.watch_n.(a.(cr + 2)) <- t.watch_n.(a.(cr + 2)) + 1;
-              commit t cr
+          | `Added -> keep_installed t cr
           | `Satisfied | `Conflict | `Implication -> ()
     end
   done;
