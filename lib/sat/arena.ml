@@ -42,8 +42,9 @@ let normalise ~nvars src pos len =
 (* Each domain keeps, per slot, a few spare values for the next builds
    that take from that slot, newest first.  A slot holds at most
    [keep_count] spares of [keep_words] words in all: the clause sets of
-   the benchmark workloads stay under 30,000 literals, and a handful of
-   solvers are alive at once. *)
+   the benchmark workloads stay under 30,000 literals.  Two spares let
+   runs whose solvers overlap each find one; more kept the arenas of
+   finished grid solvers alive for nothing. *)
 type 'a spares = { mutable items : 'a list; mutable count : int; mutable words : int }
 
 type 'a slot = { key : 'a spares Domain.DLS.key; words : 'a -> int }

@@ -34,7 +34,7 @@ val normalise_in_place : nvars:int -> Types.lit array -> int -> int -> int
     Builds that make the same arrays over and over (the build buffer
     below, a solver's clause arena and per-variable arrays, the verdict
     cache's digest scratch) lend them to each other through one store
-    per domain.  A slot holds at most 8 spares, of at most 2{^20} words
+    per domain.  A slot holds at most 2 spares, of at most 2{^20} words
     in all; a spare's contents are whatever its last user left. *)
 
 type 'a slot
