@@ -1,4 +1,7 @@
-type entry = { sp : Subproblem.t; bytes : int; light : bool; mutable seal : int }
+(* A snapshot knows the pid it was saved for: a client keeps its last
+   snapshot after its branch moves on (a migration source), so the
+   snapshot must not answer for another branch. *)
+type entry = { pid : Protocol.pid; sp : Subproblem.t; bytes : int; light : bool; mutable seal : int }
 
 type t = {
   cnf : Sat.Cnf.t;
@@ -43,27 +46,23 @@ let record_save t ~client ~light bytes =
    save time and re-checked on restore. *)
 let seal_of sp = Integrity.crc32_of (Integrity.hash Subproblem.emit sp)
 
-let save t ~client ~mode sp =
+let save t ~client ~pid ~mode sp =
   match mode with
   | Config.No_checkpoint -> 0
-  | Config.Light ->
-      (* only the root assignment is persisted; clauses come back from the
-         problem file on restore *)
-      let stripped = { sp with Subproblem.clauses = Sat.Arena.empty } in
-      let bytes = Subproblem.bytes stripped in
-      Hashtbl.replace t.store client
-        { sp = stripped; bytes; light = true; seal = seal_of stripped };
-      record_save t ~client ~light:true bytes;
-      bytes
-  | Config.Heavy ->
+  | Config.Light | Config.Heavy ->
+      let light = mode = Config.Light in
+      (* a light checkpoint persists only the root assignment; its clauses
+         come back from the problem file on restore *)
+      let sp = if light then { sp with Subproblem.clauses = Sat.Arena.empty } else sp in
       let bytes = Subproblem.bytes sp in
-      Hashtbl.replace t.store client { sp; bytes; light = false; seal = seal_of sp };
-      record_save t ~client ~light:false bytes;
+      Hashtbl.replace t.store client { pid; sp; bytes; light; seal = seal_of sp };
+      record_save t ~client ~light bytes;
       bytes
 
-let restore t ~client =
+let restore t ~client ~pid =
   match Hashtbl.find_opt t.store client with
   | None -> None
+  | Some e when e.pid <> pid -> None
   | Some { sp; light; seal; _ } when seal = seal_of sp ->
       Obs.Metrics.incr t.c_restores;
       if t.obs_on then

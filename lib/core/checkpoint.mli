@@ -13,12 +13,17 @@ val create : ?obs:Obs.t -> Sat.Cnf.t -> t
     checkpoints.  [obs] (default [Obs.disabled]) receives save/restore
     counters, a stored-bytes histogram, and instant-spans. *)
 
-val save : t -> client:int -> mode:Config.checkpoint_mode -> Subproblem.t -> int
-(** Stores (replacing) the client's checkpoint; returns stored bytes
-    (0 for [No_checkpoint]). *)
+val save :
+  t -> client:int -> pid:Protocol.pid -> mode:Config.checkpoint_mode -> Subproblem.t -> int
+(** Stores (replacing) the client's checkpoint of branch [pid]; returns
+    stored bytes (0 for [No_checkpoint]).  A client holds one snapshot,
+    of the branch it saved last. *)
 
-val restore : t -> client:int -> Subproblem.t option
-(** The subproblem to restart from, reconstructed per the stored mode:
+val restore : t -> client:int -> pid:Protocol.pid -> Subproblem.t option
+(** The subproblem to restart branch [pid] from, if the client's
+    snapshot was saved for [pid]; a snapshot of another branch yields
+    [None] and is kept, counted neither restored nor discarded.
+    The subproblem is reconstructed per the stored mode:
     a light checkpoint yields the original clauses plus the saved root
     assignment; a heavy checkpoint yields the full saved state.  A
     snapshot whose at-rest integrity seal (the CRC lane of its canonical

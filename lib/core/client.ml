@@ -3,7 +3,7 @@ module Solver = Sat.Solver
 
 type callbacks = {
   log : Events.kind -> unit;
-  save_checkpoint : client:int -> Subproblem.t -> unit;
+  save_checkpoint : client:int -> pid:Protocol.pid -> Subproblem.t -> unit;
   note_dup : int -> unit;
   note_outbox : depth:int -> shed:int -> unit;
 }
@@ -218,7 +218,7 @@ let maybe_checkpoint t s =
         s.last_checkpoint <- now t;
         (* a light checkpoint stores only the root, so it copies no clauses *)
         let capture = if mode = Config.Light then Subproblem.capture_root else Subproblem.capture in
-        t.callbacks.save_checkpoint ~client:t.cid (capture s.solver)
+        t.callbacks.save_checkpoint ~client:t.cid ~pid:s.pid (capture s.solver)
       end
 
 let request_split t s reason =
@@ -333,7 +333,7 @@ let start_problem t ~src ~pid ~transfer_time sp =
   (* an initial checkpoint covers the window before the first periodic one *)
   (match t.cfg.checkpoint with
   | Config.No_checkpoint -> ()
-  | Config.Light | Config.Heavy -> t.callbacks.save_checkpoint ~client:t.cid sp);
+  | Config.Light | Config.Heavy -> t.callbacks.save_checkpoint ~client:t.cid ~pid sp);
   schedule_slice t t.cfg.slice
 
 let fresh_branch_pid t =

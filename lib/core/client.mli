@@ -34,7 +34,8 @@ type t
 
 type callbacks = {
   log : Events.kind -> unit;  (** master-side event log *)
-  save_checkpoint : client:int -> Subproblem.t -> unit;
+  save_checkpoint : client:int -> pid:Protocol.pid -> Subproblem.t -> unit;
+      (** snapshot of the client's branch [pid] for {!Checkpoint.save} *)
   note_dup : int -> unit;
       (** [n] foreign clauses were suppressed as duplicates on ingestion *)
   note_outbox : depth:int -> shed:int -> unit;

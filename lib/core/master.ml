@@ -83,7 +83,7 @@ type t = {
       (* the overall-timeout event, cancelled at termination: queued, its
          closure would keep this whole finished run reachable *)
   mutable next_batch_id : int;
-  rng : Random.State.t Lazy.t;  (* made at the first draw: [Scheduler.pick] *)
+  rng : Random.State.t Lazy.t;  (* made at the scheduler's first draw *)
   started_at : float;
   obs : Obs.t;
   obs_on : bool;
@@ -487,14 +487,17 @@ let terminate t answer why =
 
 (* ---------- scheduling ---------- *)
 
-let idle_candidates t =
+(* The one placement decision: the scheduler's pick among the hosts that
+   may take work now, as the host's id and its candidate record. *)
+let idle_host t =
   Pool.idle_candidates t.pool ~resyncing:t.resyncing ~now:(Grid.Sim.now t.sim)
+  |> Scheduler.pick t.cfg.scheduler ~rng:t.rng
+  |> Option.map (fun cand -> (cand.Scheduler.resource.R.id, cand))
 
 let grant_split t requester =
-  match Scheduler.pick t.cfg.scheduler ~rng:t.rng (idle_candidates t) with
+  match idle_host t with
   | None -> false
-  | Some cand ->
-      let partner = cand.Scheduler.resource.R.id in
+  | Some (partner, _) ->
       Pool.reserve t.pool partner (Partner requester);
       log t (Events.Split_granted { client = requester; partner });
       if t.obs_on then begin
@@ -537,57 +540,79 @@ let send_problem t ~dst pid sp =
     "assign";
   send t ~dst (Protocol.Problem { pid; sp; sent_at = Grid.Sim.now t.sim })
 
-(* Re-home a subproblem that lost its host (checkpoint recovery or a
-   returned orphan).  If no idle host is available the work parks in
-   [pending_recovery] — never lost, so the run cannot answer UNSAT while
-   it waits. *)
-let assign_recovered t ~failed ~from_checkpoint pid sp =
-  match Scheduler.pick t.cfg.scheduler ~rng:t.rng (idle_candidates t) with
-  | Some cand ->
-      let dst = cand.Scheduler.resource.R.id in
+(* Place one recovered branch — pid, subproblem, the client it was lost
+   by, and whether it came from that client's checkpoint — on an idle
+   host, if one is free. *)
+let place_recovered t (pid, sp, failed, from_checkpoint) =
+  match idle_host t with
+  | None -> false
+  | Some (dst, _) ->
       if from_checkpoint then
         log t (Events.Recovered_from_checkpoint { client = failed; onto = dst });
-      send_problem t ~dst pid sp
-  | None ->
-      log t (Events.Recovery_requeued { client = failed });
-      Queue.add (pid, sp, failed, from_checkpoint) t.pending_recovery
+      send_problem t ~dst pid sp;
+      true
+
+(* Re-home a recovered branch now if a host is free.  Otherwise it parks
+   in [pending_recovery] — never lost, so the run cannot answer UNSAT
+   while it waits. *)
+let assign_recovered t ((_, _, failed, _) as recovered) =
+  if not (place_recovered t recovered) then begin
+    log t (Events.Recovery_requeued { client = failed });
+    Queue.add recovered t.pending_recovery
+  end
 
 let rec serve_recovery t =
-  if (not t.finished) && not (Queue.is_empty t.pending_recovery) then
-    match Scheduler.pick t.cfg.scheduler ~rng:t.rng (idle_candidates t) with
-    | None -> ()
-    | Some cand ->
-        let dst = cand.Scheduler.resource.R.id in
-        let pid, sp, failed, from_checkpoint = Queue.pop t.pending_recovery in
-        if from_checkpoint then
-          log t (Events.Recovered_from_checkpoint { client = failed; onto = dst });
-        send_problem t ~dst pid sp;
-        serve_recovery t
+  let next = Queue.peek_opt t.pending_recovery in
+  if (not t.finished) && Option.fold ~none:false ~some:(place_recovered t) next then begin
+    ignore (Queue.pop t.pending_recovery);
+    serve_recovery t
+  end
 
-(* The last line of defence: a subproblem whose holder and checkpoint are
-   both gone is reconstructed from the original CNF and its journaled
+(* The branch [pid] rebuilt from the original CNF and its journaled
    guiding-path lineage (Figure 2: the lineage fully determines the
-   branch), then requeued.  No component loss ends the run [Unknown]; a
-   pid another copy already refuted has nothing left to recover. *)
+   branch); [None] if the journal has no live record of it. *)
+let of_lineage t pid = Option.map (Subproblem.of_lineage t.cnf) (Hashtbl.find_opt (tree t).live pid)
+
+(* The last line of defence: a branch whose copy and checkpoint are both
+   gone is re-derived from its lineage, then requeued.  No component loss
+   ends the run [Unknown]; a pid another copy already refuted has nothing
+   left to recover. *)
 let rederive_lost t ~holder pid =
-  match Hashtbl.find_opt (tree t).live pid with
-  | Some path ->
-      let sp = Subproblem.of_lineage t.cnf path in
-      log t (Events.Rederived_from_lineage { holder; depth = List.length path });
+  match of_lineage t pid with
+  | Some sp ->
+      let depth = List.length sp.Subproblem.path in
+      log t (Events.Rederived_from_lineage { holder; depth });
       if t.obs_on then minstant t ~cat:"master"
         ~args:
           [
             ("pid", Obs.Json.String (Printf.sprintf "%d.%d" (fst pid) (snd pid)));
-            ("depth", Obs.Json.Int (List.length path));
+            ("depth", Obs.Json.Int depth);
           ]
         "rederive";
-      let failed = match holder with Some h -> h | None -> master_id in
-      assign_recovered t ~failed ~from_checkpoint:false pid sp
+      assign_recovered t (pid, sp, Option.value holder ~default:master_id, false)
   | None when Hashtbl.mem (tree t).refuted pid -> ()
   | None ->
       (* unreachable by construction: every assignment, split and adoption
          journals its lineage before any message leaves the master *)
       terminate t (Unknown "lost subproblem with no recorded lineage") "unrecoverable loss"
+
+(* Re-home [pid], lost by [holder] (the master itself when [None]), in
+   the one recovery order (DESIGN §5c): the [copy] the master still holds
+   of an undelivered problem, else the checkpoint [holder] saved of this
+   very pid, else the branch's lineage.  A certified run never restores a
+   checkpoint: the snapshot carries facts and clauses the next holder
+   could not re-derive in its own proof fragment. *)
+let recover t ~holder ?copy pid =
+  let failed = Option.value holder ~default:master_id in
+  match copy with
+  | Some sp -> assign_recovered t (pid, sp, failed, false)
+  | None when t.cfg.Config.certify || holder = None -> rederive_lost t ~holder pid
+  | None -> (
+      match Checkpoint.restore t.checkpoints ~client:failed ~pid with
+      | Some sp ->
+          Checkpoint.drop t.checkpoints ~client:failed;
+          assign_recovered t (pid, sp, failed, true)
+      | None -> rederive_lost t ~holder pid)
 
 (* Serve the backlog with a freshly idle resource: the paper splits the
    client that has been running the same subproblem the longest. *)
@@ -622,9 +647,8 @@ let consider_migration t =
     (not t.finished) && t.cfg.migration_enabled && t.backlog = []
     && not (holding t (function Migration _ -> true | _ -> false))
   then begin
-    match (Pool.weakest_busy t.pool, Scheduler.pick t.cfg.scheduler ~rng:t.rng (idle_candidates t)) with
-    | Some src, Some cand ->
-        let dst = cand.Scheduler.resource.R.id in
+    match (Pool.weakest_busy t.pool, idle_host t) with
+    | Some src, Some (dst, cand) ->
         if
           dst <> src.resource.R.id
           && (not (hedging t src))
@@ -740,13 +764,13 @@ let held_by t holders =
     st.holder []
   |> List.sort compare
 
-(* Re-derive each of [held] that no host has: the journal is the one
+(* Recover each of [held] that no host has: the journal is the one
    record of who holds a branch, so a holder written off before it
    reported busy here (a split partner awaiting its hand-off, or one
    whose Problem_received went to a superseded master) loses nothing. *)
-let rederive_unhomed t held =
+let recover_unhomed t held =
   List.iter
-    (fun (pid, h) -> if not (pid_homed t pid) then rederive_lost t ~holder:(Some h) pid)
+    (fun (pid, h) -> if not (pid_homed t pid) then recover t ~holder:(Some h) pid)
     held
 
 (* Write [id] off and recover whatever it was responsible for.  Shared by
@@ -770,40 +794,25 @@ let declare_dead t id =
       t.backlog <- List.filter (fun (c, _) -> c <> id) t.backlog;
       release_holds_for t id "requester-died";
       (* partners awaiting the dead donor's hand-off will never get it:
-         free them and re-derive the branches the journal has them hold *)
+         free them and recover the branches the journal has them hold *)
       let stranded = Pool.holders t.pool (function Awaiting_problem s -> s = id | _ -> false) in
       List.iter (Pool.release t.pool) stranded;
       if not t.finished then begin
-        rederive_unhomed t (held_by t stranded);
-        (match prev with
-        | Reserved (Delivery (pid, sp)) ->
+        recover_unhomed t (held_by t stranded);
+        (* a hedged pid another copy still holds needs nothing re-homed *)
+        let rehome ?copy pid =
+          if Hashtbl.mem t.hedged pid && pid_homed t pid then drop_copy t pid id
+          else recover t ~holder:(Some id) ?copy pid
+        in
+        (match (prev, prev_pid) with
+        | Reserved (Delivery (pid, sp)), _ ->
             (* we still hold the very subproblem we sent it *)
-            if Hashtbl.mem t.hedged pid && pid_homed t pid then drop_copy t pid id
-            else assign_recovered t ~failed:id ~from_checkpoint:false pid sp
-        | Busy -> (
-            match prev_pid with
-            | None -> ()
-            | Some pid when Hashtbl.mem t.hedged pid && pid_homed t pid -> drop_copy t pid id
-            | Some pid -> (
-                (* a certified run never restores a dead client's
-                   checkpoint: the snapshot carries facts and clauses the
-                   next holder could not re-derive in its own proof
-                   fragment, so the branch is rebuilt from the original
-                   CNF and its journaled lineage instead *)
-                let restored =
-                  if t.cfg.Config.certify then None
-                  else Checkpoint.restore t.checkpoints ~client:id
-                in
-                match restored with
-                | Some sp ->
-                    Checkpoint.drop t.checkpoints ~client:id;
-                    assign_recovered t ~failed:id ~from_checkpoint:true pid sp
-                | None ->
-                    (* no checkpoint: reconstruct the branch from its
-                       journaled lineage instead of aborting the run *)
-                    rederive_lost t ~holder:(Some id) pid))
-        | Launching | Idle | Reserved (Partner _ | Awaiting_problem _ | Migration _) | Dead -> ());
-        rederive_unhomed t held
+            rehome ~copy:sp pid
+        | Busy, Some pid -> rehome pid
+        | (Launching | Idle | Busy | Reserved (Partner _ | Awaiting_problem _ | Migration _) | Dead), _
+          ->
+            ());
+        recover_unhomed t held
       end
   | _ -> ()
 
@@ -870,7 +879,7 @@ let settle_certification t ~src pid ~path proof =
          holds it *)
       log t (Events.Certification_failed { pid; client = src; reason });
       free_finisher t src;
-      rederive_unhomed t [ (pid, src) ];
+      recover_unhomed t [ (pid, src) ];
       conclude_or_dispatch t
   | Error reason -> quarantine t ~client:src ~pid ~reason
 
@@ -1033,60 +1042,53 @@ let on_shares t src clauses =
      let bytes = List.fold_left (fun a c -> a + 8 + (8 * Array.length c)) 0 clauses in
      Obs.Anomaly.observe t.d_share_volume ~at:(Grid.Sim.now t.sim) (float_of_int bytes));
   let clause_bytes c = 16 + (8 * Array.length c) in
-  let recipients = ref 0 in
-  (match t.share_budget with
-  | None ->
-      (* no budget configured: the paper's unconditional broadcast *)
-      let batch_bytes = List.fold_left (fun a c -> a + clause_bytes c) 0 clauses in
-      Pool.iter
-        (fun id h ->
-          if id <> src && working h then begin
+  let tnow = Grid.Sim.now t.sim in
+  let recipients = ref 0 and shed_clauses = ref 0 and shed_bytes = ref 0 and sent_bytes = ref 0 in
+  (* the clauses a recipient gets: with no budget, the paper's
+     unconditional broadcast of the batch as sent.  With one, HordeSat-
+     style value ordering (the solver exports no LBD, so the shortest
+     clause is the most valuable): each link admits the prefix that fits
+     its byte budget for the current window and sheds the tail. *)
+  let admitted =
+    match t.share_budget with
+    | None ->
+        let batch_bytes = List.fold_left (fun a c -> a + clause_bytes c) 0 clauses in
+        fun _ ->
+          sent_bytes := !sent_bytes + batch_bytes;
+          clauses
+    | Some budget ->
+        let ordered =
+          List.stable_sort (fun a b -> compare (Array.length a) (Array.length b)) clauses
+        in
+        fun id ->
+          List.filter
+            (fun c ->
+              let bytes = clause_bytes c in
+              if Flow.admit budget ~key:id ~now:tnow ~bytes then begin
+                sent_bytes := !sent_bytes + bytes;
+                true
+              end
+              else begin
+                incr shed_clauses;
+                shed_bytes := !shed_bytes + bytes;
+                false
+              end)
+            ordered
+  in
+  Pool.iter
+    (fun id h ->
+      if id <> src && working h then
+        match admitted id with
+        | [] -> ()
+        | clauses ->
             incr recipients;
-            bump t Share_bytes batch_bytes;
-            send t ~dst:id (Protocol.Share_relay { origin = src; clauses })
-          end)
-        t.pool
-  | Some budget ->
-      (* HordeSat-style value ordering: the solver exports no LBD, so
-         clause length is the value signal — shortest (most valuable)
-         first; each recipient link admits the prefix that fits its byte
-         budget for the current virtual-time window and sheds the tail.
-         Ordered ascending, one refusal implies every later clause is
-         refused too, so the filter below admits exactly a prefix. *)
-      let ordered =
-        List.stable_sort (fun a b -> compare (Array.length a) (Array.length b)) clauses
-      in
-      let tnow = Grid.Sim.now t.sim in
-      let shed_clauses = ref 0 and shed_bytes = ref 0 and sent_bytes = ref 0 in
-      Pool.iter
-        (fun id h ->
-          if id <> src && working h then begin
-            let admitted =
-              List.filter
-                (fun c ->
-                  let bytes = clause_bytes c in
-                  if Flow.admit budget ~key:id ~now:tnow ~bytes then begin
-                    sent_bytes := !sent_bytes + bytes;
-                    true
-                  end
-                  else begin
-                    incr shed_clauses;
-                    shed_bytes := !shed_bytes + bytes;
-                    false
-                  end)
-                ordered
-            in
-            if admitted <> [] then begin
-              incr recipients;
-              send t ~dst:id (Protocol.Share_relay { origin = src; clauses = admitted })
-            end
-          end)
-        t.pool;
-      bump t Share_bytes !sent_bytes;
-      if !shed_clauses > 0 then begin
-        t.last_share_shed <- tnow;
-        log t (Events.Shares_shed { origin = src; clauses = !shed_clauses; bytes = !shed_bytes })
-      end);
+            send t ~dst:id (Protocol.Share_relay { origin = src; clauses }))
+    t.pool;
+  bump t Share_bytes !sent_bytes;
+  if !shed_clauses > 0 then begin
+    t.last_share_shed <- tnow;
+    log t (Events.Shares_shed { origin = src; clauses = !shed_clauses; bytes = !shed_bytes })
+  end;
   bump t Share_batches 1;
   bump t Shared_clauses (List.length clauses);
   if t.obs_on then begin
@@ -1158,7 +1160,7 @@ let on_orphaned t src pid sp =
   (* already refuted elsewhere, or already re-homed: the partner's death
      re-derived the branch the journal has it hold *)
   if Hashtbl.mem (tree t).refuted pid || pid_homed t pid then dispatch t
-  else assign_recovered t ~failed:src ~from_checkpoint:false pid sp
+  else recover t ~holder:(Some src) ~copy:sp pid
 
 (* Reconciliation after a master restart: each surviving client reports
    what it is doing.  Busy reports are adopted (journaled, so the next
@@ -1397,22 +1399,7 @@ let reconcile t =
       |> List.sort compare
     in
     List.iter
-      (fun p ->
-        if not t.finished then
-          match Hashtbl.find_opt (tree t).holder p with
-          | Some holder
-            when (not t.cfg.Config.certify)
-                 && Checkpoint.restore t.checkpoints ~client:holder <> None -> (
-              match Checkpoint.restore t.checkpoints ~client:holder with
-              | Some sp ->
-                  Checkpoint.drop t.checkpoints ~client:holder;
-                  assign_recovered t ~failed:holder ~from_checkpoint:true p sp
-              | None -> ())
-          | holder ->
-              (* no usable checkpoint — or a certified run, which never
-                 restores snapshots (their facts and clauses would not be
-                 re-derivable in the next holder's proof fragment) *)
-              rederive_lost t ~holder p)
+      (fun p -> if not t.finished then recover t ~holder:(Hashtbl.find_opt (tree t).holder p) p)
       orphans;
     (* a standby's shadow can predate the very first assignment (the
        primary died before any non-empty ship flush).  If nothing — no
@@ -1420,9 +1407,7 @@ let reconcile t =
        start it from the root now: clients already registered with the
        old primary will never send another Register to trigger it *)
     if (not t.finished) && not (tree t).problem_assigned then (
-      match Scheduler.pick t.cfg.scheduler ~rng:t.rng (idle_candidates t) with
-      | Some cand -> assign_initial_problem t cand.Scheduler.resource.R.id
-      | None -> ());
+      match idle_host t with Some (dst, _) -> assign_initial_problem t dst | None -> ());
     (* the verdict may have become decidable during the window: results
        that arrived while UNSAT was deferred could have drained the pool *)
     conclude_or_dispatch t
@@ -1620,12 +1605,11 @@ let consider_hedge t ~now =
             match stragglers with
             | [] -> ()
             | (_, primary, pid) :: _ -> (
-                (* every straggler's pid is live (filtered above) *)
-                match Scheduler.pick t.cfg.scheduler ~rng:t.rng (idle_candidates t) with
+                match idle_host t with
                 | None -> ()
-                | Some cand ->
-                    let backup = cand.Scheduler.resource.R.id in
-                    let sp = Subproblem.of_lineage t.cnf (Hashtbl.find (tree t).live pid) in
+                | Some (backup, _) ->
+                    (* every straggler's pid is live (filtered above) *)
+                    let sp = Option.get (of_lineage t pid) in
                     Hashtbl.replace t.hedged pid ();
                     log t (Events.Hedge_launched { pid; primary; backup });
                     if t.obs_on then minstant t ~cat:"master"
@@ -1808,7 +1792,7 @@ let create ?(obs = Obs.disabled) ?health ~sim ~net ~bus ~cfg ~testbed cnf =
                  match (host t dst).rstate with
                  | Reserved (Delivery (p, _)) when p = pid ->
                      Pool.release t.pool dst;
-                     assign_recovered t ~failed:dst ~from_checkpoint:false pid sp
+                     recover t ~holder:(Some dst) ~copy:sp pid
                  | _ -> ())
              | Protocol.Split_partner { partner } ->
                  (* the requester never learned about its partner *)
@@ -1834,8 +1818,8 @@ let create ?(obs = Obs.disabled) ?health ~sim ~net ~bus ~cfg ~testbed cnf =
     {
       Client.log = (fun kind -> log t kind);
       save_checkpoint =
-        (fun ~client sp ->
-          let bytes = Checkpoint.save t.checkpoints ~client ~mode:cfg.Config.checkpoint sp in
+        (fun ~client ~pid sp ->
+          let bytes = Checkpoint.save t.checkpoints ~client ~pid ~mode:cfg.Config.checkpoint sp in
           if bytes > 0 then begin
             log t (Events.Checkpoint_saved { client; bytes });
             bump t Checkpoint_bytes (Checkpoint.total_bytes t.checkpoints)

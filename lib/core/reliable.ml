@@ -132,6 +132,14 @@ let note t ~dst name args =
          ("reliable." ^ name));
   flight t ~dst name args
 
+(* One more transmission of [p], counted as a retry. *)
+let resend t ~dst o p =
+  p.attempt <- p.attempt + 1;
+  Obs.Metrics.incr t.retries;
+  note t ~dst "retry" [ ("attempt", Obs.Json.Int p.attempt) ];
+  t.on_retry ~dst ~attempt:p.attempt;
+  transmit t ~dst o p
+
 let rec arm_timer t ~dst o p =
   p.timer <-
     Some (Grid.Sim.schedule t.sim ~delay:(backoff t p.attempt) (fun () -> fire t ~dst o p))
@@ -153,11 +161,7 @@ and fire t ~dst o p =
       List.iter (fun q -> t.on_give_up ~dst q.msg) tail
     end
     else begin
-      p.attempt <- p.attempt + 1;
-      Obs.Metrics.incr t.retries;
-      note t ~dst "retry" [ ("attempt", Obs.Json.Int p.attempt) ];
-      t.on_retry ~dst ~attempt:p.attempt;
-      transmit t ~dst o p;
+      resend t ~dst o p;
       arm_timer t ~dst o p
     end
 
@@ -190,20 +194,21 @@ let handle_ack t ~src ~mid =
           t.on_ack ~dst:src ~latency p.msg)
         settled
 
-(* The receiver saw envelope [mid] arrive corrupt: the link works, the
-   payload rotted.  Retransmit immediately instead of waiting out the
-   backoff timer — the NACK is proof of connectivity, not congestion.
-   [fire] keeps the attempt accounting, so a link that corrupts everything
-   still exhausts its bounded budget and reaches [on_give_up]. *)
+(* The receiver saw envelope [mid] arrive corrupt, or missed it: the link
+   works, so retransmit now, and never give the stream up here.  With
+   attempts left, [fire] resends and re-arms as the timer would; after
+   the last one the NACK buys one resend and the armed timer still gives
+   up, so a link that corrupts everything reaches [on_give_up]. *)
 let handle_nack t ~src ~mid =
   match Hashtbl.find_opt t.outbound src with
   | None -> ()
   | Some o -> (
       match List.find_opt (fun p -> p.seq = mid) o.unacked with
-      | None -> ()
-      | Some p ->
+      | Some p when p.attempt < t.max_attempts ->
           cancel_timer t p;
-          fire t ~dst:src o p)
+          fire t ~dst:src o p
+      | Some p when p.attempt = t.max_attempts -> resend t ~dst:src o p
+      | Some _ | None -> ())
 
 (* Proof of life for [dst] (a restarted master announced itself): whatever
    is still outstanding toward it was transmitted into the outage and

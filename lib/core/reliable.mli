@@ -11,6 +11,9 @@
       envelope ahead of a missing one waits, unacked, in a buffer, and the
       first one ahead of a gap NACKs the missing one, which the sender
       then resends at once;
+    - a NACK never gives a stream up: it proves the link works.  An
+      envelope NACKed after its last attempt gets one more transmission,
+      and the timer of that last attempt still ends it;
     - acks are cumulative: [Ack {mid}] settles every envelope up to [mid];
     - every envelope not abandoned is delivered;
     - an envelope that exhausts its attempts is abandoned with every later

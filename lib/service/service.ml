@@ -311,6 +311,16 @@ let finalize_run t r =
       Cache.store t.cache ~digest:job.Job.digest answer;
       finish_job t job (Job.Verdict answer)
 
+(* Tear a run down before its own verdict: record why, cancel its master
+   and finalise the run now.  [Master.cancel] restarts a downed master
+   first, so a teardown inside a crash-failover window still stops the
+   clients and closes the journal. *)
+let tear_down t r intent =
+  r.cancel_intent <- Some intent;
+  Master.cancel r.master
+    ~reason:(match intent with Preempt -> "preempted" | Deadline -> "deadline" | Abort reason -> reason);
+  finalize_run t r
+
 let start_job t (job : Job.t) =
   let rec split n acc = function
     | rest when n = 0 -> (List.rev acc, rest)
@@ -408,10 +418,7 @@ let maybe_preempt t =
             None t.running
         in
         match victim with
-        | Some r when level r < Job.priority_level waiting.Job.priority ->
-            r.cancel_intent <- Some Preempt;
-            Master.cancel r.master ~reason:"preempted";
-            finalize_run t r
+        | Some r when level r < Job.priority_level waiting.Job.priority -> tear_down t r Preempt
         | _ -> ())
 
 (* ---------- brownout ---------- *)
@@ -551,14 +558,7 @@ let rec arm_deadline t (job : Job.t) =
                        (* verdict reached before the deadline, finalization
                           pending: let the pump credit the real answer *)
                        ()
-                     else begin
-                       r.cancel_intent <- Some Deadline;
-                       (* Master.cancel restarts a downed master first, so a
-                          deadline landing inside a crash-failover window
-                          still stops the clients and closes the journal *)
-                       Master.cancel r.master ~reason:"deadline";
-                       finalize_run t r
-                     end))))
+                     else tear_down t r Deadline))))
 
 let submit t ~tenant ~priority ?deadline_in ?label cnf =
   let id = t.next_id in
@@ -630,9 +630,7 @@ let cancel_job t ~id ~reason =
           match List.find_opt (fun r -> r.rjob == job) t.running with
           | None -> false
           | Some r ->
-              r.cancel_intent <- Some (Abort reason);
-              Master.cancel r.master ~reason;
-              finalize_run t r;
+              tear_down t r (Abort reason);
               true))
 
 (* How often [on_expo] gets the exposition, in virtual seconds. *)

@@ -337,6 +337,46 @@ let test_partition_retries () =
   check bool "reliable channel retried across the cut" true
     (has_event (function C.Events.Message_retried _ -> true | _ -> false) r)
 
+(* The CLI's [--chaos] run (uniform testbed of 6 hosts, the canned chaos
+   plan) on php-7-6: every snapshot the master restores is one
+   checkpoint recovery, so the registry's restore count and the run's
+   recovery count agree.  Each seed recovers from a checkpoint at least
+   once. *)
+let test_restores_match_recoveries () =
+  let config seed =
+    {
+      Cfg.default with
+      Cfg.seed;
+      split_timeout = 1.;
+      checkpoint = Cfg.Light;
+      checkpoint_period = 2.;
+      heartbeat_period = 2.;
+      suspect_timeout = 8.;
+      slice = 0.5;
+      share_max_len = 10;
+      overall_timeout = 100_000.;
+    }
+  in
+  List.iter
+    (fun seed ->
+      let obs = Obs.create () in
+      let r =
+        C.Gridsat.solve ~config:(config seed)
+          ~fault_plan:(C.Gridsat.chaos_plan ~standby:false ~partition:false)
+          ~obs
+          ~testbed:(C.Testbed.uniform ~n:6 ~speed:2000. ())
+          (Workloads.Php.instance ~pigeons:7 ~holes:6)
+      in
+      let cell = Printf.sprintf "seed %d" seed in
+      let recoveries = C.Master.counter r "recoveries" in
+      check Alcotest.string (cell ^ ": verdict") "UNSAT" (answer_kind r.C.Master.answer);
+      check bool (cell ^ ": a checkpoint recovery ran") true (recoveries > 0);
+      match List.assoc_opt "checkpoint.restores" (Obs.Metrics.export_all (Obs.metrics obs)) with
+      | Some (Obs.Metrics.Counter restores) ->
+          check Alcotest.int (cell ^ ": one restore per recovery") recoveries restores
+      | _ -> Alcotest.fail "no checkpoint.restores series")
+    [ 0; 7; 23 ]
+
 let test_loss_counters_surface () =
   let s = List.find (fun s -> s.sname = "loss-p02") scenarios in
   let r = solve ~config:s.config ~fault_plan:(s.plan 0.) (Workloads.Php.instance ~pigeons:6 ~holes:5) in
@@ -1079,18 +1119,18 @@ let test_checkpoint_corrupt_all_discards () =
   let cnf = Workloads.Php.instance ~pigeons:4 ~holes:3 in
   let ck = C.Checkpoint.create cnf in
   let sp = C.Subproblem.initial cnf in
-  ignore (C.Checkpoint.save ck ~client:1 ~mode:Cfg.Heavy sp);
-  (match C.Checkpoint.restore ck ~client:1 with
+  ignore (C.Checkpoint.save ck ~client:1 ~pid:(0, 0) ~mode:Cfg.Heavy sp);
+  (match C.Checkpoint.restore ck ~client:1 ~pid:(0, 0) with
   | Some _ -> ()
   | None -> Alcotest.fail "intact snapshot must restore");
   C.Checkpoint.corrupt_all ck;
-  (match C.Checkpoint.restore ck ~client:1 with
+  (match C.Checkpoint.restore ck ~client:1 ~pid:(0, 0) with
   | None -> ()
   | Some _ -> Alcotest.fail "rotten snapshot must be refused");
   check Alcotest.int "discard counted" 1 (C.Checkpoint.discarded ck);
   (* discarding is destructive: a second restore finds nothing *)
   check bool "rotten snapshot removed from the store" true
-    (C.Checkpoint.restore ck ~client:1 = None)
+    (C.Checkpoint.restore ck ~client:1 ~pid:(0, 0) = None)
 
 (* ---------- straggler defense and hedged execution ---------- *)
 
@@ -1759,7 +1799,7 @@ let client_endpoint () =
       ~trace:host.C.Testbed.trace ~master:0
       {
         C.Client.log = (fun k -> logged := k :: !logged);
-        save_checkpoint = (fun ~client:_ _ -> ());
+        save_checkpoint = (fun ~client:_ ~pid:_ _ -> ());
         note_dup = ignore;
         note_outbox = (fun ~depth:_ ~shed:_ -> ());
       }
@@ -1929,7 +1969,7 @@ let test_outage_keeps_control_order () =
       ~master:0
       {
         C.Client.log = (fun k -> logged := k :: !logged);
-        save_checkpoint = (fun ~client:_ _ -> ());
+        save_checkpoint = (fun ~client:_ ~pid:_ _ -> ());
         note_dup = ignore;
         note_outbox = (fun ~depth ~shed:_ -> outbox_peak := max !outbox_peak depth);
       }
@@ -1995,6 +2035,8 @@ let () =
         [
           Alcotest.test_case "partition retries" `Slow test_partition_retries;
           Alcotest.test_case "loss counters" `Slow test_loss_counters_surface;
+          Alcotest.test_case "checkpoint restores match recoveries" `Slow
+            test_restores_match_recoveries;
         ] );
       ( "durability",
         [

@@ -427,9 +427,9 @@ let test_checkpoint_light_restores_original_clauses () =
   let store = C.Checkpoint.create cnf in
   let sp = { Sub.nvars = 3; facts = []; path = [ T.pos 1 ]; clauses = Clause_lists.of_list [ [| T.neg 1; T.pos 3 |] ] }
   in
-  let bytes = C.Checkpoint.save store ~client:5 ~mode:Cfg.Light sp in
+  let bytes = C.Checkpoint.save store ~client:5 ~pid:(0, 0) ~mode:Cfg.Light sp in
   check bool "light checkpoint small" true (bytes < Sub.bytes sp + 64);
-  match C.Checkpoint.restore store ~client:5 with
+  match C.Checkpoint.restore store ~client:5 ~pid:(0, 0) with
   | None -> Alcotest.fail "expected a checkpoint"
   | Some restored ->
       check bool "path preserved" true (restored.Sub.path = [ T.pos 1 ]);
@@ -442,19 +442,46 @@ let test_checkpoint_heavy_roundtrip () =
   let store = C.Checkpoint.create cnf in
   let sp = { Sub.nvars = 2; facts = [ T.pos 2 ]; path = []; clauses = Clause_lists.of_list [ [| T.pos 1; T.neg 2 |] ] }
   in
-  ignore (C.Checkpoint.save store ~client:1 ~mode:Cfg.Heavy sp);
-  (match C.Checkpoint.restore store ~client:1 with
+  ignore (C.Checkpoint.save store ~client:1 ~pid:(0, 0) ~mode:Cfg.Heavy sp);
+  (match C.Checkpoint.restore store ~client:1 ~pid:(0, 0) with
   | Some restored -> check int "heavy keeps stored clauses" 1 (Sub.nclauses restored)
   | None -> Alcotest.fail "expected a checkpoint");
   check int "saves counted" 1 (C.Checkpoint.saves store);
   C.Checkpoint.drop store ~client:1;
-  check bool "dropped" true (C.Checkpoint.restore store ~client:1 = None)
+  check bool "dropped" true (C.Checkpoint.restore store ~client:1 ~pid:(0, 0) = None)
+
+(* A client keeps its last snapshot after its branch moves on, so the
+   snapshot answers only for the pid it was saved for.  Asking for
+   another pid finds nothing and changes nothing: no restore or discard
+   is counted, and the snapshot stays for its own pid — rotten or not. *)
+let test_checkpoint_pid_mismatch () =
+  let cnf = Cnf.make ~nvars:2 [ [ 1; 2 ] ] in
+  let obs = Obs.create () in
+  let store = C.Checkpoint.create ~obs cnf in
+  let restores () =
+    match List.assoc_opt "checkpoint.restores" (Obs.Metrics.export_all (Obs.metrics obs)) with
+    | Some (Obs.Metrics.Counter n) -> n
+    | _ -> Alcotest.fail "no checkpoint.restores series"
+  in
+  let sp = { Sub.nvars = 2; facts = []; path = [ T.pos 1 ]; clauses = Clause_lists.of_list [ [| T.pos 2 |] ] } in
+  ignore (C.Checkpoint.save store ~client:3 ~pid:(3, 1) ~mode:Cfg.Heavy sp);
+  check bool "another pid finds nothing" true (C.Checkpoint.restore store ~client:3 ~pid:(2, 0) = None);
+  check int "no restore counted" 0 (restores ());
+  check int "no discard counted" 0 (C.Checkpoint.discarded store);
+  check bool "its own pid still restores" true (C.Checkpoint.restore store ~client:3 ~pid:(3, 1) <> None);
+  check int "that restore counted" 1 (restores ());
+  C.Checkpoint.corrupt_all store;
+  check bool "rotten, asked for another pid" true (C.Checkpoint.restore store ~client:3 ~pid:(2, 0) = None);
+  check int "a mismatch discards nothing" 0 (C.Checkpoint.discarded store);
+  check bool "rotten, asked for its own pid" true (C.Checkpoint.restore store ~client:3 ~pid:(3, 1) = None);
+  check int "the discard counted" 1 (C.Checkpoint.discarded store);
+  check int "restores unchanged" 1 (restores ())
 
 let test_checkpoint_none_mode () =
   let store = C.Checkpoint.create (Cnf.make ~nvars:1 []) in
   let sp = Sub.initial (Cnf.make ~nvars:1 []) in
   check int "no-checkpoint stores nothing" 0
-    (C.Checkpoint.save store ~client:1 ~mode:Cfg.No_checkpoint sp)
+    (C.Checkpoint.save store ~client:1 ~pid:(0, 0) ~mode:Cfg.No_checkpoint sp)
 
 (* A client's periodic light checkpoint takes only the root of its
    running solver; what it stores must be what stripping a full capture
@@ -474,8 +501,8 @@ let test_checkpoint_light_copies_no_clauses () =
     (C.Checkpoint.seal_of root);
   let saved sp =
     let store = C.Checkpoint.create cnf in
-    let bytes = C.Checkpoint.save store ~client:1 ~mode:Cfg.Light sp in
-    (bytes, Sub.to_string (Option.get (C.Checkpoint.restore store ~client:1)))
+    let bytes = C.Checkpoint.save store ~client:1 ~pid:(0, 0) ~mode:Cfg.Light sp in
+    (bytes, Sub.to_string (Option.get (C.Checkpoint.restore store ~client:1 ~pid:(0, 0))))
   in
   check bool "same bytes and restore" true (saved full = saved root)
 
@@ -1158,6 +1185,69 @@ let test_reliable_exhaustion_signal () =
   check int "nothing left outstanding" 0 (C.Reliable.outstanding rel);
   check int "give-up counted" 1 (C.Reliable.gave_up rel)
 
+(* A NACK proves the link works, so it never gives a stream up: an
+   envelope NACKed after its last attempt is sent once more, and an ack
+   that follows settles it. *)
+let test_reliable_nack_after_last_attempt () =
+  let sim = Grid.Sim.create () in
+  let sent = ref [] and gave = ref [] in
+  let rel = make_reliable ~sim ~max_attempts:2 ~sent ~gave () in
+  C.Reliable.send rel ~dst:7 C.Protocol.Stop;
+  (* backoffs 1 and 2: the retries go out at 1 s and 3 s, the last timer is due at 7 s *)
+  Grid.Sim.run sim ~until:3.5;
+  check int "initial + 2 retries transmitted" 3 (List.length !sent);
+  let from_peer msg =
+    C.Reliable.receive ~rel (C.Reliable.streams ()) ~me:0 ~epoch:0
+      ~reply:(fun ~dst:_ _ -> ())
+      ~log:ignore
+      ~deliver:(fun ~src:_ _ -> ())
+      ~src:7 msg
+  in
+  let mid = match !sent with (_, C.Protocol.Reliable { mid; _ }) :: _ -> mid | _ -> -1 in
+  from_peer (C.Protocol.Nack { mid });
+  check bool "the NACK gave nothing up" true (!gave = []);
+  check int "the NACK bought one more transmission" 4 (List.length !sent);
+  from_peer (C.Protocol.Ack { mid });
+  drain sim;
+  check bool "the ack settled it" true (!gave = [] && C.Reliable.outstanding rel = 0)
+
+(* A link that corrupts every frame NACKs every transmission.  The
+   stream still gives up, once, no later than a silent link's timers
+   would (1 + 2 + 4 + 8 s at base 1 s and 3 attempts), after a bounded
+   number of transmissions. *)
+let test_reliable_nack_storm_gives_up () =
+  let sim = Grid.Sim.create () in
+  let sent = ref 0 and gave = ref [] in
+  let rel = ref None in
+  let r =
+    C.Reliable.create ~sim
+      ~send_raw:(fun ~dst:_ msg ->
+        incr sent;
+        match msg with
+        | C.Protocol.Reliable { mid; _ } ->
+            ignore
+              (Grid.Sim.schedule sim ~delay:0.01 (fun () ->
+                   C.Reliable.receive ?rel:!rel (C.Reliable.streams ()) ~me:0 ~epoch:0
+                     ~reply:(fun ~dst:_ _ -> ())
+                     ~log:ignore
+                     ~deliver:(fun ~src:_ _ -> ())
+                     ~src:9 (C.Protocol.Nack { mid })))
+        | _ -> ())
+      ~active:(fun () -> true)
+      ~retry_base:1.0 ~max_attempts:3
+      ~on_retry:(fun ~dst:_ ~attempt:_ -> ())
+      ~on_give_up:(fun ~dst:_ msg -> gave := (Grid.Sim.now sim, msg) :: !gave)
+      ()
+  in
+  rel := Some r;
+  C.Reliable.send r ~dst:9 C.Protocol.Stop;
+  drain sim;
+  (match !gave with
+  | [ (at, C.Protocol.Stop) ] -> check bool "gave up in time" true (at <= 15.)
+  | _ -> Alcotest.fail "expected exactly one give-up");
+  check bool "bounded transmissions" true (!sent <= 3 + 2);
+  check int "nothing left outstanding" 0 (C.Reliable.outstanding r)
+
 (* A client whose master moved takes back the unacked tail of its stream
    to the old endpoint: in send order, without a give-up, and with no
    retry left armed toward that endpoint. *)
@@ -1461,9 +1551,9 @@ let[@inline never] run_owners obs =
     C.Journal.[ Registered { client = 1 }; Registered { client = 2 }; Died { client = 2 } ];
   let store = C.Checkpoint.create ~obs (Cnf.make ~nvars:2 [ [ 1; 2 ] ]) in
   let sp = { Sub.nvars = 2; facts = []; path = []; clauses = Clause_lists.of_list [ [| T.pos 1 |] ] } in
-  ignore (C.Checkpoint.save store ~client:1 ~mode:Cfg.Heavy sp);
+  ignore (C.Checkpoint.save store ~client:1 ~pid:(0, 0) ~mode:Cfg.Heavy sp);
   C.Checkpoint.corrupt_all store;
-  ignore (C.Checkpoint.restore store ~client:1);
+  ignore (C.Checkpoint.restore store ~client:1 ~pid:(0, 0));
   let rel =
     C.Reliable.create ~obs ~sim
       ~send_raw:(fun ~dst:_ _ -> ())
@@ -1533,6 +1623,7 @@ let () =
           Alcotest.test_case "light restore" `Quick test_checkpoint_light_restores_original_clauses;
           Alcotest.test_case "heavy roundtrip" `Quick test_checkpoint_heavy_roundtrip;
           Alcotest.test_case "none mode" `Quick test_checkpoint_none_mode;
+          Alcotest.test_case "snapshot answers for its own pid" `Quick test_checkpoint_pid_mismatch;
           Alcotest.test_case "light copies no clauses" `Quick test_checkpoint_light_copies_no_clauses;
         ] );
       ( "registry",
@@ -1584,6 +1675,10 @@ let () =
           Alcotest.test_case "receive state bounded" `Quick test_reliable_receive_state_bounded;
           Alcotest.test_case "retry exhaustion signal" `Quick test_reliable_exhaustion_signal;
           Alcotest.test_case "stop_to takes one stream back" `Quick test_reliable_stop_to;
+          Alcotest.test_case "a NACK after the last attempt resends" `Quick
+            test_reliable_nack_after_last_attempt;
+          Alcotest.test_case "a link that NACKs everything gives up" `Quick
+            test_reliable_nack_storm_gives_up;
         ] );
       ( "protocol",
         [
